@@ -105,8 +105,7 @@ impl SequentialMiner for Gsp {
     fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
         let guard = MineGuard::unlimited();
         let mut result = MiningResult::new();
-        self.mine_inner(db, min_support, &guard, &mut result)
-            .expect("unlimited guard never aborts");
+        self.mine_into(db, min_support, &guard, &mut result).expect("unlimited guard never aborts");
         result
     }
 
@@ -116,14 +115,14 @@ impl SequentialMiner for Gsp {
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        run_guarded(guard, |result| self.mine_inner(db, min_support, guard, result))
+        run_guarded(guard, |result| self.mine_into(db, min_support, guard, result))
     }
 }
 
 impl Gsp {
     /// The cooperative core: checkpoints per scanned sequence, per join
     /// pair, and per pruned candidate.
-    fn mine_inner(
+    fn mine_into(
         &self,
         db: &SequenceDatabase,
         min_support: MinSupport,

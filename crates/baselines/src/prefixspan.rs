@@ -48,7 +48,7 @@ impl SequentialMiner for PrefixSpan {
     fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
         let guard = MineGuard::unlimited();
         let mut result = MiningResult::new();
-        mine_inner(db, min_support, &guard, &mut result).expect("unlimited guard never aborts");
+        mine_into(db, min_support, &guard, &mut result).expect("unlimited guard never aborts");
         result
     }
 
@@ -58,13 +58,13 @@ impl SequentialMiner for PrefixSpan {
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        run_guarded(guard, |result| mine_inner(db, min_support, guard, result))
+        run_guarded(guard, |result| mine_into(db, min_support, guard, result))
     }
 }
 
 /// The cooperative core: one checkpoint per scanned postfix, one charge per
 /// projection pass, one pattern note per frequent pattern.
-fn mine_inner(
+fn mine_into(
     db: &SequenceDatabase,
     min_support: MinSupport,
     guard: &MineGuard,

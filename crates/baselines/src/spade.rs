@@ -105,7 +105,7 @@ impl SequentialMiner for Spade {
     fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
         let guard = MineGuard::unlimited();
         let mut result = MiningResult::new();
-        mine_inner(db, min_support, &guard, &mut result).expect("unlimited guard never aborts");
+        mine_into(db, min_support, &guard, &mut result).expect("unlimited guard never aborts");
         result
     }
 
@@ -115,13 +115,13 @@ impl SequentialMiner for Spade {
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        run_guarded(guard, |result| mine_inner(db, min_support, guard, result))
+        run_guarded(guard, |result| mine_into(db, min_support, guard, result))
     }
 }
 
 /// The cooperative core: one checkpoint per vertical-scan row and per
 /// ID-list join, one pattern note per frequent pattern.
-fn mine_inner(
+fn mine_into(
     db: &SequenceDatabase,
     min_support: MinSupport,
     guard: &MineGuard,

@@ -33,7 +33,7 @@ use crate::flatbench::{best_of, SEED};
 use crate::report::{persist, ToJson};
 use crate::runner::{assert_agreement, deadline, peak_rss_bytes, reset_peak_rss, Measurement};
 use crate::workloads::WorkloadCache;
-use disc_algo::DiscAll;
+use disc_algo::{Checkpointable, DiscAll};
 use disc_core::{
     decode_database, encode_database, encode_database_flat_file, open_flat_file, write_flat_file,
     CancelToken, FlatDb, MinSupport, MineGuard, MiningResult, ResourceBudget, Verify,

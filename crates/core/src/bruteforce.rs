@@ -36,7 +36,7 @@ impl BruteForce {
 
     /// The cooperative core: one checkpoint per counted candidate, one
     /// pattern note per frequent pattern found.
-    fn mine_inner(
+    fn mine_into(
         &self,
         db: &SequenceDatabase,
         min_support: MinSupport,
@@ -109,8 +109,7 @@ impl SequentialMiner for BruteForce {
     fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
         let guard = MineGuard::unlimited();
         let mut result = MiningResult::new();
-        self.mine_inner(db, min_support, &guard, &mut result)
-            .expect("unlimited guard never aborts");
+        self.mine_into(db, min_support, &guard, &mut result).expect("unlimited guard never aborts");
         result
     }
 
@@ -120,7 +119,7 @@ impl SequentialMiner for BruteForce {
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        run_guarded(guard, |result| self.mine_inner(db, min_support, guard, result))
+        run_guarded(guard, |result| self.mine_into(db, min_support, guard, result))
     }
 }
 

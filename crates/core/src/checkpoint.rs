@@ -54,8 +54,12 @@ use std::path::{Path, PathBuf};
 
 /// The checkpoint file magic.
 pub const CHECKPOINT_MAGIC: &[u8] = b"DSCCK1\n";
-/// The current format version.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// The current format version. Version 2 snapshots hold item ids of the
+/// loaded database's compacted columns
+/// ([`crate::flatfile::FlatFileContents`]), keyed by the source fingerprint
+/// in original ids; version 1 files, whose ids depended on the entry point
+/// that wrote them, are refused.
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// Miner provenance code: sequential DISC-all.
 pub const MINER_DISC_ALL: u8 = 1;
@@ -214,12 +218,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// binary encoding). Snapshot headers record it so a resume against the
 /// wrong database is rejected instead of silently producing garbage.
 pub fn database_fingerprint(db: &SequenceDatabase) -> u64 {
-    let bytes = codec::encode_database(db);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in &bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    codec::encode_database_chunks(db, |bytes| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    });
     h
 }
 
@@ -257,13 +262,22 @@ pub struct MiningSnapshot {
 }
 
 impl MiningSnapshot {
-    /// Checks that this snapshot belongs to `db` mined at `delta`.
-    pub fn validate(&self, db: &SequenceDatabase, delta: u64) -> Result<(), CheckpointError> {
-        let found = database_fingerprint(db);
-        if found != self.fingerprint {
-            return Err(CheckpointError::FingerprintMismatch { expected: self.fingerprint, found });
+    /// Checks that this snapshot belongs to the database with `fingerprint`
+    /// ([`database_fingerprint`], original item ids) and `rows` customers,
+    /// mined at `delta`.
+    pub fn validate(
+        &self,
+        fingerprint: u64,
+        rows: usize,
+        delta: u64,
+    ) -> Result<(), CheckpointError> {
+        if fingerprint != self.fingerprint {
+            return Err(CheckpointError::FingerprintMismatch {
+                expected: self.fingerprint,
+                found: fingerprint,
+            });
         }
-        if self.rows != db.len() as u64 {
+        if self.rows != rows as u64 {
             return Err(CheckpointError::Invalid("row count disagrees with fingerprint"));
         }
         if self.delta != delta {
@@ -875,14 +889,19 @@ mod tests {
     #[test]
     fn validate_accepts_the_right_database_and_rejects_others() {
         let snap = sample_snapshot();
-        snap.validate(&table1(), 2).unwrap();
+        let (fingerprint, rows) = (database_fingerprint(&table1()), table1().len());
+        snap.validate(fingerprint, rows, 2).unwrap();
         assert!(matches!(
-            snap.validate(&table1(), 3),
+            snap.validate(fingerprint, rows, 3),
             Err(CheckpointError::DeltaMismatch { expected: 2, found: 3 })
+        ));
+        assert!(matches!(
+            snap.validate(fingerprint, rows + 1, 2),
+            Err(CheckpointError::Invalid(_))
         ));
         let other = SequenceDatabase::from_parsed(&["(a)(b)"]).unwrap();
         assert!(matches!(
-            snap.validate(&other, 2),
+            snap.validate(database_fingerprint(&other), other.len(), 2),
             Err(CheckpointError::FingerprintMismatch { .. })
         ));
     }

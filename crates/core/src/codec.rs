@@ -136,13 +136,24 @@ pub(crate) fn get_sequence(input: &[u8], pos: &mut usize) -> Result<Sequence, Co
 /// Encodes a database to the binary format.
 pub fn encode_database(db: &SequenceDatabase) -> Vec<u8> {
     let mut out = Vec::with_capacity(MAGIC.len() + db.len() * 16);
-    out.extend_from_slice(MAGIC);
-    put_varint(&mut out, db.len() as u64);
-    for row in db.rows() {
-        put_varint(&mut out, row.cid.0);
-        put_sequence(&mut out, &row.sequence);
-    }
+    encode_database_chunks(db, |chunk| out.extend_from_slice(chunk));
     out
+}
+
+/// Streams [`encode_database`]'s bytes to `emit` a row at a time through
+/// one reused buffer, for readers of the encoding that need not hold it
+/// (the database fingerprint).
+pub(crate) fn encode_database_chunks(db: &SequenceDatabase, mut emit: impl FnMut(&[u8])) {
+    let mut buf = Vec::with_capacity(64);
+    buf.extend_from_slice(MAGIC);
+    put_varint(&mut buf, db.len() as u64);
+    for row in db.rows() {
+        emit(&buf);
+        buf.clear();
+        put_varint(&mut buf, row.cid.0);
+        put_sequence(&mut buf, &row.sequence);
+    }
+    emit(&buf);
 }
 
 /// Decodes a database from the binary format. Strict: a file carrying the

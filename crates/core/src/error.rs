@@ -112,9 +112,9 @@ pub enum DiscError {
         /// What was wrong.
         what: &'static str,
     },
-    /// A database exceeds the packed-word budget of
-    /// [`crate::packed::PackedDb`]: its dictionary-remapped item count or a
-    /// transaction index does not fit the fixed bit fields. Callers fall
+    /// A key exceeds the packed-word budget of [`crate::packed::PackedKey`]:
+    /// its dictionary-remapped item id or a transaction index does not fit
+    /// the fixed bit fields. Callers fall
     /// back to the wide ([`crate::flat::FlatKey`]) representation rather
     /// than silently truncating.
     PackedOverflow {

@@ -32,6 +32,7 @@
 //! still built as owned sequences, but only at result-reporting time (they
 //! come from `prefix.extended(elem)` chains, never from members).
 
+use crate::compact::ItemMapping;
 use crate::database::SequenceDatabase;
 use crate::item::Item;
 use crate::itemset::Itemset;
@@ -301,13 +302,32 @@ pub struct FlatDb {
 impl FlatDb {
     /// Copies every database row into one contiguous arena.
     pub fn from_database(db: &SequenceDatabase) -> FlatDb {
+        FlatDb::from_arena(FlatDb::arena_of(db), db.max_item())
+    }
+
+    /// Flattens `db` onto the compact ids of `mapping`, which must have
+    /// been [analyzed](ItemMapping::analyze) from `db`: the columns of the
+    /// remapped database, without building the remapped nested copy. The
+    /// mapping preserves item order, so itemsets stay ascending.
+    pub fn from_database_compacted(db: &SequenceDatabase, mapping: &ItemMapping) -> FlatDb {
+        let mut arena = FlatDb::arena_of(db);
+        if !mapping.is_identity() {
+            for item in &mut arena.items {
+                *item = mapping.to_compact(*item).expect("item seen by the mapping");
+            }
+        }
+        let max_item = mapping.len().checked_sub(1).map(|m| Item(m as u32));
+        FlatDb::from_arena(arena, max_item)
+    }
+
+    fn arena_of(db: &SequenceDatabase) -> FlatArena {
         let total_items: usize = db.sequences().map(Sequence::length).sum();
         let total_sets: usize = db.sequences().map(Sequence::n_transactions).sum();
         let mut arena = FlatArena::with_capacity(total_items, total_sets + 1, db.len() + 1);
         for seq in db.sequences() {
             arena.push_sequence(seq);
         }
-        FlatDb::from_arena(arena, db.max_item())
+        arena
     }
 
     /// Wraps an already-built arena, taking ownership of its columns.
@@ -375,10 +395,27 @@ impl FlatDb {
         self.items.is_mapped()
     }
 
+    /// For mapped columns, whether the file they map still has the length
+    /// and modification time it had when mapped (see
+    /// [`crate::mmap::Mmap::is_unchanged`]); always true on the heap. A
+    /// mapped file changed in place may fault or hold rows the loaded
+    /// fingerprint never covered, so long-lived holders check this before
+    /// mining.
+    pub fn file_unchanged(&self) -> bool {
+        self.items.file_unchanged()
+    }
+
     /// The raw CSR columns `(items, set_starts, row_sets)` — the encoding
     /// surface for [`crate::flatfile`].
     pub fn columns(&self) -> (&[Item], &[u32], &[u32]) {
         (&self.items, &self.set_starts, &self.row_sets)
+    }
+
+    /// A nested copy of the rows, in stored item ids, with positional
+    /// customer ids 1, 2, 3, … — the input of miners that take a
+    /// [`SequenceDatabase`] (the baselines and oracles).
+    pub fn to_database(&self) -> SequenceDatabase {
+        SequenceDatabase::from_sequences(self.rows().map(FlatSeq::to_sequence))
     }
 }
 
@@ -675,6 +712,19 @@ mod tests {
             assert_eq!(&flat.row(i).to_sequence(), db.sequence(i));
         }
         assert!(FlatDb::from_database(&SequenceDatabase::new()).is_empty());
+    }
+
+    #[test]
+    fn compacted_flattening_matches_the_remapped_database() {
+        let db = SequenceDatabase::from_parsed(&["(a,e,g)(b)", "(b)(d,f)(e)", "(b,f,g)"]).unwrap();
+        let mapping = ItemMapping::analyze(&db);
+        assert!(!mapping.is_identity());
+        let remapped = mapping.remap_database(&db);
+        let flat = FlatDb::from_database_compacted(&db, &mapping);
+        assert_eq!(flat.max_item(), remapped.max_item());
+        for i in 0..db.len() {
+            assert_eq!(&flat.row(i).to_sequence(), remapped.sequence(i));
+        }
     }
 
     #[test]

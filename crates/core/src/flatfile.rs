@@ -1,14 +1,19 @@
 //! `DSCFD1` — the on-disk columnar flat-file format and its zero-copy loader.
 //!
 //! A flat file is the [`crate::flat::FlatDb`] arena written down: the three
-//! CSR columns (`items`, `set_starts`, `row_sets`), the packed-u32 word
-//! column of [`crate::packed::PackedDb`] when the database fits the packed
-//! budget, and the item dictionary ([`ItemMapping`]) that translates the
-//! stored compact ids back to the original catalog. Opening one with
-//! [`open_flat_file`] memory-maps it and hands the miners columns that
-//! *borrow* from the mapping ([`crate::storage::DbStorage::Mapped`]) — no
-//! deserialization, no heap copy, and the OS pages data in and out as the
-//! scans touch it, so a database larger than RAM mines in bounded memory.
+//! CSR columns (`items`, `set_starts`, `row_sets`) and the item dictionary
+//! ([`ItemMapping`]) that translates the stored compact ids back to the
+//! original catalog. Opening one with [`open_flat_file`] memory-maps it and
+//! hands the miners columns that *borrow* from the mapping
+//! ([`crate::storage::DbStorage::Mapped`]) — no deserialization, no heap
+//! copy, and the OS pages data in and out as the scans touch it, so a
+//! database larger than RAM mines in bounded memory.
+//!
+//! What a file holds is also what every miner input is once loaded: a
+//! [`FlatFileContents`] — the compacted `FlatDb`, its dictionary, and the
+//! source fingerprint in original ids. Text and `DSCDB1` inputs build the
+//! same value in memory with [`FlatFileContents::from_database`], the first
+//! half of [`encode_database_flat_file`].
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -16,7 +21,7 @@
 //! offset  size  field
 //!      0     8  magic  "DSCFD1\0\0"
 //!      8     4  format version (= 1)
-//!     12     4  flags (bit 0: packed word column present)
+//!     12     4  flags (bit 0: legacy packed word column present)
 //!     16     8  n_rows
 //!     24     8  items_len        (elements in the item column)
 //!     32     8  sets_len         (elements in set_starts, incl. sentinel)
@@ -33,14 +38,17 @@
 //!    ...        section payloads, each offset page-aligned (4096)
 //! ```
 //!
-//! Section tags: 1 items, 2 set_starts, 3 row_sets, 4 dictionary, 5 packed
-//! words. Items and packed words are stored in the **compact** id space
-//! (dense from 0), with the dictionary always written so results can be
-//! translated back; compaction is monotone, so the comparative order of the
-//! stored database equals that of the original — mining the mapped columns
-//! yields exactly the original patterns after
-//! [`ItemMapping::restore_result`]. The packed column is index-parallel to
-//! the item column and shares its shape columns.
+//! Section tags: 1 items, 2 set_starts, 3 row_sets, 4 dictionary. Items are
+//! stored in the **compact** id space (dense from 0), with the dictionary
+//! always written so results can be translated back; compaction is
+//! monotone, so the comparative order of the stored database equals that of
+//! the original — mining the mapped columns yields exactly the original
+//! patterns after [`FlatFileContents::restore`].
+//!
+//! Files written by earlier builds may also carry tag 5, a packed-u32 word
+//! column index-parallel to the items (flag bit 0). Nothing reads it any
+//! more: the loader checks its length and, under [`Verify::Full`], its CRC,
+//! then ignores it.
 //!
 //! Page-aligned payloads + page-aligned `mmap` bases guarantee the 4-byte
 //! alignment the typed column windows need; every payload is a whole number
@@ -54,7 +62,7 @@
 //! within the dictionary range, ascending dictionary). The cheaper
 //! [`Verify::HeaderOnly`] still checks the header CRC and the boundary
 //! columns — everything the row/itemset *slicing* depends on, so mining
-//! cannot index out of a column — but trusts the bulk item/packed payloads.
+//! cannot index out of a column — but trusts the bulk item payload.
 //! It exists for files this process (or its store) just wrote and verified;
 //! a forged item payload under `HeaderOnly` can make mining produce wrong
 //! supports or abort on an out-of-range counting index — never undefined
@@ -68,7 +76,7 @@ use crate::flat::FlatDb;
 use crate::guard::{retry_transient, RetryPolicy};
 use crate::item::Item;
 use crate::mmap::{Advice, Mmap};
-use crate::packed::PackedDb;
+use crate::result::MiningResult;
 use crate::storage::DbStorage;
 use std::fs;
 use std::io::Write;
@@ -87,6 +95,7 @@ const HEADER_LEN: usize = 128;
 const ENTRY_LEN: usize = 32;
 const CRC_SLOT: usize = 68;
 const PAGE: usize = 4096;
+/// Flag of the packed word column earlier builds wrote (section 5).
 const FLAG_PACKED: u32 = 1;
 const MAX_SECTIONS: u32 = 16;
 
@@ -94,6 +103,7 @@ const SEC_ITEMS: u32 = 1;
 const SEC_SET_STARTS: u32 = 2;
 const SEC_ROW_SETS: u32 = 3;
 const SEC_DICT: u32 = 4;
+/// The legacy packed word column: verified, never read.
 const SEC_PACKED: u32 = 5;
 
 /// How much of a flat file [`open_flat_file`] checks before trusting it.
@@ -102,36 +112,55 @@ pub enum Verify {
     /// Header CRC + every section CRC + full structural validation,
     /// including the item-range scan. Use for files of unknown provenance.
     Full,
-    /// Header CRC + boundary-column structure only; the bulk item/packed
-    /// payloads are not read until mining touches them. Use for files this
+    /// Header CRC + boundary-column structure only; the bulk item payload
+    /// is not read until mining touches it. Use for files this
     /// process just wrote (the writer verifies on publish) — this is what
     /// makes time-to-first-pattern independent of deserialization.
     HeaderOnly,
 }
 
-/// Everything a flat file holds, decoded: the databases (columns borrowed
-/// from the mapping when possible), the dictionary, and the header
-/// metadata.
+/// A loaded database, ready to mine: the flat columns in compact item ids
+/// (borrowed from a mapping when opened from a file), the dictionary back
+/// to the original ids, and the fingerprint of the source database.
+///
+/// Every input ends up as one of these — a `.dscfd` file through
+/// [`open_flat_file`], a parsed text or `DSCDB1` database through
+/// [`FlatFileContents::from_database`] — and both give the same value for
+/// the same database.
 #[derive(Debug)]
 pub struct FlatFileContents {
     /// The flat database, in compact item ids.
     pub flat: FlatDb,
-    /// The packed database sharing the flat shape columns, when the file
-    /// carries the packed word column.
-    pub packed: Option<PackedDb>,
     /// Compact-id ⇄ original-id dictionary; translate mined patterns back
-    /// with [`ItemMapping::restore_result`].
+    /// with [`FlatFileContents::restore`].
     pub mapping: ItemMapping,
-    /// FNV-1a fingerprint of the source database (original ids) — the
-    /// staleness check against a store snapshot.
+    /// FNV-1a fingerprint of the source database in original ids
+    /// ([`crate::checkpoint::database_fingerprint`]) — the cache key and
+    /// checkpoint identity of the database, and the staleness check against
+    /// a store snapshot.
     pub fingerprint: u64,
-    /// Largest transaction count of any row (the packed-budget input).
-    pub max_txns: u32,
-    /// Total file size in bytes.
-    pub file_bytes: u64,
 }
 
 impl FlatFileContents {
+    /// The in-memory half of [`encode_database_flat_file`]: fingerprints
+    /// `db`, analyzes its dictionary and flattens it onto compact ids.
+    pub fn from_database(db: &SequenceDatabase) -> FlatFileContents {
+        let fingerprint = crate::checkpoint::database_fingerprint(db);
+        let mapping = ItemMapping::analyze(db);
+        let flat = FlatDb::from_database_compacted(db, &mapping);
+        FlatFileContents { flat, mapping, fingerprint }
+    }
+
+    /// Translates a result mined from [`FlatFileContents::flat`] back to
+    /// original item ids; an identity dictionary passes it through.
+    pub fn restore(&self, mined: MiningResult) -> MiningResult {
+        if self.mapping.is_identity() {
+            mined
+        } else {
+            self.mapping.restore_result(&mined)
+        }
+    }
+
     /// Whether the columns borrow zero-copy from a memory mapping (false on
     /// fallback targets and for heap decodes).
     pub fn is_mapped(&self) -> bool {
@@ -197,20 +226,27 @@ fn push_section(
     });
 }
 
-/// Encodes a flat database (already in compact ids), its dictionary, and an
-/// optional packed word column into `DSCFD1` bytes.
-///
-/// `mapping` must cover exactly the compact id space of `flat`
-/// (`mapping.len() == max_item + 1`); `packed`, when given, must have been
-/// built from `flat` so its word column is index-parallel to the item
-/// column. `fingerprint` is the source database's
-/// [`crate::checkpoint::database_fingerprint`] in **original** ids.
-pub fn encode_flat_file(
-    flat: &FlatDb,
-    mapping: &ItemMapping,
-    packed: Option<&PackedDb>,
-    fingerprint: u64,
-) -> Vec<u8> {
+/// Encodes a loaded database into `DSCFD1` bytes. Its dictionary must
+/// cover exactly the compact id space of its columns
+/// (`mapping.len() == max_item + 1`), as [`FlatFileContents::from_database`]
+/// builds it.
+pub fn encode_flat_file(loaded: &FlatFileContents) -> Vec<u8> {
+    let (items, sets, rows) = loaded.flat.columns();
+    let dict = loaded.mapping.originals().iter().map(|i| i.id());
+    let mut out = vec![0u8; HEADER_LEN + 4 * ENTRY_LEN];
+    let mut entries = Vec::with_capacity(4);
+    push_section(&mut out, &mut entries, SEC_ITEMS, items.iter().map(|i| i.id()));
+    push_section(&mut out, &mut entries, SEC_SET_STARTS, sets.iter().copied());
+    push_section(&mut out, &mut entries, SEC_ROW_SETS, rows.iter().copied());
+    push_section(&mut out, &mut entries, SEC_DICT, dict);
+    finish_header(&mut out, loaded, 0, &entries);
+    out
+}
+
+/// Fills in the header and section table in front of the section payloads
+/// `push_section` appended to `out`.
+fn finish_header(out: &mut [u8], loaded: &FlatFileContents, flags: u32, entries: &[SectionEntry]) {
+    let (flat, mapping) = (&loaded.flat, &loaded.mapping);
     let (items, sets, rows) = flat.columns();
     let max_item_plus_one = flat.max_item().map_or(0, |i| i.id() as u64 + 1);
     debug_assert_eq!(
@@ -219,75 +255,35 @@ pub fn encode_flat_file(
         "dictionary must cover the compact space"
     );
     let max_txns = rows.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-    if let Some(p) = packed {
-        debug_assert_eq!(
-            p.words_column().len(),
-            items.len(),
-            "packed column must be index-parallel"
-        );
-    }
-
-    let n_sections = 4 + usize::from(packed.is_some());
-    let table_end = HEADER_LEN + n_sections * ENTRY_LEN;
-    let mut out = vec![0u8; table_end];
-    let mut entries = Vec::with_capacity(n_sections);
-
-    push_section(&mut out, &mut entries, SEC_ITEMS, items.iter().map(|i| i.id()));
-    push_section(&mut out, &mut entries, SEC_SET_STARTS, sets.iter().copied());
-    push_section(&mut out, &mut entries, SEC_ROW_SETS, rows.iter().copied());
-    push_section(&mut out, &mut entries, SEC_DICT, mapping.originals().iter().map(|i| i.id()));
-    if let Some(p) = packed {
-        push_section(&mut out, &mut entries, SEC_PACKED, p.words_column().iter().copied());
-    }
-
     out[0..8].copy_from_slice(&FLAT_FILE_MAGIC);
-    put_u32(&mut out, 8, FLAT_FILE_VERSION);
-    put_u32(&mut out, 12, if packed.is_some() { FLAG_PACKED } else { 0 });
-    put_u64(&mut out, 16, flat.len() as u64);
-    put_u64(&mut out, 24, items.len() as u64);
-    put_u64(&mut out, 32, sets.len() as u64);
-    put_u64(&mut out, 40, mapping.len() as u64);
-    put_u32(&mut out, 48, max_item_plus_one as u32);
-    put_u32(&mut out, 52, max_txns);
-    put_u64(&mut out, 56, fingerprint);
-    put_u32(&mut out, 64, entries.len() as u32);
+    put_u32(out, 8, FLAT_FILE_VERSION);
+    put_u32(out, 12, flags);
+    put_u64(out, 16, flat.len() as u64);
+    put_u64(out, 24, items.len() as u64);
+    put_u64(out, 32, sets.len() as u64);
+    put_u64(out, 40, mapping.len() as u64);
+    put_u32(out, 48, max_item_plus_one as u32);
+    put_u32(out, 52, max_txns);
+    put_u64(out, 56, loaded.fingerprint);
+    put_u32(out, 64, entries.len() as u32);
     for (i, e) in entries.iter().enumerate() {
         let base = HEADER_LEN + i * ENTRY_LEN;
-        put_u32(&mut out, base, e.tag);
-        put_u64(&mut out, base + 8, e.offset);
-        put_u64(&mut out, base + 16, e.byte_len);
-        put_u32(&mut out, base + 24, e.crc);
+        put_u32(out, base, e.tag);
+        put_u64(out, base + 8, e.offset);
+        put_u64(out, base + 16, e.byte_len);
+        put_u32(out, base + 24, e.crc);
     }
-    let crc = {
-        let mut head = out[..table_end].to_vec();
-        head[CRC_SLOT..CRC_SLOT + 4].fill(0);
-        crc32(&head)
-    };
-    put_u32(&mut out, CRC_SLOT, crc);
-    out
+    refresh_header_crc(out);
 }
 
-/// Encodes a [`SequenceDatabase`] end to end: analyzes the dictionary,
-/// remaps onto compact ids, builds the packed column when the database fits
-/// the packed budget (silently omitted otherwise — the loader falls back to
-/// the wide representation), and stamps the database's fingerprint.
+/// Encodes a [`SequenceDatabase`] end to end:
+/// [`FlatFileContents::from_database`], then [`encode_flat_file`].
 ///
 /// This is the *packing* step and it is in-memory: it builds the full
 /// columns before writing. Mining the resulting file is what runs
 /// out-of-core.
 pub fn encode_database_flat_file(db: &SequenceDatabase) -> Vec<u8> {
-    let fingerprint = crate::checkpoint::database_fingerprint(db);
-    let mapping = ItemMapping::analyze(db);
-    let flat = if mapping.is_identity() {
-        FlatDb::from_database(db)
-    } else {
-        FlatDb::from_database(&mapping.remap_database(db))
-    };
-    // `flat` is already compact, so the packed build needs only an identity
-    // translation over its own id space.
-    let identity = ItemMapping::from_originals((0..mapping.len() as u32).map(Item).collect());
-    let packed = PackedDb::build(&flat, &identity).ok();
-    encode_flat_file(&flat, &mapping, packed.as_ref(), fingerprint)
+    encode_flat_file(&FlatFileContents::from_database(db))
 }
 
 // ---------------------------------------------------------------------------
@@ -469,7 +465,7 @@ fn decode_from_map(
     let (sets_off, sets_n) = header.section(path, SEC_SET_STARTS, header.sets_len)?;
     let (rows_off, rows_n) = header.section(path, SEC_ROW_SETS, rows_len)?;
     let (dict_off, dict_n) = header.section(path, SEC_DICT, header.dict_len)?;
-    let packed_window = if header.flags & FLAG_PACKED != 0 {
+    let legacy_packed = if header.flags & FLAG_PACKED != 0 {
         Some(header.section(path, SEC_PACKED, header.items_len)?)
     } else {
         if header.entries.iter().any(|e| e.tag == SEC_PACKED) {
@@ -489,7 +485,7 @@ fn decode_from_map(
             (SEC_DICT, dict_off, dict_n),
         ]
         .into_iter()
-        .chain(packed_window.map(|(off, n)| (SEC_PACKED, off, n)))
+        .chain(legacy_packed.map(|(off, n)| (SEC_PACKED, off, n)))
         {
             if crc32(&bytes[off..off + n * 4]) != header.crc_of(tag) {
                 return Err(bad(path, "section CRC mismatch"));
@@ -539,18 +535,12 @@ fn decode_from_map(
         }
     }
 
-    let packed = packed_window
-        .map(|(off, n)| PackedDb::from_columns(col_u32(&map, off, n), sets.clone(), rows.clone()));
     let max_item =
         if header.max_item_plus_one == 0 { None } else { Some(Item(header.max_item_plus_one - 1)) };
-    let flat = FlatDb::from_columns(items, sets, rows, max_item);
     Ok(FlatFileContents {
-        flat,
-        packed,
+        flat: FlatDb::from_columns(items, sets, rows, max_item),
         mapping: ItemMapping::from_originals(dict),
         fingerprint: header.fingerprint,
-        max_txns: header.max_txns,
-        file_bytes: map.len() as u64,
     })
 }
 
@@ -625,8 +615,9 @@ pub fn write_flat_file_faulted(
     publish(path, bytes, injected)
 }
 
-/// Rewrites the header CRC of `copy` after a field was altered — used by
-/// the `StaleVersion` injection so the version check (not the CRC) rejects.
+/// (Re)computes the header CRC of `copy` — after encoding, and after the
+/// `StaleVersion` injection altered a field, so the version check (not the
+/// CRC) rejects.
 fn refresh_header_crc(copy: &mut [u8]) {
     let table_end = HEADER_LEN + u32_at(copy, 64) as usize * ENTRY_LEN;
     copy[CRC_SLOT..CRC_SLOT + 4].fill(0);
@@ -694,7 +685,9 @@ fn publish(path: &Path, bytes: &[u8], injected: Injected) -> Result<u64, DiscErr
 mod tests {
     use super::*;
     use crate::checkpoint::database_fingerprint;
+    use crate::flat::SeqView;
     use crate::guard::{FaultPlan, IoFault, IoWriter};
+    use crate::packed::pack_pair;
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("disc-flatfile-{name}-{}", std::process::id()));
@@ -739,11 +732,11 @@ mod tests {
                 assert_eq!(contents.flat.len(), expect.len());
                 assert_eq!(contents.flat.max_item(), expect.max_item());
                 assert_eq!(contents.flat.columns(), expect.columns());
-                // The packed column decodes to the same rows.
-                let packed = contents.packed.expect("small databases fit the packed budget");
-                for (r, row) in expect.rows().enumerate() {
-                    assert_eq!(packed.row(r).to_sequence(), row.to_sequence());
-                }
+                // The file decodes to exactly what loading in memory builds.
+                let loaded = FlatFileContents::from_database(&db);
+                assert_eq!(contents.flat.columns(), loaded.flat.columns());
+                assert_eq!(contents.mapping, loaded.mapping);
+                assert_eq!(contents.fingerprint, loaded.fingerprint);
             }
         }
     }
@@ -824,11 +817,53 @@ mod tests {
         assert_eq!(contents.fingerprint, database_fingerprint(&db));
         assert_eq!(peek_flat_file_fingerprint(&path).unwrap(), contents.fingerprint);
         #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
-        {
-            assert!(contents.is_mapped());
-            assert!(contents.packed.as_ref().unwrap().is_mapped());
-        }
+        assert!(contents.is_mapped());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `db` as an earlier build wrote it: the four columns plus the packed
+    /// word column (section 5, flag bit 0).
+    fn legacy_packed_file(db: &SequenceDatabase) -> Vec<u8> {
+        let loaded = FlatFileContents::from_database(db);
+        let (items, sets, rows) = loaded.flat.columns();
+        let mut words = Vec::with_capacity(items.len());
+        for row in loaded.flat.rows() {
+            for t in 0..row.n_transactions() {
+                words.extend(row.itemset_items(t).iter().map(|&i| pack_pair(i, t as u32 + 1)));
+            }
+        }
+        let mut out = vec![0u8; HEADER_LEN + 5 * ENTRY_LEN];
+        let mut entries = Vec::new();
+        push_section(&mut out, &mut entries, SEC_ITEMS, items.iter().map(|i| i.id()));
+        push_section(&mut out, &mut entries, SEC_SET_STARTS, sets.iter().copied());
+        push_section(&mut out, &mut entries, SEC_ROW_SETS, rows.iter().copied());
+        let dict = loaded.mapping.originals().iter().map(|i| i.id());
+        push_section(&mut out, &mut entries, SEC_DICT, dict);
+        push_section(&mut out, &mut entries, SEC_PACKED, words.into_iter());
+        finish_header(&mut out, &loaded, FLAG_PACKED, &entries);
+        out
+    }
+
+    #[test]
+    fn legacy_packed_section_is_verified_then_ignored() {
+        let path = Path::new("legacy.dscfd");
+        for db in [paper_db(), sparse_db()] {
+            let bytes = legacy_packed_file(&db);
+            let loaded = FlatFileContents::from_database(&db);
+            for verify in [Verify::Full, Verify::HeaderOnly] {
+                let contents = decode_flat_file(path, bytes.clone(), verify).unwrap();
+                assert_eq!(contents.flat.columns(), loaded.flat.columns());
+                assert_eq!(contents.mapping, loaded.mapping);
+                assert_eq!(contents.fingerprint, loaded.fingerprint);
+            }
+            // The ignored column is still CRC-covered under `Full`.
+            let header = parse_header(path, &bytes, bytes.len() as u64).unwrap();
+            let packed = header.entries.iter().find(|e| e.tag == SEC_PACKED).unwrap();
+            let mut copy = bytes.clone();
+            copy[packed.offset as usize] ^= 0x01;
+            assert!(decode_flat_file(path, copy.clone(), Verify::Full).is_err());
+            decode_flat_file(path, copy, Verify::HeaderOnly).unwrap();
+        }
     }
 
     #[test]

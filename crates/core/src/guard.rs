@@ -483,6 +483,17 @@ impl MineOutcome {
     pub fn is_complete(&self) -> bool {
         matches!(self, MineOutcome::Complete)
     }
+
+    /// The [`FallbackMiner`] stage rule: a chain advances past a stage
+    /// only when it **panicked** or **exhausted its budget** — the failure
+    /// modes a sturdier algorithm might survive. Cancellation and deadline
+    /// expiry end the chain: no later stage could do better.
+    pub fn advances_fallback(&self) -> bool {
+        matches!(
+            self,
+            MineOutcome::Partial { reason: AbortReason::Panicked | AbortReason::BudgetExhausted }
+        )
+    }
 }
 
 /// Counters observed by a [`MineGuard`] over one run.
@@ -513,6 +524,16 @@ pub struct GuardedResult {
     /// fallback stage or a later resume picks the work up instead of
     /// remining from scratch.
     pub checkpoint: Option<std::path::PathBuf>,
+}
+
+impl GuardedResult {
+    /// The frequent set of a run that must have completed — the unguarded
+    /// entry points run under [`MineGuard::unlimited`], so anything else is
+    /// a panic inside the miner, re-raised here.
+    pub fn into_complete(self) -> MiningResult {
+        assert!(self.outcome.is_complete(), "unlimited mining run ended {:?}", self.outcome);
+        self.result
+    }
 }
 
 /// A deterministic fault to inject at a numbered full checkpoint, for
@@ -959,10 +980,7 @@ pub struct StageReport {
 
 /// An ordered chain of miners: each stage runs under its own stage guard
 /// (shared token, shared deadline clock), and the chain advances to the next
-/// stage only when a stage **panicked** or **exhausted its budget** — the
-/// failure modes a sturdier algorithm might survive. Cancellation and
-/// deadline expiry end the chain immediately: no later stage could do
-/// better.
+/// stage by [`MineOutcome::advances_fallback`].
 pub struct FallbackMiner {
     stages: Vec<Box<dyn SequentialMiner>>,
     name: String,
@@ -985,27 +1003,41 @@ impl FallbackMiner {
         guard: &MineGuard,
     ) -> (GuardedResult, Vec<StageReport>) {
         let mut reports = Vec::new();
-        let last = self.stages.len() - 1;
-        for (i, stage) in self.stages.iter().enumerate() {
-            let stage_guard = guard.stage();
-            let run = stage.mine_guarded(db, min_support, &stage_guard);
+        let run = FallbackMiner::run_stages(guard, self.stages.len(), |i, stage_guard| {
+            let stage = &self.stages[i];
+            let run = stage.mine_guarded(db, min_support, stage_guard);
             reports.push(StageReport {
                 name: stage.name().to_string(),
                 outcome: run.outcome,
                 stats: run.stats,
                 checkpoint: run.checkpoint.clone(),
             });
-            let advance = matches!(
-                run.outcome,
-                MineOutcome::Partial {
-                    reason: AbortReason::Panicked | AbortReason::BudgetExhausted,
-                }
-            );
-            if !advance || i == last {
-                return (run, reports);
+            run
+        });
+        (run, reports)
+    }
+
+    /// The chain's stage loop over `n_stages` stages given as one closure
+    /// (stage index, stage guard): each stage runs under its own
+    /// [`MineGuard::stage`], and the chain advances by
+    /// [`MineOutcome::advances_fallback`]; the deciding (or last) stage's
+    /// result is returned. Callers whose stages are not
+    /// [`SequentialMiner`]s over a nested database — the server's `auto`
+    /// jobs mine a loaded database — chain through this directly. Panics
+    /// when `n_stages` is 0.
+    pub fn run_stages<F>(guard: &MineGuard, n_stages: usize, mut stage: F) -> GuardedResult
+    where
+        F: FnMut(usize, &MineGuard) -> GuardedResult,
+    {
+        assert!(n_stages > 0, "a fallback chain needs at least one stage");
+        let mut i = 0;
+        loop {
+            let run = stage(i, &guard.stage());
+            i += 1;
+            if i == n_stages || !run.outcome.advances_fallback() {
+                return run;
             }
         }
-        unreachable!("loop always returns at the last stage");
     }
 }
 

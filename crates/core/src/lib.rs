@@ -113,8 +113,8 @@ pub use miner::SequentialMiner;
 pub use mmap::{Advice, Mmap};
 pub use order::{cmp_sequences, cmp_views, differential_point};
 pub use packed::{
-    fits_packed_budget, pack_pair, unpack_pair, PackedDb, PackedKey, PackedSeq, MAX_PACKED_ITEM,
-    MAX_PACKED_TXNS, PACKED_ITEM_BITS, PACKED_TXN_BITS,
+    fits_packed_budget, pack_pair, unpack_pair, PackedKey, MAX_PACKED_ITEM, MAX_PACKED_TXNS,
+    PACKED_ITEM_BITS, PACKED_TXN_BITS,
 };
 pub use parse::{parse_item, parse_sequence};
 pub use result::MiningResult;

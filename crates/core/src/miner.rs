@@ -41,23 +41,6 @@ pub trait SequentialMiner {
             Ok(())
         })
     }
-
-    /// Mines with up to `threads` worker threads.
-    ///
-    /// The contract is strict: the result must be **identical** to
-    /// [`SequentialMiner::mine`] — same patterns, same exact supports — at
-    /// every thread count. The default implementation ignores `threads` and
-    /// mines sequentially, which satisfies the contract trivially; miners
-    /// with a partition-parallel path (DISC-all) override it.
-    fn mine_parallel(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> MiningResult {
-        let _ = threads;
-        self.mine(db, min_support)
-    }
 }
 
 impl<M: SequentialMiner + ?Sized> SequentialMiner for &M {
@@ -75,14 +58,6 @@ impl<M: SequentialMiner + ?Sized> SequentialMiner for &M {
     ) -> GuardedResult {
         (**self).mine_guarded(db, min_support, guard)
     }
-    fn mine_parallel(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> MiningResult {
-        (**self).mine_parallel(db, min_support, threads)
-    }
 }
 
 impl<M: SequentialMiner + ?Sized> SequentialMiner for Box<M> {
@@ -99,13 +74,5 @@ impl<M: SequentialMiner + ?Sized> SequentialMiner for Box<M> {
         guard: &MineGuard,
     ) -> GuardedResult {
         (**self).mine_guarded(db, min_support, guard)
-    }
-    fn mine_parallel(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> MiningResult {
-        (**self).mine_parallel(db, min_support, threads)
     }
 }

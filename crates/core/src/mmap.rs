@@ -22,6 +22,11 @@
 //!   access). Every bit pattern is a valid `u8`/`u32`, so a torn read
 //!   produces wrong *values*, never undefined behavior — and the flat-file
 //!   loader's CRC verification bounds the damage to a typed decode error;
+//! * a concurrent *truncation* of the file makes reads of the lost pages
+//!   fault (`SIGBUS`), which no panic guard catches. Mapped files are
+//!   meant to be replaced by rename, never changed in place; holders that
+//!   keep a mapping for long (the server's attached databases) call
+//!   [`Mmap::is_unchanged`] before each read pass to catch a violation;
 //! * the pointer and length are owned by the handle and unmapped exactly
 //!   once, in `Drop`; [`Mmap::bytes`] borrows are tied to the handle's
 //!   lifetime (callers share the handle via `Arc` to extend it).
@@ -29,6 +34,7 @@
 use std::fs::File;
 use std::io;
 use std::path::Path;
+use std::time::SystemTime;
 
 /// Access-pattern hints forwarded to `madvise(2)`. On targets without the
 /// syscall the hints are accepted and ignored.
@@ -146,6 +152,10 @@ enum Backing {
 #[derive(Debug)]
 pub struct Mmap {
     backing: Backing,
+    /// For a true mapping: a handle on the mapped file (it follows the
+    /// file across a rename of its path) with the length and modification
+    /// time it had when mapped.
+    stamp: Option<(File, u64, Option<SystemTime>)>,
 }
 
 impl Mmap {
@@ -158,17 +168,18 @@ impl Mmap {
     /// Maps (or reads) an already-open file, from offset 0 to its current
     /// length.
     pub fn from_file(file: &File) -> io::Result<Mmap> {
-        let len = file.metadata()?.len();
-        if len > usize::MAX as u64 {
+        let meta = file.metadata()?;
+        if meta.len() > usize::MAX as u64 {
             return Err(io::Error::new(io::ErrorKind::OutOfMemory, "file exceeds address space"));
         }
-        let len = len as usize;
+        let len = meta.len() as usize;
         if len == 0 {
-            return Ok(Mmap { backing: Backing::Heap(Vec::new()) });
+            return Ok(Mmap::from_vec(Vec::new()));
         }
         #[cfg(all(unix, target_pointer_width = "64"))]
         {
-            Ok(Mmap { backing: Backing::Mapped(sys::RawMap::map(file, len)?) })
+            let stamp = Some((file.try_clone()?, meta.len(), meta.modified().ok()));
+            Ok(Mmap { backing: Backing::Mapped(sys::RawMap::map(file, len)?), stamp })
         }
         #[cfg(not(all(unix, target_pointer_width = "64")))]
         {
@@ -176,7 +187,7 @@ impl Mmap {
             let mut bytes = Vec::with_capacity(len);
             let mut reader = file.try_clone()?;
             reader.read_to_end(&mut bytes)?;
-            Ok(Mmap { backing: Backing::Heap(bytes) })
+            Ok(Mmap::from_vec(bytes))
         }
     }
 
@@ -184,7 +195,17 @@ impl Mmap {
     /// written against [`Mmap`] (the flat-file decoder) can also run over a
     /// buffer that never came from a file.
     pub fn from_vec(bytes: Vec<u8>) -> Mmap {
-        Mmap { backing: Backing::Heap(bytes) }
+        Mmap { backing: Backing::Heap(bytes), stamp: None }
+    }
+
+    /// Whether the mapped file still has the length and modification time
+    /// it had when mapped (always true for heap backings, which own their
+    /// bytes; false when the file can no longer be inspected). A rename
+    /// that replaces the file's path leaves the mapped file, and so this
+    /// answer, untouched; an in-place write or truncation flips it.
+    pub fn is_unchanged(&self) -> bool {
+        let Some((file, len, modified)) = &self.stamp else { return true };
+        file.metadata().is_ok_and(|m| m.len() == *len && m.modified().ok() == *modified)
     }
 
     /// The file's bytes. For the mapped backing this touches no memory by
@@ -254,6 +275,26 @@ mod tests {
         assert_eq!(map.len(), payload.len());
         map.advise(Advice::Sequential);
         map.advise(Advice::WillNeed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_rename_keeps_the_mapping_unchanged_an_in_place_truncation_does_not() {
+        let dir = tmp_dir("stamp");
+        let path = dir.join("f.bin");
+        std::fs::write(&path, vec![7u8; 8192]).unwrap();
+        let map = Mmap::open(&path).unwrap();
+        assert!(map.is_unchanged());
+        // Replaced by rename: the mapped file itself is untouched.
+        std::fs::write(dir.join("g.bin"), vec![9u8; 100]).unwrap();
+        std::fs::rename(dir.join("g.bin"), &path).unwrap();
+        assert!(map.is_unchanged());
+        assert_eq!(map.bytes()[8191], 7);
+
+        let map = Mmap::open(&path).unwrap();
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(10).unwrap();
+        // Heap fallbacks own their bytes and never change.
+        assert_eq!(map.is_unchanged(), !map.is_mapped());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

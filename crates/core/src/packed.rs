@@ -2,7 +2,7 @@
 //!
 //! The flat arena (see [`crate::flat`]) already removed the pointer chases
 //! from the mining hot paths; this module removes the *width*. After
-//! [`ItemMapping`] has remapped the items actually present onto `0..n`, the
+//! [`crate::compact::ItemMapping`] has remapped the items actually present onto `0..n`, the
 //! vast majority of databases need far fewer than 32 bits per item id — and
 //! transaction numbers are small by construction (a customer's purchase
 //! count). So one flattened pair fits a single dense `u32` word:
@@ -25,20 +25,17 @@
 //!
 //! The budget is fixed: [`PACKED_ITEM_BITS`] = 20 bits of item id (1M
 //! distinct items after remapping) and [`PACKED_TXN_BITS`] = 12 bits of
-//! transaction number (4095 transactions per customer). Databases exceeding
-//! it are **rejected with a typed [`DiscError::PackedOverflow`]** — never
+//! transaction number (4095 transactions per customer). Keys exceeding it
+//! are **rejected with a typed [`DiscError::PackedOverflow`]** — never
 //! silently truncated — and callers fall back to the always-valid wide
-//! encoding. `ItemMapping::analyze`'s dense-input short-circuit does not
-//! bypass the check: [`PackedDb::build`] validates every id it packs.
+//! [`crate::flat::FlatKey`] encoding.
 
-use crate::compact::ItemMapping;
 use crate::error::DiscError;
-use crate::flat::{FlatDb, SeqKey, SeqView};
+use crate::flat::SeqKey;
 use crate::item::Item;
 use crate::itemset::Itemset;
 use crate::sequence::{ExtElem, ExtMode, Sequence};
 use crate::simd;
-use crate::storage::DbStorage;
 use std::cmp::Ordering;
 
 /// Bits of the packed word holding the transaction number (low field).
@@ -58,7 +55,7 @@ pub const MAX_PACKED_TXNS: u32 = (1 << PACKED_TXN_BITS) - 1;
 /// Packs one flattened pair into a `u32` word (item high, txn low).
 ///
 /// Debug-asserts the budget; release callers must have validated via
-/// [`fits_packed_budget`] / [`PackedDb::build`] / [`PackedKey::try_new`].
+/// [`fits_packed_budget`] / [`PackedKey::try_new`].
 #[inline]
 pub fn pack_pair(item: Item, txn: u32) -> u32 {
     debug_assert!(item.id() <= MAX_PACKED_ITEM, "item {} exceeds packed budget", item.id());
@@ -94,234 +91,6 @@ pub fn fits_packed_budget(max_item_id: u64, max_txns: u64) -> Result<(), DiscErr
         });
     }
     Ok(())
-}
-
-/// A whole flat database re-encoded as packed words (same CSR shape as
-/// [`crate::flat::FlatArena`]): row-major words, itemset boundaries, row
-/// boundaries.
-#[derive(Debug, Clone)]
-pub struct PackedDb {
-    /// All packed words of all rows, row-major.
-    words: DbStorage<u32>,
-    /// Itemset boundaries into `words`, across all rows, with a trailing
-    /// sentinel.
-    set_starts: DbStorage<u32>,
-    /// Row `r`'s boundaries live at `set_starts[row_sets[r]..=row_sets[r+1]]`.
-    row_sets: DbStorage<u32>,
-}
-
-impl PackedDb {
-    /// Re-encodes `db` through `mapping` into packed words, validating every
-    /// item id and transaction index against the budget.
-    ///
-    /// `mapping` must be the one analyzed from the database `db` was built
-    /// from (identity mappings skip the per-item translation). Rows whose
-    /// transaction count or remapped item ids overflow the fixed bit fields
-    /// produce [`DiscError::PackedOverflow`] — the caller keeps mining on
-    /// the wide representation instead.
-    pub fn build(db: &FlatDb, mapping: &ItemMapping) -> Result<PackedDb, DiscError> {
-        let identity = mapping.is_identity();
-        let mut words = Vec::new();
-        let mut set_starts = vec![0u32];
-        let mut row_sets = vec![0u32];
-        for row in db.rows() {
-            let n = row.n_transactions();
-            fits_packed_budget(0, n as u64)?;
-            for t in 0..n {
-                for &item in row.itemset_items(t) {
-                    let id = if identity {
-                        item
-                    } else {
-                        mapping.to_compact(item).expect("mapping analyzed from this database")
-                    };
-                    fits_packed_budget(id.id() as u64, 0)?;
-                    words.push(pack_pair(id, t as u32 + 1));
-                }
-                set_starts.push(words.len() as u32);
-            }
-            row_sets.push((set_starts.len() - 1) as u32);
-        }
-        Ok(PackedDb {
-            words: words.into(),
-            set_starts: set_starts.into(),
-            row_sets: row_sets.into(),
-        })
-    }
-
-    /// Assembles a packed database directly from its three CSR columns (any
-    /// storage backend) — the [`crate::flatfile`] loader's entry point. The
-    /// shape columns are shared with the flat arena: the packed word column
-    /// is index-parallel to the item column, so one `(set_starts,
-    /// row_sets)` pair describes both.
-    pub fn from_columns(
-        words: DbStorage<u32>,
-        set_starts: DbStorage<u32>,
-        row_sets: DbStorage<u32>,
-    ) -> PackedDb {
-        PackedDb { words, set_starts, row_sets }
-    }
-
-    /// The raw packed word column — the encoding surface for
-    /// [`crate::flatfile`].
-    pub fn words_column(&self) -> &[u32] {
-        &self.words
-    }
-
-    /// Whether the columns borrow from a memory mapping (diagnostics).
-    pub fn is_mapped(&self) -> bool {
-        self.words.is_mapped()
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.row_sets.len() - 1
-    }
-
-    /// True when no rows are stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The view of row `r`.
-    #[inline]
-    pub fn row(&self, r: usize) -> PackedSeq<'_> {
-        let s0 = self.row_sets[r] as usize;
-        let s1 = self.row_sets[r + 1] as usize;
-        PackedSeq { words: &self.words, sets: &self.set_starts[s0..=s1] }
-    }
-
-    /// Iterates all row views in order.
-    pub fn rows(&self) -> impl Iterator<Item = PackedSeq<'_>> + '_ {
-        (0..self.len()).map(|r| self.row(r))
-    }
-}
-
-/// One row of a [`PackedDb`]: a zero-copy view of its packed words.
-#[derive(Debug, Clone, Copy)]
-pub struct PackedSeq<'a> {
-    /// The database's full word array; `sets` holds global indices into it.
-    words: &'a [u32],
-    /// This row's itemset boundaries (`n_transactions + 1` entries).
-    sets: &'a [u32],
-}
-
-impl<'a> PackedSeq<'a> {
-    /// Number of transactions (itemsets).
-    #[inline]
-    pub fn n_transactions(self) -> usize {
-        self.sets.len() - 1
-    }
-
-    /// The packed words of transaction `t`, ascending (item order dominates
-    /// and the txn field is constant within a transaction).
-    #[inline]
-    pub fn txn_words(self, t: usize) -> &'a [u32] {
-        &self.words[self.sets[t] as usize..self.sets[t + 1] as usize]
-    }
-
-    /// The whole row's packed words — the flattened form, comparison-ready.
-    #[inline]
-    pub fn flat_words(self) -> &'a [u32] {
-        &self.words[self.sets[0] as usize..self.sets[self.sets.len() - 1] as usize]
-    }
-
-    /// Decodes the row back to a nested sequence in *compact* ids; pass the
-    /// result through [`ItemMapping::restore_sequence`] for original ids.
-    pub fn to_sequence(self) -> Sequence {
-        Sequence::new((0..self.n_transactions()).map(|t| {
-            Itemset::from_sorted(self.txn_words(t).iter().map(|&w| unpack_pair(w).0).collect())
-        }))
-    }
-}
-
-/// Comparative order (Definition 2.2) of two packed rows: one vectorized
-/// lexicographic word compare.
-#[inline]
-pub fn cmp_packed(a: PackedSeq<'_>, b: PackedSeq<'_>) -> Ordering {
-    simd::cmp_u32(a.flat_words(), b.flat_words())
-}
-
-/// A pattern pre-packed for containment tests against a [`PackedDb`]: per
-/// pattern itemset, the item ids shifted into the high field with the txn
-/// field zeroed. OR-ing a candidate transaction number onto a shifted id
-/// yields the exact word that transaction would contain — so subset testing
-/// runs directly on the haystack's raw words, vectorized.
-#[derive(Debug, Clone, Default)]
-pub struct PackedPattern {
-    /// Per pattern itemset: sorted `item << PACKED_TXN_BITS` words.
-    shifted_sets: Vec<Vec<u32>>,
-}
-
-impl PackedPattern {
-    /// Packs `pat` (already in compact ids), validating the item budget.
-    /// The transaction budget needs no check here: a pattern only ever
-    /// matches transactions the database itself holds.
-    pub fn try_new(pat: &Sequence) -> Result<PackedPattern, DiscError> {
-        let mut shifted_sets = Vec::with_capacity(pat.n_transactions());
-        for set in pat.itemsets() {
-            let mut shifted = Vec::with_capacity(set.len());
-            for item in set.iter() {
-                fits_packed_budget(item.id() as u64, 0)?;
-                shifted.push(item.id() << PACKED_TXN_BITS);
-            }
-            shifted_sets.push(shifted);
-        }
-        Ok(PackedPattern { shifted_sets })
-    }
-
-    /// Number of pattern itemsets.
-    #[inline]
-    pub fn n_transactions(&self) -> usize {
-        self.shifted_sets.len()
-    }
-}
-
-/// Whether one pattern itemset is a subset of transaction `t` of `hay` —
-/// a merge walk over raw packed words (needle = shifted id | txn tag).
-#[inline]
-fn packed_txn_subset(shifted: &[u32], tag: u32, txn_words: &[u32]) -> bool {
-    if shifted.len() > txn_words.len() {
-        return false;
-    }
-    if let [s] = shifted {
-        return simd::contains_u32(txn_words, s | tag);
-    }
-    let mut pos = 0usize;
-    for &s in shifted {
-        let w = s | tag;
-        pos += simd::first_ge_u32(&txn_words[pos..], w);
-        if pos >= txn_words.len() || txn_words[pos] != w {
-            return false;
-        }
-        pos += 1;
-    }
-    true
-}
-
-/// Vectorized leftmost-embedding containment on packed rows: the packed
-/// counterpart of [`crate::embed::view_contains`], returning the same
-/// verdict for the same (compact-id) pattern.
-pub fn packed_contains(hay: PackedSeq<'_>, pat: &PackedPattern) -> bool {
-    let n = hay.n_transactions();
-    let mut from = 0usize;
-    for shifted in &pat.shifted_sets {
-        let t =
-            match (from..n).find(|&t| packed_txn_subset(shifted, t as u32 + 1, hay.txn_words(t))) {
-                Some(t) => t,
-                None => return false,
-            };
-        from = t + 1;
-    }
-    true
-}
-
-/// Exact support of a (compact-id) pattern over a packed database — the
-/// packed counterpart of [`crate::support::support_count`].
-pub fn support_count_packed(db: &PackedDb, pat: &Sequence) -> Result<u64, DiscError> {
-    let packed = PackedPattern::try_new(pat)?;
-    Ok(db.rows().filter(|&row| packed_contains(row, &packed)).count() as u64)
 }
 
 /// Packed keys up to this many words live inline in the key itself — no
@@ -514,25 +283,12 @@ impl SeqKey for PackedKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::SequenceDatabase;
-    use crate::embed::contains;
     use crate::flat::FlatKey;
     use crate::order::cmp_sequences;
     use crate::parse::parse_sequence;
-    use crate::support::support_count;
 
     fn seq(s: &str) -> Sequence {
         parse_sequence(s).unwrap()
-    }
-
-    fn table1() -> SequenceDatabase {
-        SequenceDatabase::from_parsed(&[
-            "(a,e,g)(b)(h)(f)(c)(b,f)",
-            "(b)(d,f)(e)",
-            "(b,f,g)",
-            "(f)(a,g)(b,f,h)(b,f)",
-        ])
-        .unwrap()
     }
 
     #[test]
@@ -581,58 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_db_round_trips_table_1() {
-        let db = table1();
-        let mapping = ItemMapping::analyze(&db);
-        let flat = FlatDb::from_database(&db);
-        let packed = PackedDb::build(&flat, &mapping).unwrap();
-        assert_eq!(packed.len(), db.len());
-        for (i, row) in packed.rows().enumerate() {
-            // Table 1 ids are already dense, so compact == original.
-            assert_eq!(&row.to_sequence(), db.sequence(i), "row {i}");
-        }
-    }
-
-    #[test]
-    fn packed_db_remaps_sparse_ids_and_rejects_oversized() {
-        let db = SequenceDatabase::from_parsed(&[
-            "(10, 4000000)(999999999)",
-            "(10)(4000000, 999999999)",
-        ])
-        .unwrap();
-        let mapping = ItemMapping::analyze(&db);
-        let flat = FlatDb::from_database(&db);
-        // Sparse but only 3 distinct items: packs fine after remapping.
-        let packed = PackedDb::build(&flat, &mapping).unwrap();
-        assert_eq!(mapping.restore_sequence(&packed.row(0).to_sequence()), *db.sequence(0));
-
-        // The dense short-circuit must not smuggle oversized ids past the
-        // check: a gapless id space `0..=MAX_PACKED_ITEM+1` analyzes to the
-        // identity mapping (no remap step), yet its top id exceeds the item
-        // budget — build must reject, never truncate.
-        let wide = SequenceDatabase::from_sequences([Sequence::new([Itemset::from_sorted(
-            (0..=MAX_PACKED_ITEM + 1).map(Item).collect(),
-        )])]);
-        let wide_mapping = ItemMapping::analyze(&wide);
-        assert!(wide_mapping.is_identity());
-        let err = PackedDb::build(&FlatDb::from_database(&wide), &wide_mapping).unwrap_err();
-        assert!(matches!(err, DiscError::PackedOverflow { what: "item id", .. }), "{err}");
-    }
-
-    #[test]
-    fn packed_db_rejects_too_many_transactions() {
-        let text = "(a)".repeat(MAX_PACKED_TXNS as usize + 1);
-        let db = SequenceDatabase::from_parsed(&[text.as_str()]).unwrap();
-        let mapping = ItemMapping::analyze(&db);
-        let err = PackedDb::build(&FlatDb::from_database(&db), &mapping).unwrap_err();
-        assert!(
-            matches!(err, DiscError::PackedOverflow { what: "transaction index", .. }),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn cmp_packed_is_the_comparative_order() {
+    fn packed_key_order_is_the_comparative_order() {
         let texts = [
             "(a)(b)(h)",
             "(a)(c)(f)",
@@ -644,16 +349,8 @@ mod tests {
             "(a,c,d)(b,d)",
             "(a,d,e)(a)",
         ];
-        let db = SequenceDatabase::from_parsed(&texts).unwrap();
-        let mapping = ItemMapping::analyze(&db);
-        let packed = PackedDb::build(&FlatDb::from_database(&db), &mapping).unwrap();
-        for (x, tx) in texts.iter().enumerate() {
-            for (y, ty) in texts.iter().enumerate() {
-                assert_eq!(
-                    cmp_packed(packed.row(x), packed.row(y)),
-                    cmp_sequences(&seq(tx), &seq(ty)),
-                    "{tx} vs {ty}"
-                );
+        for tx in &texts {
+            for ty in &texts {
                 assert_eq!(
                     PackedKey::try_new(&seq(tx))
                         .unwrap()
@@ -663,43 +360,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn packed_contains_matches_nested_containment() {
-        let db = table1();
-        let mapping = ItemMapping::analyze(&db);
-        let packed = PackedDb::build(&FlatDb::from_database(&db), &mapping).unwrap();
-        let patterns = [
-            "(a)(b)(b)",
-            "(a,g)(b)(f)",
-            "(b)(a)",
-            "(a,b)",
-            "(e)(b,f)",
-            "(b,f)",
-            "(b)(f)(b)",
-            "(f)(f)(f)",
-            "(h)(h)",
-        ];
-        for p in &patterns {
-            let pat = seq(p);
-            let packed_pat = PackedPattern::try_new(&pat).unwrap();
-            for i in 0..db.len() {
-                assert_eq!(
-                    packed_contains(packed.row(i), &packed_pat),
-                    contains(db.sequence(i), &pat),
-                    "pattern {p} row {i}"
-                );
-            }
-            assert_eq!(
-                support_count_packed(&packed, &pat).unwrap(),
-                support_count(&db, &pat),
-                "support of {p}"
-            );
-        }
-        // The empty pattern is contained in everything.
-        let empty = PackedPattern::try_new(&Sequence::empty()).unwrap();
-        assert!(packed_contains(packed.row(0), &empty));
     }
 
     #[test]
@@ -727,10 +387,6 @@ mod tests {
         let over = Sequence::new([Itemset::from_sorted(vec![Item(MAX_PACKED_ITEM + 1)])]);
         assert!(matches!(
             PackedKey::try_new(&over),
-            Err(DiscError::PackedOverflow { what: "item id", .. })
-        ));
-        assert!(matches!(
-            PackedPattern::try_new(&over),
             Err(DiscError::PackedOverflow { what: "item id", .. })
         ));
         let tall =

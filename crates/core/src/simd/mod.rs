@@ -244,13 +244,8 @@ pub fn first_diff_items(a: &[Item], b: &[Item]) -> usize {
     first_diff_u32(items_as_u32(a), items_as_u32(b))
 }
 
-/// Whether `needle` occurs anywhere in `hay` (no sortedness required).
-#[inline]
-pub fn contains_u32(hay: &[u32], needle: u32) -> bool {
-    contains_u32_at(dispatch_level(), hay, needle)
-}
-
-/// [`contains_u32`] pinned to an explicit dispatch level.
+/// Whether `needle` occurs anywhere in `hay` (no sortedness required),
+/// at an explicit dispatch level.
 #[inline]
 pub fn contains_u32_at(level: DispatchLevel, hay: &[u32], needle: u32) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -261,14 +256,9 @@ pub fn contains_u32_at(level: DispatchLevel, hay: &[u32], needle: u32) -> bool {
     scalar::contains_u32(hay, needle)
 }
 
-/// Index of the first element `≥ x` (unsigned), or `hay.len()` when none.
-/// On a sorted slice this equals `hay.partition_point(|&h| h < x)`.
-#[inline]
-pub fn first_ge_u32(hay: &[u32], x: u32) -> usize {
-    first_ge_u32_at(dispatch_level(), hay, x)
-}
-
-/// [`first_ge_u32`] pinned to an explicit dispatch level.
+/// Index of the first element `≥ x` (unsigned), or `hay.len()` when none,
+/// at an explicit dispatch level. On a sorted slice this equals
+/// `hay.partition_point(|&h| h < x)`.
 #[inline]
 pub fn first_ge_u32_at(level: DispatchLevel, hay: &[u32], x: u32) -> usize {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]

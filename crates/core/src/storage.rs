@@ -1,10 +1,8 @@
-//! Column storage for the flat and packed databases: heap-owned or
-//! mmap-borrowed.
+//! Column storage for the flat database: heap-owned or mmap-borrowed.
 //!
-//! [`crate::flat::FlatDb`] and [`crate::packed::PackedDb`] are plain CSR
-//! column triples. Mining kernels never see the columns directly — they
-//! work on [`crate::flat::FlatSeq`] / [`crate::packed::PackedSeq`] slice
-//! views — so the *ownership* of a column is the only thing that needs to
+//! [`crate::flat::FlatDb`] is a plain CSR column triple. Mining kernels
+//! never see the columns directly — they work on [`crate::flat::FlatSeq`]
+//! slice views — so the *ownership* of a column is the only thing that needs to
 //! vary between an in-memory build and a zero-copy load from a
 //! [`crate::flatfile`] mapping. [`DbStorage`] is that variation point: a
 //! column is either an owned `Vec<T>` or a typed window into a shared
@@ -114,6 +112,14 @@ impl<T: ColumnWord> DbStorage<T> {
     /// Whether this column borrows from a mapping (diagnostics only).
     pub fn is_mapped(&self) -> bool {
         matches!(self, DbStorage::Mapped(_))
+    }
+
+    /// [`Mmap::is_unchanged`] of the backing mapping (owned columns: true).
+    pub fn file_unchanged(&self) -> bool {
+        match self {
+            DbStorage::Owned(_) => true,
+            DbStorage::Mapped(col) => col.map.is_unchanged(),
+        }
     }
 }
 

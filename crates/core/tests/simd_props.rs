@@ -1,15 +1,14 @@
 //! Differential property tests for the SIMD comparison kernels and the
-//! packed `u32` representation: every dispatch level the build and CPU can
+//! packed `u32` keys: every dispatch level the build and CPU can
 //! execute must agree bit-for-bit with the portable scalar reference, on
 //! arbitrary inputs including lane-straddling lengths, empty slices, and the
 //! packed-word budget edges.
 
 use disc_core::embed::view_contains;
-use disc_core::packed::{cmp_packed, packed_contains, support_count_packed, PackedPattern};
 use disc_core::{
-    cmp_sequences, cmp_views, contains, fits_packed_budget, pack_pair, simd, support_count,
-    unpack_pair, DiscError, DispatchLevel, FlatDb, FlatKey, Item, ItemMapping, Itemset, PackedDb,
-    PackedKey, Sequence, SequenceDatabase, MAX_PACKED_ITEM, MAX_PACKED_TXNS,
+    cmp_sequences, cmp_views, contains, fits_packed_budget, pack_pair, simd, unpack_pair,
+    DiscError, DispatchLevel, FlatDb, FlatKey, Item, Itemset, PackedKey, Sequence,
+    SequenceDatabase, MAX_PACKED_ITEM, MAX_PACKED_TXNS,
 };
 use proptest::prelude::*;
 
@@ -149,47 +148,11 @@ proptest! {
     }
 
     #[test]
-    fn packed_db_round_trips_and_orders_like_flat(db in arb_db(6, 6)) {
-        let flat = FlatDb::from_database(&db);
-        let mapping = ItemMapping::analyze(&db);
-        let packed = PackedDb::build(&flat, &mapping).expect("tiny alphabet fits the budget");
-        prop_assert_eq!(packed.len(), db.len());
-        for (i, src) in db.sequences().enumerate() {
-            // Round trip through the packed CSR (ids are compacted, so remap
-            // back through the mapping).
-            let restored = mapping.restore_sequence(&packed.row(i).to_sequence());
-            prop_assert_eq!(&restored, src);
-            // Packed word order == comparative order, pairwise.
-            for (j, other) in db.sequences().enumerate() {
-                prop_assert_eq!(
-                    cmp_packed(packed.row(i), packed.row(j)),
-                    cmp_sequences(src, other)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn packed_key_orders_like_the_comparative_order(a in arb_sequence(6), b in arb_sequence(6)) {
         let (ka, kb) = (PackedKey::try_new(&a).unwrap(), PackedKey::try_new(&b).unwrap());
         prop_assert_eq!(ka.cmp(&kb), cmp_sequences(&a, &b));
         prop_assert_eq!(ka.to_sequence(), a.clone());
         prop_assert_eq!(FlatKey::new(&a).cmp(&FlatKey::new(&b)), cmp_sequences(&a, &b));
-    }
-
-    #[test]
-    fn packed_containment_matches_support(db in arb_db(5, 6), pat in arb_sequence(5)) {
-        let flat = FlatDb::from_database(&db);
-        let identity = ItemMapping::analyze(&SequenceDatabase::from_sequences(
-            [Sequence::new([Itemset::from_sorted((0..5).map(Item).collect())])],
-        ));
-        prop_assert!(identity.is_identity());
-        let packed = PackedDb::build(&flat, &identity).unwrap();
-        let ppat = PackedPattern::try_new(&pat).unwrap();
-        for (i, src) in db.sequences().enumerate() {
-            prop_assert_eq!(packed_contains(packed.row(i), &ppat), contains(src, &pat));
-        }
-        prop_assert_eq!(support_count_packed(&packed, &pat).unwrap(), support_count(&db, &pat));
     }
 
     #[test]

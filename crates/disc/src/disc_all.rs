@@ -4,9 +4,9 @@
 use crate::counting::{count_extensions, count_extensions_into, CountingArray};
 use crate::discovery::discover_frequent_k_into;
 use crate::partition::{group_by_min_item_guarded, reduce_into, RowExtensions};
-use crate::resume::CheckpointSink;
+use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use disc_core::{
-    run_guarded, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
+    checkpoint, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
     MineGuard, MiningResult, SeqView, Sequence, SequenceDatabase, SequentialMiner,
 };
 use std::collections::BTreeMap;
@@ -68,11 +68,7 @@ impl SequentialMiner for DiscAll {
     }
 
     fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        let mut result = MiningResult::new();
-        self.mine_inner(db, min_support, &guard, &mut result, None)
-            .expect("unlimited guard never aborts");
-        result
+        mine_flattened(self, db, min_support, &MineGuard::unlimited()).into_complete()
     }
 
     fn mine_guarded(
@@ -81,69 +77,22 @@ impl SequentialMiner for DiscAll {
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        run_guarded(guard, |result| self.mine_inner(db, min_support, guard, result, None))
-    }
-
-    fn mine_parallel(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> MiningResult {
-        crate::parallel::ParallelDiscAll::with_threads(threads)
-            .with_config(self.config)
-            .mine(db, min_support)
+        mine_flattened(self, db, min_support, guard)
     }
 }
 
-impl DiscAll {
-    /// Mines a [`FlatDb`] directly — the entry point for columns mapped
-    /// zero-copy from a `DSCFD1` flat file, where no nested
-    /// [`SequenceDatabase`] ever exists. Identical output to
-    /// [`SequentialMiner::mine`] on the database the columns came from
-    /// (item ids as stored: a mapped file yields compact-id patterns until
-    /// the caller restores them through the file's dictionary).
-    pub fn mine_flat(&self, flat: &FlatDb, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        let mut result = MiningResult::new();
-        self.mine_flat_inner(flat, min_support.resolve(flat.len()), &guard, &mut result, None)
-            .expect("unlimited guard never aborts");
-        result
+impl Checkpointable for DiscAll {
+    fn provenance(&self) -> (u8, bool, u32) {
+        (checkpoint::MINER_DISC_ALL, self.config.bi_level, 1)
     }
 
-    /// [`DiscAll::mine_flat`] under a [`MineGuard`].
-    pub fn mine_flat_guarded(
-        &self,
-        flat: &FlatDb,
-        min_support: MinSupport,
-        guard: &MineGuard,
-    ) -> GuardedResult {
-        let delta = min_support.resolve(flat.len());
-        run_guarded(guard, |result| self.mine_flat_inner(flat, delta, guard, result, None))
-    }
-
-    /// The cooperative core behind both entry points: checkpoints on every
-    /// partition-walk step and every per-member scan, notes every pattern.
-    /// With a [`CheckpointSink`], snapshots the boundary-consistent state
-    /// after the frequent 1-sequences and after every completed first-level
+    /// The cooperative core: checkpoints on every partition-walk step and
+    /// every per-member scan, notes every pattern. With a
+    /// [`CheckpointSink`], snapshots the boundary-consistent state after the
+    /// frequent 1-sequences and after every completed first-level
     /// partition, and skips partitions a resumed snapshot marks done (their
     /// reassignment chains still run — later partitions need them).
-    pub(crate) fn mine_inner(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        guard: &MineGuard,
-        result: &mut MiningResult,
-        sink: Option<&mut CheckpointSink<'_>>,
-    ) -> Result<(), AbortReason> {
-        // Flatten once; every hot scan below walks the contiguous arena.
-        let flat = FlatDb::from_database(db);
-        self.mine_flat_inner(&flat, min_support.resolve(db.len()), guard, result, sink)
-    }
-
-    /// [`DiscAll::mine_inner`] over the flat columns themselves — heap or
-    /// mapped, the kernels cannot tell.
-    pub(crate) fn mine_flat_inner(
+    fn mine_flat_into(
         &self,
         flat: &FlatDb,
         delta: u64,
@@ -207,6 +156,17 @@ impl DiscAll {
             }
         }
         Ok(())
+    }
+}
+
+impl DiscAll {
+    /// Mines a [`FlatDb`] directly — columns mapped zero-copy from a
+    /// `DSCFD1` flat file, or built in memory — without a guard. Identical
+    /// output to [`SequentialMiner::mine`] on the database the columns came
+    /// from (item ids as stored: compact-id patterns until the caller
+    /// restores them through the dictionary).
+    pub fn mine_flat(&self, flat: &FlatDb, min_support: MinSupport) -> MiningResult {
+        self.mine_flat_guarded(flat, min_support, &MineGuard::unlimited()).into_complete()
     }
 
     /// Steps 2.1.1–2.1.3 for one `<(λ)>`-partition.

@@ -13,9 +13,9 @@
 use crate::counting::{count_extensions, CountingArray};
 use crate::disc_all::run_disc_levels;
 use crate::partition::{group_by_min_item_guarded, min_ext_elem, next_frequent_item, reduce_into};
-use crate::resume::CheckpointSink;
+use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use disc_core::{
-    run_guarded, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
+    checkpoint, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
     MineGuard, MiningResult, SeqView, Sequence, SequenceDatabase, SequentialMiner,
 };
 use std::collections::BTreeMap;
@@ -88,11 +88,7 @@ impl SequentialMiner for DynamicDiscAll {
     }
 
     fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        let mut result = MiningResult::new();
-        self.mine_inner(db, min_support, &guard, &mut result, None)
-            .expect("unlimited guard never aborts");
-        result
+        mine_flattened(self, db, min_support, &MineGuard::unlimited()).into_complete()
     }
 
     fn mine_guarded(
@@ -101,53 +97,20 @@ impl SequentialMiner for DynamicDiscAll {
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        run_guarded(guard, |result| self.mine_inner(db, min_support, guard, result, None))
+        mine_flattened(self, db, min_support, guard)
     }
 }
 
-impl DynamicDiscAll {
-    /// Mines a [`FlatDb`] directly — see [`crate::DiscAll::mine_flat`] for
-    /// the contract (identical patterns, item ids as stored).
-    pub fn mine_flat(&self, flat: &FlatDb, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        let mut result = MiningResult::new();
-        self.mine_flat_inner(flat, min_support.resolve(flat.len()), &guard, &mut result, None)
-            .expect("unlimited guard never aborts");
-        result
+impl Checkpointable for DynamicDiscAll {
+    fn provenance(&self) -> (u8, bool, u32) {
+        (checkpoint::MINER_DYNAMIC, self.bi_level, 1)
     }
 
-    /// [`DynamicDiscAll::mine_flat`] under a [`MineGuard`].
-    pub fn mine_flat_guarded(
-        &self,
-        flat: &FlatDb,
-        min_support: MinSupport,
-        guard: &MineGuard,
-    ) -> GuardedResult {
-        let delta = min_support.resolve(flat.len());
-        run_guarded(guard, |result| self.mine_flat_inner(flat, delta, guard, result, None))
-    }
-
-    /// The cooperative core behind both entry points. Snapshot hooks mirror
-    /// [`crate::DiscAll::mine_inner`]: boundaries at the frequent
-    /// 1-sequences and per completed first-level partition. The degenerate
-    /// no-split path has no partition boundaries — only the level-1
-    /// snapshot applies there.
-    pub(crate) fn mine_inner(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        guard: &MineGuard,
-        result: &mut MiningResult,
-        sink: Option<&mut CheckpointSink<'_>>,
-    ) -> Result<(), AbortReason> {
-        // Flatten once; all scans below walk the contiguous arena.
-        let flat = FlatDb::from_database(db);
-        self.mine_flat_inner(&flat, min_support.resolve(db.len()), guard, result, sink)
-    }
-
-    /// [`DynamicDiscAll::mine_inner`] over the flat columns themselves —
-    /// heap or mapped, the kernels cannot tell.
-    pub(crate) fn mine_flat_inner(
+    /// The cooperative core. Snapshot hooks mirror [`crate::DiscAll`]'s:
+    /// boundaries at the frequent 1-sequences and per completed first-level
+    /// partition. The degenerate no-split path has no partition boundaries
+    /// — only the level-1 snapshot applies there.
+    fn mine_flat_into(
         &self,
         flat: &FlatDb,
         delta: u64,
@@ -224,7 +187,9 @@ impl DynamicDiscAll {
         }
         Ok(())
     }
+}
 
+impl DynamicDiscAll {
     /// One `<(λ)>`-partition: count 2-extensions, decide by NRR, then either
     /// reduce + split into second-level partitions or run DISC from k = 3.
     #[allow(clippy::too_many_arguments)]

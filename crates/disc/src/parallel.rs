@@ -30,10 +30,10 @@
 //! disagreeing on a support is caught loudly rather than silently resolved.
 
 use crate::disc_all::{frequent_one_sequences, DiscAll};
-use crate::resume::CheckpointSink;
+use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use crate::DiscConfig;
 use disc_core::{
-    run_guarded, AbortReason, FlatDb, GuardedResult, Item, MinSupport, MineGuard, MineOutcome,
+    checkpoint, AbortReason, FlatDb, GuardedResult, Item, MinSupport, MineGuard, MineOutcome,
     MiningResult, ParallelExecutor, SeqView, SequenceDatabase, SequentialMiner,
 };
 
@@ -108,49 +108,38 @@ impl ParallelDiscAll {
         self.shard_panic = Some((shard, checkpoint));
         self
     }
+}
 
-    /// Mines a [`FlatDb`] directly — see [`crate::DiscAll::mine_flat`] for
-    /// the contract. The flat columns (heap or mapped from a `DSCFD1`
-    /// file) are shared read-only across every worker thread.
-    pub fn mine_flat(&self, flat: &FlatDb, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        let mut result = MiningResult::new();
-        self.mine_flat_inner(flat, min_support.resolve(flat.len()), &guard, &mut result, None)
-            .expect("unlimited guard never aborts");
-        result
+impl SequentialMiner for ParallelDiscAll {
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// [`ParallelDiscAll::mine_flat`] under a [`MineGuard`].
-    pub fn mine_flat_guarded(
-        &self,
-        flat: &FlatDb,
-        min_support: MinSupport,
-        guard: &MineGuard,
-    ) -> GuardedResult {
-        let delta = min_support.resolve(flat.len());
-        run_guarded(guard, |result| self.mine_flat_inner(flat, delta, guard, result, None))
+    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
+        mine_flattened(self, db, min_support, &MineGuard::unlimited()).into_complete()
     }
 
-    /// The cooperative core behind both entry points. Snapshot boundaries:
-    /// after the frequent 1-sequences and once at the merge point, marking
-    /// every shard whose task completed — so an aborted parallel run
-    /// resumes with only the unfinished shards.
-    pub(crate) fn mine_inner(
+    fn mine_guarded(
         &self,
         db: &SequenceDatabase,
         min_support: MinSupport,
         guard: &MineGuard,
-        result: &mut MiningResult,
-        sink: Option<&mut CheckpointSink<'_>>,
-    ) -> Result<(), AbortReason> {
-        // One flat copy of the database, shared read-only by every worker.
-        let flat = FlatDb::from_database(db);
-        self.mine_flat_inner(&flat, min_support.resolve(db.len()), guard, result, sink)
+    ) -> GuardedResult {
+        mine_flattened(self, db, min_support, guard)
+    }
+}
+
+impl Checkpointable for ParallelDiscAll {
+    fn provenance(&self) -> (u8, bool, u32) {
+        (checkpoint::MINER_PARALLEL, self.config.bi_level, self.threads as u32)
     }
 
-    /// [`ParallelDiscAll::mine_inner`] over the flat columns themselves —
-    /// heap or mapped, the kernels cannot tell.
-    pub(crate) fn mine_flat_inner(
+    /// The cooperative core; the flat columns (heap or mapped from a
+    /// `DSCFD1` file) are shared read-only across every worker thread.
+    /// Snapshot boundaries: after the frequent 1-sequences and once at the
+    /// merge point, marking every shard whose task completed — so an
+    /// aborted parallel run resumes with only the unfinished shards.
+    fn mine_flat_into(
         &self,
         flat: &FlatDb,
         delta: u64,
@@ -250,38 +239,6 @@ impl ParallelDiscAll {
             MineOutcome::Complete => Ok(()),
             MineOutcome::Partial { reason } => Err(reason),
         }
-    }
-}
-
-impl SequentialMiner for ParallelDiscAll {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        let mut result = MiningResult::new();
-        self.mine_inner(db, min_support, &guard, &mut result, None)
-            .expect("unlimited guard never aborts");
-        result
-    }
-
-    fn mine_guarded(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        guard: &MineGuard,
-    ) -> GuardedResult {
-        run_guarded(guard, |result| self.mine_inner(db, min_support, guard, result, None))
-    }
-
-    fn mine_parallel(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        threads: usize,
-    ) -> MiningResult {
-        ParallelDiscAll::with_threads(threads).with_config(self.config).mine(db, min_support)
     }
 }
 
@@ -389,13 +346,15 @@ mod tests {
     }
 
     #[test]
-    fn mine_parallel_rethreads() {
+    fn rethreaded_miners_match_sequential() {
         let db = table6();
         let reference = DiscAll::default().mine(&db, MinSupport::Count(3));
-        let got = ParallelDiscAll::with_threads(1).mine_parallel(&db, MinSupport::Count(3), 8);
+        let got = ParallelDiscAll::with_threads(8).mine(&db, MinSupport::Count(3));
         assert!(got.diff(&reference).is_empty());
-        let via_disc_all = DiscAll::default().mine_parallel(&db, MinSupport::Count(3), 4);
-        assert!(via_disc_all.diff(&reference).is_empty());
+        let with_config = ParallelDiscAll::with_threads(4)
+            .with_config(DiscAll::default().config)
+            .mine(&db, MinSupport::Count(3));
+        assert!(with_config.diff(&reference).is_empty());
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //!
 //! ## Resume invariants
 //!
+//! Snapshots record item ids of the loaded database's compacted columns
+//! ([`FlatFileContents`]), which are a function of the source database, and
+//! are keyed by its fingerprint in original ids.
+//!
 //! Resume validates the snapshot's database fingerprint and resolved δ,
 //! seeds the saved patterns and guard spend, skips the completed partitions
 //! (their reassignment chains are re-derived from the shard/partition
@@ -33,12 +37,12 @@
 //! miner at every injected crash point.
 
 use disc_core::checkpoint::{
-    self, database_fingerprint, peek_progress, read_snapshot, CheckpointError, MiningSnapshot,
-    SnapshotProgress, SnapshotView,
+    self, peek_progress, read_snapshot, CheckpointError, MiningSnapshot, SnapshotProgress,
+    SnapshotView,
 };
 use disc_core::{
-    run_guarded, AbortReason, GuardedResult, Item, MinSupport, MineGuard, MiningResult,
-    SequenceDatabase, SequentialMiner,
+    run_guarded, AbortReason, FlatDb, FlatFileContents, GuardedResult, Item, MinSupport, MineGuard,
+    MiningResult, SequenceDatabase, SequentialMiner,
 };
 use std::cell::Cell;
 use std::fs;
@@ -227,73 +231,51 @@ impl<'g> CheckpointSink<'g> {
     }
 }
 
-/// A miner that can run with a [`CheckpointSink`] riding along. Implemented
-/// by [`DiscAll`](crate::DiscAll), [`DynamicDiscAll`](crate::DynamicDiscAll)
-/// and [`ParallelDiscAll`](crate::ParallelDiscAll).
+/// A DISC miner: one cooperative core over a [`FlatDb`], with an optional
+/// [`CheckpointSink`] riding along. Implemented by
+/// [`DiscAll`](crate::DiscAll), [`DynamicDiscAll`](crate::DynamicDiscAll)
+/// and [`ParallelDiscAll`](crate::ParallelDiscAll); every other way in —
+/// [`SequentialMiner`] on a nested database, [`Resumable`] runs — ends here.
 pub trait Checkpointable: SequentialMiner {
     /// `(miner code, bi_level, threads)` recorded in snapshot headers.
     fn provenance(&self) -> (u8, bool, u32);
 
-    /// The cooperative mining core with boundary hooks into `sink`.
-    fn mine_with_sink(
+    /// The algorithm: mines `flat` at the resolved support count `delta`
+    /// into `result`, checkpointing through `guard` and reporting
+    /// partition boundaries to `sink`.
+    fn mine_flat_into(
         &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
+        flat: &FlatDb,
+        delta: u64,
         guard: &MineGuard,
         result: &mut MiningResult,
-        sink: &mut CheckpointSink<'_>,
+        sink: Option<&mut CheckpointSink<'_>>,
     ) -> Result<(), AbortReason>;
-}
 
-impl Checkpointable for crate::DiscAll {
-    fn provenance(&self) -> (u8, bool, u32) {
-        (checkpoint::MINER_DISC_ALL, self.config.bi_level, 1)
-    }
-
-    fn mine_with_sink(
+    /// Mines `flat` under `guard` — identical output to
+    /// [`SequentialMiner::mine_guarded`] on the database the columns came
+    /// from, in the item ids the columns store.
+    fn mine_flat_guarded(
         &self,
-        db: &SequenceDatabase,
+        flat: &FlatDb,
         min_support: MinSupport,
         guard: &MineGuard,
-        result: &mut MiningResult,
-        sink: &mut CheckpointSink<'_>,
-    ) -> Result<(), AbortReason> {
-        self.mine_inner(db, min_support, guard, result, Some(sink))
+    ) -> GuardedResult {
+        let delta = min_support.resolve(flat.len());
+        run_guarded(guard, |result| self.mine_flat_into(flat, delta, guard, result, None))
     }
 }
 
-impl Checkpointable for crate::DynamicDiscAll {
-    fn provenance(&self) -> (u8, bool, u32) {
-        (checkpoint::MINER_DYNAMIC, self.bi_level, 1)
-    }
-
-    fn mine_with_sink(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        guard: &MineGuard,
-        result: &mut MiningResult,
-        sink: &mut CheckpointSink<'_>,
-    ) -> Result<(), AbortReason> {
-        self.mine_inner(db, min_support, guard, result, Some(sink))
-    }
-}
-
-impl Checkpointable for crate::ParallelDiscAll {
-    fn provenance(&self) -> (u8, bool, u32) {
-        (checkpoint::MINER_PARALLEL, self.config.bi_level, self.threads() as u32)
-    }
-
-    fn mine_with_sink(
-        &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
-        guard: &MineGuard,
-        result: &mut MiningResult,
-        sink: &mut CheckpointSink<'_>,
-    ) -> Result<(), AbortReason> {
-        self.mine_inner(db, min_support, guard, result, Some(sink))
-    }
+/// Flattens `db` once and mines it through the flat core: the whole of
+/// [`SequentialMiner::mine`] (under an unlimited guard) and
+/// [`SequentialMiner::mine_guarded`] for every DISC miner.
+pub(crate) fn mine_flattened<M: Checkpointable>(
+    miner: &M,
+    db: &SequenceDatabase,
+    min_support: MinSupport,
+    guard: &MineGuard,
+) -> GuardedResult {
+    miner.mine_flat_guarded(&FlatDb::from_database(db), min_support, guard)
 }
 
 /// A checkpointing wrapper around a [`Checkpointable`] miner.
@@ -360,10 +342,49 @@ impl<M: Checkpointable> Resumable<M> {
         peek_progress(&self.checkpoint_path())
     }
 
-    /// Resumes explicitly from a snapshot file, validating it against `db`
-    /// and the run's resolved δ. Typed rejection on a missing, torn,
-    /// corrupted, stale-version, or foreign snapshot — a damaged file is
-    /// never partially loaded.
+    /// Mines a loaded database, auto-resuming: a valid snapshot for this
+    /// (source fingerprint, δ) continues; anything else — missing, torn,
+    /// stale, foreign — starts fresh and is atomically replaced at the first
+    /// boundary. Patterns come back in the ids the columns store; translate
+    /// them with [`FlatFileContents::restore`].
+    ///
+    /// Snapshots hold the loaded database's compact ids, which are a
+    /// function of its source fingerprint — so every input of the same
+    /// database, text or `.dscfd`, resumes the same snapshots.
+    pub fn mine_loaded(
+        &self,
+        db: &FlatFileContents,
+        min_support: MinSupport,
+        guard: &MineGuard,
+    ) -> GuardedResult {
+        let delta = min_support.resolve(db.flat.len());
+        let resume = read_snapshot(&self.checkpoint_path())
+            .ok()
+            .filter(|snap| snap.validate(db.fingerprint, db.flat.len(), delta).is_ok());
+        self.run_with(&db.flat, db.fingerprint, delta, guard, resume)
+    }
+
+    /// Resumes a loaded database explicitly from the snapshot file at
+    /// `path`, validating it against the source fingerprint and the run's
+    /// resolved δ. Typed rejection on a missing, torn, corrupted,
+    /// stale-version, or foreign snapshot — a damaged file is never
+    /// partially loaded. Patterns come back in stored ids, as from
+    /// [`Resumable::mine_loaded`].
+    pub fn resume_loaded_from(
+        &self,
+        path: &Path,
+        db: &FlatFileContents,
+        min_support: MinSupport,
+        guard: &MineGuard,
+    ) -> Result<GuardedResult, CheckpointError> {
+        let delta = min_support.resolve(db.flat.len());
+        let snap = read_snapshot(path)?;
+        snap.validate(db.fingerprint, db.flat.len(), delta)?;
+        Ok(self.run_with(&db.flat, db.fingerprint, delta, guard, Some(snap)))
+    }
+
+    /// [`Resumable::resume_loaded_from`] on a nested database, loaded once;
+    /// patterns come back in its own ids.
     pub fn resume_from(
         &self,
         path: &Path,
@@ -371,29 +392,23 @@ impl<M: Checkpointable> Resumable<M> {
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> Result<GuardedResult, CheckpointError> {
-        let snap = read_snapshot(path)?;
-        snap.validate(db, min_support.resolve(db.len()))?;
-        Ok(self.run_with(db, min_support, guard, Some(snap)))
+        let loaded = FlatFileContents::from_database(db);
+        let run = self.resume_loaded_from(path, &loaded, min_support, guard)?;
+        Ok(GuardedResult { result: loaded.restore(run.result), ..run })
     }
 
+    /// The one core behind every entry point.
     fn run_with(
         &self,
-        db: &SequenceDatabase,
-        min_support: MinSupport,
+        flat: &FlatDb,
+        fingerprint: u64,
+        delta: u64,
         guard: &MineGuard,
         resume: Option<MiningSnapshot>,
     ) -> GuardedResult {
         let (miner, bi_level, threads) = self.miner.provenance();
-        let meta = SnapshotMeta {
-            fingerprint: resume
-                .as_ref()
-                .map_or_else(|| database_fingerprint(db), |s| s.fingerprint),
-            rows: db.len() as u64,
-            delta: min_support.resolve(db.len()),
-            miner,
-            bi_level,
-            threads,
-        };
+        let meta =
+            SnapshotMeta { fingerprint, rows: flat.len() as u64, delta, miner, bi_level, threads };
         let path = self.checkpoint_path();
         let mut sink = CheckpointSink::new(path.clone(), self.every, guard, meta, resume.as_ref());
         let sink_ref = &mut sink;
@@ -409,7 +424,7 @@ impl<M: Checkpointable> Resumable<M> {
                     result.insert(pattern.clone(), *support);
                 }
             }
-            let mined = self.miner.mine_with_sink(db, min_support, guard, result, sink_ref);
+            let mined = self.miner.mine_flat_into(flat, delta, guard, result, Some(&mut *sink_ref));
             // Cooperative abort: make the freshest state durable so a later
             // resume (or a fallback stage) picks it up. Completion: make the
             // final all-done snapshot durable even when `every` skipped it.
@@ -433,20 +448,17 @@ impl<M: Checkpointable> SequentialMiner for Resumable<M> {
         self.mine_guarded(db, min_support, &MineGuard::unlimited()).result
     }
 
+    /// [`Resumable::mine_loaded`] on a nested database, loaded once;
+    /// patterns come back in its own ids.
     fn mine_guarded(
         &self,
         db: &SequenceDatabase,
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        // Auto-resume: a valid snapshot for this (database, δ) continues;
-        // anything else — missing, torn, stale, foreign — starts fresh and
-        // is atomically replaced at the first boundary.
-        let resume = match read_snapshot(&self.checkpoint_path()) {
-            Ok(snap) if snap.validate(db, min_support.resolve(db.len())).is_ok() => Some(snap),
-            _ => None,
-        };
-        self.run_with(db, min_support, guard, resume)
+        let loaded = FlatFileContents::from_database(db);
+        let run = self.mine_loaded(&loaded, min_support, guard);
+        GuardedResult { result: loaded.restore(run.result), ..run }
     }
 }
 
@@ -454,6 +466,7 @@ impl<M: Checkpointable> SequentialMiner for Resumable<M> {
 mod tests {
     use super::*;
     use crate::{DiscAll, DynamicDiscAll, ParallelDiscAll};
+    use disc_core::database_fingerprint;
     use disc_core::{CancelToken, MineOutcome, ResourceBudget};
 
     fn table6() -> SequenceDatabase {
@@ -586,7 +599,7 @@ mod tests {
         let got = wrapped.mine(&db, MinSupport::Count(3));
         assert!(got.diff(&reference).is_empty());
         let snap = read_snapshot(&wrapped.checkpoint_path()).unwrap();
-        snap.validate(&db, 3).unwrap();
+        snap.validate(database_fingerprint(&db), db.len(), 3).unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 

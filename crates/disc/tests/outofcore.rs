@@ -1,15 +1,15 @@
 //! Out-of-core differential tests: the heap path (store view → nested
 //! database → miner) and the mmap path (store's `store.dscfd` mirror →
-//! zero-copy [`FlatDb`] → `mine_flat` → dictionary restore) must agree
+//! zero-copy [`FlatDb`] → `mine_flat_guarded` → dictionary restore) must agree
 //! bit-for-bit on the acked prefix, for every miner, across thread counts
 //! and support thresholds — including after further appends make the mirror
 //! stale (it then still represents exactly the compacted prefix, and the
 //! fingerprint mismatch is detectable).
 
-use disc_algo::{DiscAll, DynamicDiscAll, ParallelDiscAll};
+use disc_algo::{Checkpointable, DiscAll, DynamicDiscAll, ParallelDiscAll};
 use disc_core::{
-    open_flat_file, peek_flat_file_fingerprint, CustomerId, MinSupport, MiningResult,
-    SequenceDatabase, SequenceStore, SequentialMiner, StoreConfig, Verify,
+    open_flat_file, peek_flat_file_fingerprint, CustomerId, FlatFileContents, MinSupport,
+    MineGuard, MiningResult, SequenceDatabase, SequenceStore, SequentialMiner, StoreConfig, Verify,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -40,6 +40,16 @@ fn rows() -> Vec<&'static str> {
     ]
 }
 
+/// Mines the loaded columns through `miner`'s flat entry, in original ids.
+fn mine_mapped<M: Checkpointable>(
+    miner: M,
+    contents: &FlatFileContents,
+    minsup: MinSupport,
+) -> MiningResult {
+    let run = miner.mine_flat_guarded(&contents.flat, minsup, &MineGuard::unlimited());
+    contents.restore(run.into_complete())
+}
+
 /// Mines the mapped mirror with every miner and checks each against the
 /// same miner's heap run over `db`.
 fn assert_paths_agree(flat_path: &std::path::Path, db: &SequenceDatabase, minsup: MinSupport) {
@@ -56,23 +66,17 @@ fn assert_paths_agree(flat_path: &std::path::Path, db: &SequenceDatabase, minsup
         (
             "dynamic",
             DynamicDiscAll::default().mine(db, minsup),
-            contents
-                .mapping
-                .restore_result(&DynamicDiscAll::default().mine_flat(&contents.flat, minsup)),
+            mine_mapped(DynamicDiscAll::default(), &contents, minsup),
         ),
         (
             "parallel x2",
             ParallelDiscAll::with_threads(2).mine(db, minsup),
-            contents.mapping.restore_result(
-                &ParallelDiscAll::with_threads(2).mine_flat(&contents.flat, minsup),
-            ),
+            mine_mapped(ParallelDiscAll::with_threads(2), &contents, minsup),
         ),
         (
             "parallel x4",
             ParallelDiscAll::with_threads(4).mine(db, minsup),
-            contents.mapping.restore_result(
-                &ParallelDiscAll::with_threads(4).mine_flat(&contents.flat, minsup),
-            ),
+            mine_mapped(ParallelDiscAll::with_threads(4), &contents, minsup),
         ),
     ];
     for (name, heap, mapped) in &runs {

@@ -61,7 +61,7 @@ use crate::scheduler::{valid_algo, valid_mode, Scheduler, SchedulerConfig};
 use crate::signal;
 use crate::status::{error_response, plain_error, quota_response, shed_response};
 use disc_core::{DiscError, MinSupport, RetryPolicy};
-use std::io::{Read, Write as _};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -454,7 +454,7 @@ impl Server {
                 if !(0.0..=1.0).contains(&f) {
                     return bad_param("minsup", "must be within [0, 1]");
                 }
-                MinSupport::Fraction(f).resolve(db.rows)
+                MinSupport::Fraction(f).resolve(db.loaded.flat.len())
             }
         };
         let max_ops = match parse_opt::<u64>(req, "max_ops") {
@@ -488,12 +488,7 @@ impl Server {
         let cached = if spec.no_cache {
             None
         } else {
-            self.shared.sched.cache.lock().unwrap().get(&CacheKey {
-                fingerprint: db.fingerprint,
-                delta: spec.delta,
-                algo: spec.algo.clone(),
-                mode: spec.mode.clone(),
-            })
+            self.shared.sched.cache.lock().unwrap().get(&CacheKey::of(db.loaded.fingerprint, &spec))
         };
         let (status, job) = match cached {
             Some(result) => {
@@ -759,18 +754,7 @@ impl Server {
                 state.name(),
             ));
         }
-        let path = self.manifest_path();
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let tmp = path.with_extension("tmp");
-        let write = (|| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(out.as_bytes())?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, &path)
-        })();
-        if let Err(e) = write {
+        if let Err(e) = crate::scheduler::write_atomic(&self.manifest_path(), out.as_bytes()) {
             eprintln!("disc-server: cannot persist manifest: {e}");
         }
     }
@@ -854,73 +838,32 @@ impl Server {
     fn reload_job(&self, spec: JobSpec, state: &str) {
         let id = spec.id;
         let Some(db) = self.shared.registry.lock().unwrap().get(&spec.db) else {
-            let job = Arc::new(Job::new(spec, 1));
-            {
-                let mut inner = job.inner.lock().unwrap();
-                inner.state = JobState::Failed;
-                inner.error = Some(JobError {
-                    message: "database did not survive the restart".into(),
-                    transient: false,
-                });
-            }
             // Terminal from birth: submit() only queues non-terminal jobs,
             // but it needs *a* db entry — record the job directly instead.
-            self.shared.sched.submit_terminal(job);
+            let job = Job::ended(spec, Some("database did not survive the restart"));
+            self.shared.sched.submit_terminal(Arc::new(job));
             return;
         };
-        match state {
-            "done" => {
-                let job = match self.load_result(id) {
-                    Some(result) => {
-                        // Warm the cache from the persisted result so a
-                        // repeat query after the restart is still served
-                        // without a miner invocation.
-                        if !spec.no_cache {
-                            self.shared.sched.cache.lock().unwrap().insert(
-                                CacheKey {
-                                    fingerprint: db.fingerprint,
-                                    delta: spec.delta,
-                                    algo: spec.algo.clone(),
-                                    mode: spec.mode.clone(),
-                                },
-                                Arc::clone(&result),
-                            );
-                        }
-                        Arc::new(Job::from_cache(spec, result))
+        let job = match state {
+            "done" => match self.load_result(id) {
+                Some(result) => {
+                    // Warm the cache from the persisted result so a repeat
+                    // query after the restart is still served without a
+                    // miner invocation.
+                    if !spec.no_cache {
+                        let key = CacheKey::of(db.loaded.fingerprint, &spec);
+                        self.shared.sched.cache.lock().unwrap().insert(key, Arc::clone(&result));
                     }
-                    None => {
-                        let job = Arc::new(Job::new(spec, 1));
-                        let mut inner = job.inner.lock().unwrap();
-                        inner.state = JobState::Failed;
-                        inner.error = Some(JobError {
-                            message: "result file did not survive the restart".into(),
-                            transient: false,
-                        });
-                        drop(inner);
-                        job
-                    }
-                };
-                self.shared.sched.submit(job, db);
-            }
-            "failed" | "cancelled" => {
-                let job = Arc::new(Job::new(spec, 1));
-                {
-                    let mut inner = job.inner.lock().unwrap();
-                    inner.state =
-                        if state == "failed" { JobState::Failed } else { JobState::Cancelled };
-                    if state == "failed" {
-                        inner.error = Some(JobError {
-                            message: "failed before the restart".into(),
-                            transient: false,
-                        });
-                    }
+                    Job::from_cache(spec, result)
                 }
-                self.shared.sched.submit(job, db);
-            }
+                None => Job::ended(spec, Some("result file did not survive the restart")),
+            },
+            "failed" => Job::ended(spec, Some("failed before the restart")),
+            "cancelled" => Job::ended(spec, None),
             // queued (and anything unrecognized, conservatively): requeue;
             // a checkpoint at jobs/<id>/mine.dscck resumes automatically.
             _ => {
-                let job = Arc::new(Job::new(spec, self.shared.cfg.scheduler.slice_ops));
+                let job = Job::new(spec, self.shared.cfg.scheduler.slice_ops);
                 // Seed accumulated spend from the checkpoint, so the first
                 // slice's budget lands one increment above the re-charge
                 // instead of rediscovering the spend by doubling.
@@ -931,9 +874,10 @@ impl Server {
                     inner.patterns = p.patterns as usize;
                     inner.progress = Some(p);
                 }
-                self.shared.sched.submit(job, db);
+                job
             }
-        }
+        };
+        self.shared.sched.submit(Arc::new(job), db);
     }
 
     /// Loads a persisted `result.tsv` back into a [`RenderedResult`].
@@ -977,9 +921,9 @@ fn db_json(entry: &crate::registry::DbEntry) -> String {
     format!(
         "{{\"name\":\"{}\",\"fingerprint\":\"{:#018x}\",\"rows\":{},\"compacted\":{},\"source\":{source}}}",
         json_escape(&entry.name),
-        entry.fingerprint,
-        entry.rows,
-        entry.mapping.is_some(),
+        entry.loaded.fingerprint,
+        entry.loaded.flat.len(),
+        !entry.loaded.mapping.is_identity(),
     )
 }
 

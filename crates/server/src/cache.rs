@@ -21,6 +21,7 @@
 //! hit is a clone of an `Arc`, no re-rendering. Eviction is LRU by entry
 //! count; hits refresh recency.
 
+use crate::job::JobSpec;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -35,6 +36,14 @@ pub struct CacheKey {
     pub algo: String,
     /// Result projection: `all`, `closed`, or `maximal`.
     pub mode: String,
+}
+
+impl CacheKey {
+    /// The key of `spec`'s query against the database with `fingerprint`.
+    pub fn of(fingerprint: u64, spec: &JobSpec) -> CacheKey {
+        let (delta, algo, mode) = (spec.delta, spec.algo.clone(), spec.mode.clone());
+        CacheKey { fingerprint, delta, algo, mode }
+    }
 }
 
 /// A finished, rendered mining result — what jobs produce and the cache

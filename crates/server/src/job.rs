@@ -184,6 +184,18 @@ impl Job {
         job
     }
 
+    /// A job restored terminal by a restart: `Failed` with `failure` as its
+    /// permanent error, or `Cancelled` when `failure` is `None`.
+    pub fn ended(spec: JobSpec, failure: Option<&str>) -> Job {
+        let job = Job::new(spec, 1);
+        {
+            let mut inner = job.inner.lock().unwrap();
+            inner.state = if failure.is_some() { JobState::Failed } else { JobState::Cancelled };
+            inner.error = failure.map(|m| JobError { message: m.into(), transient: false });
+        }
+        job
+    }
+
     /// Requests cancellation: terminal states are left alone, a queued job
     /// dies immediately, a running slice is cancelled cooperatively (the
     /// scheduler settles the state when the slice returns). Returns whether

@@ -13,14 +13,18 @@
 //!   rather than silently mining fewer rows, exactly like
 //!   `disc-mine store mine --mmap`.
 //!
-//! Registration precomputes what every job on the database needs: the
-//! FNV-1a fingerprint (cache key, checkpoint validation), and the
-//! [`ItemMapping`] compaction the CLI applies before mining — so the
-//! server's results stay byte-identical to `disc-mine` on the same input.
+//! Either way the entry holds the loaded database `disc-mine` would mine
+//! ([`FlatFileContents`]; an attached file stays memory-mapped), so served
+//! results stay byte-identical to it, and its source fingerprint keys both
+//! the result cache and job checkpoints.
+//!
+//! An attached file must be replaced only by rename, never changed in
+//! place (see `docs/ALGORITHM.md` §16); each slice first checks
+//! [`disc_core::FlatDb::file_unchanged`] and fails the job if it moved.
 
 use disc_core::{
-    database_fingerprint, open_flat_file, peek_flat_file_fingerprint, DiscError, ItemMapping,
-    SequenceDatabase, SequenceStore, StoreConfig, Verify,
+    open_flat_file, peek_flat_file_fingerprint, DiscError, FlatFileContents, SequenceDatabase,
+    SequenceStore, StoreConfig, Verify,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -52,40 +56,14 @@ pub enum DbSource {
     Attach(PathBuf),
 }
 
-/// A registered database plus everything precomputed at registration.
+/// A registered database.
 pub struct DbEntry {
     /// The registry name.
     pub name: String,
-    /// The database, original item ids.
-    pub db: Arc<SequenceDatabase>,
-    /// The database the miners actually run on: compacted when the item-id
-    /// space is sparse enough to be worth it, otherwise the original.
-    /// Compaction preserves the row count, so δ resolution is unaffected.
-    pub mine_db: Arc<SequenceDatabase>,
-    /// `Some` when `mine_db` is compacted — mined patterns are translated
-    /// back through it, exactly like the CLI.
-    pub mapping: Option<ItemMapping>,
-    /// FNV-1a fingerprint of `db` — the cache-key component.
-    pub fingerprint: u64,
-    /// Customer count.
-    pub rows: usize,
+    /// The loaded database every job on this entry mines.
+    pub loaded: Arc<FlatFileContents>,
     /// Provenance.
     pub source: DbSource,
-}
-
-impl DbEntry {
-    fn build(name: String, db: SequenceDatabase, source: DbSource) -> DbEntry {
-        let fingerprint = database_fingerprint(&db);
-        let rows = db.len();
-        let mapping = ItemMapping::analyze(&db);
-        let db = Arc::new(db);
-        let (mine_db, mapping) = if mapping.is_worthwhile() {
-            (Arc::new(mapping.remap_database(&db)), Some(mapping))
-        } else {
-            (Arc::clone(&db), None)
-        };
-        DbEntry { name, db, mine_db, mapping, fingerprint, rows, source }
-    }
 }
 
 /// The registry: name → entry, plus the persistence root.
@@ -131,9 +109,8 @@ impl DbRegistry {
             let bytes = disc_core::encode_database(&db);
             std::fs::write(&path, &bytes).map_err(|e| DiscError::from_io(&path, &e))?;
         }
-        let entry = Arc::new(DbEntry::build(name.to_string(), db, DbSource::Upload));
-        self.entries.insert(name.to_string(), Arc::clone(&entry));
-        Ok(entry)
+        let loaded = FlatFileContents::from_database(&db);
+        Ok(self.insert(name, loaded, DbSource::Upload))
     }
 
     /// Registers a server-local path: a `.dscfd` flat file or a store
@@ -144,11 +121,14 @@ impl DbRegistry {
         path: &Path,
     ) -> Result<Arc<DbEntry>, RegisterError> {
         self.check_name_free(name)?;
-        let db = load_attached(path)?;
-        let entry =
-            Arc::new(DbEntry::build(name.to_string(), db, DbSource::Attach(path.to_path_buf())));
+        let loaded = load_attached(path)?;
+        Ok(self.insert(name, loaded, DbSource::Attach(path.to_path_buf())))
+    }
+
+    fn insert(&mut self, name: &str, loaded: FlatFileContents, source: DbSource) -> Arc<DbEntry> {
+        let entry = Arc::new(DbEntry { name: name.to_string(), loaded: Arc::new(loaded), source });
         self.entries.insert(name.to_string(), Arc::clone(&entry));
-        Ok(entry)
+        entry
     }
 
     /// Looks up a database by name.
@@ -191,19 +171,18 @@ fn parse_database(body: &[u8]) -> Result<SequenceDatabase, DiscError> {
     Ok(SequenceDatabase::from_text(text)?)
 }
 
-/// Loads an attached path. Store directories go through the stale-mirror
-/// check; plain paths must be a flat file.
-fn load_attached(path: &Path) -> Result<SequenceDatabase, RegisterError> {
+/// Maps an attached path zero-copy. Store directories go through the
+/// stale-mirror check; plain paths must be a flat file.
+fn load_attached(path: &Path) -> Result<FlatFileContents, RegisterError> {
     if path.is_dir() {
         return load_store_mirror(path);
     }
-    let contents = open_flat_file(path, Verify::Full)?;
-    Ok(materialize(&contents))
+    Ok(open_flat_file(path, Verify::Full)?)
 }
 
-/// Opens a store directory and loads its compacted `.dscfd` mirror,
+/// Opens a store directory and maps its compacted `.dscfd` mirror,
 /// refusing a mirror that is stale relative to the recovered rows.
-fn load_store_mirror(dir: &Path) -> Result<SequenceDatabase, RegisterError> {
+fn load_store_mirror(dir: &Path) -> Result<FlatFileContents, RegisterError> {
     let store = SequenceStore::open(dir, StoreConfig::default())
         .map_err(|e| RegisterError::Disc(DiscError::Store(e)))?;
     let live_fp = store.fingerprint();
@@ -217,19 +196,7 @@ fn load_store_mirror(dir: &Path) -> Result<SequenceDatabase, RegisterError> {
             flat_path.display()
         )));
     }
-    let contents = open_flat_file(&flat_path, Verify::Full).map_err(RegisterError::Disc)?;
-    Ok(materialize(&contents))
-}
-
-/// Materializes a heap database from flat-file contents, restoring original
-/// item ids through the on-disk dictionary. Row order is preserved;
-/// customer ids are positional (the flat format does not store them — they
-/// do not affect mining or the rendered patterns).
-fn materialize(contents: &disc_core::FlatFileContents) -> SequenceDatabase {
-    SequenceDatabase::from_rows((0..contents.flat.len()).map(|i| {
-        let compact = contents.flat.row(i).to_sequence();
-        (disc_core::CustomerId(i as u64), contents.mapping.restore_sequence(&compact))
-    }))
+    open_flat_file(&flat_path, Verify::Full).map_err(RegisterError::Disc)
 }
 
 #[cfg(test)]
@@ -249,15 +216,15 @@ mod tests {
         let mut reg = DbRegistry::new(d.join("dbs"));
         let text = "1: (a, e, g)(b)\n2: (b)(d, f)\n";
         let entry = reg.register_upload("t1", text.as_bytes(), true).unwrap();
-        assert_eq!(entry.rows, 2);
+        assert_eq!(entry.loaded.flat.len(), 2);
         let db = SequenceDatabase::from_text(text).unwrap();
-        assert_eq!(entry.fingerprint, database_fingerprint(&db));
+        assert_eq!(entry.loaded.fingerprint, disc_core::database_fingerprint(&db));
 
         // The persisted DSCDB1 reloads to the same fingerprint.
         let bytes = std::fs::read(reg.upload_path("t1")).unwrap();
         let mut reg2 = DbRegistry::new(d.join("dbs"));
         let entry2 = reg2.register_upload("t1", &bytes, false).unwrap();
-        assert_eq!(entry2.fingerprint, entry.fingerprint);
+        assert_eq!(entry2.loaded.fingerprint, entry.loaded.fingerprint);
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -283,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn attach_flat_file_restores_original_items() {
+    fn attached_flat_file_stays_mapped_and_matches_its_upload() {
         let d = dir("attach");
         let text = "1: (1000)(2000)\n2: (1000)\n";
         let db = SequenceDatabase::from_text(text).unwrap();
@@ -291,12 +258,16 @@ mod tests {
         disc_core::write_flat_file(&flat, &disc_core::encode_database_flat_file(&db)).unwrap();
 
         let mut reg = DbRegistry::new(d.join("dbs"));
-        let entry = reg.register_attach("flat", &flat).unwrap();
-        assert_eq!(entry.rows, 2);
-        // Items come back in original (sparse) ids, so patterns rendered
-        // from this entry match a direct text mine.
-        let restored = entry.db.sequence(0).to_string();
-        assert_eq!(restored, "(1000)(2000)");
+        let attached = reg.register_attach("flat", &flat).unwrap().loaded.clone();
+        // The columns borrow from the mapping: no heap copy of the file.
+        #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
+        assert!(attached.is_mapped());
+        // Same database, same loaded value: fingerprint (cache key), compact
+        // columns, and the dictionary back to the original sparse ids.
+        let uploaded = reg.register_upload("text", text.as_bytes(), false).unwrap().loaded.clone();
+        assert_eq!(attached.fingerprint, uploaded.fingerprint);
+        assert_eq!(attached.flat.columns(), uploaded.flat.columns());
+        assert_eq!(attached.mapping, uploaded.mapping);
         let _ = std::fs::remove_dir_all(&d);
     }
 

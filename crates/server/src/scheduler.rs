@@ -36,10 +36,10 @@ use crate::cache::{CacheKey, RenderedResult, ResultCache};
 use crate::job::{Job, JobError, JobState};
 use crate::limits::{QuotaConfig, QuotaDenial, TokenBucket};
 use crate::registry::DbEntry;
-use disc_algo::{DiscAll, DynamicDiscAll, ParallelDiscAll, Resumable};
+use disc_algo::{Checkpointable, DiscAll, DynamicDiscAll, ParallelDiscAll, Resumable};
 use disc_core::{
-    AbortReason, CancelToken, FallbackMiner, GuardedResult, MinSupport, MineGuard, MineOutcome,
-    ParallelExecutor, ResourceBudget, SequentialMiner, SharedCounters,
+    AbortReason, CancelToken, FallbackMiner, FlatFileContents, GuardedResult, MinSupport,
+    MineGuard, MineOutcome, ParallelExecutor, ResourceBudget, SharedCounters,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -446,6 +446,12 @@ impl Scheduler {
             self.fail(job, "database entry vanished", false);
             return;
         };
+        // An attached file changed in place must not be mined (its pages
+        // may fault or hold rows the fingerprint never covered).
+        if !db.loaded.flat.file_unchanged() {
+            self.fail(job, "attached file changed in place since it was attached", false);
+            return;
+        }
 
         // Slice guard: fresh child-less token (a cancelled token cannot be
         // un-cancelled, so preempted jobs need a new one each slice), fresh
@@ -487,14 +493,8 @@ impl Scheduler {
         self.mine_invocations.fetch_add(1, Ordering::Relaxed);
         let dir = self.job_dir(job.spec.id);
         let minsup = MinSupport::Count(job.spec.delta);
-        let run = mine_slice(
-            &job.spec.algo,
-            &dir,
-            self.cfg.checkpoint_every,
-            &db.mine_db,
-            minsup,
-            &guard,
-        );
+        let run =
+            mine_slice(&job.spec.algo, &dir, self.cfg.checkpoint_every, &db.loaded, minsup, &guard);
 
         self.settle(job, &db, run);
     }
@@ -537,7 +537,7 @@ impl Scheduler {
         }
 
         match run.outcome {
-            MineOutcome::Complete => self.finish(job, db, &run),
+            MineOutcome::Complete => self.finish(job, db, run),
             MineOutcome::Partial { reason } => match reason {
                 AbortReason::Cancelled => {
                     // Tenant cancel marked the job Cancelled before tripping
@@ -580,15 +580,8 @@ impl Scheduler {
     }
 
     /// Completes a job: translate items back, render, cache, mark Done.
-    fn finish(&self, job: &Arc<Job>, db: &Arc<DbEntry>, run: &GuardedResult) {
-        let restored;
-        let result = match &db.mapping {
-            Some(mapping) => {
-                restored = mapping.restore_result(&run.result);
-                &restored
-            }
-            None => &run.result,
-        };
+    fn finish(&self, job: &Arc<Job>, db: &Arc<DbEntry>, run: GuardedResult) {
+        let result = db.loaded.restore(run.result);
         let lines: Vec<(u64, String)> = match job.spec.mode.as_str() {
             "closed" => result.closed_patterns().iter().map(|(p, s)| (*s, p.to_string())).collect(),
             "maximal" => {
@@ -599,15 +592,8 @@ impl Scheduler {
         let rendered = Arc::new(RenderedResult { lines, total_patterns: result.len() });
         self.persist_result(job.spec.id, &rendered);
         if !job.spec.no_cache {
-            self.cache.lock().unwrap().insert(
-                CacheKey {
-                    fingerprint: db.fingerprint,
-                    delta: job.spec.delta,
-                    algo: job.spec.algo.clone(),
-                    mode: job.spec.mode.clone(),
-                },
-                Arc::clone(&rendered),
-            );
+            let key = CacheKey::of(db.loaded.fingerprint, &job.spec);
+            self.cache.lock().unwrap().insert(key, Arc::clone(&rendered));
         }
         let mut inner = job.inner.lock().unwrap();
         if inner.state == JobState::Running {
@@ -637,20 +623,24 @@ impl Scheduler {
     /// jobs that completed before the restart. Failure is logged, not
     /// fatal — the in-memory result still serves this process.
     pub fn persist_result(&self, id: u64, result: &RenderedResult) {
-        let dir = self.job_dir(id);
-        let path = dir.join("result.tsv");
-        let tmp = dir.join("result.tsv.tmp");
-        let write = (|| -> std::io::Result<()> {
-            std::fs::create_dir_all(&dir)?;
-            let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, &result.render(1, 0, usize::MAX))?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, &path)
-        })();
-        if let Err(e) = write {
+        let path = self.job_dir(id).join("result.tsv");
+        if let Err(e) = write_atomic(&path, &result.render(1, 0, usize::MAX)) {
             eprintln!("disc-server: cannot persist result for job {id}: {e}");
         }
     }
+}
+
+/// Writes `bytes` to `path` atomically: the parent directory is created,
+/// then a synced `<path>.tmp` is renamed over `path`.
+pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    let tmp = path.with_extension("tmp");
+    let mut f = std::fs::File::create(&tmp)?;
+    std::io::Write::write_all(&mut f, bytes)?;
+    f.sync_all()?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Builds and runs the guarded resumable miner for one slice.
@@ -663,33 +653,36 @@ fn mine_slice(
     algo: &str,
     dir: &std::path::Path,
     every: u64,
-    db: &disc_core::SequenceDatabase,
+    db: &FlatFileContents,
     minsup: MinSupport,
     guard: &MineGuard,
 ) -> GuardedResult {
+    fn run<M: Checkpointable>(
+        miner: M,
+        dir: &std::path::Path,
+        every: u64,
+        db: &FlatFileContents,
+        minsup: MinSupport,
+        guard: &MineGuard,
+    ) -> GuardedResult {
+        Resumable::new(miner, dir).with_every(every).mine_loaded(db, minsup, guard)
+    }
     match algo {
-        "dynamic" => Resumable::new(DynamicDiscAll::default(), dir)
-            .with_every(every)
-            .mine_guarded(db, minsup, guard),
-        "parallel" => Resumable::new(ParallelDiscAll::default(), dir)
-            .with_every(every)
-            .mine_guarded(db, minsup, guard),
+        "dynamic" => run(DynamicDiscAll::default(), dir, every, db, minsup, guard),
+        "parallel" => run(ParallelDiscAll::default(), dir, every, db, minsup, guard),
         "auto" => {
-            // Dynamic first (fastest in the benches), falling back to plain
-            // DISC-all on a panic. Budget exhaustion also advances the
-            // chain, but the second stage's preflight check aborts
+            // Dynamic first (fastest in the benches), then plain DISC-all
+            // by the `FallbackMiner` stage rule: only after a panic or
+            // budget exhaustion. The second stage's preflight check aborts
             // immediately on the already-spent shared counters, so a
             // preempted auto job costs one cheap extra stage probe at most.
-            let chain = FallbackMiner::new(vec![
-                Box::new(Resumable::new(DynamicDiscAll::default(), dir).with_every(every)),
-                Box::new(Resumable::new(DiscAll::default(), dir).with_every(every)),
-            ]);
-            chain.mine_guarded(db, minsup, guard)
+            FallbackMiner::run_stages(guard, 2, |i, stage| match i {
+                0 => run(DynamicDiscAll::default(), dir, every, db, minsup, stage),
+                _ => run(DiscAll::default(), dir, every, db, minsup, stage),
+            })
         }
         // "disc-all" plus anything the API validation let through.
-        _ => Resumable::new(DiscAll::default(), dir)
-            .with_every(every)
-            .mine_guarded(db, minsup, guard),
+        _ => run(DiscAll::default(), dir, every, db, minsup, guard),
     }
 }
 

@@ -18,6 +18,7 @@ use disc_server::{SchedulerConfig, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -363,5 +364,68 @@ fn drain_checkpoints_and_a_second_server_resumes_bit_identically() {
     assert_eq!(field(&repeat, "cached"), "true");
 
     drain(addr2, handle2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn attached_flat_file_serves_what_the_cli_mines_and_shares_the_upload_cache() {
+    let dir = temp_dir("attach");
+    let (server, addr, handle) = start(&dir, 1_000_000);
+    let invocations = || server.scheduler().mine_invocations.load(Ordering::Relaxed);
+    let db = quest_db(6);
+    let (_, uploaded) = post(addr, "/dbs?name=text", db.to_text().as_bytes());
+    let (_, first) = post(addr, "/jobs?db=text&delta=6", b"");
+    assert_eq!(wait_terminal(addr, field(&first, "id").parse().unwrap()), "done");
+
+    // Its packed `.dscfd` file, attached: same fingerprint, so the same
+    // query is a cache hit with no miner invocation.
+    let path = dir.join("db.dscfd");
+    disc_core::write_flat_file(&path, &disc_core::encode_database_flat_file(&db)).unwrap();
+    let (status, attached) = post(addr, &format!("/dbs?name=flat&attach={}", path.display()), b"");
+    assert_eq!(status, 201, "{attached}");
+    assert_eq!(field(&attached, "fingerprint"), field(&uploaded, "fingerprint"));
+    let before = invocations();
+    let (_, hit) = post(addr, "/jobs?db=flat&delta=6", b"");
+    assert_eq!(field(&hit, "cached"), "true");
+    assert_eq!(invocations(), before, "a cached hit must not invoke a miner");
+
+    // Mined off the mapped columns: exactly what `disc-mine db.dscfd
+    // --delta 6` prints.
+    let (_, cold) = post(addr, "/jobs?db=flat&delta=6&nocache=1", b"");
+    let cold_id: u64 = field(&cold, "id").parse().unwrap();
+    assert_eq!(wait_terminal(addr, cold_id), "done");
+    assert!(invocations() > before);
+    let loaded = disc_core::open_flat_file(&path, disc_core::Verify::Full).unwrap();
+    let cli = loaded.restore(DiscAll::default().mine_flat(&loaded.flat, MinSupport::Count(6)));
+    let cli: String = cli.iter().map(|(p, s)| format!("{s}\t{p}\n")).collect();
+    assert_eq!(cli, expected(&db, 6));
+    assert_eq!(get(addr, &format!("/jobs/{cold_id}/result")).1, cli);
+    assert_eq!(get(addr, &format!("/jobs/{}/result", field(&hit, "id"))).1, cli);
+
+    drain(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_attached_file_truncated_in_place_fails_its_jobs_not_the_server() {
+    let dir = temp_dir("pinned");
+    let (_server, addr, handle) = start(&dir, 1_000_000);
+    let path = dir.join("db.dscfd");
+    disc_core::write_flat_file(&path, &disc_core::encode_database_flat_file(&quest_db(7))).unwrap();
+    assert_eq!(post(addr, &format!("/dbs?name=flat&attach={}", path.display()), b"").0, 201);
+    assert_eq!(post(addr, "/dbs?name=text", b"1: (1)(2)\n").0, 201);
+
+    // The job fails with a typed error before any lost page is read (a
+    // read would kill the process with SIGBUS), and the server serves on.
+    let len = std::fs::metadata(&path).unwrap().len();
+    std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len / 2).unwrap();
+    let (_, job) = post(addr, "/jobs?db=flat&delta=6", b"");
+    let id: u64 = field(&job, "id").parse().unwrap();
+    assert_eq!(wait_terminal(addr, id), "failed");
+    assert!(get(addr, &format!("/jobs/{id}")).1.contains("changed in place"));
+    let (_, job) = post(addr, "/jobs?db=text&delta=1", b"");
+    assert_eq!(wait_terminal(addr, field(&job, "id").parse().unwrap()), "done");
+
+    drain(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 //! cargo run --example checkpoint_resume
 //! ```
 
-use disc_miner::core::{read_snapshot, CheckpointCrash, FaultPlan};
+use disc_miner::core::{read_snapshot, CheckpointCrash, FaultPlan, FlatFileContents};
 use disc_miner::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -54,14 +54,19 @@ fn main() {
     let checkpoint = run.checkpoint.clone().expect("abort left a durable checkpoint");
     println!("  checkpoint recorded in the outcome: {}", checkpoint.display());
 
-    // Act 2: explicit resume from that file completes bit-identically.
+    // Act 2: explicit resume from that file completes bit-identically. It
+    // goes through the loaded-database entry every input ends up at (a
+    // `.dscfd` file would come from `open_flat_file`): the snapshot is keyed
+    // on the source fingerprint, whichever way the database was loaded.
     println!("\nact 2: resume from the snapshot with an unlimited budget");
+    let loaded = FlatFileContents::from_database(&db);
     let resumed = miner
-        .resume_from(&checkpoint, &db, minsup, &MineGuard::unlimited())
+        .resume_loaded_from(&checkpoint, &loaded, minsup, &MineGuard::unlimited())
         .expect("a snapshot this process just wrote is valid");
     assert!(resumed.outcome.is_complete());
-    assert!(resumed.result.diff(&reference).is_empty());
-    println!("  {} patterns — bit-identical to the uninterrupted run ✓", resumed.result.len());
+    let result = loaded.restore(resumed.result);
+    assert!(result.diff(&reference).is_empty());
+    println!("  {} patterns — bit-identical to the uninterrupted run ✓", result.len());
 
     // Act 3: a crash injected *inside* the snapshot writer. The process
     // "dies" (a panic the guard contains) while the second snapshot's temp

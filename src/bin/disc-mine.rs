@@ -18,18 +18,23 @@
 //! items are lowercase letters or decimal numbers; `#` starts a comment.
 //! Output: one pattern per line with its support, in comparative order.
 //!
-//! A `.dscfd` flat file (written by `disc-mine pack` or mirrored by
-//! `disc-mine store compact`) is detected by its magic and mined straight
-//! off a memory mapping — the columns are never copied to the heap, so
-//! databases larger than memory mine out-of-core. `store mine --mmap`
-//! mines the store's compacted mirror the same way, refusing stale
+//! Every input is loaded into one [`FlatFileContents`]: compacted flat
+//! columns, the dictionary back to the original item ids, and the source
+//! fingerprint. A `.dscfd` flat file (written by `disc-mine pack` or
+//! mirrored by `disc-mine store compact`) is detected by its magic and
+//! mined straight off a memory mapping — the columns are never copied to
+//! the heap, so databases larger than memory mine out-of-core. `store mine
+//! --mmap` mines the store's compacted mirror the same way, refusing stale
 //! mirrors (appends since the last compaction) rather than dropping rows.
+//! Text and `DSCDB1` inputs are parsed and flattened in memory. Everything
+//! after loading is one path for every input.
 //!
 //! Exit codes: 0 on success, 1 on permanent failure (corrupt input, bad
 //! store, out of space), 2 on usage errors, 75 (`EX_TEMPFAIL`) when the
 //! failure was transient (interrupted IO that retries did not clear) and
 //! re-running the same command may succeed.
 
+use disc_miner::core::FlatFileContents;
 use disc_miner::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -58,8 +63,8 @@ fn usage() -> ! {
          or:    disc-mine pack <database.txt|.dscdb> <out.dscfd>\n\
          or:    disc-mine store <ingest|compact|fsck|mine> ... (see `disc-mine store --help`)\n\
          or:    disc-mine serve --data-dir DIR ... (see `disc-mine serve --help`)\n\
-         A .dscfd input is memory-mapped and mined zero-copy (disc-all,\n\
-         dynamic, and parallel only); other inputs are loaded to the heap.\n\
+         A .dscfd input is memory-mapped and mined zero-copy; other inputs\n\
+         are loaded to the heap.\n\
          --checkpoint-dir writes durable snapshots at partition boundaries (and\n\
          auto-resumes a valid one); --resume continues from an explicit snapshot\n\
          file, rejecting corrupted or mismatched files. Both support the\n\
@@ -141,28 +146,9 @@ fn parallel_miner(threads: Option<usize>) -> ParallelDiscAll {
     }
 }
 
-fn miner_by_name(
-    name: &str,
-    threads: Option<usize>,
-    checkpoint_dir: Option<&str>,
-) -> Box<dyn SequentialMiner> {
-    // With --checkpoint-dir the DISC miners are wrapped in `Resumable`:
-    // durable snapshots at partition boundaries, auto-resuming a valid one.
-    if let Some(dir) = checkpoint_dir {
-        return match name {
-            "disc-all" => Box::new(Resumable::new(DiscAll::default(), dir)),
-            "dynamic" => Box::new(Resumable::new(DynamicDiscAll::default(), dir)),
-            "parallel" => Box::new(Resumable::new(parallel_miner(threads), dir)),
-            other => {
-                eprintln!("--checkpoint-dir supports disc-all, dynamic, parallel; got {other:?}");
-                usage();
-            }
-        };
-    }
+/// The baselines and the brute-force oracle: miners of nested databases.
+fn baseline_by_name(name: &str) -> Box<dyn SequentialMiner> {
     match name {
-        "disc-all" => Box::new(DiscAll::default()),
-        "dynamic" => Box::new(DynamicDiscAll::default()),
-        "parallel" => Box::new(parallel_miner(threads)),
         "prefixspan" => Box::new(PrefixSpan::default()),
         "pseudo" => Box::new(PseudoPrefixSpan::default()),
         "gsp" => Box::new(Gsp::default()),
@@ -176,44 +162,39 @@ fn miner_by_name(
     }
 }
 
-/// Continues from an explicit snapshot file; typed rejection (corrupted,
-/// truncated, stale-version, wrong database, wrong δ) exits with code 1.
-/// Further snapshots are written next to the file being resumed.
-fn run_resume(
-    algo: &str,
-    threads: Option<usize>,
-    file: &str,
-    db: &SequenceDatabase,
-    minsup: MinSupport,
+/// Mines the loaded columns with a DISC miner. With `--checkpoint-dir` the
+/// miner is wrapped in `Resumable` (durable snapshots at partition
+/// boundaries, auto-resuming a valid one); `--resume` continues from an
+/// explicit snapshot file, and a typed rejection (corrupted, truncated,
+/// stale-version, wrong database, wrong δ) exits with code 1. Further
+/// snapshots are written next to the file being resumed.
+fn mine_disc<M: Checkpointable>(
+    miner: M,
+    loaded: &FlatFileContents,
+    args: &Args,
 ) -> (String, MiningResult) {
-    fn go<M: Checkpointable>(
-        miner: M,
-        file: &str,
-        db: &SequenceDatabase,
-        minsup: MinSupport,
-    ) -> (String, MiningResult) {
+    let guard = MineGuard::unlimited();
+    if let Some(file) = &args.resume {
         let path = Path::new(file);
         let dir = match path.parent() {
             Some(d) if !d.as_os_str().is_empty() => d,
             _ => Path::new("."),
         };
         let wrapped = Resumable::new(miner, dir);
-        match wrapped.resume_from(path, db, minsup, &MineGuard::unlimited()) {
+        match wrapped.resume_loaded_from(path, loaded, args.minsup, &guard) {
             Ok(run) => (wrapped.name().to_string(), run.result),
             Err(e) => {
                 eprintln!("cannot resume from {file}: {e}");
                 exit(1);
             }
         }
-    }
-    match algo {
-        "disc-all" => go(DiscAll::default(), file, db, minsup),
-        "dynamic" => go(DynamicDiscAll::default(), file, db, minsup),
-        "parallel" => go(parallel_miner(threads), file, db, minsup),
-        other => {
-            eprintln!("--resume supports disc-all, dynamic, parallel; got {other:?}");
-            usage();
-        }
+    } else if let Some(dir) = &args.checkpoint_dir {
+        let wrapped = Resumable::new(miner, dir);
+        let run = wrapped.mine_loaded(loaded, args.minsup, &guard);
+        (wrapped.name().to_string(), run.result)
+    } else {
+        let result = miner.mine_flat_guarded(&loaded.flat, args.minsup, &guard).into_complete();
+        (miner.name().to_string(), result)
     }
 }
 
@@ -253,51 +234,39 @@ fn load_database(path: &str) -> SequenceDatabase {
     }
 }
 
-/// Mines `db` per `args` and prints the patterns — the shared back half of
-/// `disc-mine <file>` and `disc-mine store mine`.
-fn run_mining(db: &SequenceDatabase, args: &Args) {
-    if args.stats {
-        let s = db.stats();
-        eprintln!(
-            "# {} customers, {:.2} transactions/customer, {:.2} items/transaction, {} distinct items",
-            s.customers, s.avg_transactions, s.avg_items_per_transaction, s.distinct_items
-        );
-    }
-
-    let resolved = args.minsup.resolve(db.len());
-    if resolved <= 2 && db.len() > 100 {
+/// Mines a loaded database per `args` and prints the patterns — the back
+/// half of every mining command, whatever the input format.
+fn run_mining(loaded: &FlatFileContents, args: &Args) {
+    let rows = loaded.flat.len();
+    let resolved = args.minsup.resolve(rows);
+    if resolved <= 2 && rows > 100 {
         eprintln!(
             "# warning: threshold resolves to δ = {resolved}; on non-trivial data the \
              frequent set (and runtime) grows exponentially at such low support"
         );
     }
     let start = std::time::Instant::now();
-    let mine = |db: &SequenceDatabase| -> (String, MiningResult) {
-        if let Some(file) = &args.resume {
-            run_resume(&args.algo, args.threads, file, db, args.minsup)
-        } else {
-            let miner = miner_by_name(&args.algo, args.threads, args.checkpoint_dir.as_deref());
-            let result = miner.mine(db, args.minsup);
-            (miner.name().to_string(), result)
+    // The columns hold compact item ids; patterns are translated back
+    // through the dictionary. Checkpoints are keyed on the source
+    // fingerprint, in original ids.
+    let (miner_name, mined) = match args.algo.as_str() {
+        "disc-all" => mine_disc(DiscAll::default(), loaded, args),
+        "dynamic" => mine_disc(DynamicDiscAll::default(), loaded, args),
+        "parallel" => mine_disc(parallel_miner(args.threads), loaded, args),
+        other => {
+            let miner = baseline_by_name(other);
+            if args.checkpoint_dir.is_some() || args.resume.is_some() {
+                eprintln!(
+                    "--checkpoint-dir/--resume support disc-all, dynamic, parallel; got {other:?}"
+                );
+                usage();
+            }
+            // The baselines are oracles and stay naive: they mine a nested
+            // copy of the rows.
+            (miner.name().to_string(), miner.mine(&loaded.flat.to_database(), args.minsup))
         }
     };
-    // Sparse item-id spaces would make the miners' dense per-item arrays
-    // huge; compact ids transparently and translate the patterns back.
-    // Analyze first: the common dense case then never copies the database.
-    // Checkpoints fingerprint the database *after* this step; the mapping
-    // is a pure function of the database, so snapshots stay valid across
-    // invocations on the same input.
-    let mapping = disc_miner::core::ItemMapping::analyze(db);
-    let (miner_name, result) = if mapping.is_worthwhile() {
-        if args.stats {
-            eprintln!("# compacted {} distinct items onto 0..{}", mapping.len(), mapping.len());
-        }
-        let compacted = mapping.remap_database(db);
-        let (name, result) = mine(&compacted);
-        (name, mapping.restore_result(&result))
-    } else {
-        mine(db)
-    };
+    let result = loaded.restore(mined);
     if args.stats {
         eprintln!(
             "# {}: {} frequent sequences (max length {}) in {:.3?}",
@@ -333,49 +302,36 @@ fn is_flat_file(path: &str) -> bool {
     f.read_exact(&mut magic).is_ok() && magic == disc_miner::core::FLAT_FILE_MAGIC
 }
 
-/// Mines a memory-mapped flat file without ever materialising the heap
-/// database — the out-of-core back half shared by `disc-mine <file.dscfd>`
-/// and `disc-mine store mine --mmap`.
-fn run_mining_flat(contents: &disc_miner::core::FlatFileContents, args: &Args) {
-    if args.checkpoint_dir.is_some() || args.resume.is_some() {
-        eprintln!("--checkpoint-dir/--resume are not supported on memory-mapped flat files");
-        usage();
-    }
+/// Maps a `.dscfd` file zero-copy, exiting 1 when it cannot be opened or
+/// fails verification.
+fn open_flat(path: &Path, args: &Args) -> FlatFileContents {
+    let loaded = disc_miner::core::open_flat_file(path, disc_miner::core::Verify::Full)
+        .unwrap_or_else(|e| {
+            eprintln!("cannot open {}: {e}", path.display());
+            exit(1);
+        });
     if args.stats {
         eprintln!(
-            "# flat file: {} rows, {} bytes, {} item ids, columns {}",
-            contents.flat.len(),
-            contents.file_bytes,
-            contents.mapping.len(),
-            if contents.is_mapped() { "memory-mapped (zero-copy)" } else { "heap (mmap fallback)" },
+            "# flat file: {} rows, {} item ids, columns {}",
+            loaded.flat.len(),
+            loaded.mapping.len(),
+            if loaded.is_mapped() { "memory-mapped (zero-copy)" } else { "heap (mmap fallback)" },
         );
     }
-    let start = std::time::Instant::now();
-    let flat = &contents.flat;
-    let (name, compact_result) = match args.algo.as_str() {
-        "disc-all" => ("DISC-all", DiscAll::default().mine_flat(flat, args.minsup)),
-        "dynamic" => ("Dynamic DISC-all", DynamicDiscAll::default().mine_flat(flat, args.minsup)),
-        "parallel" => {
-            ("DISC-all (parallel)", parallel_miner(args.threads).mine_flat(flat, args.minsup))
-        }
-        other => {
-            eprintln!("flat-file mining supports disc-all, dynamic, parallel; got {other:?}");
-            usage();
-        }
-    };
-    // The file stores compact item ids; translate patterns back through the
-    // on-disk dictionary.
-    let result = contents.mapping.restore_result(&compact_result);
+    loaded
+}
+
+/// Flattens a parsed database in memory, printing its shape under
+/// `--stats`.
+fn load_nested(db: &SequenceDatabase, args: &Args) -> FlatFileContents {
     if args.stats {
+        let s = db.stats();
         eprintln!(
-            "# {}: {} frequent sequences (max length {}) in {:.3?}",
-            name,
-            result.len(),
-            result.max_length(),
-            start.elapsed()
+            "# {} customers, {:.2} transactions/customer, {:.2} items/transaction, {} distinct items",
+            s.customers, s.avg_transactions, s.avg_items_per_transaction, s.distinct_items
         );
     }
-    print_patterns(&result, args);
+    FlatFileContents::from_database(db)
 }
 
 /// `disc-mine pack`: convert a text or DSCDB1 database into the DSCFD1
@@ -620,17 +576,11 @@ fn store_main(argv: Vec<String>) -> ! {
                     );
                     exit(1);
                 }
-                let contents =
-                    disc_miner::core::open_flat_file(&flat_path, disc_miner::core::Verify::Full)
-                        .unwrap_or_else(|e| {
-                            eprintln!("cannot open flat mirror {}: {e}", flat_path.display());
-                            exit(1);
-                        });
-                run_mining_flat(&contents, &mine_args);
+                run_mining(&open_flat(&flat_path, &mine_args), &mine_args);
             } else {
                 let view = store.view();
                 store.close().unwrap_or_else(|e| fail_store("close failed", &e));
-                run_mining(&view, &mine_args);
+                run_mining(&load_nested(&view, &mine_args), &mine_args);
             }
             exit(0);
         }
@@ -796,16 +746,10 @@ fn main() {
         serve_main(argv.split_off(1));
     }
     let args = parse_args(argv);
-    if is_flat_file(&args.path) {
-        let contents =
-            disc_miner::core::open_flat_file(Path::new(&args.path), disc_miner::core::Verify::Full)
-                .unwrap_or_else(|e| {
-                    eprintln!("cannot open {}: {e}", args.path);
-                    exit(1);
-                });
-        run_mining_flat(&contents, &args);
-        return;
-    }
-    let db = load_database(&args.path);
-    run_mining(&db, &args);
+    let loaded = if is_flat_file(&args.path) {
+        open_flat(Path::new(&args.path), &args)
+    } else {
+        load_nested(&load_database(&args.path), &args)
+    };
+    run_mining(&loaded, &args);
 }

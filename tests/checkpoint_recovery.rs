@@ -10,7 +10,10 @@
 //! failing snapshot can be uploaded as an artifact); on success each test
 //! removes its directories.
 
-use disc_miner::core::{read_snapshot, CheckpointCrash, FaultPlan};
+use disc_miner::core::{
+    database_fingerprint, encode_database_flat_file, open_flat_file, read_snapshot,
+    write_flat_file, CheckpointCrash, FaultPlan, FlatFileContents, Verify,
+};
 use disc_miner::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -78,18 +81,40 @@ fn assert_identical(label: &str, got: &MiningResult, reference: &MiningResult) {
     );
 }
 
+/// The workload as a checkpointed run receives it.
+enum Input {
+    /// The nested database, through `SequentialMiner::mine_guarded`.
+    Nested(SequenceDatabase),
+    /// Its `.dscfd` file mapped by `open_flat_file`, through the flat entry
+    /// `Resumable::mine_loaded`; results are restored to original ids.
+    Mapped(FlatFileContents),
+}
+
+impl Input {
+    fn mine<M: Checkpointable>(&self, wrapped: &Resumable<M>, guard: &MineGuard) -> GuardedResult {
+        match self {
+            Input::Nested(db) => wrapped.mine_guarded(db, MINSUP, guard),
+            Input::Mapped(loaded) => {
+                let mut run = wrapped.mine_loaded(loaded, MINSUP, guard);
+                run.result = loaded.restore(run.result);
+                run
+            }
+        }
+    }
+}
+
 /// The matrix core: discover how many snapshot writes a clean checkpointed
-/// run of `make()` performs, then kill the run at every (crash mode, write
-/// index) pair and assert the resumed result is bit-identical.
-fn crash_matrix<M: Checkpointable>(tag: &str, make: impl Fn() -> M) {
-    let db = workload();
-    let reference = make().mine(&db, MINSUP);
+/// run of `make()` on `input` performs, then kill the run at every (crash
+/// mode, write index) pair and assert the resumed result is bit-identical
+/// to an uncheckpointed run on the nested workload.
+fn crash_matrix<M: Checkpointable>(tag: &str, input: &Input, make: impl Fn() -> M) {
+    let reference = make().mine(&workload(), MINSUP);
     assert!(!reference.is_empty(), "workload must produce patterns");
 
     // Clean checkpointed run: also the baseline for the write count.
     let dir = fresh_dir(&format!("{tag}-clean"));
     let wrapped = Resumable::new(make(), &dir);
-    let clean = wrapped.mine_guarded(&db, MINSUP, &MineGuard::unlimited());
+    let clean = input.mine(&wrapped, &MineGuard::unlimited());
     assert!(clean.outcome.is_complete());
     assert_identical(&format!("{tag} clean checkpointed run"), &clean.result, &reference);
     let writes = wrapped.last_stats().writes;
@@ -104,7 +129,7 @@ fn crash_matrix<M: Checkpointable>(tag: &str, make: impl Fn() -> M) {
             let guard = MineGuard::unlimited()
                 .with_checkpoint_interval(1)
                 .with_fault(FaultPlan::crash_at_snapshot_write(write_n, crash));
-            let run = wrapped.mine_guarded(&db, MINSUP, &guard);
+            let run = input.mine(&wrapped, &guard);
             assert_eq!(
                 run.outcome,
                 MineOutcome::Partial { reason: AbortReason::Panicked },
@@ -113,7 +138,7 @@ fn crash_matrix<M: Checkpointable>(tag: &str, make: impl Fn() -> M) {
             // Whatever the crash left on disk — an older snapshot, a torn
             // temp file, a corrupted or stale final file — the next guarded
             // run must recover to the exact frequent set.
-            let resumed = wrapped.mine_guarded(&db, MINSUP, &MineGuard::unlimited());
+            let resumed = input.mine(&wrapped, &MineGuard::unlimited());
             assert!(resumed.outcome.is_complete(), "{label}: resume must complete");
             assert_identical(&label, &resumed.result, &reference);
             // Success: clean up. (A failed assert leaves the directory for
@@ -125,18 +150,32 @@ fn crash_matrix<M: Checkpointable>(tag: &str, make: impl Fn() -> M) {
 
 #[test]
 fn disc_all_resumes_bit_identical_from_every_crash_point() {
-    crash_matrix("disc-all", DiscAll::default);
+    crash_matrix("disc-all", &Input::Nested(workload()), DiscAll::default);
+}
+
+#[test]
+fn disc_all_on_a_mapped_flat_file_resumes_bit_identical_from_every_crash_point() {
+    let dir = fresh_dir("flat-file");
+    fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("workload.dscfd");
+    write_flat_file(&path, &encode_database_flat_file(&workload())).unwrap();
+    let loaded = open_flat_file(&path, Verify::Full).unwrap();
+    crash_matrix("disc-all-mapped", &Input::Mapped(loaded), DiscAll::default);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn dynamic_resumes_bit_identical_from_every_crash_point() {
-    crash_matrix("dynamic", DynamicDiscAll::default);
+    crash_matrix("dynamic", &Input::Nested(workload()), DynamicDiscAll::default);
 }
 
 #[test]
 fn parallel_resumes_bit_identical_from_every_crash_point() {
     for threads in thread_counts() {
-        crash_matrix(&format!("parallel-{threads}"), || ParallelDiscAll::with_threads(threads));
+        let input = Input::Nested(workload());
+        crash_matrix(&format!("parallel-{threads}"), &input, || {
+            ParallelDiscAll::with_threads(threads)
+        });
     }
 }
 
@@ -297,6 +336,7 @@ fn foreign_database_and_wrong_delta_are_rejected() {
     assert!(run.outcome.is_complete());
     assert_identical("fresh run over foreign snapshot", &run.result, &reference_other);
     let snap = read_snapshot(&path).expect("replaced snapshot loads");
-    snap.validate(&other, MINSUP.resolve(other.len())).expect("snapshot now belongs to `other`");
+    snap.validate(database_fingerprint(&other), other.len(), MINSUP.resolve(other.len()))
+        .expect("snapshot now belongs to `other`");
     let _ = fs::remove_dir_all(&dir);
 }

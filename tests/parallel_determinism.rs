@@ -119,14 +119,17 @@ fn repeated_runs_are_stable() {
 
 #[test]
 fn mine_parallel_entry_point_is_deterministic() {
-    // The trait-level entry point: DiscAll::mine_parallel routes through the
-    // sharded miner and must honor the identical-result contract.
+    // The parallel entry point is the sharded miner itself, configured like
+    // the sequential one: it must honor the identical-result contract.
     let db = quest(26, 120, 5.0);
     let threshold = MinSupport::Fraction(0.15);
-    let reference = DiscAll::default().mine(&db, threshold);
+    let sequential = DiscAll::default();
+    let reference = sequential.mine(&db, threshold);
     for threads in thread_counts() {
-        let got = DiscAll::default().mine_parallel(&db, threshold, threads);
-        assert_identical(&format!("mine_parallel ×{threads}"), &got, &reference);
+        let got = ParallelDiscAll::with_threads(threads)
+            .with_config(sequential.config)
+            .mine(&db, threshold);
+        assert_identical(&format!("ParallelDiscAll ×{threads}"), &got, &reference);
     }
 }
 
