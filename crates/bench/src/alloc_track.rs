@@ -13,6 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Bytes currently allocated and not yet freed.
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
@@ -71,8 +72,16 @@ unsafe impl GlobalAlloc for TrackingAllocator {
     }
 }
 
+/// Serializes peak measurements: the counters are process-wide, so one
+/// region's [`reset_peak`] would cut into another's peak. Hold the guard
+/// from the reset to the last read (the harness's measure functions do).
+pub fn measuring() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Resets the peak to the current live-byte count. Call immediately before
-/// the region of interest.
+/// the region of interest, under [`measuring`].
 pub fn reset_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
 }
@@ -94,6 +103,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_a_large_allocation() {
+        let _measuring = measuring();
         reset_peak();
         let before = peak_bytes();
         let buf = vec![0u8; 1 << 20];

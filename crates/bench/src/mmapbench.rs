@@ -137,6 +137,7 @@ fn measure_flat<F: FnOnce() -> MiningResult>(
     param: f64,
     run: F,
 ) -> (Measurement, MiningResult) {
+    let _measuring = crate::alloc_track::measuring();
     crate::alloc_track::reset_peak();
     reset_peak_rss();
     let live_at_start = crate::alloc_track::live_bytes();

@@ -115,6 +115,7 @@ pub fn measure(
 ) -> (Measurement, MiningResult) {
     let guard =
         MineGuard::new(CancelToken::new(), ResourceBudget::unlimited().with_deadline(deadline()));
+    let _measuring = crate::alloc_track::measuring();
     crate::alloc_track::reset_peak();
     reset_peak_rss();
     let live_at_start = crate::alloc_track::live_bytes();

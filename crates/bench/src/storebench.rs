@@ -111,7 +111,7 @@ pub fn run() -> Vec<StoreRun> {
     ];
     for (name, sync) in policies {
         let dir = root.join(name);
-        let cfg = StoreConfig { sync, segment_max_bytes: SEGMENT_BYTES, ..StoreConfig::default() };
+        let cfg = StoreConfig { sync, segment_max_bytes: SEGMENT_BYTES };
         let start = Instant::now();
         let mut store = SequenceStore::open(&dir, cfg).expect("open fresh store");
         for r in db.rows() {

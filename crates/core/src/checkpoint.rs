@@ -38,18 +38,19 @@
 //!
 //! ## Atomic write protocol
 //!
-//! [`write_snapshot`] writes `<path>.tmp`, fsyncs it, renames it over
-//! `<path>`, then fsyncs the parent directory. A crash at any point leaves
-//! either the previous complete snapshot or a stray `.tmp` the loader never
-//! looks at; a torn rename (or bit rot) is caught by the section CRCs.
+//! [`write_snapshot`] publishes through [`crate::durable::publish`]:
+//! `<path>.tmp`, fsync, rename over `<path>`, parent-directory fsync. A
+//! crash at any point leaves either the previous complete snapshot or a
+//! stray `.tmp` the loader never looks at; bit rot is caught by the section
+//! CRCs.
 
 use crate::codec::{self, CodecError};
 use crate::database::SequenceDatabase;
+use crate::durable::{self, IoFault};
 use crate::result::MiningResult;
 use crate::sequence::Sequence;
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The checkpoint file magic.
@@ -337,26 +338,6 @@ pub struct SnapshotView<'a> {
     pub noted_patterns: u64,
 }
 
-impl SnapshotView<'_> {
-    /// Materializes the owned [`MiningSnapshot`] this view encodes as.
-    /// Clones the pattern set — for cold paths (crash injection), not the
-    /// per-write hot path.
-    pub fn to_snapshot(&self) -> MiningSnapshot {
-        MiningSnapshot {
-            fingerprint: self.fingerprint,
-            rows: self.rows,
-            delta: self.delta,
-            miner: self.miner,
-            bi_level: self.bi_level,
-            threads: self.threads,
-            done: self.done.to_vec(),
-            patterns: self.patterns.iter().map(|(p, s)| (p.clone(), s)).collect(),
-            ops: self.ops,
-            noted_patterns: self.noted_patterns,
-        }
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn encode_parts<'a>(
     fingerprint: u64,
@@ -411,13 +392,6 @@ fn encode_parts<'a>(
 
 /// Encodes a snapshot to the binary checkpoint format.
 pub fn encode_snapshot(snap: &MiningSnapshot) -> Vec<u8> {
-    encode_snapshot_version(snap, CHECKPOINT_VERSION)
-}
-
-/// [`encode_snapshot`] with an explicit format version — the hook the
-/// stale-version fault uses; production code always writes
-/// [`CHECKPOINT_VERSION`].
-pub fn encode_snapshot_version(snap: &MiningSnapshot, version: u64) -> Vec<u8> {
     encode_parts(
         snap.fingerprint,
         snap.rows,
@@ -430,13 +404,17 @@ pub fn encode_snapshot_version(snap: &MiningSnapshot, version: u64) -> Vec<u8> {
         snap.patterns.iter().map(|(p, s)| (p, *s)),
         snap.ops,
         snap.noted_patterns,
-        version,
+        CHECKPOINT_VERSION,
     )
 }
 
-/// Encodes a [`SnapshotView`] — byte-identical to
-/// `encode_snapshot(&view.to_snapshot())`, without cloning the pattern set.
+/// Encodes a [`SnapshotView`] — byte-identical to [`encode_snapshot`] of
+/// the equivalent owned snapshot, without cloning the pattern set.
 pub fn encode_snapshot_view(view: &SnapshotView<'_>) -> Vec<u8> {
+    encode_view_version(view, CHECKPOINT_VERSION)
+}
+
+fn encode_view_version(view: &SnapshotView<'_>, version: u64) -> Vec<u8> {
     encode_parts(
         view.fingerprint,
         view.rows,
@@ -449,7 +427,7 @@ pub fn encode_snapshot_view(view: &SnapshotView<'_>) -> Vec<u8> {
         view.patterns.iter(),
         view.ops,
         view.noted_patterns,
-        CHECKPOINT_VERSION,
+        version,
     )
 }
 
@@ -609,54 +587,47 @@ pub fn decode_snapshot(input: &[u8]) -> Result<MiningSnapshot, CheckpointError> 
 // -------------------------------------------------------------------------
 // Durable IO.
 
-pub(crate) fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
-pub(crate) fn sync_parent_dir(path: &Path) {
-    // Best-effort: directory fsync is what makes the rename itself durable
-    // on crash, but not every platform/filesystem allows opening a directory
-    // for sync, and a failure here never invalidates the data already synced.
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-}
-
-fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<usize, CheckpointError> {
-    // Each step retries EINTR/EAGAIN-class failures with bounded, jittered
-    // backoff before surfacing; permanent errors surface on first touch.
-    let policy = crate::guard::RetryPolicy::io_default();
-    let tmp = tmp_path(path);
-    // The create+write+sync triple retries as a unit: `File::create`
-    // truncates, so a retry never appends after a partial first attempt.
-    crate::guard::retry_transient(policy, || {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()
-    })
-    .map_err(|e| io_err(&tmp, e))?;
-    crate::guard::retry_transient(policy, || fs::rename(&tmp, path))
-        .map_err(|e| io_err(path, e))?;
-    sync_parent_dir(path);
-    Ok(bytes.len())
-}
-
-/// Durably writes a snapshot: temp file, fsync, atomic rename, directory
-/// fsync. A crash at any point leaves either the previous snapshot intact
-/// or a stray `.tmp` that the loader never reads. Returns the bytes
-/// written, for overhead accounting.
+/// Durably writes a snapshot through [`durable::publish`]. A crash at any
+/// point leaves either the previous snapshot intact or a stray `.tmp` that
+/// the loader never reads. Returns the bytes written, for overhead
+/// accounting.
 pub fn write_snapshot(path: &Path, snap: &MiningSnapshot) -> Result<usize, CheckpointError> {
-    write_bytes_atomic(path, &encode_snapshot(snap))
+    publish_snapshot(path, &encode_snapshot(snap), None)
 }
 
 /// [`write_snapshot`] for a borrowed [`SnapshotView`] — the per-boundary
 /// write path, which must not deep-clone the pattern set it persists.
 pub fn write_snapshot_view(path: &Path, view: &SnapshotView<'_>) -> Result<usize, CheckpointError> {
-    write_bytes_atomic(path, &encode_snapshot_view(view))
+    write_snapshot_view_faulted(path, view, None)
+}
+
+/// [`write_snapshot_view`] staging an injected `fault`, which is `None`
+/// outside the crash matrices: [`durable::publish`] stages the IO faults,
+/// and [`IoFault::StaleVersion`] writes the encoding one format version
+/// ahead, which the loader refuses.
+pub fn write_snapshot_view_faulted(
+    path: &Path,
+    view: &SnapshotView<'_>,
+    fault: Option<IoFault>,
+) -> Result<usize, CheckpointError> {
+    let version = match fault {
+        Some(IoFault::StaleVersion) => CHECKPOINT_VERSION + 1,
+        _ => CHECKPOINT_VERSION,
+    };
+    publish_snapshot(path, &encode_view_version(view, version), fault)
+}
+
+fn publish_snapshot(
+    path: &Path,
+    bytes: &[u8],
+    fault: Option<IoFault>,
+) -> Result<usize, CheckpointError> {
+    durable::publish(path, bytes, None, fault).map_err(|e| CheckpointError::Io {
+        path: e.path().to_path_buf(),
+        message: e.to_string(),
+        transient: e.is_transient(),
+    })?;
+    Ok(bytes.len())
 }
 
 /// Reads and strictly validates a snapshot file. A missing file returns
@@ -751,57 +722,6 @@ pub fn peek_progress(path: &Path) -> Result<SnapshotProgress, CheckpointError> {
     Ok(SnapshotProgress { fingerprint, rows, delta, done_partitions, patterns, ops })
 }
 
-// -------------------------------------------------------------------------
-// Crash injection (tests and the `fault-injection` feature).
-
-/// A deterministic crash to inject into a checkpoint write, for recovery
-/// tests. Each mode leaves on disk exactly what a real kill at that point
-/// would: a torn temp file, a complete-but-unrenamed temp file, a corrupted
-/// final file, or a file in a version this build refuses to load.
-#[cfg(any(test, feature = "fault-injection"))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointCrash {
-    /// The process died mid-write: the temp file holds half the bytes and
-    /// was never renamed. The previous snapshot (if any) survives.
-    TornTempWrite,
-    /// The process died between fsync and rename: the temp file is complete
-    /// but the final path still holds the previous snapshot (if any).
-    CrashBeforeRename,
-    /// The final file was written whole but a byte in a section payload
-    /// flipped — the loader must reject it by CRC.
-    CorruptSection,
-    /// The file was written in a format version this build does not
-    /// support — the loader must reject it by version.
-    StaleVersion,
-}
-
-/// Performs the on-disk effects of a crash at a checkpoint write, then
-/// returns — the caller simulates the death itself (by panicking), so the
-/// unwind path matches a real kill as closely as an in-process test can.
-#[cfg(any(test, feature = "fault-injection"))]
-pub fn write_snapshot_crashing(path: &Path, snap: &MiningSnapshot, crash: CheckpointCrash) {
-    let bytes = encode_snapshot(snap);
-    let tmp = tmp_path(path);
-    match crash {
-        CheckpointCrash::TornTempWrite => {
-            let _ = fs::write(&tmp, &bytes[..bytes.len() / 2]);
-        }
-        CheckpointCrash::CrashBeforeRename => {
-            let _ = fs::write(&tmp, &bytes);
-        }
-        CheckpointCrash::CorruptSection => {
-            let mut corrupt = bytes;
-            let mid = corrupt.len() / 2;
-            corrupt[mid] ^= 0x55;
-            let _ = write_bytes_atomic(path, &corrupt);
-        }
-        CheckpointCrash::StaleVersion => {
-            let stale = encode_snapshot_version(snap, CHECKPOINT_VERSION + 1);
-            let _ = write_bytes_atomic(path, &stale);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -859,11 +779,9 @@ mod tests {
         assert_eq!(snap, back);
     }
 
-    #[test]
-    fn view_encoding_is_byte_identical_to_owned() {
-        let snap = sample_snapshot();
-        let live = snap.restore_result();
-        let view = SnapshotView {
+    /// `snap` as a view over `live`, its restored pattern set.
+    fn view_of<'a>(snap: &'a MiningSnapshot, live: &'a MiningResult) -> SnapshotView<'a> {
+        SnapshotView {
             fingerprint: snap.fingerprint,
             rows: snap.rows,
             delta: snap.delta,
@@ -871,10 +789,17 @@ mod tests {
             bi_level: snap.bi_level,
             threads: snap.threads,
             done: &snap.done,
-            patterns: &live,
+            patterns: live,
             ops: snap.ops,
             noted_patterns: snap.noted_patterns,
-        };
+        }
+    }
+
+    #[test]
+    fn view_encoding_is_byte_identical_to_owned() {
+        let snap = sample_snapshot();
+        let live = snap.restore_result();
+        let view = view_of(&snap, &live);
         // The live result iterates in comparative order — the same order the
         // owned snapshot's pattern vector was collected in.
         let owned = MiningSnapshot {
@@ -882,7 +807,6 @@ mod tests {
             ..snap.clone()
         };
         assert_eq!(encode_snapshot_view(&view), encode_snapshot(&owned));
-        assert_eq!(view.to_snapshot(), owned);
         assert_eq!(decode_snapshot(&encode_snapshot_view(&view)).unwrap(), owned);
     }
 
@@ -950,7 +874,9 @@ mod tests {
 
     #[test]
     fn stale_version_is_rejected() {
-        let bytes = encode_snapshot_version(&sample_snapshot(), CHECKPOINT_VERSION + 1);
+        let snap = sample_snapshot();
+        let live = snap.restore_result();
+        let bytes = encode_view_version(&view_of(&snap, &live), CHECKPOINT_VERSION + 1);
         assert_eq!(
             decode_snapshot(&bytes),
             Err(CheckpointError::UnsupportedVersion(CHECKPOINT_VERSION + 1))
@@ -1041,23 +967,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dscck-crash-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let snap = sample_snapshot();
+        let live = snap.restore_result();
+        let view = view_of(&snap, &live);
+        let crash = |path: &Path, fault| {
+            write_snapshot_view_faulted(path, &view, Some(fault)).err();
+        };
 
         // Torn temp write: final path untouched, loader sees a clean miss.
         let path = dir.join("torn.dscck");
-        write_snapshot_crashing(&path, &snap, CheckpointCrash::TornTempWrite);
+        crash(&path, IoFault::TornWrite);
         assert!(matches!(read_snapshot(&path), Err(CheckpointError::Missing { .. })));
 
         // Crash before rename over an existing snapshot: old state survives.
         let path = dir.join("unrenamed.dscck");
-        write_snapshot(&path, &snap).unwrap();
-        let mut newer = snap.clone();
-        newer.done.push(9);
-        write_snapshot_crashing(&path, &newer, CheckpointCrash::CrashBeforeRename);
-        assert_eq!(read_snapshot(&path).unwrap(), snap);
+        let mut older = snap.clone();
+        older.done.pop();
+        write_snapshot(&path, &older).unwrap();
+        crash(&path, IoFault::CrashBeforeRename);
+        assert_eq!(read_snapshot(&path).unwrap(), older);
 
         // Corrupt section: typed rejection, never a partial load.
         let path = dir.join("corrupt.dscck");
-        write_snapshot_crashing(&path, &snap, CheckpointCrash::CorruptSection);
+        crash(&path, IoFault::CorruptByte);
         let err = read_snapshot(&path).unwrap_err();
         assert!(
             matches!(
@@ -1071,7 +1002,7 @@ mod tests {
 
         // Stale version: typed rejection by version.
         let path = dir.join("stale.dscck");
-        write_snapshot_crashing(&path, &snap, CheckpointCrash::StaleVersion);
+        crash(&path, IoFault::StaleVersion);
         assert!(matches!(read_snapshot(&path), Err(CheckpointError::UnsupportedVersion(_))));
 
         let _ = fs::remove_dir_all(&dir);

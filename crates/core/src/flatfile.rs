@@ -68,18 +68,17 @@
 //! supports or abort on an out-of-range counting index — never undefined
 //! behavior.
 
-use crate::checkpoint::{crc32, sync_parent_dir, tmp_path};
+use crate::checkpoint::crc32;
 use crate::compact::ItemMapping;
 use crate::database::SequenceDatabase;
+use crate::durable::{self, IoFault, PublishError};
 use crate::error::DiscError;
 use crate::flat::FlatDb;
-use crate::guard::{retry_transient, RetryPolicy};
 use crate::item::Item;
 use crate::mmap::{Advice, Mmap};
 use crate::result::MiningResult;
 use crate::storage::DbStorage;
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -561,63 +560,48 @@ pub fn peek_flat_file_fingerprint(path: &Path) -> Result<u64, DiscError> {
 // Atomic publication
 // ---------------------------------------------------------------------------
 
-/// Which failure the faulted writer should stage (all off outside tests).
-#[derive(Default)]
-struct Injected {
-    torn: bool,
-    corrupt_byte: bool,
-    stale_version: bool,
-    enospc: bool,
-    eintr: bool,
-    before_rename: bool,
-    after_rename: bool,
-}
-
-fn injected_crash(path: &Path, message: &str) -> DiscError {
-    DiscError::Io { path: path.to_path_buf(), message: message.to_string(), transient: false }
-}
-
-/// Publishes `bytes` (a [`encode_flat_file`] encoding) at `path` with the
-/// store's write discipline: temp write + fsync → read-back verification
-/// (byte equality **and** a [`Verify::Full`] decode) → rename → parent
-/// directory fsync. On any error the final path is either untouched or the
+/// Publishes `bytes` (a [`encode_flat_file`] encoding) at `path` through
+/// [`durable::publish`], read-back verified: the temp file must hold
+/// exactly `bytes` and pass a [`Verify::Full`] decode before it is renamed
+/// into place. On any error the final path is either untouched or the
 /// previous complete file. Returns the byte count written.
 pub fn write_flat_file(path: &Path, bytes: &[u8]) -> Result<u64, DiscError> {
-    publish(path, bytes, Injected::default())
+    write_flat_file_faulted(path, bytes, None)
 }
 
-/// [`write_flat_file`] with a [`crate::guard::FaultPlan`] consulted at the
-/// `n`-th flat-file write — the hook the durability tests and the store's
-/// crash matrix drive.
-#[cfg(any(test, feature = "fault-injection"))]
-pub fn write_flat_file_faulted(
+/// [`write_flat_file`] staging an injected `fault` (`None` outside the
+/// crash matrices): [`durable::publish`] stages the IO faults, and
+/// [`IoFault::StaleVersion`] publishes a copy stamped one format version
+/// ahead, which the read-back decode refuses.
+pub(crate) fn write_flat_file_faulted(
     path: &Path,
     bytes: &[u8],
-    plan: Option<&crate::guard::FaultPlan>,
-    n: u64,
+    fault: Option<IoFault>,
 ) -> Result<u64, DiscError> {
-    use crate::guard::{IoFault, IoWriter};
-    let mut injected = Injected::default();
-    if let Some(fault) = plan.and_then(|p| p.fire_io(IoWriter::FlatFile, n)) {
-        match fault {
-            IoFault::TornWrite => injected.torn = true,
-            IoFault::CorruptByte => injected.corrupt_byte = true,
-            IoFault::StaleVersion => injected.stale_version = true,
-            IoFault::Enospc => injected.enospc = true,
-            IoFault::Interrupted => injected.eintr = true,
-            IoFault::CrashBeforeRename => injected.before_rename = true,
-            IoFault::CrashAfterRename => injected.after_rename = true,
-            // Reads are not in this path; a short read of the written file
-            // would be caught by the read-back verification anyway.
-            IoFault::ShortRead => {}
-        }
-    }
-    publish(path, bytes, injected)
+    let mut stale = Vec::new();
+    let bytes = if fault == Some(IoFault::StaleVersion) {
+        stale.extend_from_slice(bytes);
+        put_u32(&mut stale, 8, FLAT_FILE_VERSION + 1);
+        refresh_header_crc(&mut stale);
+        &stale
+    } else {
+        bytes
+    };
+    let verify = |back: Vec<u8>| decode_flat_file(path, back, Verify::Full).is_ok();
+    durable::publish(path, bytes, Some(&verify), fault).map_err(|e| match e {
+        PublishError::Unverified { .. } => bad(path, "post-write verification failed"),
+        e => DiscError::Io {
+            path: e.path().to_path_buf(),
+            message: e.to_string(),
+            transient: e.is_transient(),
+        },
+    })?;
+    Ok(bytes.len() as u64)
 }
 
 /// (Re)computes the header CRC of `copy` — after encoding, and after the
-/// `StaleVersion` injection altered a field, so the version check (not the
-/// CRC) rejects.
+/// stale-version fault altered a field, so the version check (not the CRC)
+/// rejects.
 fn refresh_header_crc(copy: &mut [u8]) {
     let table_end = HEADER_LEN + u32_at(copy, 64) as usize * ENTRY_LEN;
     copy[CRC_SLOT..CRC_SLOT + 4].fill(0);
@@ -625,68 +609,11 @@ fn refresh_header_crc(copy: &mut [u8]) {
     put_u32(copy, CRC_SLOT, crc);
 }
 
-fn publish(path: &Path, bytes: &[u8], injected: Injected) -> Result<u64, DiscError> {
-    let tmp = tmp_path(path);
-    if injected.torn {
-        let _ = fs::write(&tmp, &bytes[..bytes.len() / 2]);
-        return Err(injected_crash(path, "injected crash: torn flat-file write"));
-    }
-
-    let mut written: std::borrow::Cow<'_, [u8]> = std::borrow::Cow::Borrowed(bytes);
-    if injected.corrupt_byte {
-        let copy = written.to_mut();
-        let last = copy.len() - 1;
-        copy[last] ^= 0x40;
-    }
-    if injected.stale_version {
-        let copy = written.to_mut();
-        put_u32(copy, 8, FLAT_FILE_VERSION + 1);
-        refresh_header_crc(copy);
-    }
-
-    let enospc = std::cell::Cell::new(injected.enospc);
-    let eintr = std::cell::Cell::new(injected.eintr);
-    retry_transient(RetryPolicy::io_default(), || {
-        if enospc.take() {
-            return Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "injected ENOSPC"));
-        }
-        if eintr.take() {
-            return Err(std::io::Error::new(std::io::ErrorKind::Interrupted, "injected EINTR"));
-        }
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&written)?;
-        f.sync_all()
-    })
-    .map_err(|e| DiscError::from_io(&tmp, &e))?;
-
-    // Read back and verify before publishing: the temp file must hold
-    // exactly the intended bytes and decode cleanly, or the final path is
-    // never updated.
-    let readback = retry_transient(RetryPolicy::io_default(), || fs::read(&tmp))
-        .map_err(|e| DiscError::from_io(&tmp, &e))?;
-    if readback != *written || *written != *bytes {
-        return Err(bad(path, "post-write verification failed"));
-    }
-    decode_flat_file(path, readback, Verify::Full)?;
-
-    if injected.before_rename {
-        return Err(injected_crash(path, "injected crash before flat-file rename"));
-    }
-    retry_transient(RetryPolicy::io_default(), || fs::rename(&tmp, path))
-        .map_err(|e| DiscError::from_io(path, &e))?;
-    sync_parent_dir(path);
-    if injected.after_rename {
-        return Err(injected_crash(path, "injected crash after flat-file rename"));
-    }
-    Ok(bytes.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::database_fingerprint;
     use crate::flat::SeqView;
-    use crate::guard::{FaultPlan, IoFault, IoWriter};
     use crate::packed::pack_pair;
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -867,49 +794,17 @@ mod tests {
     }
 
     #[test]
-    fn publish_is_atomic_under_injected_faults() {
-        let dir = tmp_dir("faults");
+    fn corrupt_or_stale_read_backs_are_refused_and_never_published() {
+        let dir = tmp_dir("refused");
         let path = dir.join("db.dscfd");
         let bytes = encode_database_flat_file(&paper_db());
-
-        for fault in [
-            IoFault::TornWrite,
-            IoFault::CorruptByte,
-            IoFault::StaleVersion,
-            IoFault::Enospc,
-            IoFault::CrashBeforeRename,
-        ] {
-            let plan = FaultPlan::io_fault_at(IoWriter::FlatFile, 0, fault);
-            let err = write_flat_file_faulted(&path, &bytes, Some(&plan), 0)
-                .expect_err("staged fault must surface");
-            assert!(!path.exists(), "{fault:?} must not publish; got error {err}");
+        for fault in [IoFault::CorruptByte, IoFault::StaleVersion] {
+            let err = write_flat_file_faulted(&path, &bytes, Some(fault)).unwrap_err();
+            assert!(matches!(err, DiscError::FlatFile { .. }), "{fault:?}: {err}");
+            assert!(!path.exists(), "{fault:?} must not publish");
         }
-
-        // A transient EINTR is retried through; the file publishes.
-        let plan = FaultPlan::io_fault_at(IoWriter::FlatFile, 0, IoFault::Interrupted);
-        write_flat_file_faulted(&path, &bytes, Some(&plan), 0).unwrap();
+        write_flat_file(&path, &bytes).unwrap();
         open_flat_file(&path, Verify::Full).unwrap();
-
-        // A crash after rename leaves a complete, valid file.
-        let plan = FaultPlan::io_fault_at(IoWriter::FlatFile, 0, IoFault::CrashAfterRename);
-        write_flat_file_faulted(&path, &bytes, Some(&plan), 0).unwrap_err();
-        open_flat_file(&path, Verify::Full).unwrap();
-
-        // And a fresh torn write cannot clobber the published file.
-        let plan = FaultPlan::io_fault_at(IoWriter::FlatFile, 0, IoFault::TornWrite);
-        write_flat_file_faulted(&path, &bytes, Some(&plan), 0).unwrap_err();
-        open_flat_file(&path, Verify::Full).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn enospc_is_permanent_and_eintr_transient() {
-        let dir = tmp_dir("classify");
-        let path = dir.join("db.dscfd");
-        let bytes = encode_database_flat_file(&paper_db());
-        let plan = FaultPlan::io_fault_at(IoWriter::FlatFile, 0, IoFault::Enospc);
-        let err = write_flat_file_faulted(&path, &bytes, Some(&plan), 0).unwrap_err();
-        assert!(!err.is_transient());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

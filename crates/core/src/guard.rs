@@ -25,6 +25,7 @@
 //! is given up, which [`MineOutcome::Partial`] records.
 
 use crate::database::SequenceDatabase;
+use crate::durable::{IoFault, IoWriter};
 use crate::miner::SequentialMiner;
 use crate::result::MiningResult;
 use crate::support::MinSupport;
@@ -78,8 +79,8 @@ pub fn is_transient_net_kind(kind: std::io::ErrorKind) -> bool {
 }
 
 /// A bounded retry schedule with exponential, jittered backoff, shared by
-/// every durable writer in the workspace (WAL appends, checkpoint snapshots,
-/// store snapshot publication).
+/// every durable writer in the workspace (WAL appends and every
+/// [`crate::durable::publish`]).
 ///
 /// The jitter is deterministic per process *sequence* (a splitmix64 stream),
 /// not wall-clock random — retries stay reproducible under test while
@@ -173,103 +174,6 @@ pub fn retry_transient<T>(
                 retry += 1;
             }
             Err(e) => return Err(e),
-        }
-    }
-}
-
-// -------------------------------------------------------------------------
-// The writer-agnostic IO fault surface (tests / `fault-injection` only).
-
-/// Which durable writer an injected [`IoFault`] targets. One injection
-/// surface serves every writer in the workspace — the checkpoint snapshot
-/// path, WAL appends, and store snapshot publication — instead of each
-/// growing a bespoke flag.
-#[cfg(any(test, feature = "fault-injection"))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoWriter {
-    /// The mining checkpoint snapshot writer (`core::checkpoint`).
-    Checkpoint,
-    /// A WAL frame append (`core::store::wal`).
-    WalAppend,
-    /// A store snapshot publication during compaction (`core::store`).
-    StoreSnapshot,
-    /// A store file read during recovery or fsck (`core::store`). Targets
-    /// the n-th file opened, for short-read and `EINTR` injection.
-    StoreRead,
-    /// A DSCFD1 flat-file publication (`core::flatfile`), standalone or as
-    /// the columnar mirror a store compaction emits.
-    FlatFile,
-}
-
-/// A deterministic IO fault to inject at a numbered write (or read) of one
-/// [`IoWriter`]. Crash-class faults leave on disk exactly what a real kill
-/// at that point would, then panic to simulate the death; error-class faults
-/// make the targeted syscall fail once with the corresponding `io::Error`,
-/// exercising the retry/classification paths.
-#[cfg(any(test, feature = "fault-injection"))]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoFault {
-    /// Crash mid-write: only a prefix of the bytes reaches the file.
-    TornWrite,
-    /// Crash between fsync and rename: the temp file is complete but the
-    /// final path never updated.
-    CrashBeforeRename,
-    /// Crash after rename but before post-publication cleanup (e.g. WAL
-    /// segment deletion after a compaction).
-    CrashAfterRename,
-    /// The write "succeeds" but a payload byte flipped — silent corruption
-    /// that only the frame/section CRCs can catch.
-    CorruptByte,
-    /// The file is written whole, in a format version this build rejects.
-    StaleVersion,
-    /// The write fails with `ENOSPC` — a permanent error the retry helper
-    /// must *not* retry.
-    Enospc,
-    /// The write fails once with `EINTR` — a transient error the retry
-    /// helper clears on the next attempt.
-    Interrupted,
-    /// A read returns fewer bytes than the file holds, as a torn tail would.
-    ShortRead,
-}
-
-#[cfg(any(test, feature = "fault-injection"))]
-impl IoFault {
-    /// The `io::Error` this fault injects, for error-class faults; `None`
-    /// for crash-class faults, which are staged on disk instead.
-    pub fn as_io_error(self) -> Option<std::io::Error> {
-        match self {
-            IoFault::Enospc => {
-                Some(std::io::Error::new(std::io::ErrorKind::StorageFull, "injected ENOSPC"))
-            }
-            IoFault::Interrupted => {
-                Some(std::io::Error::new(std::io::ErrorKind::Interrupted, "injected EINTR"))
-            }
-            _ => None,
-        }
-    }
-
-    /// The legacy checkpoint crash this fault corresponds to, when it maps.
-    pub fn as_checkpoint_crash(self) -> Option<crate::checkpoint::CheckpointCrash> {
-        use crate::checkpoint::CheckpointCrash;
-        match self {
-            IoFault::TornWrite => Some(CheckpointCrash::TornTempWrite),
-            IoFault::CrashBeforeRename => Some(CheckpointCrash::CrashBeforeRename),
-            IoFault::CorruptByte => Some(CheckpointCrash::CorruptSection),
-            IoFault::StaleVersion => Some(CheckpointCrash::StaleVersion),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(any(test, feature = "fault-injection"))]
-impl From<crate::checkpoint::CheckpointCrash> for IoFault {
-    fn from(crash: crate::checkpoint::CheckpointCrash) -> IoFault {
-        use crate::checkpoint::CheckpointCrash;
-        match crash {
-            CheckpointCrash::TornTempWrite => IoFault::TornWrite,
-            CheckpointCrash::CrashBeforeRename => IoFault::CrashBeforeRename,
-            CheckpointCrash::CorruptSection => IoFault::CorruptByte,
-            CheckpointCrash::StaleVersion => IoFault::StaleVersion,
         }
     }
 }
@@ -574,9 +478,10 @@ impl FaultPlan {
         }
     }
 
-    /// Injects `fault` at the `n`-th (1-based) write of `writer` — the one
-    /// injection surface shared by the WAL, checkpoint, and store snapshot
-    /// writers. Fires once, then disarms, like every fault.
+    /// Injects `fault` at write number `n` of `writer` — the one injection
+    /// surface shared by every durable writer (checkpoint writes count from
+    /// 1; the store's and the job server's from 0). Fires once, then
+    /// disarms, like every fault.
     pub fn io_fault_at(writer: IoWriter, n: u64, fault: IoFault) -> FaultPlan {
         FaultPlan {
             panic_at_checkpoint: None,
@@ -586,16 +491,7 @@ impl FaultPlan {
         }
     }
 
-    /// Kills the process-equivalent at the `n`-th durable snapshot write
-    /// (1-based): the checkpoint sink performs the on-disk effects of
-    /// `crash` and then panics, simulating a death at that exact point of
-    /// the write protocol. A thin wrapper over [`FaultPlan::io_fault_at`]
-    /// targeting [`IoWriter::Checkpoint`].
-    pub fn crash_at_snapshot_write(n: u64, crash: crate::checkpoint::CheckpointCrash) -> FaultPlan {
-        FaultPlan::io_fault_at(IoWriter::Checkpoint, n, crash.into())
-    }
-
-    /// Consulted by a writer before its `n`-th (1-based) write. Returns the
+    /// Consulted by a writer before its write number `n`. Returns the
     /// fault to apply when this plan targets that (writer, n), disarming
     /// the plan.
     pub fn fire_io(&self, writer: IoWriter, n: u64) -> Option<IoFault> {
@@ -609,14 +505,6 @@ impl FaultPlan {
             }
             _ => None,
         }
-    }
-
-    /// Consulted by checkpoint sinks before the `write_n`-th (1-based)
-    /// snapshot write. Returns the crash to stage, disarming the plan.
-    /// Error-class faults are surfaced through
-    /// [`MineGuard::io_write_fault`] instead.
-    pub fn fire_snapshot_write(&self, write_n: u64) -> Option<crate::checkpoint::CheckpointCrash> {
-        self.fire_io(IoWriter::Checkpoint, write_n).and_then(IoFault::as_checkpoint_crash)
     }
 
     fn fire(&self, checkpoint: u64) {
@@ -736,20 +624,16 @@ impl MineGuard {
         self
     }
 
-    /// Consults the fault plan (if any) for an injected crash at the
-    /// `write_n`-th durable snapshot write of this run. Checkpoint sinks
-    /// call this immediately before each write.
-    #[cfg(any(test, feature = "fault-injection"))]
-    pub fn snapshot_write_crash(&self, write_n: u64) -> Option<crate::checkpoint::CheckpointCrash> {
-        self.io_write_fault(IoWriter::Checkpoint, write_n).and_then(IoFault::as_checkpoint_crash)
-    }
-
     /// Consults the fault plan (if any) for an injected IO fault at the
-    /// `n`-th write of `writer` — the generalized surface behind
-    /// [`MineGuard::snapshot_write_crash`].
-    #[cfg(any(test, feature = "fault-injection"))]
+    /// `n`-th write of `writer`. Always `None` without a plan — and so in
+    /// every build without the `fault-injection` feature.
     pub fn io_write_fault(&self, writer: IoWriter, n: u64) -> Option<IoFault> {
-        self.fault.as_ref().and_then(|f| f.fire_io(writer, n))
+        #[cfg(any(test, feature = "fault-injection"))]
+        if let Some(plan) = &self.fault {
+            return plan.fire_io(writer, n);
+        }
+        let _ = (writer, n);
+        None
     }
 
     /// The cancellation token this guard observes.
@@ -1454,27 +1338,6 @@ mod tests {
         assert_eq!(plan.fire_io(IoWriter::WalAppend, 2), None, "wrong index");
         assert_eq!(plan.fire_io(IoWriter::WalAppend, 3), Some(IoFault::TornWrite));
         assert_eq!(plan.fire_io(IoWriter::WalAppend, 3), None, "fires once, then disarms");
-    }
-
-    #[test]
-    fn checkpoint_crashes_round_trip_through_the_io_fault_surface() {
-        use crate::checkpoint::CheckpointCrash;
-        for crash in [
-            CheckpointCrash::TornTempWrite,
-            CheckpointCrash::CrashBeforeRename,
-            CheckpointCrash::CorruptSection,
-            CheckpointCrash::StaleVersion,
-        ] {
-            let plan = FaultPlan::crash_at_snapshot_write(5, crash);
-            assert_eq!(plan.fire_snapshot_write(5), Some(crash));
-        }
-        assert_eq!(IoFault::Enospc.as_checkpoint_crash(), None);
-        assert_eq!(IoFault::Enospc.as_io_error().unwrap().kind(), std::io::ErrorKind::StorageFull);
-        assert_eq!(
-            IoFault::Interrupted.as_io_error().unwrap().kind(),
-            std::io::ErrorKind::Interrupted
-        );
-        assert!(IoFault::TornWrite.as_io_error().is_none());
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod codec;
 pub mod compact;
 pub mod constraints;
 pub mod database;
+pub mod durable;
 pub mod embed;
 pub mod error;
 pub mod executor;
@@ -82,30 +83,27 @@ pub use checkpoint::{
     database_fingerprint, peek_progress, read_snapshot, write_snapshot, write_snapshot_view,
     CheckpointError, MiningSnapshot, SnapshotProgress, SnapshotView,
 };
-#[cfg(any(test, feature = "fault-injection"))]
-pub use checkpoint::{write_snapshot_crashing, CheckpointCrash};
 pub use codec::{decode_database, encode_database, CodecError};
 pub use compact::ItemMapping;
 pub use constraints::TimeConstraints;
 pub use database::{CustomerId, CustomerSequence, SequenceDatabase};
+pub use durable::{IoFault, IoWriter};
 pub use embed::{contains, leftmost_embedding, leftmost_match_end, MatchPoint};
 pub use error::{DiscError, ParseError};
 pub use executor::{ParallelExecutor, ParallelRun, TaskOutcome};
 pub use flat::{flat_pairs, FlatArena, FlatDb, FlatKey, FlatSeq, SeqKey, SeqView};
-#[cfg(any(test, feature = "fault-injection"))]
-pub use flatfile::write_flat_file_faulted;
 pub use flatfile::{
     decode_flat_file, encode_database_flat_file, encode_flat_file, open_flat_file,
     peek_flat_file_fingerprint, write_flat_file, FlatFileContents, Verify, FLAT_FILE_MAGIC,
     FLAT_FILE_NAME,
 };
+#[cfg(any(test, feature = "fault-injection"))]
+pub use guard::FaultPlan;
 pub use guard::{
     fresh_retry_salt, is_transient_io_kind, is_transient_net_kind, retry_transient, run_guarded,
     AbortReason, BudgetSnapshot, CancelToken, FallbackMiner, GuardStats, GuardedResult, MineGuard,
     MineOutcome, ResourceBudget, RetryPolicy, SharedCounters, StageReport,
 };
-#[cfg(any(test, feature = "fault-injection"))]
-pub use guard::{FaultPlan, IoFault, IoWriter};
 pub use item::Item;
 pub use itemset::{is_sorted_subset, Itemset};
 pub use kmin::{all_k_subsequences, min_k_subsequence_naive};

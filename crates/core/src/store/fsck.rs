@@ -190,7 +190,7 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, StoreError> {
     } else {
         SnapshotStatus::Absent
     };
-    let stray_tmp = crate::checkpoint::tmp_path(&snap_path).exists();
+    let stray_tmp = crate::durable::tmp_path(&snap_path).exists();
 
     let mut segments = Vec::new();
     for (id, path) in list_segments(dir)? {

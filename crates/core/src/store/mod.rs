@@ -10,8 +10,8 @@
 //!   configured [`SyncPolicy`] and rotating segments at a size threshold;
 //! * [`SequenceStore::compact`] folds the base snapshot plus every sealed
 //!   segment into one immutable, self-verifying [`snapshot`] file,
-//!   published atomically (temp → fsync → read-back verify → rename) and
-//!   only then deletes the superseded segments;
+//!   published by [`crate::durable::publish`] (temp → fsync → read-back
+//!   verify → rename) and only then deletes the superseded segments;
 //! * [`SequenceStore::open`] recovers: it loads the snapshot, deletes
 //!   segments the snapshot supersedes, replays the live segments, and
 //!   truncates a torn tail at the last valid frame — so **every append
@@ -38,9 +38,12 @@ pub mod snapshot;
 pub mod wal;
 
 use crate::database::{CustomerId, SequenceDatabase};
+use crate::durable::{self, tmp_path, IoFault, IoWriter, PublishError};
 use crate::guard::{retry_transient, RetryPolicy};
 use crate::sequence::Sequence;
-use snapshot::{decode_store_snapshot, encode_store_snapshot, SNAPSHOT_FILE};
+use snapshot::{
+    decode_store_snapshot, encode_store_snapshot_version, SNAPSHOT_FILE, SNAPSHOT_VERSION,
+};
 use std::collections::HashSet;
 use std::fmt;
 use std::fs;
@@ -115,7 +118,7 @@ pub enum StoreError {
     /// unconditional so recovery code matches on it uniformly.
     Injected {
         /// Which staged crash fired.
-        what: &'static str,
+        fault: IoFault,
     },
 }
 
@@ -166,7 +169,7 @@ impl fmt::Display for StoreError {
                 "a previous write failed and the segment tail is in an unknown state; \
                  reopen the store to recover"
             ),
-            StoreError::Injected { what } => write!(f, "injected crash: {what}"),
+            StoreError::Injected { fault } => write!(f, "injected crash: {fault:?}"),
         }
     }
 }
@@ -199,25 +202,11 @@ pub struct StoreConfig {
     /// (default 8 MiB). Rotation bounds both recovery replay-from-tail
     /// work and the granularity of compaction.
     pub segment_max_bytes: u64,
-    /// Retry schedule for transient IO failures (default
-    /// [`RetryPolicy::io_default`]).
-    pub retry: RetryPolicy,
-    /// Whether compaction also publishes the columnar `DSCFD1` mirror
-    /// (`store.dscfd`, see [`crate::flatfile`]) next to the snapshot, so
-    /// miners can map the acknowledged prefix zero-copy (default: true).
-    /// The mirror is always exactly as fresh as the snapshot: recovery
-    /// deletes one whose fingerprint disagrees.
-    pub emit_flat_file: bool,
 }
 
 impl Default for StoreConfig {
     fn default() -> StoreConfig {
-        StoreConfig {
-            sync: SyncPolicy::Always,
-            segment_max_bytes: 8 << 20,
-            retry: RetryPolicy::io_default(),
-            emit_flat_file: true,
-        }
+        StoreConfig { sync: SyncPolicy::Always, segment_max_bytes: 8 << 20 }
     }
 }
 
@@ -263,8 +252,7 @@ pub struct CompactionReport {
     /// FNV-1a fingerprint of the folded database — stable across encode /
     /// decode, and the designated key for a future result cache.
     pub fingerprint: u64,
-    /// Size of the published `DSCFD1` columnar mirror, or 0 when
-    /// [`StoreConfig::emit_flat_file`] is off.
+    /// Size of the published `DSCFD1` columnar mirror.
     pub flat_file_bytes: u64,
 }
 
@@ -277,24 +265,8 @@ struct OpenSegment {
     bytes: u64,
 }
 
-/// Internal classification of an injected append/compaction fault, kept
-/// un-gated so the hot path compiles identically without `fault-injection`.
-#[cfg_attr(not(any(test, feature = "fault-injection")), allow(dead_code))]
-enum InjectedFault {
-    None,
-    /// One `EINTR` on the next syscall; the retry helper must clear it.
-    Eintr,
-    /// The bytes were already written with one payload byte flipped
-    /// (bit-rot): proceed as if the write succeeded.
-    CorruptByteWritten,
-    /// A staged crash: fail with this error after any on-disk effects.
-    Crash(StoreError),
-    /// Crash between snapshot fsync and rename (compaction only).
-    BeforeRename,
-    /// Crash after snapshot rename, before segment cleanup (compaction
-    /// only).
-    AfterRename,
-}
+/// The retry schedule of every store IO step.
+const RETRY: RetryPolicy = RetryPolicy::io_default();
 
 /// A durable, crash-recoverable sequence store rooted at one directory.
 ///
@@ -354,6 +326,17 @@ impl SequenceStore {
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn arm_fault(&mut self, plan: crate::guard::FaultPlan) {
         self.fault = Some(plan);
+    }
+
+    /// The fault the armed plan stages at write (or read) number `n` of
+    /// `writer` — always `None` without the `fault-injection` feature.
+    fn fire(&self, writer: IoWriter, n: u64) -> Option<IoFault> {
+        #[cfg(any(test, feature = "fault-injection"))]
+        if let Some(plan) = &self.fault {
+            return plan.fire_io(writer, n);
+        }
+        let _ = (writer, n);
+        None
     }
 
     fn empty(dir: PathBuf, cfg: StoreConfig) -> SequenceStore {
@@ -416,16 +399,15 @@ impl SequenceStore {
     // -- recovery ---------------------------------------------------------
 
     fn recover(&mut self) -> Result<(), StoreError> {
-        let retry = self.cfg.retry;
-        retry_transient(retry, || fs::create_dir_all(&self.dir))
+        retry_transient(RETRY, || fs::create_dir_all(&self.dir))
             .map_err(|e| StoreError::io(&self.dir, e))?;
 
         // A stray temp file is an interrupted compaction; its contents are
         // still fully covered by the old snapshot + segments. Remove it.
         let snap_path = self.dir.join(SNAPSHOT_FILE);
-        let tmp = crate::checkpoint::tmp_path(&snap_path);
+        let tmp = tmp_path(&snap_path);
         if tmp.exists() {
-            retry_transient(retry, || fs::remove_file(&tmp))
+            retry_transient(RETRY, || fs::remove_file(&tmp))
                 .map_err(|e| StoreError::io(&tmp, e))?;
             self.recovery.removed_tmp = true;
         }
@@ -447,9 +429,9 @@ impl SequenceStore {
         // mismatch from an interrupted compaction — is deleted; the next
         // compaction re-publishes it.
         let flat = self.dir.join(crate::flatfile::FLAT_FILE_NAME);
-        let flat_tmp = crate::checkpoint::tmp_path(&flat);
+        let flat_tmp = tmp_path(&flat);
         if flat_tmp.exists() {
-            retry_transient(retry, || fs::remove_file(&flat_tmp))
+            retry_transient(RETRY, || fs::remove_file(&flat_tmp))
                 .map_err(|e| StoreError::io(&flat_tmp, e))?;
             self.recovery.removed_flat_tmp = true;
         }
@@ -459,7 +441,7 @@ impl SequenceStore {
                 None => false,
             };
             if !fresh {
-                retry_transient(retry, || fs::remove_file(&flat))
+                retry_transient(RETRY, || fs::remove_file(&flat))
                     .map_err(|e| StoreError::io(&flat, e))?;
                 self.recovery.stale_flat_file_removed = true;
             }
@@ -472,7 +454,7 @@ impl SequenceStore {
                 // Superseded by the snapshot: a compaction published its
                 // fold but died before cleanup. Replaying it would
                 // double-ingest, so delete it.
-                retry_transient(retry, || fs::remove_file(&path))
+                retry_transient(RETRY, || fs::remove_file(&path))
                     .map_err(|e| StoreError::io(&path, e))?;
                 self.recovery.stale_segments_removed += 1;
             } else {
@@ -496,7 +478,7 @@ impl SequenceStore {
                     // The final segment's header never made it to disk
                     // whole — its creation was torn, so no frame in it can
                     // have been acknowledged as synced. Drop the file.
-                    retry_transient(retry, || fs::remove_file(path))
+                    retry_transient(RETRY, || fs::remove_file(path))
                         .map_err(|e| StoreError::io(path, e))?;
                     self.recovery.truncated_bytes += bytes.len() as u64;
                     continue;
@@ -533,11 +515,11 @@ impl SequenceStore {
                 // Repair: drop the torn tail so the segment scans clean
                 // from now on. Acknowledged synced records all precede it.
                 self.recovery.truncated_bytes += bytes.len() as u64 - keep;
-                let file = retry_transient(retry, || fs::OpenOptions::new().write(true).open(path))
+                let file = retry_transient(RETRY, || fs::OpenOptions::new().write(true).open(path))
                     .map_err(|e| StoreError::io(path, e))?;
-                retry_transient(retry, || file.set_len(keep))
+                retry_transient(RETRY, || file.set_len(keep))
                     .map_err(|e| StoreError::io(path, e))?;
-                retry_transient(retry, || file.sync_all()).map_err(|e| StoreError::io(path, e))?;
+                retry_transient(RETRY, || file.sync_all()).map_err(|e| StoreError::io(path, e))?;
             }
             let db = Arc::make_mut(&mut self.db);
             for record in records {
@@ -565,26 +547,16 @@ impl SequenceStore {
     /// going — which is the point), an injected `EINTR` is cleared by the
     /// retry helper.
     fn read_file(&mut self, path: &Path) -> Result<Vec<u8>, StoreError> {
-        let _n = self.read_n;
+        let fault = self.fire(IoWriter::StoreRead, self.read_n);
         self.read_n += 1;
-        let mut short_read = false;
-        let mut eintr = false;
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            use crate::guard::{IoFault, IoWriter};
-            match self.fault.as_ref().and_then(|f| f.fire_io(IoWriter::StoreRead, _n)) {
-                Some(IoFault::ShortRead) => short_read = true,
-                Some(IoFault::Interrupted) => eintr = true,
-                Some(_) | None => {}
-            }
-        }
-        let retry = self.cfg.retry;
+        let mut short_read = fault == Some(IoFault::ShortRead);
+        let mut eintr = fault == Some(IoFault::Interrupted);
         let mut file =
-            retry_transient(retry, || fs::File::open(path)).map_err(|e| StoreError::io(path, e))?;
+            retry_transient(RETRY, || fs::File::open(path)).map_err(|e| StoreError::io(path, e))?;
         let mut out = Vec::new();
         let mut buf = vec![0u8; 64 << 10];
         loop {
-            let n = retry_transient(retry, || {
+            let n = retry_transient(RETRY, || {
                 if eintr {
                     eintr = false;
                     return Err(std::io::Error::new(
@@ -626,61 +598,33 @@ impl SequenceStore {
         let frame = encode_frame(&record);
         self.ensure_segment(frame.len() as u64)?;
 
-        let _n = self.append_n;
+        let fault = self.fire(IoWriter::WalAppend, self.append_n);
         self.append_n += 1;
-        #[cfg_attr(not(any(test, feature = "fault-injection")), allow(unused_mut))]
-        let mut injected = InjectedFault::None;
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            use crate::guard::{IoFault, IoWriter};
-            let fired = self.fault.as_ref().and_then(|f| f.fire_io(IoWriter::WalAppend, _n));
-            if let Some(fault) = fired {
-                let seg_path = self.seg.as_ref().expect("segment opened").path.clone();
-                injected = match fault {
-                    IoFault::Interrupted => InjectedFault::Eintr,
-                    IoFault::Enospc => InjectedFault::Crash(StoreError::io(
-                        &seg_path,
-                        fault.as_io_error().expect("ENOSPC maps to an io error"),
-                    )),
-                    IoFault::TornWrite => {
-                        // Half the frame reaches the file, then the
-                        // "process dies": recovery must drop the tail.
-                        let _ = self.write_raw(&frame[..frame.len() / 2], false);
-                        InjectedFault::Crash(StoreError::Injected { what: "torn frame write" })
-                    }
-                    IoFault::CorruptByte => {
-                        // Bit-rot: the frame lands whole with one payload
-                        // byte flipped and the append is acknowledged.
-                        // Only the frame CRC can catch this later.
-                        let mut damaged = frame.clone();
-                        let flip = damaged.len() - 5; // last payload byte
-                        damaged[flip] ^= 0x55;
-                        self.write_raw(&damaged, false)?;
-                        InjectedFault::CorruptByteWritten
-                    }
-                    IoFault::CrashBeforeRename
-                    | IoFault::CrashAfterRename
-                    | IoFault::StaleVersion
-                    | IoFault::ShortRead => {
-                        // Not meaningful for an append: die before writing.
-                        InjectedFault::Crash(StoreError::Injected { what: "crash before append" })
-                    }
-                };
+        match fault {
+            None => self.write_raw(&frame, false)?,
+            Some(IoFault::Interrupted) => self.write_raw(&frame, true)?,
+            Some(IoFault::CorruptByte) => {
+                // Bit-rot: the frame lands whole with one payload byte
+                // flipped and the append is acknowledged. Only the frame
+                // CRC can catch this later.
+                let mut damaged = frame.clone();
+                let flip = damaged.len() - 5; // last payload byte
+                damaged[flip] ^= 0x55;
+                self.write_raw(&damaged, false)?;
             }
-        }
-
-        match injected {
-            InjectedFault::Crash(e) => {
+            Some(fault) => {
+                if fault == IoFault::TornWrite {
+                    // Half the frame reaches the file, then the "process
+                    // dies": recovery must drop the tail.
+                    let _ = self.write_raw(&frame[..frame.len() / 2], false);
+                }
+                // ENOSPC fails the write; every other fault dies before it.
                 self.poisoned = true;
-                return Err(e);
-            }
-            InjectedFault::CorruptByteWritten => {}
-            InjectedFault::None | InjectedFault::Eintr => {
-                let eintr = matches!(injected, InjectedFault::Eintr);
-                self.write_raw(&frame, eintr)?;
-            }
-            InjectedFault::BeforeRename | InjectedFault::AfterRename => {
-                unreachable!("rename faults only target compaction")
+                let seg_path = &self.seg.as_ref().expect("segment opened").path;
+                return Err(match fault.as_io_error() {
+                    Some(e) => StoreError::io(seg_path, e),
+                    None => StoreError::Injected { fault },
+                });
             }
         }
         self.maybe_sync()?;
@@ -693,7 +637,7 @@ impl SequenceStore {
     /// append durable regardless of the [`SyncPolicy`].
     pub fn sync(&mut self) -> Result<(), StoreError> {
         if let Some(seg) = self.seg.as_mut() {
-            if let Err(e) = retry_transient(self.cfg.retry, || seg.file.sync_all()) {
+            if let Err(e) = retry_transient(RETRY, || seg.file.sync_all()) {
                 self.poisoned = true;
                 return Err(StoreError::io(&seg.path, e));
             }
@@ -725,7 +669,7 @@ impl SequenceStore {
         let seg = self.seg.as_mut().expect("segment opened before write");
         let start = seg.bytes;
         let mut first = true;
-        let res = retry_transient(self.cfg.retry, || {
+        let res = retry_transient(RETRY, || {
             if !first {
                 seg.file.seek(SeekFrom::Start(start))?;
                 seg.file.set_len(start)?;
@@ -766,15 +710,14 @@ impl SequenceStore {
         let id = self.next_seg_id;
         let path = self.dir.join(segment_file_name(id));
         let header = encode_segment_header(id);
-        let retry = self.cfg.retry;
         // Create-new: colliding with an existing segment file means the
         // directory is shared or recovery went wrong — refuse to clobber.
-        let mut file = retry_transient(retry, || {
+        let mut file = retry_transient(RETRY, || {
             fs::OpenOptions::new().write(true).create_new(true).open(&path)
         })
         .map_err(|e| StoreError::io(&path, e))?;
         let mut first = true;
-        retry_transient(retry, || {
+        retry_transient(RETRY, || {
             if !first {
                 file.seek(SeekFrom::Start(0))?;
                 file.set_len(0)?;
@@ -784,8 +727,8 @@ impl SequenceStore {
         })
         .map_err(|e| StoreError::io(&path, e))?;
         if matches!(self.cfg.sync, SyncPolicy::Always) {
-            retry_transient(retry, || file.sync_all()).map_err(|e| StoreError::io(&path, e))?;
-            crate::checkpoint::sync_parent_dir(&path);
+            retry_transient(RETRY, || file.sync_all()).map_err(|e| StoreError::io(&path, e))?;
+            durable::sync_parent_dir(&path);
         }
         self.next_seg_id = id + 1;
         self.seg = Some(OpenSegment { path, file, bytes: header.len() as u64 });
@@ -796,7 +739,7 @@ impl SequenceStore {
     /// segment is final) and close.
     fn seal_current(&mut self) -> Result<(), StoreError> {
         if let Some(seg) = self.seg.take() {
-            retry_transient(self.cfg.retry, || seg.file.sync_all()).map_err(|e| {
+            retry_transient(RETRY, || seg.file.sync_all()).map_err(|e| {
                 self.poisoned = true;
                 StoreError::io(&seg.path, e)
             })?;
@@ -815,158 +758,82 @@ impl SequenceStore {
     // -- compaction -------------------------------------------------------
 
     /// Folds the snapshot plus every segment into a new immutable snapshot,
-    /// published atomically, then deletes the superseded segments.
+    /// published atomically, then deletes the superseded segments and
+    /// publishes the columnar `DSCFD1` mirror (`store.dscfd`, see
+    /// [`crate::flatfile`]), so miners can map the acknowledged prefix
+    /// zero-copy.
     ///
-    /// Publication order is crash-safe at every step: temp write → fsync →
-    /// **read-back verification** (a snapshot that does not decode back to
-    /// the exact live database is never published, and the segments it
-    /// would have replaced are never deleted) → atomic rename → directory
-    /// fsync → segment deletion. A crash anywhere leaves a store that
-    /// recovers to the identical database.
+    /// Both files go through [`durable::publish`] with a read-back
+    /// verification: a snapshot that does not decode back to the exact live
+    /// database is never published, and the segments it would have replaced
+    /// are never deleted. A crash anywhere leaves a store that recovers to
+    /// the identical database. The mirror is always exactly as fresh as the
+    /// snapshot: recovery deletes one whose fingerprint disagrees.
     pub fn compact(&mut self) -> Result<CompactionReport, StoreError> {
         if self.poisoned {
             return Err(StoreError::Poisoned);
         }
         self.seal_current()?;
         let first_live = self.next_seg_id;
+        let rows = self.db.len();
+        let fingerprint = crate::checkpoint::database_fingerprint(&self.db);
         let snap_path = self.dir.join(SNAPSHOT_FILE);
-        let tmp = crate::checkpoint::tmp_path(&snap_path);
-        let retry = self.cfg.retry;
 
-        let _n = self.snapshot_n;
+        let fault = self.fire(IoWriter::StoreSnapshot, self.snapshot_n);
         self.snapshot_n += 1;
-        #[cfg_attr(not(any(test, feature = "fault-injection")), allow(unused_mut))]
-        let mut bytes = encode_store_snapshot(&self.db, first_live);
-        #[cfg_attr(not(any(test, feature = "fault-injection")), allow(unused_mut))]
-        let mut injected = InjectedFault::None;
-        #[cfg(any(test, feature = "fault-injection"))]
-        {
-            use crate::guard::{IoFault, IoWriter};
-            let fired = self.fault.as_ref().and_then(|f| f.fire_io(IoWriter::StoreSnapshot, _n));
-            if let Some(fault) = fired {
-                injected = match fault {
-                    IoFault::Interrupted => InjectedFault::Eintr,
-                    IoFault::Enospc => InjectedFault::Crash(StoreError::io(
-                        &tmp,
-                        fault.as_io_error().expect("ENOSPC maps to an io error"),
-                    )),
-                    IoFault::TornWrite => {
-                        let half = bytes.len() / 2;
-                        let _ = fs::write(&tmp, &bytes[..half]);
-                        InjectedFault::Crash(StoreError::Injected { what: "torn snapshot write" })
-                    }
-                    IoFault::CorruptByte | IoFault::StaleVersion => {
-                        // Flip a byte in the encoding: the pre-publication
-                        // read-back must refuse to publish it.
-                        let mid = bytes.len() / 2;
-                        bytes[mid] ^= 0x55;
-                        InjectedFault::CorruptByteWritten
-                    }
-                    IoFault::CrashBeforeRename => InjectedFault::BeforeRename,
-                    IoFault::CrashAfterRename => InjectedFault::AfterRename,
-                    IoFault::ShortRead => {
-                        InjectedFault::Crash(StoreError::Injected { what: "crash before snapshot" })
-                    }
-                };
-            }
-        }
-        if let InjectedFault::Crash(e) = injected {
-            return Err(e);
-        }
-
-        // Temp write: create + write + fsync retried as one idempotent unit.
-        let mut eintr = matches!(injected, InjectedFault::Eintr);
-        retry_transient(retry, || {
-            if eintr {
-                eintr = false;
-                return Err(std::io::Error::new(std::io::ErrorKind::Interrupted, "injected EINTR"));
-            }
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()
-        })
-        .map_err(|e| StoreError::io(&tmp, e))?;
-
-        // Read-back verification before publication: the file must decode
-        // to exactly the live database. This is what keeps a corrupting
-        // writer (or injected bit-rot) from ever destroying the previous
-        // snapshot — the segments stay until a verified fold replaces them.
-        let back = self.read_file(&tmp)?;
-        let verified = decode_store_snapshot(&tmp, &back)
-            .ok()
-            .filter(|s| {
+        let version = match fault {
+            Some(IoFault::StaleVersion) => SNAPSHOT_VERSION + 1,
+            _ => SNAPSHOT_VERSION,
+        };
+        let bytes = encode_store_snapshot_version(&self.db, first_live, version);
+        let verify = |back: Vec<u8>| {
+            decode_store_snapshot(&snap_path, &back).is_ok_and(|s| {
                 s.first_live_segment == first_live
-                    && s.db.len() == self.db.len()
-                    && s.fingerprint == crate::checkpoint::database_fingerprint(&self.db)
+                    && s.db.len() == rows
+                    && s.fingerprint == fingerprint
             })
-            .is_some();
-        if !verified {
-            let _ = fs::remove_file(&tmp);
-            return Err(StoreError::SnapshotVerify { path: tmp });
-        }
-
-        if matches!(injected, InjectedFault::BeforeRename) {
-            return Err(StoreError::Injected { what: "crash before snapshot rename" });
-        }
-
-        retry_transient(retry, || fs::rename(&tmp, &snap_path))
-            .map_err(|e| StoreError::io(&snap_path, e))?;
-        crate::checkpoint::sync_parent_dir(&snap_path);
+        };
+        durable::publish(&snap_path, &bytes, Some(&verify), fault).map_err(|e| match e {
+            PublishError::Io { path, error } => StoreError::io(&path, error),
+            PublishError::Unverified { path } => StoreError::SnapshotVerify { path },
+            // After a crash past the rename the snapshot IS published; only
+            // cleanup was skipped. Recovery deletes the stale segments.
+            PublishError::Crashed { fault, .. } => StoreError::Injected { fault },
+        })?;
         self.first_live_segment = first_live;
-
-        if matches!(injected, InjectedFault::AfterRename) {
-            // The snapshot IS published; only cleanup was skipped. Recovery
-            // (or the next compaction) deletes the stale segments.
-            return Err(StoreError::Injected { what: "crash after snapshot rename" });
-        }
 
         let mut folded = 0usize;
         for (id, path) in list_segments(&self.dir)? {
             if id < first_live {
-                retry_transient(retry, || fs::remove_file(&path))
+                retry_transient(RETRY, || fs::remove_file(&path))
                     .map_err(|e| StoreError::io(&path, e))?;
                 folded += 1;
             }
         }
 
-        // Publish the columnar mirror, stamped with the snapshot's
-        // fingerprint, with the same temp-write → verify → rename
-        // discipline. The snapshot is already durable at this point: an
-        // error here leaves (at worst) a stale or absent mirror, which
-        // recovery and `open_flat_file` callers detect by fingerprint.
-        let mut flat_file_bytes = 0u64;
-        if self.cfg.emit_flat_file {
-            let flat = self.flat_file_path();
-            let encoded = crate::flatfile::encode_database_flat_file(&self.db);
-            let _fd_n = self.flatfile_n;
-            self.flatfile_n += 1;
-            #[cfg(any(test, feature = "fault-injection"))]
-            let written = crate::flatfile::write_flat_file_faulted(
-                &flat,
-                &encoded,
-                self.fault.as_ref(),
-                _fd_n,
-            );
-            #[cfg(not(any(test, feature = "fault-injection")))]
-            let written = crate::flatfile::write_flat_file(&flat, &encoded);
-            flat_file_bytes = written.map_err(|e| StoreError::Io {
-                path: flat,
-                message: e.to_string(),
-                transient: e.is_transient(),
+        // The snapshot is already durable at this point: an error here
+        // leaves (at worst) a stale or absent mirror, which recovery and
+        // `open_flat_file` callers detect by fingerprint.
+        let flat = self.flat_file_path();
+        let fault = self.fire(IoWriter::FlatFile, self.flatfile_n);
+        self.flatfile_n += 1;
+        let encoded = crate::flatfile::encode_database_flat_file(&self.db);
+        let flat_file_bytes =
+            crate::flatfile::write_flat_file_faulted(&flat, &encoded, fault).map_err(|e| {
+                StoreError::Io { path: flat, message: e.to_string(), transient: e.is_transient() }
             })?;
-        }
 
         Ok(CompactionReport {
             folded_segments: folded,
-            rows: self.db.len(),
+            rows,
             snapshot_bytes: bytes.len() as u64,
-            fingerprint: crate::checkpoint::database_fingerprint(&self.db),
+            fingerprint,
             flat_file_bytes,
         })
     }
 
     /// Where this store's `DSCFD1` columnar mirror lives (the file exists
-    /// only after a compaction with [`StoreConfig::emit_flat_file`] on).
+    /// only after a compaction).
     pub fn flat_file_path(&self) -> PathBuf {
         self.dir.join(crate::flatfile::FLAT_FILE_NAME)
     }

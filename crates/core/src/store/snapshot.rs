@@ -1,7 +1,8 @@
 //! The immutable compacted snapshot: `store.dscsn`.
 //!
 //! A snapshot folds the base snapshot plus every sealed WAL segment into
-//! one self-verifying file, published atomically (temp → fsync → rename).
+//! one self-verifying file, published atomically by
+//! [`crate::durable::publish`].
 //! Format, following the DSCCK1 section discipline:
 //!
 //! ```text
@@ -61,6 +62,16 @@ fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 /// Encodes a snapshot folding `db`, with segments below `first_live_segment`
 /// superseded.
 pub fn encode_store_snapshot(db: &SequenceDatabase, first_live_segment: u64) -> Vec<u8> {
+    encode_store_snapshot_version(db, first_live_segment, SNAPSHOT_VERSION)
+}
+
+/// [`encode_store_snapshot`] stamped with format `version` — the stale
+/// encoding a compaction hands the publisher under the stale-version fault.
+pub(super) fn encode_store_snapshot_version(
+    db: &SequenceDatabase,
+    first_live_segment: u64,
+    version: u64,
+) -> Vec<u8> {
     let db_bytes = codec::encode_database(db);
     let mut header = Vec::with_capacity(8 + 10 + 10);
     header.extend_from_slice(&database_fingerprint(db).to_le_bytes());
@@ -68,7 +79,7 @@ pub fn encode_store_snapshot(db: &SequenceDatabase, first_live_segment: u64) -> 
     codec::put_varint(&mut header, first_live_segment);
     let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + db_bytes.len() + 64);
     out.extend_from_slice(SNAPSHOT_MAGIC);
-    codec::put_varint(&mut out, SNAPSHOT_VERSION);
+    codec::put_varint(&mut out, version);
     put_section(&mut out, SEC_HEADER, &header);
     put_section(&mut out, SEC_DATABASE, &db_bytes);
     put_section(&mut out, SEC_END, &[]);

@@ -1,6 +1,7 @@
 use super::fsck::{fsck, SegmentStatus};
 use super::*;
-use crate::guard::{FaultPlan, IoFault, IoWriter};
+use crate::durable::{IoFault, IoWriter};
+use crate::guard::FaultPlan;
 use crate::parse::parse_sequence;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -141,7 +142,7 @@ fn torn_frame_write_loses_only_the_unacknowledged_record() {
         if i < 3 {
             res.unwrap();
         } else if i == 3 {
-            assert_eq!(res, Err(StoreError::Injected { what: "torn frame write" }));
+            assert_eq!(res, Err(StoreError::Injected { fault: IoFault::TornWrite }));
         } else {
             assert_eq!(res, Err(StoreError::Poisoned), "a failed write poisons the store");
         }

@@ -125,7 +125,7 @@ proptest! {
         sync in arb_sync(),
     ) {
         let dir = fresh_dir("roundtrip");
-        let cfg = StoreConfig { sync, segment_max_bytes, ..StoreConfig::default() };
+        let cfg = StoreConfig { sync, segment_max_bytes };
         let mut store = SequenceStore::open(&dir, cfg)
             .map_err(|e| TestCaseError::fail(format!("open: {e}")))?;
         let mut expected = SequenceDatabase::new();

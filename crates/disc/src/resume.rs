@@ -194,29 +194,15 @@ impl<'g> CheckpointSink<'g> {
             return;
         }
         let write_n = self.stats.writes + 1;
-        #[cfg(feature = "fault-injection")]
-        if let Some(fault) = self.guard.io_write_fault(disc_core::IoWriter::Checkpoint, write_n) {
-            if let Some(crash) = fault.as_checkpoint_crash() {
-                // Crash injection is test-only; materializing the owned
-                // snapshot here keeps the clone off the production write path.
-                checkpoint::write_snapshot_crashing(&self.path, &view.to_snapshot(), crash);
-                panic!("injected crash at snapshot write {write_n}: {crash:?}");
-            }
-            match fault {
-                // A transient interruption is what the retry loop inside
-                // the atomic writer absorbs — proceed with the real write.
-                disc_core::IoFault::Interrupted => {}
-                // Permanent error-class faults (ENOSPC and friends) take
-                // the same path a real write failure would: durability
-                // degrades, mining does not.
-                _ => {
-                    self.stats.failed = true;
-                    return;
-                }
-            }
-        }
+        let fault = self.guard.io_write_fault(disc_core::IoWriter::Checkpoint, write_n);
         let start = Instant::now();
-        match checkpoint::write_snapshot_view(&self.path, &view) {
+        let written = checkpoint::write_snapshot_view_faulted(&self.path, &view, fault);
+        if let Some(crash) = fault.filter(|f| f.is_crash()) {
+            // The write left on disk what a kill at this point would; now
+            // the process "dies" (a panic the guard contains).
+            panic!("injected crash at snapshot write {write_n}: {crash:?}");
+        }
+        match written {
             Ok(bytes) => {
                 self.stats.writes = write_n;
                 self.stats.bytes += bytes as u64;

@@ -41,8 +41,9 @@
 //! The data directory holds everything a restart needs: uploaded databases
 //! (`dbs/<name>.dscdb`), per-job checkpoints and results
 //! (`jobs/<id>/mine.dscck`, `jobs/<id>/result.tsv`), and a line-based
-//! `manifest` (written atomically) recording databases, jobs, and the id
-//! counter. On SIGTERM (or `POST /admin/drain`) running slices are
+//! `manifest` recording databases, jobs, and the id counter. Checkpoints,
+//! results and the manifest are all published through
+//! [`disc_core::durable::publish`], so a crash leaves each old or new, never torn. On SIGTERM (or `POST /admin/drain`) running slices are
 //! cancelled at their next checkpoint boundary, requeue with durable
 //! snapshots, and the manifest is written; a restarted server reloads the
 //! manifest and the requeued jobs resume from their snapshots —
@@ -60,7 +61,7 @@ use crate::registry::{valid_name, DbRegistry, DbSource, RegisterError};
 use crate::scheduler::{valid_algo, valid_mode, Scheduler, SchedulerConfig};
 use crate::signal;
 use crate::status::{error_response, plain_error, quota_response, shed_response};
-use disc_core::{DiscError, MinSupport, RetryPolicy};
+use disc_core::{DiscError, IoWriter, MinSupport, RetryPolicy};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -711,10 +712,6 @@ impl Server {
         self.shared.cfg.data_dir.join("manifest")
     }
 
-    fn result_path(&self, id: u64) -> PathBuf {
-        self.shared.sched.job_dir(id).join("result.tsv")
-    }
-
     /// Serializes registry + jobs + id counter to `manifest`, atomically.
     pub fn persist_manifest(&self) {
         let _guard = self.shared.manifest_lock.lock().unwrap();
@@ -754,7 +751,8 @@ impl Server {
                 state.name(),
             ));
         }
-        if let Err(e) = crate::scheduler::write_atomic(&self.manifest_path(), out.as_bytes()) {
+        let path = self.manifest_path();
+        if let Err(e) = self.shared.sched.publish(IoWriter::Manifest, &path, out.as_bytes()) {
             eprintln!("disc-server: cannot persist manifest: {e}");
         }
     }
@@ -844,23 +842,22 @@ impl Server {
             self.shared.sched.submit_terminal(Arc::new(job));
             return;
         };
-        let job = match state {
-            "done" => match self.load_result(id) {
-                Some(result) => {
-                    // Warm the cache from the persisted result so a repeat
-                    // query after the restart is still served without a
-                    // miner invocation.
-                    if !spec.no_cache {
-                        let key = CacheKey::of(db.loaded.fingerprint, &spec);
-                        self.shared.sched.cache.lock().unwrap().insert(key, Arc::clone(&result));
-                    }
-                    Job::from_cache(spec, result)
+        let result = if state == "done" { self.load_result(id) } else { None };
+        let job = match (state, result) {
+            ("done", Some(result)) => {
+                // Warm the cache from the persisted result so a repeat
+                // query after the restart is still served without a
+                // miner invocation.
+                if !spec.no_cache {
+                    let key = CacheKey::of(db.loaded.fingerprint, &spec);
+                    self.shared.sched.cache.lock().unwrap().insert(key, Arc::clone(&result));
                 }
-                None => Job::ended(spec, Some("result file did not survive the restart")),
-            },
-            "failed" => Job::ended(spec, Some("failed before the restart")),
-            "cancelled" => Job::ended(spec, None),
-            // queued (and anything unrecognized, conservatively): requeue;
+                Job::from_cache(spec, result)
+            }
+            ("failed", _) => Job::ended(spec, Some("failed before the restart")),
+            ("cancelled", _) => Job::ended(spec, None),
+            // queued, done without a surviving result file (its publish
+            // failed), and anything unrecognized, conservatively: requeue;
             // a checkpoint at jobs/<id>/mine.dscck resumes automatically.
             _ => {
                 let job = Job::new(spec, self.shared.cfg.scheduler.slice_ops);
@@ -882,7 +879,7 @@ impl Server {
 
     /// Loads a persisted `result.tsv` back into a [`RenderedResult`].
     fn load_result(&self, id: u64) -> Option<Arc<RenderedResult>> {
-        let text = std::fs::read_to_string(self.result_path(id)).ok()?;
+        let text = std::fs::read_to_string(self.shared.sched.result_path(id)).ok()?;
         let mut lines = Vec::new();
         for line in text.lines() {
             let (support, pattern) = line.split_once('\t')?;

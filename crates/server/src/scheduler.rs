@@ -37,12 +37,13 @@ use crate::job::{Job, JobError, JobState};
 use crate::limits::{QuotaConfig, QuotaDenial, TokenBucket};
 use crate::registry::DbEntry;
 use disc_algo::{Checkpointable, DiscAll, DynamicDiscAll, ParallelDiscAll, Resumable};
+use disc_core::durable::{self, PublishError};
 use disc_core::{
-    AbortReason, CancelToken, FallbackMiner, FlatFileContents, GuardedResult, MinSupport,
+    AbortReason, CancelToken, FallbackMiner, FlatFileContents, GuardedResult, IoWriter, MinSupport,
     MineGuard, MineOutcome, ParallelExecutor, ResourceBudget, SharedCounters,
 };
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -150,6 +151,19 @@ pub struct Scheduler {
     /// query did not re-mine" reads it.
     pub mine_invocations: AtomicU64,
     stop: AtomicBool,
+    #[cfg(feature = "fault-injection")]
+    faults: Mutex<PublishFaults>,
+}
+
+/// The fault hook over the server's own publishes (`fault-injection`
+/// builds): the armed plan, how many publishes each writer attempted, and
+/// the crash that "killed" the process once one fired.
+#[cfg(feature = "fault-injection")]
+#[derive(Default)]
+struct PublishFaults {
+    plan: Option<disc_core::FaultPlan>,
+    attempts: HashMap<IoWriter, u64>,
+    crashed: Option<disc_core::IoFault>,
 }
 
 impl Scheduler {
@@ -175,12 +189,66 @@ impl Scheduler {
             db_of_job: Mutex::new(HashMap::new()),
             mine_invocations: AtomicU64::new(0),
             stop: AtomicBool::new(false),
+            #[cfg(feature = "fault-injection")]
+            faults: Mutex::default(),
         }
+    }
+
+    /// Arms a [`disc_core::FaultPlan`] against the server's own publishes:
+    /// `manifest` writes count per [`IoWriter::Manifest`] and `result.tsv`
+    /// writes per [`IoWriter::JobResult`], each from 0. Once a crash-class
+    /// fault fires, the server behaves as a killed process: no later
+    /// manifest or result write reaches the disk.
+    #[cfg(feature = "fault-injection")]
+    pub fn arm_fault(&self, plan: disc_core::FaultPlan) {
+        self.faults.lock().unwrap().plan = Some(plan);
+    }
+
+    /// Publishes one of the server's files — the `manifest` or a job's
+    /// `result.tsv` — through [`durable::publish`], creating the parent
+    /// directory first.
+    pub(crate) fn publish(
+        &self,
+        writer: IoWriter,
+        path: &Path,
+        bytes: &[u8],
+    ) -> Result<(), PublishError> {
+        #[cfg(feature = "fault-injection")]
+        let fault = {
+            let mut hook = self.faults.lock().unwrap();
+            if let Some(fault) = hook.crashed {
+                return Err(PublishError::Crashed { path: path.to_path_buf(), fault });
+            }
+            let attempts = hook.attempts.entry(writer).or_default();
+            let n = *attempts;
+            *attempts += 1;
+            hook.plan.as_ref().and_then(|plan| plan.fire_io(writer, n))
+        };
+        #[cfg(not(feature = "fault-injection"))]
+        let fault = {
+            let _ = writer;
+            None
+        };
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)
+                .map_err(|error| PublishError::Io { path: parent.to_path_buf(), error })?;
+        }
+        let published = durable::publish(path, bytes, None, fault);
+        #[cfg(feature = "fault-injection")]
+        if let Err(PublishError::Crashed { fault, .. }) = &published {
+            self.faults.lock().unwrap().crashed = Some(*fault);
+        }
+        published
     }
 
     /// The checkpoint directory of job `id`.
     pub fn job_dir(&self, id: u64) -> PathBuf {
         self.jobs_dir.join(id.to_string())
+    }
+
+    /// Where job `id`'s rendered result persists.
+    pub(crate) fn result_path(&self, id: u64) -> PathBuf {
+        self.job_dir(id).join("result.tsv")
     }
 
     /// Quota gate, checked by the API layer *before* a job (or even a
@@ -618,29 +686,17 @@ impl Scheduler {
         self.wake.notify_all();
     }
 
-    /// Writes a finished job's rendered lines next to its checkpoint
-    /// (atomic tmp + rename), so a restarted server can serve results for
-    /// jobs that completed before the restart. Failure is logged, not
-    /// fatal — the in-memory result still serves this process.
+    /// Writes a finished job's rendered lines next to its checkpoint, so a
+    /// restarted server can serve results for jobs that completed before
+    /// the restart. Failure is logged, not fatal — the in-memory result
+    /// still serves this process, and a restart re-mines a `done` job whose
+    /// result file is missing.
     pub fn persist_result(&self, id: u64, result: &RenderedResult) {
-        let path = self.job_dir(id).join("result.tsv");
-        if let Err(e) = write_atomic(&path, &result.render(1, 0, usize::MAX)) {
+        let path = self.result_path(id);
+        if let Err(e) = self.publish(IoWriter::JobResult, &path, &result.render(1, 0, usize::MAX)) {
             eprintln!("disc-server: cannot persist result for job {id}: {e}");
         }
     }
-}
-
-/// Writes `bytes` to `path` atomically: the parent directory is created,
-/// then a synced `<path>.tmp` is renamed over `path`.
-pub(crate) fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let tmp = path.with_extension("tmp");
-    let mut f = std::fs::File::create(&tmp)?;
-    std::io::Write::write_all(&mut f, bytes)?;
-    f.sync_all()?;
-    std::fs::rename(&tmp, path)
 }
 
 /// Builds and runs the guarded resumable miner for one slice.

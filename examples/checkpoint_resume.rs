@@ -6,7 +6,7 @@
 //! cargo run --example checkpoint_resume
 //! ```
 
-use disc_miner::core::{read_snapshot, CheckpointCrash, FaultPlan, FlatFileContents};
+use disc_miner::core::{read_snapshot, FaultPlan, FlatFileContents, IoFault, IoWriter};
 use disc_miner::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -77,7 +77,7 @@ fn main() {
     let miner = Resumable::new(DiscAll::default(), &dir);
     let guard = MineGuard::new(CancelToken::new(), ResourceBudget::unlimited())
         .with_checkpoint_interval(1)
-        .with_fault(FaultPlan::crash_at_snapshot_write(2, CheckpointCrash::TornTempWrite));
+        .with_fault(FaultPlan::io_fault_at(IoWriter::Checkpoint, 2, IoFault::TornWrite));
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {})); // keep the demo output clean
     let run = miner.mine_guarded(&db, minsup, &guard);

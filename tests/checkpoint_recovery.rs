@@ -12,19 +12,15 @@
 
 use disc_miner::core::{
     database_fingerprint, encode_database_flat_file, open_flat_file, read_snapshot,
-    write_flat_file, CheckpointCrash, FaultPlan, FlatFileContents, Verify,
+    write_flat_file, FaultPlan, FlatFileContents, IoFault, IoWriter, Verify,
 };
 use disc_miner::prelude::*;
 use std::fs;
 use std::path::PathBuf;
 
 /// Every injected crash mode, in write-protocol order.
-const CRASHES: [CheckpointCrash; 4] = [
-    CheckpointCrash::TornTempWrite,
-    CheckpointCrash::CrashBeforeRename,
-    CheckpointCrash::CorruptSection,
-    CheckpointCrash::StaleVersion,
-];
+const CRASHES: [IoFault; 4] =
+    [IoFault::TornWrite, IoFault::CrashBeforeRename, IoFault::CorruptByte, IoFault::StaleVersion];
 
 /// A workload with enough first-level partitions that mid-run crash points
 /// are plentiful, yet small enough for debug builds.
@@ -128,7 +124,7 @@ fn crash_matrix<M: Checkpointable>(tag: &str, input: &Input, make: impl Fn() -> 
             let wrapped = Resumable::new(make(), &dir);
             let guard = MineGuard::unlimited()
                 .with_checkpoint_interval(1)
-                .with_fault(FaultPlan::crash_at_snapshot_write(write_n, crash));
+                .with_fault(FaultPlan::io_fault_at(IoWriter::Checkpoint, write_n, crash));
             let run = input.mine(&wrapped, &guard);
             assert_eq!(
                 run.outcome,
@@ -188,9 +184,9 @@ fn repeated_crashes_converge() {
     let dir = fresh_dir("repeated");
     let wrapped = Resumable::new(DiscAll::default(), &dir);
     for write_n in 1..=3u64 {
-        let guard = MineGuard::unlimited().with_checkpoint_interval(1).with_fault(
-            FaultPlan::crash_at_snapshot_write(write_n, CheckpointCrash::TornTempWrite),
-        );
+        let guard = MineGuard::unlimited()
+            .with_checkpoint_interval(1)
+            .with_fault(FaultPlan::io_fault_at(IoWriter::Checkpoint, write_n, IoFault::TornWrite));
         let run = wrapped.mine_guarded(&db, MINSUP, &guard);
         assert_eq!(run.outcome, MineOutcome::Partial { reason: AbortReason::Panicked });
     }
@@ -233,7 +229,7 @@ fn fallback_chain_records_the_aborted_stage_checkpoint() {
     ]);
     let guard = MineGuard::unlimited()
         .with_checkpoint_interval(1)
-        .with_fault(FaultPlan::crash_at_snapshot_write(2, CheckpointCrash::TornTempWrite));
+        .with_fault(FaultPlan::io_fault_at(IoWriter::Checkpoint, 2, IoFault::TornWrite));
     let (run, reports) = chain.run(&db, MINSUP, &guard);
     assert!(run.outcome.is_complete(), "the fallback stage completes the request");
     assert_identical("fallback final result", &run.result, &reference);
