@@ -8,135 +8,39 @@
 //! finishes on a laptop; `--full` restores the paper's sizes; `--smoke` is
 //! the CI-sized sanity run. Raw measurements land in `target/experiments/`.
 
+use disc_bench::experiments;
 use disc_bench::workloads::Scale;
-use disc_bench::{ckptbench, experiments, flatbench, mmapbench, servebench, simdbench, storebench};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <fig8|fig9|fig10|table12|table13|table14|parallel|all> [--smoke|--full]\n       experiments bench-flat [--smoke] [--check <BENCH_flat.json>]\n       experiments bench-simd [--smoke] [--check <BENCH_simd.json>] [--dump-patterns <path>]\n       experiments bench-mmap [--smoke]\n       experiments bench-checkpoint\n       experiments bench-store\n       experiments bench-serve"
+        "usage: experiments <fig8|fig9|fig10|table12|table13|table14|parallel|all> [--smoke|--full]"
     );
     std::process::exit(2);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
     let mut scale = Scale::Default;
     let mut which: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut dump: Option<String> = None;
-    let mut expect_check_path = false;
-    let mut expect_dump_path = false;
-    for arg in &args {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            _ if expect_check_path => {
-                check = Some(arg.to_string());
-                expect_check_path = false;
-            }
-            _ if expect_dump_path => {
-                dump = Some(arg.to_string());
-                expect_dump_path = false;
-            }
             "--smoke" => scale = Scale::Smoke,
             "--full" => scale = Scale::Full,
             "--default" => scale = Scale::Default,
-            "--check" => expect_check_path = true,
-            "--dump-patterns" => expect_dump_path = true,
-            name if !name.starts_with('-') && which.is_none() => {
-                which = Some(name.to_string());
-            }
+            name if !name.starts_with('-') && which.is_none() => which = Some(arg),
             _ => usage(),
         }
     }
-    if expect_check_path || expect_dump_path {
-        usage();
-    }
-    let which = which.unwrap_or_else(|| usage());
-    if !matches!(
-        which.as_str(),
-        "fig8"
-            | "fig9"
-            | "fig10"
-            | "table12"
-            | "table13"
-            | "table14"
-            | "parallel"
-            | "all"
-            | "bench-flat"
-            | "bench-simd"
-            | "bench-mmap"
-            | "bench-checkpoint"
-            | "bench-store"
-            | "bench-serve"
-    ) {
-        usage();
-    }
-    if check.is_some() && !matches!(which.as_str(), "bench-flat" | "bench-simd") {
-        usage();
-    }
-    if dump.is_some() && (which != "bench-simd" || check.is_some()) {
-        usage();
-    }
-
-    eprintln!("scale: {scale:?}");
-    match which.as_str() {
-        "fig8" => experiments::fig8(scale),
-        "fig9" => experiments::fig9(scale),
-        "fig10" => experiments::fig10(scale),
-        "table12" => experiments::table12(scale),
-        "table13" => experiments::table13(scale),
-        "table14" => experiments::table14(scale),
-        "parallel" => experiments::parallel(scale),
-        "all" => experiments::all(scale),
-        // Informational only — never part of the bench-regression gate; see
-        // the module docs for why fsync timings must not gate CI.
-        "bench-checkpoint" => {
-            ckptbench::run();
-        }
-        "bench-store" => {
-            storebench::run();
-        }
-        // Serving latency varies with machine load; informational only,
-        // but its internal byte-identity and zero-invocation cache
-        // assertions panic on violation.
-        "bench-serve" => {
-            servebench::run();
-        }
-        // The ceiling and bit-identity assertions live inside the run —
-        // a violation panics, so no separate --check gate is needed.
-        "bench-mmap" => {
-            mmapbench::run(scale == Scale::Smoke);
-        }
-        "bench-flat" => match check {
-            None => {
-                flatbench::run(scale == Scale::Smoke);
-            }
-            Some(path) => {
-                if let Err(msg) = flatbench::check(std::path::Path::new(&path)) {
-                    eprintln!("bench-regression FAILED: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        },
-        "bench-simd" => match (check, dump) {
-            (Some(path), _) => {
-                if let Err(msg) = simdbench::check(std::path::Path::new(&path)) {
-                    eprintln!("simd-differential FAILED: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            (None, Some(path)) => {
-                if let Err(e) = simdbench::dump_patterns(std::path::Path::new(&path)) {
-                    eprintln!("pattern dump FAILED: {e}");
-                    std::process::exit(1);
-                }
-            }
-            (None, None) => {
-                simdbench::run(scale == Scale::Smoke);
-            }
-        },
+    let run: fn(Scale) = match which.as_deref() {
+        Some("fig8") => experiments::fig8,
+        Some("fig9") => experiments::fig9,
+        Some("fig10") => experiments::fig10,
+        Some("table12") => experiments::table12,
+        Some("table13") => experiments::table13,
+        Some("table14") => experiments::table14,
+        Some("parallel") => experiments::parallel,
+        Some("all") => experiments::all,
         _ => usage(),
-    }
+    };
+    eprintln!("scale: {scale:?}");
+    run(scale);
 }

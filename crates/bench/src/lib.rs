@@ -33,13 +33,7 @@
 
 #[allow(unsafe_code)]
 pub mod alloc_track;
-pub mod ckptbench;
 pub mod experiments;
-pub mod flatbench;
-pub mod mmapbench;
 pub mod report;
 pub mod runner;
-pub mod servebench;
-pub mod simdbench;
-pub mod storebench;
 pub mod workloads;

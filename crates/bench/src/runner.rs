@@ -15,24 +15,18 @@ pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(3600);
 /// The deadline for benchmark runs: [`DEFAULT_DEADLINE`] unless the
 /// `DISC_BENCH_DEADLINE_SECS` environment variable overrides it. CI's
 /// bench-smoke job sets a short override so a hung run fails the job in
-/// seconds instead of an hour.
+/// seconds instead of an hour. Panics on a malformed override.
 pub fn deadline() -> Duration {
-    match try_deadline() {
+    match deadline_from(std::env::var("DISC_BENCH_DEADLINE_SECS").ok().as_deref()) {
         Ok(d) => d,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Fallible variant of [`deadline`]: a malformed `DISC_BENCH_DEADLINE_SECS`
-/// comes back as a typed [`DiscError::Config`] instead of a panic, so
-/// harnesses with an error path can report it like any other bad option.
-pub fn try_deadline() -> Result<Duration, DiscError> {
-    deadline_from(std::env::var("DISC_BENCH_DEADLINE_SECS").ok().as_deref())
-}
-
-/// The pure half of [`try_deadline`]: parses an optional
-/// `DISC_BENCH_DEADLINE_SECS` value, so tests can cover the override logic
-/// without mutating process-global environment state.
+/// The pure half of [`deadline`]: parses an optional
+/// `DISC_BENCH_DEADLINE_SECS` value into a typed [`DiscError::Config`] on
+/// malformed input, so tests can cover the override logic without mutating
+/// process-global environment state.
 fn deadline_from(override_secs: Option<&str>) -> Result<Duration, DiscError> {
     match override_secs {
         Some(v) => match v.trim().parse::<u64>() {

@@ -538,7 +538,7 @@ mod tests {
         let mut resp = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
                          Content-Length: 4096\r\nConnection: close\r\n\r\n"
             .to_vec();
-        resp.extend(std::iter::repeat(b'x').take(4096));
+        resp.extend(std::iter::repeat_n(b'x', 4096));
         let (addr, handle) = stub_server(resp, 1);
         let client =
             Client::new(ClientConfig { addr, max_response_bytes: 1024, ..ClientConfig::default() });

@@ -23,8 +23,8 @@
 //! [`disc_core::FlatDb::file_unchanged`] and fails the job if it moved.
 
 use disc_core::{
-    open_flat_file, peek_flat_file_fingerprint, DiscError, FlatFileContents, SequenceDatabase,
-    SequenceStore, StoreConfig, Verify,
+    durable, open_flat_file, peek_flat_file_fingerprint, DiscError, FlatFileContents,
+    SequenceDatabase, SequenceStore, StoreConfig, Verify,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -107,7 +107,11 @@ impl DbRegistry {
                 .map_err(|e| DiscError::from_io(&self.dbs_dir, &e))?;
             let path = self.upload_path(name);
             let bytes = disc_core::encode_database(&db);
-            std::fs::write(&path, &bytes).map_err(|e| DiscError::from_io(&path, &e))?;
+            durable::publish(&path, &bytes, None, None).map_err(|e| DiscError::Io {
+                path: e.path().to_path_buf(),
+                message: e.to_string(),
+                transient: e.is_transient(),
+            })?;
         }
         let loaded = FlatFileContents::from_database(&db);
         Ok(self.insert(name, loaded, DbSource::Upload))

@@ -6,7 +6,8 @@
 //! * a served result is **byte-identical** to `disc-mine` on the same
 //!   database and threshold, even when the job was preempted across many
 //!   slices or across a drain/restart;
-//! * a repeat query is served from the cache with **no miner invocation**;
+//! * a repeat query is served from the cache with **no miner invocation**,
+//!   and an over-cap declared body is refused (413) without one;
 //! * cancellation settles the job without corrupting its peers;
 //! * two tenants make interleaved progress (fair round-robin);
 //! * malformed requests get typed 4xx responses, never a hang or a panic.
@@ -191,6 +192,21 @@ fn repeat_queries_hit_the_cache_without_mining() {
         server.scheduler().mine_invocations.load(std::sync::atomic::Ordering::Relaxed),
         invocations_after_first,
         "a cached hit must not invoke a miner"
+    );
+
+    // A declared body over the cap is refused from the header alone: a
+    // prompt 413 that never reaches the scheduler, even for a job that
+    // would otherwise mine.
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.write_all(b"POST /jobs?db=q&delta=30 HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n")
+        .unwrap();
+    let mut resp = Vec::new();
+    s.read_to_end(&mut resp).unwrap();
+    assert!(resp.starts_with(b"HTTP/1.1 413"), "{}", String::from_utf8_lossy(&resp));
+    assert_eq!(
+        server.scheduler().mine_invocations.load(std::sync::atomic::Ordering::Relaxed),
+        invocations_after_first,
+        "a 413 must not invoke a miner"
     );
 
     // The cached job serves the same bytes as the mined one.
