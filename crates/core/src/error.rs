@@ -112,19 +112,6 @@ pub enum DiscError {
         /// What was wrong.
         what: &'static str,
     },
-    /// A key exceeds the packed-word budget of [`crate::packed::PackedKey`]:
-    /// its dictionary-remapped item id or a transaction index does not fit
-    /// the fixed bit fields. Callers fall
-    /// back to the wide ([`crate::flat::FlatKey`]) representation rather
-    /// than silently truncating.
-    PackedOverflow {
-        /// Which budget was exceeded (`"item id"` or `"transaction index"`).
-        what: &'static str,
-        /// The offending value.
-        value: u64,
-        /// The largest representable value.
-        limit: u64,
-    },
 }
 
 impl fmt::Display for DiscError {
@@ -140,9 +127,6 @@ impl fmt::Display for DiscError {
             DiscError::Config { option, reason } => write!(f, "invalid {option}: {reason}"),
             DiscError::FlatFile { path, what } => {
                 write!(f, "corrupt flat file {}: {what}", path.display())
-            }
-            DiscError::PackedOverflow { what, value, limit } => {
-                write!(f, "packed-word budget exceeded: {what} {value} > {limit}")
             }
         }
     }
@@ -182,10 +166,7 @@ impl std::error::Error for DiscError {
             DiscError::Codec(e) => Some(e),
             DiscError::Checkpoint(e) => Some(e),
             DiscError::Store(e) => Some(e),
-            DiscError::Io { .. }
-            | DiscError::Config { .. }
-            | DiscError::FlatFile { .. }
-            | DiscError::PackedOverflow { .. } => None,
+            DiscError::Io { .. } | DiscError::Config { .. } | DiscError::FlatFile { .. } => None,
         }
     }
 }

@@ -419,50 +419,6 @@ impl FlatDb {
     }
 }
 
-/// A flattened-pair sequence key in some word encoding — the abstraction the
-/// k-sorted database is generic over.
-///
-/// An implementation stores a sequence's flattened `(item,
-/// transaction-number)` pairs in a form whose `Ord` **is** the comparative
-/// order of Definition 2.2, and supports the one mutation mining needs:
-/// appending the single pair contributed by an extension element. The
-/// encoding must be invertible so results can be reported as nested
-/// sequences.
-///
-/// Two encodings exist: [`FlatKey`] (one `u64` word per pair — lossless,
-/// always applicable) and [`crate::packed::PackedKey`] (one `u32` word per
-/// pair — half the bytes per compare, applicable when the database fits the
-/// packed budget; see [`crate::packed::fits_packed_budget`]).
-pub trait SeqKey: Ord + Clone + std::fmt::Debug {
-    /// Builds the key of `seq`.
-    fn key_of(seq: &Sequence) -> Self;
-
-    /// The key of `self` extended by `elem` (appends exactly one pair).
-    fn extended_key(&self, elem: ExtElem) -> Self;
-
-    /// Reconstructs the nested sequence.
-    fn to_sequence(&self) -> Sequence;
-
-    /// [`SeqKey::to_sequence`], consuming the key.
-    fn into_sequence(self) -> Sequence;
-
-    /// Number of flattened pairs (the sequence's length `k`).
-    fn n_pairs(&self) -> usize;
-
-    /// Compares `self` (whole) against `bound` *without its last pair* —
-    /// i.e. against the flattened `(k-1)`-prefix `X` of a condition
-    /// k-sequence. Dropping a sequence's last flattened pair is exactly
-    /// taking its `(k-1)`-prefix (whether the last itemset shrinks or
-    /// disappears), so this compares in the comparative order of
-    /// Definition 2.2 without materializing any nested sequence.
-    fn cmp_to_bound_prefix(&self, bound: &Self) -> std::cmp::Ordering;
-
-    /// The last flattened pair, as an extension element of the key without
-    /// it (`Itemset` when it shares its transaction with the previous pair).
-    /// Requires at least two pairs — condition sequences have length ≥ 2.
-    fn last_ext(&self) -> ExtElem;
-}
-
 /// Packs one flattened pair into a `u64` word: item id in the high 32 bits,
 /// transaction number in the low 32. The fields don't overlap, so unsigned
 /// word order equals the lexicographic `(item, txn)` pair order — and
@@ -478,20 +434,22 @@ pub(crate) fn unpack64(word: u64) -> (Item, u32) {
     (Item((word >> 32) as u32), word as u32)
 }
 
-/// A sequence key stored directly in flattened form: each `(item,
-/// transaction-number)` pair of Definition 2.1 packed into one `u64` word
-/// (item in the high half), so the lexicographic word order — which Rust's
-/// slice `Ord` and the vectorized [`crate::simd::cmp_u64`] both compute,
-/// with shorter prefixes smaller — is exactly the comparative order of
-/// Definition 2.2.
+/// A sequence key stored directly in flattened form — the key of the
+/// k-sorted database: each `(item, transaction-number)` pair of
+/// Definition 2.1 encoded as one `u64` word (item in the high half), so the
+/// lexicographic word order, with shorter prefixes smaller, is exactly the
+/// comparative order of Definition 2.2. The derived `Ord` is that slice
+/// order.
 ///
 /// Keying the k-sorted database's AVL tree by `FlatKey` memoizes the
 /// flattening (every tree descent is one word-slice compare), and because
 /// the flattened form is invertible, no nested [`Sequence`] is stored at
 /// all: one is reconstructed only when a key is reported or split into a
 /// re-keying condition. Keys drained and discarded by the Lemma 2.2 skips
-/// never materialize one.
-#[derive(Debug, Clone)]
+/// never materialize one. Invertibility (transaction numbers recover the
+/// grouping, the fields don't overlap) also makes word equality coincide
+/// with sequence equality.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlatKey {
     words: Vec<u64>,
 }
@@ -539,81 +497,34 @@ impl FlatKey {
         Sequence::new(itemsets)
     }
 
-    /// [`FlatKey::to_sequence`], consuming the key.
-    pub fn into_sequence(self) -> Sequence {
-        self.to_sequence()
-    }
-
-    /// The flattened pairs, decoded from the packed words.
+    /// The flattened pairs, decoded from the words.
     #[inline]
     pub fn pairs(&self) -> impl Iterator<Item = (Item, u32)> + '_ {
         self.words.iter().map(|&w| unpack64(w))
     }
 
-    /// The packed `u64` words (one per flattened pair, comparison-ready).
+    /// The `u64` words (one per flattened pair, comparison-ready).
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
     }
-}
 
-// The packed flattened form is invertible (transaction numbers recover the
-// grouping, the fields don't overlap), so word equality coincides with
-// sequence equality and the manual impls below stay consistent with each
-// other.
-impl PartialEq for FlatKey {
-    fn eq(&self, other: &FlatKey) -> bool {
-        self.words == other.words
-    }
-}
-
-impl Eq for FlatKey {}
-
-impl PartialOrd for FlatKey {
-    fn partial_cmp(&self, other: &FlatKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for FlatKey {
-    fn cmp(&self, other: &FlatKey) -> std::cmp::Ordering {
-        crate::simd::cmp_u64(&self.words, &other.words)
-    }
-}
-
-impl SeqKey for FlatKey {
+    /// Compares `self` (whole) against `bound` *without its last pair* —
+    /// i.e. against the flattened `(k-1)`-prefix `X` of a condition
+    /// k-sequence. Dropping a sequence's last flattened pair is exactly
+    /// taking its `(k-1)`-prefix (whether the last itemset shrinks or
+    /// disappears), so this compares in the comparative order of
+    /// Definition 2.2 without materializing any nested sequence.
     #[inline]
-    fn key_of(seq: &Sequence) -> FlatKey {
-        FlatKey::new(seq)
-    }
-
-    #[inline]
-    fn extended_key(&self, elem: ExtElem) -> FlatKey {
-        self.extended(elem)
-    }
-
-    #[inline]
-    fn to_sequence(&self) -> Sequence {
-        FlatKey::to_sequence(self)
-    }
-
-    #[inline]
-    fn into_sequence(self) -> Sequence {
-        FlatKey::into_sequence(self)
-    }
-
-    #[inline]
-    fn n_pairs(&self) -> usize {
-        self.words.len()
-    }
-
-    #[inline]
-    fn cmp_to_bound_prefix(&self, bound: &FlatKey) -> std::cmp::Ordering {
+    pub fn cmp_to_bound_prefix(&self, bound: &FlatKey) -> std::cmp::Ordering {
         self.words.as_slice().cmp(&bound.words[..bound.words.len() - 1])
     }
 
+    /// The last flattened pair, as an extension element of the key without
+    /// it (`Itemset` when it shares its transaction with the previous pair).
+    /// Requires at least two pairs — condition sequences have length ≥ 2.
     #[inline]
-    fn last_ext(&self) -> ExtElem {
+    pub fn last_ext(&self) -> ExtElem {
         let n = self.words.len();
         debug_assert!(n >= 2, "last_ext of a key shorter than 2 pairs");
         let (item, txn) = unpack64(self.words[n - 1]);
@@ -774,7 +685,6 @@ mod tests {
         let pairs: Vec<(Item, u32)> = key.pairs().collect();
         assert_eq!(pairs, vec![(item('a'), 1), (item('b'), 2), (item('c'), 2)]);
         assert_eq!(key.to_sequence(), s);
-        assert_eq!(key.into_sequence(), s);
         for t in ["(a)", "(a,b,c)", "(a)(a)(a)", "(b,f,g)(a)(c,d)"] {
             assert_eq!(FlatKey::new(&seq(t)).to_sequence(), seq(t), "{t}");
         }

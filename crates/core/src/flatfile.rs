@@ -614,7 +614,6 @@ mod tests {
     use super::*;
     use crate::checkpoint::database_fingerprint;
     use crate::flat::SeqView;
-    use crate::packed::pack_pair;
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("disc-flatfile-{name}-{}", std::process::id()));
@@ -749,14 +748,15 @@ mod tests {
     }
 
     /// `db` as an earlier build wrote it: the four columns plus the packed
-    /// word column (section 5, flag bit 0).
+    /// word column (section 5, flag bit 0), one `(item << 12) | txn` word
+    /// per flattened pair.
     fn legacy_packed_file(db: &SequenceDatabase) -> Vec<u8> {
         let loaded = FlatFileContents::from_database(db);
         let (items, sets, rows) = loaded.flat.columns();
         let mut words = Vec::with_capacity(items.len());
         for row in loaded.flat.rows() {
             for t in 0..row.n_transactions() {
-                words.extend(row.itemset_items(t).iter().map(|&i| pack_pair(i, t as u32 + 1)));
+                words.extend(row.itemset_items(t).iter().map(|&i| (i.id() << 12) | (t as u32 + 1)));
             }
         }
         let mut out = vec![0u8; HEADER_LEN + 5 * ENTRY_LEN];

@@ -132,11 +132,25 @@ impl Itemset {
 /// `a ⊆ b` for sorted duplicate-free slices — the raw-slice form of
 /// [`Itemset::is_subset_of`], for callers walking flat storage.
 ///
-/// Delegates to the dispatched kernel in [`crate::simd`]; the portable
-/// reference loop lives in [`crate::simd::scalar::is_sorted_subset_u32`].
+/// A single-item `a` (the common case in the extension kernels) is a
+/// membership test; otherwise each item of `a` is found by a linear
+/// first-`≥` scan from just past the previous match.
 #[inline]
 pub fn is_sorted_subset(a: &[Item], b: &[Item]) -> bool {
-    crate::simd::is_sorted_subset_items(a, b)
+    if a.len() > b.len() {
+        return false;
+    }
+    if let [x] = a {
+        return b.contains(x);
+    }
+    let mut pos = 0usize;
+    for x in a {
+        match b[pos..].iter().position(|y| y >= x) {
+            Some(k) if b[pos + k] == *x => pos += k + 1,
+            _ => return false,
+        }
+    }
+    true
 }
 
 impl fmt::Display for Itemset {
@@ -214,6 +228,54 @@ mod tests {
         let f = set.filtered(|i| i != Item::from_letter('e').unwrap()).unwrap();
         assert_eq!(f.to_string(), "(a, g)");
         assert!(set.filtered(|_| false).is_none());
+    }
+
+    #[test]
+    fn raw_subset_handles_edge_cases() {
+        // Deterministic item sets mixing the full u32 range, tiny values and
+        // values next to u32::MAX, each checked against a binary-search
+        // reference on the empty set, the full set, strided subsets, the last
+        // item, an item past the last, and the set plus that item.
+        let items = |seed: u64| -> Vec<Item> {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+            let mut v: Vec<Item> = (0..24)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    Item(match state >> 62 {
+                        0 => (state >> 32) as u32,
+                        1 => (state >> 48) as u32 & 0x7,
+                        2 => u32::MAX - ((state >> 48) as u32 & 0x3),
+                        _ => (state >> 40) as u32 & 0xFFF,
+                    })
+                })
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        for seed in 0..16u64 {
+            let b = items(seed);
+            let mut cases: Vec<Vec<Item>> = vec![
+                vec![],
+                b.clone(),
+                b.iter().copied().step_by(2).collect(),
+                b.iter().copied().step_by(3).collect(),
+            ];
+            if let Some(&last) = b.last() {
+                let past = Item(last.0.wrapping_add(1));
+                cases.push(vec![last]);
+                cases.push(vec![past]);
+                let mut miss = b.clone();
+                miss.push(past);
+                miss.sort_unstable();
+                miss.dedup();
+                cases.push(miss);
+            }
+            for a in &cases {
+                let expected = a.iter().all(|x| b.binary_search(x).is_ok());
+                assert_eq!(is_sorted_subset(a, &b), expected, "seed {seed} a {a:?}");
+            }
+        }
     }
 
     #[test]

@@ -68,11 +68,9 @@ pub mod kmin;
 pub mod miner;
 pub mod mmap;
 pub mod order;
-pub mod packed;
 pub mod parse;
 pub mod result;
 pub mod sequence;
-pub mod simd;
 pub mod storage;
 pub mod store;
 pub mod support;
@@ -91,7 +89,7 @@ pub use durable::{IoFault, IoWriter};
 pub use embed::{contains, leftmost_embedding, leftmost_match_end, MatchPoint};
 pub use error::{DiscError, ParseError};
 pub use executor::{ParallelExecutor, ParallelRun, TaskOutcome};
-pub use flat::{flat_pairs, FlatArena, FlatDb, FlatKey, FlatSeq, SeqKey, SeqView};
+pub use flat::{flat_pairs, FlatArena, FlatDb, FlatKey, FlatSeq, SeqView};
 pub use flatfile::{
     decode_flat_file, encode_database_flat_file, encode_flat_file, open_flat_file,
     peek_flat_file_fingerprint, write_flat_file, FlatFileContents, Verify, FLAT_FILE_MAGIC,
@@ -110,14 +108,9 @@ pub use kmin::{all_k_subsequences, min_k_subsequence_naive};
 pub use miner::SequentialMiner;
 pub use mmap::{Advice, Mmap};
 pub use order::{cmp_sequences, cmp_views, differential_point};
-pub use packed::{
-    fits_packed_budget, pack_pair, unpack_pair, PackedKey, MAX_PACKED_ITEM, MAX_PACKED_TXNS,
-    PACKED_ITEM_BITS, PACKED_TXN_BITS,
-};
 pub use parse::{parse_item, parse_sequence};
 pub use result::MiningResult;
 pub use sequence::{ExtElem, ExtMode, Sequence};
-pub use simd::{dispatch_level, DispatchLevel};
 pub use storage::{ColumnWord, DbStorage, MappedCol};
 pub use store::fsck::{fsck, FsckReport, SegmentStatus, SnapshotStatus};
 pub use store::{

@@ -18,8 +18,8 @@
 //! and read frequency off ranks.
 
 use crate::flat::SeqView;
+use crate::item::Item;
 use crate::sequence::Sequence;
-use crate::simd;
 use std::cmp::Ordering;
 
 /// Compares two sequences in the comparative order of Definition 2.2.
@@ -47,15 +47,14 @@ pub fn cmp_sequences(a: &Sequence, b: &Sequence) -> Ordering {
 ///
 /// The comparison walks transaction by transaction rather than pair by pair:
 /// within one transaction both sides carry the same txn number, so the pair
-/// order reduces to item order and the shared item prefix can be skipped with
-/// one vectorized [`simd::first_diff`](simd::first_diff_u32) call. When the
-/// itemsets have different lengths the pair streams desynchronize, but the
-/// outcome is decided immediately at that point: the shorter side's next pair
-/// (if any) is the first item of its *next* transaction, which is compared
-/// against the longer side's surplus item — and on an item tie the shorter
-/// side's larger txn number loses. Itemsets are non-empty by the model's
-/// invariant, which is what makes "first item of the next transaction"
-/// well-defined.
+/// order reduces to item order and the shared item prefix is skipped with one
+/// linear scan. When the itemsets have different lengths the pair streams
+/// desynchronize, but the outcome is decided immediately at that point: the
+/// shorter side's next pair (if any) is the first item of its *next*
+/// transaction, which is compared against the longer side's surplus item —
+/// and on an item tie the shorter side's larger txn number loses. Itemsets
+/// are non-empty by the model's invariant, which is what makes "first item
+/// of the next transaction" well-defined.
 pub fn cmp_views<'x, 'y>(a: impl SeqView<'x>, b: impl SeqView<'y>) -> Ordering {
     let na = a.n_transactions();
     let nb = b.n_transactions();
@@ -64,7 +63,7 @@ pub fn cmp_views<'x, 'y>(a: impl SeqView<'x>, b: impl SeqView<'y>) -> Ordering {
         let xa = a.itemset_items(t);
         let xb = b.itemset_items(t);
         let m = xa.len().min(xb.len());
-        let d = simd::first_diff_items(&xa[..m], &xb[..m]);
+        let d = first_diff(&xa[..m], &xb[..m]);
         if d < m {
             return xa[d].cmp(&xb[d]);
         }
@@ -94,6 +93,17 @@ pub fn cmp_views<'x, 'y>(a: impl SeqView<'x>, b: impl SeqView<'y>) -> Ordering {
         };
     }
     na.cmp(&nb)
+}
+
+/// Index of the first position where two equal-length item slices differ;
+/// their length when they are identical.
+#[inline]
+fn first_diff(a: &[Item], b: &[Item]) -> usize {
+    let mut i = 0;
+    while i < a.len() && a[i] == b[i] {
+        i += 1;
+    }
+    i
 }
 
 /// The differential point of Definition 2.1: the 1-based flattened position

@@ -15,9 +15,9 @@
 //! Leftmost embeddings are sufficient in both cases: they minimize the end
 //! transaction, so they dominate every other embedding's candidate set.
 
+use crate::kms::first_gt_items;
 use disc_core::{
-    embed::view_leftmost_end, is_sorted_subset, simd, ExtElem, ExtMode, Item, Itemset, SeqView,
-    Sequence,
+    embed::view_leftmost_end, is_sorted_subset, ExtElem, ExtMode, Item, Itemset, SeqView, Sequence,
 };
 
 /// The counting array: per item, the supports of the two extension forms.
@@ -149,7 +149,7 @@ impl CountingArray {
                 }
             }
             if is_sorted_subset(last.as_slice(), set) {
-                let from = simd::first_gt_items(set, max_last);
+                let from = first_gt_items(set, max_last);
                 for &item in &set[from..] {
                     debug_assert!(
                         extension_is_canonical(last, item),

@@ -32,8 +32,7 @@ use crate::ckms::{apriori_ckms_resolved, BoundMode, ResolvedCondition};
 use crate::counting::CountingArray;
 use crate::kms::{apriori_kms_cached, ExtensionCache};
 use crate::sorted_db::{Entry, KSortedDb};
-use disc_core::packed::fits_packed_budget;
-use disc_core::{AbortReason, ExtElem, FlatKey, MineGuard, PackedKey, SeqKey, SeqView, Sequence};
+use disc_core::{AbortReason, ExtElem, FlatKey, MineGuard, SeqView, Sequence};
 
 /// The output of one discovery call.
 #[derive(Debug, Clone, Default)]
@@ -90,11 +89,6 @@ pub fn discover_frequent_k_guarded<'a, S: SeqView<'a>>(
     if freq_prev.is_empty() || (members.len() as u64) < delta {
         return Ok(DiscoveryOutput::default());
     }
-    // Every key the loop builds is a subsequence of some member (KMS/CKMS
-    // minima) or a flattened (k-1)-list entry plus one appended pair, so the
-    // maxima below bound every item id and transaction index that could ever
-    // be packed. When they fit the packed-word budget, run the whole loop on
-    // one-word-per-pair keys; otherwise fall back to the wide 64-bit keys.
     let mut array = CountingArray::new(n_items);
     discover_frequent_k_into(members, freq_prev, delta, bi_level, guard, &mut array)
 }
@@ -115,55 +109,12 @@ pub(crate) fn discover_frequent_k_into<'a, S: SeqView<'a>>(
     if freq_prev.is_empty() || (members.len() as u64) < delta {
         return Ok(DiscoveryOutput::default());
     }
-    let fits =
-        fits_packed_budget(max_item_id(members, freq_prev), max_txn_count(members, freq_prev))
-            .is_ok();
-    if fits {
-        discover_impl::<S, PackedKey>(members, freq_prev, delta, bi_level, guard, array)
-    } else {
-        discover_impl::<S, FlatKey>(members, freq_prev, delta, bi_level, guard, array)
-    }
-}
-
-/// Largest item id appearing in any member or (k-1)-list entry. Itemsets
-/// are sorted, so only each transaction's last item is inspected.
-fn max_item_id<'a, S: SeqView<'a>>(members: &[S], freq_prev: &[Sequence]) -> u64 {
-    fn of_view<'b>(s: impl SeqView<'b>) -> u64 {
-        (0..s.n_transactions())
-            .filter_map(|t| s.itemset_items(t).last())
-            .map(|i| i.0 as u64)
-            .max()
-            .unwrap_or(0)
-    }
-    let members_max = members.iter().map(|&s| of_view(s)).max().unwrap_or(0);
-    let prev_max = freq_prev.iter().map(of_view).max().unwrap_or(0);
-    members_max.max(prev_max)
-}
-
-/// Largest transaction count any constructed key can reach: member
-/// transaction counts bound the KMS/CKMS minima, and a (k-1)-list entry can
-/// grow by at most one appended transaction.
-fn max_txn_count<'a, S: SeqView<'a>>(members: &[S], freq_prev: &[Sequence]) -> u64 {
-    let members_max = members.iter().map(|s| s.n_transactions() as u64).max().unwrap_or(0);
-    let prev_max = freq_prev.iter().map(|p| p.n_transactions() as u64 + 1).max().unwrap_or(0);
-    members_max.max(prev_max)
-}
-
-/// The discovery loop, generic over the flattened key representation.
-fn discover_impl<'a, S: SeqView<'a>, K: SeqKey>(
-    members: &[S],
-    freq_prev: &[Sequence],
-    delta: u64,
-    bi_level: bool,
-    guard: &MineGuard,
-    array: &mut CountingArray,
-) -> Result<DiscoveryOutput, AbortReason> {
     let mut out = DiscoveryOutput::default();
 
     // Step 1: build the k-sorted database. The (k-1)-sorted list is
     // flattened once; every key is then prefix-pairs + one appended pair,
     // with no nested sequence built per insert.
-    let prev_keys: Vec<K> = freq_prev.iter().map(|p| K::key_of(p)).collect();
+    let prev_keys: Vec<FlatKey> = freq_prev.iter().map(FlatKey::new).collect();
     // Extension sets depend only on (member, prefix), so they are memoized
     // across the whole compare/re-key loop: re-keys past a bound repeatedly
     // re-ask extension questions the initial keying already answered.
@@ -171,12 +122,12 @@ fn discover_impl<'a, S: SeqView<'a>, K: SeqKey>(
     // The caller-owned counting array serves every virtual partition
     // (reset is O(1); allocating per frequent pattern would memset
     // 4·n_items words tens of thousands of times per run).
-    let mut db: KSortedDb<K> = KSortedDb::new();
+    let mut db = KSortedDb::new();
     let mut ext_buf: Vec<(ExtElem, u64)> = Vec::new();
     for (m, &seq) in members.iter().enumerate() {
         guard.checkpoint()?;
         if let Some(raw) = apriori_kms_cached(seq, freq_prev, m, &mut cache) {
-            db.insert_key(m, prev_keys[raw.ptr].extended_key(raw.elem), raw.ptr);
+            db.insert_key(m, prev_keys[raw.ptr].extended(raw.elem), raw.ptr);
         }
     }
 
@@ -226,9 +177,9 @@ fn discover_impl<'a, S: SeqView<'a>, K: SeqKey>(
 /// prefix `X` is its key minus the last pair — so the binary search and the
 /// equality probe are word-slice comparisons, with no nested sequence (or
 /// `k_prefix` allocation) in sight.
-fn resolve_key_condition<K: SeqKey>(
-    bound: &K,
-    prev_keys: &[K],
+fn resolve_key_condition(
+    bound: &FlatKey,
+    prev_keys: &[FlatKey],
     mode: BoundMode,
 ) -> ResolvedCondition {
     use std::cmp::Ordering;
@@ -241,11 +192,11 @@ fn resolve_key_condition<K: SeqKey>(
 /// Re-keys a drained bucket by Apriori-CKMS; members without a conditional
 /// minimum leave the k-sorted database. The bucket allocation is recycled
 /// into the database's pool.
-fn rekey<'a, S: SeqView<'a>, K: SeqKey>(
-    db: &mut KSortedDb<K>,
+fn rekey<'a, S: SeqView<'a>>(
+    db: &mut KSortedDb,
     members: &[S],
     freq_prev: &[Sequence],
-    prev_keys: &[K],
+    prev_keys: &[FlatKey],
     rcond: &ResolvedCondition,
     bucket: Vec<Entry>,
     cache: &mut ExtensionCache,
@@ -254,7 +205,7 @@ fn rekey<'a, S: SeqView<'a>, K: SeqKey>(
         let raw =
             apriori_ckms_resolved(members[e.member], freq_prev, e.ptr, rcond, e.member, cache);
         if let Some(raw) = raw {
-            db.insert_key(e.member, prev_keys[raw.ptr].extended_key(raw.elem), raw.ptr);
+            db.insert_key(e.member, prev_keys[raw.ptr].extended(raw.elem), raw.ptr);
         }
     }
     db.recycle(bucket);

@@ -28,7 +28,15 @@
 //! and the property tests confirm the enumeration is exact.)
 
 use disc_core::embed::view_leftmost_end;
-use disc_core::{is_sorted_subset, simd, ExtElem, ExtMode, SeqView, Sequence};
+use disc_core::{is_sorted_subset, ExtElem, ExtMode, Item, SeqView, Sequence};
+
+/// Index of the first item `> bound` in `items`, or `items.len()` — on a
+/// sorted itemset, where its extensions past `bound` begin. A linear scan:
+/// itemsets are short.
+#[inline]
+pub(crate) fn first_gt_items(items: &[Item], bound: Item) -> usize {
+    items.iter().position(|&i| i > bound).unwrap_or(items.len())
+}
 
 /// The minimum extension element of pattern `f` within `s` among candidates
 /// accepted by `admits` — the shared core of Apriori-KMS (`admits` ≡ true),
@@ -76,7 +84,7 @@ pub fn min_extension_where<'a, S: SeqView<'a>>(
             }
         }
         if is_sorted_subset(last.as_slice(), set) {
-            let from = simd::first_gt_items(set, max_last);
+            let from = first_gt_items(set, max_last);
             for &item in &set[from..] {
                 let e = ExtElem { item, mode: ExtMode::Itemset };
                 if admits(e) {
@@ -114,7 +122,7 @@ pub(crate) fn all_extensions<'a, S: SeqView<'a>>(s: S, f: &Sequence, out: &mut V
             }
         }
         if is_sorted_subset(last.as_slice(), set) {
-            let from = simd::first_gt_items(set, max_last);
+            let from = first_gt_items(set, max_last);
             for &item in &set[from..] {
                 out.push(encode_elem(ExtElem { item, mode: ExtMode::Itemset }));
             }
@@ -379,7 +387,7 @@ pub fn apriori_kms<'a, S: SeqView<'a>>(s: S, freq_prev: &[Sequence]) -> Option<K
 mod tests {
     use super::*;
     use disc_core::kmin::min_k_subsequence_with_allowed_prefix_naive;
-    use disc_core::{parse_sequence, Item};
+    use disc_core::parse_sequence;
     use std::collections::BTreeSet;
 
     fn seq(s: &str) -> Sequence {
@@ -390,6 +398,18 @@ mod tests {
         let mut v: Vec<Sequence> = texts.iter().map(|t| seq(t)).collect();
         v.sort();
         v
+    }
+
+    #[test]
+    fn first_gt_items_matches_partition_point() {
+        let sets: [&[u32]; 4] = [&[], &[3], &[0, 2, 5, 9], &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]];
+        for set in sets {
+            let items: Vec<Item> = set.iter().map(|&i| Item(i)).collect();
+            for bound in 0..12 {
+                let bound = Item(bound);
+                assert_eq!(first_gt_items(&items, bound), items.partition_point(|&i| i <= bound));
+            }
+        }
     }
 
     #[test]

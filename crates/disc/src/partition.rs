@@ -11,7 +11,7 @@
 //! buckets inside a partition produce exact global supports.
 
 use crate::counting::CountingArray;
-use crate::kms::{all_extensions, decode_elem, encode_elem, min_extension_where};
+use crate::kms::{all_extensions, decode_elem, encode_elem, first_gt_items, min_extension_where};
 use disc_core::{
     AbortReason, ExtElem, ExtMode, FlatArena, FlatDb, Item, MineGuard, SeqView, Sequence,
 };
@@ -56,7 +56,7 @@ pub fn next_frequent_item<'a, S: SeqView<'a>>(
     let mut best: Option<Item> = None;
     for t in 0..seq.n_transactions() {
         let set = seq.itemset_items(t);
-        let from = disc_core::simd::first_gt_items(set, after);
+        let from = first_gt_items(set, after);
         for &item in &set[from..] {
             if best.is_some_and(|b| item >= b) {
                 break; // items are sorted; nothing better in this transaction

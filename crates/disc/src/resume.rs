@@ -41,8 +41,8 @@ use disc_core::checkpoint::{
     SnapshotView,
 };
 use disc_core::{
-    run_guarded, AbortReason, FlatDb, FlatFileContents, GuardedResult, Item, MinSupport, MineGuard,
-    MiningResult, SequenceDatabase, SequentialMiner,
+    run_guarded, AbortReason, FlatDb, FlatFileContents, GuardedResult, Item, ItemMapping,
+    MinSupport, MineGuard, MiningResult, SequenceDatabase, SequentialMiner,
 };
 use std::cell::Cell;
 use std::fs;
@@ -255,13 +255,24 @@ pub trait Checkpointable: SequentialMiner {
 /// Flattens `db` once and mines it through the flat core: the whole of
 /// [`SequentialMiner::mine`] (under an unlimited guard) and
 /// [`SequentialMiner::mine_guarded`] for every DISC miner.
+///
+/// The cores size their counting arrays by the largest item id, so a sparse
+/// id space is flattened onto compact ids first (when
+/// [`ItemMapping::is_worthwhile`]) and the result, complete or partial, is
+/// translated back.
 pub(crate) fn mine_flattened<M: Checkpointable>(
     miner: &M,
     db: &SequenceDatabase,
     min_support: MinSupport,
     guard: &MineGuard,
 ) -> GuardedResult {
-    miner.mine_flat_guarded(&FlatDb::from_database(db), min_support, guard)
+    let mapping = ItemMapping::analyze(db);
+    if !mapping.is_worthwhile() {
+        return miner.mine_flat_guarded(&FlatDb::from_database(db), min_support, guard);
+    }
+    let flat = FlatDb::from_database_compacted(db, &mapping);
+    let run = miner.mine_flat_guarded(&flat, min_support, guard);
+    GuardedResult { result: mapping.restore_result(&run.result), ..run }
 }
 
 /// A checkpointing wrapper around a [`Checkpointable`] miner.

@@ -1,16 +1,13 @@
 //! The **k-sorted database** (Section 3.2): partition members keyed by their
 //! conditional k-minimum subsequences in an ordered bucket map.
 //!
-//! Keys are stored in a flattened [`SeqKey`] representation — the sequence's
-//! `(item, transaction-number)` pairs packed into comparison-ready words — so
+//! Keys are stored as [`FlatKey`]s — the sequence's `(item,
+//! transaction-number)` pairs encoded as comparison-ready `u64` words — so
 //! every comparison on a map descent is one slice comparison instead of a
-//! fresh walk through the nested representation. When the database fits the
-//! packed-word budget, the discovery loop instantiates this with
-//! [`disc_core::PackedKey`] (one `u32` per pair, SIMD-comparable); otherwise
-//! the wide [`FlatKey`] default applies. The public API stays in terms of
-//! [`Sequence`].
+//! fresh walk through the nested representation. The public API stays in
+//! terms of [`Sequence`].
 //!
-//! The backing store is a `BTreeMap<K, Vec<Entry>>` with an explicitly
+//! The backing store is a `BTreeMap<FlatKey, Vec<Entry>>` with an explicitly
 //! tracked entry count. The discovery loop only ever asks order statistics
 //! about the *head* of the database — `α₁`, `α_δ` for the small rank
 //! `δ = ⌈minsup·|D|⌉` within a virtual partition, and head drains — so a
@@ -19,7 +16,7 @@
 //! by [`disc_tree`] for the general rank-select case).
 
 use crate::kms::Kms;
-use disc_core::{FlatKey, SeqKey, Sequence};
+use disc_core::{FlatKey, Sequence};
 use std::collections::BTreeMap;
 
 /// One entry of the k-sorted database: which partition member it is, plus
@@ -33,10 +30,10 @@ pub struct Entry {
     pub ptr: usize,
 }
 
-/// The k-sorted database, generic over the flattened key representation.
-#[derive(Debug)]
-pub struct KSortedDb<K: SeqKey = FlatKey> {
-    map: BTreeMap<K, Vec<Entry>>,
+/// The k-sorted database.
+#[derive(Debug, Default)]
+pub struct KSortedDb {
+    map: BTreeMap<FlatKey, Vec<Entry>>,
     len: usize,
     /// Drained bucket allocations, reused by later inserts: most buckets are
     /// singletons, so without the pool every re-keying would allocate one
@@ -44,16 +41,10 @@ pub struct KSortedDb<K: SeqKey = FlatKey> {
     pool: Vec<Vec<Entry>>,
 }
 
-impl<K: SeqKey> Default for KSortedDb<K> {
-    fn default() -> KSortedDb<K> {
-        KSortedDb::new()
-    }
-}
-
-impl<K: SeqKey> KSortedDb<K> {
+impl KSortedDb {
     /// An empty k-sorted database.
-    pub fn new() -> KSortedDb<K> {
-        KSortedDb { map: BTreeMap::new(), len: 0, pool: Vec::new() }
+    pub fn new() -> KSortedDb {
+        KSortedDb::default()
     }
 
     /// Number of customer positions (the paper's "size of SD").
@@ -68,12 +59,12 @@ impl<K: SeqKey> KSortedDb<K> {
 
     /// Inserts a member under its freshly computed k-minimum subsequence.
     pub fn insert(&mut self, member: usize, kms: Kms) {
-        self.insert_key(member, K::key_of(&kms.key), kms.ptr);
+        self.insert_key(member, FlatKey::new(&kms.key), kms.ptr);
     }
 
     /// Inserts a member under an already-flattened key — the raw-KMS path,
     /// which never materializes a nested sequence.
-    pub fn insert_key(&mut self, member: usize, key: K, ptr: usize) {
+    pub fn insert_key(&mut self, member: usize, key: FlatKey, ptr: usize) {
         match self.map.entry(key) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 e.get_mut().push(Entry { member, ptr });
@@ -97,20 +88,20 @@ impl<K: SeqKey> KSortedDb<K> {
 
     /// `α₁`: the minimum key, reconstructed as a sequence.
     pub fn alpha_1(&self) -> Option<Sequence> {
-        self.map.keys().next().map(SeqKey::to_sequence)
+        self.map.keys().next().map(FlatKey::to_sequence)
     }
 
     /// `α_δ`: the key at customer position δ (1-based), reconstructed as a
     /// sequence.
     pub fn alpha_delta(&self, delta: u64) -> Option<Sequence> {
-        self.alpha_delta_key(delta).map(SeqKey::to_sequence)
+        self.alpha_delta_key(delta).map(FlatKey::to_sequence)
     }
 
     /// `α_δ` as a borrowed flattened key: an in-order walk accumulating
     /// bucket sizes until the running customer count reaches δ. The rank δ
     /// is the partition's support threshold — a small constant — so this
     /// touches at most a handful of head buckets.
-    pub fn alpha_delta_key(&self, delta: u64) -> Option<&K> {
+    pub fn alpha_delta_key(&self, delta: u64) -> Option<&FlatKey> {
         debug_assert!(delta >= 1);
         let mut seen = 0u64;
         for (k, vs) in &self.map {
@@ -136,7 +127,7 @@ impl<K: SeqKey> KSortedDb<K> {
     /// length is `α₁`'s exact support among the partition members. The key
     /// stays flattened — the caller materializes a [`Sequence`] only when it
     /// reports the pattern.
-    pub fn take_min(&mut self) -> Option<(K, Vec<Entry>)> {
+    pub fn take_min(&mut self) -> Option<(FlatKey, Vec<Entry>)> {
         let (k, vs) = self.map.pop_first()?;
         self.len -= vs.len();
         Some((k, vs))
@@ -144,22 +135,22 @@ impl<K: SeqKey> KSortedDb<K> {
 
     /// Detaches every entry keyed strictly below `bound`, ascending.
     pub fn take_less_than(&mut self, bound: &Sequence) -> Vec<(Sequence, Vec<Entry>)> {
-        self.split_below(&K::key_of(bound))
+        self.split_below(&FlatKey::new(bound))
             .into_iter()
-            .map(|(k, vs)| (k.into_sequence(), vs))
+            .map(|(k, vs)| (k.to_sequence(), vs))
             .collect()
     }
 
     /// Detaches every bucket keyed strictly below `bound`, ascending. The
     /// keys themselves are dropped without ever being reconstructed — the
     /// Lemma 2.2 skip only re-keys the members.
-    pub fn take_buckets_less_than(&mut self, bound: &K) -> Vec<Vec<Entry>> {
+    pub fn take_buckets_less_than(&mut self, bound: &FlatKey) -> Vec<Vec<Entry>> {
         self.split_below(bound).into_values().collect()
     }
 
     /// Splits off and returns the `< bound` head of the map, adjusting the
     /// tracked length.
-    fn split_below(&mut self, bound: &K) -> BTreeMap<K, Vec<Entry>> {
+    fn split_below(&mut self, bound: &FlatKey) -> BTreeMap<FlatKey, Vec<Entry>> {
         let rest = self.map.split_off(bound);
         let below = std::mem::replace(&mut self.map, rest);
         self.len -= below.values().map(Vec::len).sum::<usize>();
@@ -177,13 +168,13 @@ impl<K: SeqKey> KSortedDb<K> {
 mod tests {
     use super::*;
     use crate::kms::apriori_kms;
-    use disc_core::{parse_sequence, PackedKey};
+    use disc_core::parse_sequence;
 
     fn seq(s: &str) -> Sequence {
         parse_sequence(s).unwrap()
     }
 
-    fn table_9_database<K: SeqKey>() -> KSortedDb<K> {
+    fn table_9_database() -> KSortedDb {
         // Build the 4-sorted database of the <(a)(a)>-partition (Table 9).
         let mut list: Vec<Sequence> =
             ["(a)(a,e)", "(a)(a,g)", "(a)(a,h)"].iter().map(|t| seq(t)).collect();
@@ -204,7 +195,9 @@ mod tests {
         db
     }
 
-    fn assert_table_9_shape<K: SeqKey>(db: &KSortedDb<K>) {
+    #[test]
+    fn table_9_four_sorted_database() {
+        let db = table_9_database();
         assert_eq!(db.len(), 6);
         assert_eq!(db.alpha_1(), Some(seq("(a)(a,e)(c)")));
         // δ = 3: the third customer position holds <(a)(a,e,g)>.
@@ -223,24 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn table_9_four_sorted_database() {
-        assert_table_9_shape(&table_9_database::<FlatKey>());
-    }
-
-    #[test]
-    fn table_9_agrees_under_packed_keys() {
-        // The same sorted database, keyed by packed u32 words, must produce
-        // an identical in-order snapshot — the order-preservation claim of
-        // the packing scheme exercised through the whole tree layer.
-        assert_table_9_shape(&table_9_database::<PackedKey>());
-        let flat = table_9_database::<FlatKey>().snapshot();
-        let packed = table_9_database::<PackedKey>().snapshot();
-        assert_eq!(flat, packed);
-    }
-
-    #[test]
     fn take_less_than_drains_the_head() {
-        let mut db: KSortedDb = KSortedDb::new();
+        let mut db = KSortedDb::new();
         db.insert(0, Kms { key: seq("(a)(b)"), ptr: 0 });
         db.insert(1, Kms { key: seq("(a)(c)"), ptr: 0 });
         db.insert(2, Kms { key: seq("(b)(c)"), ptr: 1 });

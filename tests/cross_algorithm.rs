@@ -216,3 +216,55 @@ fn delta_one_and_delta_db_size_edges() {
     let db = quest(6, 40, 3.0);
     assert_agreement(&db, MinSupport::Count(db.len() as u64));
 }
+
+/// `db` with every item id raised by `offset`.
+fn shifted_db(db: &SequenceDatabase, offset: u32) -> SequenceDatabase {
+    SequenceDatabase::from_rows(
+        db.rows().iter().map(|row| (row.cid, shifted(&row.sequence, offset))),
+    )
+}
+
+fn shifted(seq: &Sequence, offset: u32) -> Sequence {
+    Sequence::new(
+        seq.itemsets()
+            .iter()
+            .map(|set| Itemset::from_sorted(set.iter().map(|i| Item(i.0 + offset)).collect())),
+    )
+}
+
+#[test]
+fn agreement_past_wide_item_ids_and_long_customers() {
+    // The DISC miners against PseudoPrefixSpan on item ids far past 20 bits
+    // (mined on compact ids, reported in the originals) and on customers
+    // with more than 4,095 transactions.
+    let db = quest(8, 200, 4.0);
+    let threshold = MinSupport::Count(8);
+    let agree = |db: &SequenceDatabase| {
+        let reference = PseudoPrefixSpan::default().mine(db, threshold);
+        let miners: [Box<dyn SequentialMiner>; 3] = [
+            Box::new(DiscAll::default()),
+            Box::new(DynamicDiscAll::with_gamma(0.6)),
+            Box::new(ParallelDiscAll::with_threads(2)),
+        ];
+        for miner in miners {
+            let diff = miner.mine(db, threshold).diff(&reference);
+            assert!(diff.is_empty(), "{} disagrees:\n{}", miner.name(), diff.join("\n"));
+        }
+        reference
+    };
+    let base = agree(&db);
+    assert!(!base.is_empty());
+    for offset in [1 << 20, 3_000_000] {
+        let got = agree(&shifted_db(&db, offset));
+        let expected: MiningResult = base.iter().map(|(p, s)| (shifted(p, offset), s)).collect();
+        assert!(got.diff(&expected).is_empty(), "shift {offset} changed the result");
+    }
+
+    let mut long = db.clone();
+    for (j, row) in db.rows().iter().take(2).enumerate() {
+        let sets = row.sequence.itemsets();
+        let cycled = sets.iter().cycle().take(4_200).cloned();
+        long.push(disc_miner::core::CustomerId(1_000_000 + j as u64), Sequence::new(cycled));
+    }
+    agree(&long);
+}
