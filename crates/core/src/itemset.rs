@@ -240,7 +240,8 @@ mod tests {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
             let mut v: Vec<Item> = (0..24)
                 .map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                     Item(match state >> 62 {
                         0 => (state >> 32) as u32,
                         1 => (state >> 48) as u32 & 0x7,

@@ -1,9 +1,24 @@
-//! The **DISC-all** algorithm (Figure 2): two-level partitioning + counting
-//! arrays for lengths 1–3, the DISC strategy for lengths ≥ 4.
+//! The **DISC-all** algorithm (Figure 2) and the **partition engine** every
+//! DISC miner runs.
+//!
+//! The engine is Figure 2's walk, written once: the frequent 1-sequences,
+//! first-level partitions with their reassignment chains, counting-array
+//! scans, reduction into a reused arena, next-level partitions keyed by
+//! (conditional) minimum extensions, and the DISC strategy below the last
+//! split. At every level it asks a [`SplitPolicy`] whether to split the
+//! partition further or hand it to the DISC strategy. DISC-all is the
+//! constant [`SplitPolicy::FixedDepth`]`(2)`: two levels of partitioning,
+//! counting arrays for lengths 1–3, DISC for lengths ≥ 4.
+//! [`DynamicDiscAll`](crate::DynamicDiscAll) runs the same engine with its
+//! NRR threshold, and [`ParallelDiscAll`](crate::ParallelDiscAll) runs its
+//! first-level step once per shard.
 
 use crate::counting::{count_extensions, count_extensions_into, CountingArray};
 use crate::discovery::discover_frequent_k_into;
-use crate::partition::{group_by_min_item_guarded, reduce_into, RowExtensions};
+use crate::dynamic::SplitPolicy;
+use crate::partition::{
+    frequent_items_per_row, group_by_min_item_guarded, min_ext_elem, reduce_into, RowExtensions,
+};
 use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use disc_core::{
     checkpoint, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
@@ -11,8 +26,7 @@ use disc_core::{
 };
 use std::collections::BTreeMap;
 
-/// Tuning knobs for [`DiscAll`] (and the DISC stages of the dynamic
-/// variant).
+/// Tuning knobs shared by every DISC miner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiscConfig {
     /// Use the bi-level optimization of §3.2 (one k-sorted-database pass
@@ -26,6 +40,9 @@ impl Default for DiscConfig {
         DiscConfig { bi_level: true }
     }
 }
+
+/// DISC-all's split policy: partition to prefix length 2, then DISC.
+pub(crate) const DISC_ALL_POLICY: SplitPolicy = SplitPolicy::FixedDepth(2);
 
 /// The DISC-all miner.
 ///
@@ -86,76 +103,23 @@ impl Checkpointable for DiscAll {
         (checkpoint::MINER_DISC_ALL, self.config.bi_level, 1)
     }
 
-    /// The cooperative core: checkpoints on every partition-walk step and
-    /// every per-member scan, notes every pattern. With a
-    /// [`CheckpointSink`], snapshots the boundary-consistent state after the
-    /// frequent 1-sequences and after every completed first-level
-    /// partition, and skips partitions a resumed snapshot marks done (their
-    /// reassignment chains still run — later partitions need them).
+    /// The partition engine under [`SplitPolicy::FixedDepth`]`(2)`.
+    ///
+    /// Checkpoints on every partition-walk step and every per-member scan,
+    /// and notes every pattern. With a [`CheckpointSink`], reports the
+    /// boundary-consistent state after the frequent 1-sequences and after
+    /// every completed first-level partition, and skips partitions a
+    /// resumed snapshot marks done (their reassignment chains still run —
+    /// later partitions need them).
     fn mine_flat_into(
         &self,
         flat: &FlatDb,
         delta: u64,
         guard: &MineGuard,
         result: &mut MiningResult,
-        mut sink: Option<&mut CheckpointSink<'_>>,
+        sink: Option<&mut CheckpointSink<'_>>,
     ) -> Result<(), AbortReason> {
-        let Some(max_item) = flat.max_item() else {
-            return Ok(());
-        };
-        let n_items = max_item.id() as usize + 1;
-
-        // One counting array, reduction arena and extension table for the
-        // whole run: partitions reset them instead of re-allocating (the
-        // arena and table stabilize at the largest partition's footprint).
-        let mut carray = CountingArray::new(n_items);
-        let mut arena = FlatArena::new();
-        let mut exts = RowExtensions::new();
-
-        // Step 1: frequent 1-sequences + first-level partitions.
-        let freq1 = frequent_one_sequences(flat, delta, n_items, guard, result)?;
-        if let Some(s) = sink.as_deref_mut() {
-            s.level_one(result);
-        }
-
-        // Step 2: walk first-level partitions in ascending key order. The
-        // reassignment chain of a row visits, ascending, exactly the
-        // distinct frequent items it contains — precompute those lists once
-        // so every chain turn is a binary search instead of a row walk.
-        let row_items = frequent_items_per_row(flat, &freq1, guard)?;
-        let mut first_level = group_by_min_item_guarded(flat, guard)?;
-        while let Some((&lambda, _)) = first_level.iter().next() {
-            guard.checkpoint()?;
-            let members = first_level.remove(&lambda).expect("key just observed");
-            let resumed = sink.as_deref().is_some_and(|s| s.is_done(lambda));
-            if freq1[lambda.id() as usize] && !resumed {
-                self.process_first_level(
-                    flat,
-                    lambda,
-                    &members,
-                    delta,
-                    &freq1,
-                    guard,
-                    result,
-                    &mut carray,
-                    &mut arena,
-                    &mut exts,
-                )?;
-                if let Some(s) = sink.as_deref_mut() {
-                    s.partition_done(lambda, result);
-                }
-            }
-            // Step 2.2: reassignment chains.
-            for idx in members {
-                guard.checkpoint()?;
-                let items = &row_items[idx];
-                let from = items.partition_point(|&x| x <= lambda);
-                if let Some(&next) = items.get(from) {
-                    first_level.entry(next).or_default().push(idx);
-                }
-            }
-        }
-        Ok(())
+        mine_partitioned(flat, delta, DISC_ALL_POLICY, self.config, guard, result, sink)
     }
 }
 
@@ -168,40 +132,141 @@ impl DiscAll {
     pub fn mine_flat(&self, flat: &FlatDb, min_support: MinSupport) -> MiningResult {
         self.mine_flat_guarded(flat, min_support, &MineGuard::unlimited()).into_complete()
     }
+}
 
+/// The partition engine's whole walk under `policy`, with the checkpoints
+/// and snapshot boundaries [`DiscAll`]'s `mine_flat_into` documents. A
+/// policy that does not split the root has no partition boundaries; only
+/// the level-1 snapshot applies there.
+pub(crate) fn mine_partitioned(
+    flat: &FlatDb,
+    delta: u64,
+    policy: SplitPolicy,
+    config: DiscConfig,
+    guard: &MineGuard,
+    result: &mut MiningResult,
+    mut sink: Option<&mut CheckpointSink<'_>>,
+) -> Result<(), AbortReason> {
+    let Some(max_item) = flat.max_item() else {
+        return Ok(());
+    };
+    let n_items = max_item.id() as usize + 1;
+    // One counting array, reduction arena and extension table for the whole
+    // run: partitions reset them instead of re-allocating (the arena and
+    // table stabilize at the largest partition's footprint).
+    let mut scratch = Scratch::new(n_items);
+
+    // Step 1: frequent 1-sequences.
+    let (freq1, supports1) = frequent_one_sequences(flat, delta, n_items, guard, result)?;
+    if let Some(s) = sink.as_deref_mut() {
+        s.level_one(result);
+    }
+    let engine = Engine { flat, delta, freq1: &freq1, policy, config, guard };
+
+    if !policy.split(0, supports1.iter().copied(), flat.len()) {
+        // No partitioning at all: DISC over the whole database from k = 2,
+        // seeded by the 1-sorted list.
+        let members: Vec<_> = flat.rows().collect();
+        let list = (0..n_items as u32).filter(|&id| freq1[id as usize]);
+        let list = list.map(|id| Sequence::single(Item(id))).collect();
+        return engine.run_disc(&members, list, result, &mut scratch.carray);
+    }
+
+    // Step 2: walk first-level partitions in ascending key order. The
+    // reassignment chain of a row visits, ascending, exactly the distinct
+    // frequent items it contains — precompute those lists once so every
+    // chain turn is a binary search instead of a row walk.
+    let row_items = frequent_items_per_row(flat, &freq1, guard)?;
+    let mut first_level = group_by_min_item_guarded(flat, guard)?;
+    while let Some((&lambda, _)) = first_level.iter().next() {
+        guard.checkpoint()?;
+        let members = first_level.remove(&lambda).expect("key just observed");
+        let resumed = sink.as_deref().is_some_and(|s| s.is_done(lambda));
+        if freq1[lambda.id() as usize] && !resumed {
+            engine.process_first_level(lambda, &members, result, &mut scratch)?;
+            if let Some(s) = sink.as_deref_mut() {
+                s.partition_done(lambda, result);
+            }
+        }
+        // Step 2.2: reassignment chains.
+        for idx in members {
+            guard.checkpoint()?;
+            let items = &row_items[idx];
+            let from = items.partition_point(|&x| x <= lambda);
+            if let Some(&next) = items.get(from) {
+                first_level.entry(next).or_default().push(idx);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What every partition step of one engine run reads. One run is a whole
+/// sequential mine, or one shard of [`crate::ParallelDiscAll`] (which
+/// brings its worker guard).
+pub(crate) struct Engine<'r> {
+    pub(crate) flat: &'r FlatDb,
+    pub(crate) delta: u64,
+    /// Which items are frequent 1-sequences.
+    pub(crate) freq1: &'r [bool],
+    pub(crate) policy: SplitPolicy,
+    pub(crate) config: DiscConfig,
+    pub(crate) guard: &'r MineGuard,
+}
+
+/// The buffers one engine run reuses across its partitions.
+pub(crate) struct Scratch {
+    carray: CountingArray,
+    arena: FlatArena,
+    exts: RowExtensions,
+}
+
+impl Scratch {
+    /// Empty buffers for item ids `0..n_items`.
+    pub(crate) fn new(n_items: usize) -> Scratch {
+        Scratch {
+            carray: CountingArray::new(n_items),
+            arena: FlatArena::new(),
+            exts: RowExtensions::new(),
+        }
+    }
+}
+
+impl Engine<'_> {
     /// Steps 2.1.1–2.1.3 for one `<(λ)>`-partition.
     ///
-    /// Crate-visible because this is also the **shard body** of
-    /// [`crate::parallel::ParallelDiscAll`]: the member list of the
-    /// `<(λ)>`-partition at its processing time is exactly the rows
-    /// containing `λ` (the reassignment chains enumerate, per row, every
-    /// frequent item it contains), so first-level partitions are mutually
-    /// independent and can run concurrently.
-    #[allow(clippy::too_many_arguments)]
+    /// This is also the **shard body** of [`crate::ParallelDiscAll`]: the
+    /// member list of the `<(λ)>`-partition at its processing time is
+    /// exactly the rows containing `λ` (the reassignment chains enumerate,
+    /// per row, every frequent item it contains), so first-level partitions
+    /// are mutually independent and can run concurrently.
     pub(crate) fn process_first_level(
         &self,
-        flat: &FlatDb,
         lambda: Item,
         members: &[usize],
-        delta: u64,
-        freq1: &[bool],
-        guard: &MineGuard,
         result: &mut MiningResult,
-        carray: &mut CountingArray,
-        arena: &mut FlatArena,
-        exts: &mut RowExtensions,
+        scratch: &mut Scratch,
     ) -> Result<(), AbortReason> {
+        let Scratch { carray, arena, exts } = scratch;
+        let (flat, delta, guard) = (self.flat, self.delta, self.guard);
         let prefix1 = Sequence::single(lambda);
 
         // 2.1.1: frequent 2-sequences by counting array (over the originals —
         // every supporter of a 2-sequence starting with λ is a member now).
         guard.charge(members.len() as u64)?;
         count_extensions_into(carray, &prefix1, members.iter().map(|&i| flat.row(i)));
-        let (i_mask, s_mask) = carray.frequency_masks(delta);
-        for (elem, support) in carray.frequent_extensions(delta) {
+        let freq2 = carray.frequent_extensions(delta);
+        for &(elem, support) in &freq2 {
             guard.note_pattern()?;
             result.insert(prefix1.extended(elem), support);
         }
+        if !self.policy.split(1, freq2.iter().map(|&(_, s)| s), members.len()) {
+            // DISC from k = 3 over the (unreduced) partition members.
+            let views: Vec<_> = members.iter().map(|&i| flat.row(i)).collect();
+            let list = freq2.iter().map(|&(elem, _)| prefix1.extended(elem)).collect();
+            return self.run_disc(&views, list, result, carray);
+        }
+        let (i_mask, s_mask) = carray.frequency_masks(delta);
 
         // 2.1.2: reduce into a partition-local flat arena and group by
         // 2-minimum subsequence. Partition slots are arena row indices;
@@ -216,7 +281,8 @@ impl DiscAll {
             let seq = flat.row(idx);
             let min_point =
                 seq.first_txn_containing(lambda).expect("partition members contain their key item");
-            let Some(row) = reduce_into(arena, seq, lambda, min_point, freq1, &i_mask, &s_mask)
+            let Some(row) =
+                reduce_into(arena, seq, lambda, min_point, self.freq1, &i_mask, &s_mask)
             else {
                 continue;
             };
@@ -238,7 +304,7 @@ impl DiscAll {
             if slots.len() as u64 >= delta {
                 let prefix2 = prefix1.extended(elem);
                 let partition: Vec<_> = slots.iter().map(|&s| arena.row(s)).collect();
-                self.process_second_level(&prefix2, &partition, delta, guard, result, carray)?;
+                self.process_partition(&prefix2, &partition, 2, result, carray)?;
             }
             // 2.1.3.3: reassign by the next 2-minimum subsequence.
             for slot in slots {
@@ -251,121 +317,125 @@ impl DiscAll {
         Ok(())
     }
 
-    /// Steps 2.1.3.1–2.1.3.2 for one second-level partition.
-    fn process_second_level<'a, S: SeqView<'a>>(
+    /// A `<π>`-partition with `|π| = level ≥ 2` (step 2.1.3 for DISC-all's
+    /// second level): a counting-array scan finds the frequent
+    /// (level+1)-sequences; then the policy either hands the partition to
+    /// the DISC strategy from k = level + 2, or splits it by (conditional)
+    /// (level+1)-minimum subsequence and recurses with reassignment chains.
+    /// Partitions are slices of `Copy` views, so recursion copies handles,
+    /// not sequences.
+    fn process_partition<'a, S: SeqView<'a>>(
         &self,
-        prefix2: &Sequence,
+        prefix: &Sequence,
         partition: &[S],
-        delta: u64,
-        guard: &MineGuard,
+        level: usize,
         result: &mut MiningResult,
         carray: &mut CountingArray,
     ) -> Result<(), AbortReason> {
-        // 2.1.3.1: frequent 3-sequences by counting array.
+        let (delta, guard) = (self.delta, self.guard);
         guard.charge(partition.len() as u64)?;
-        count_extensions_into(carray, prefix2, partition.iter().copied());
-        let mut freq3 = Vec::new();
-        for (elem, support) in carray.frequent_extensions(delta) {
-            let pat = prefix2.extended(elem);
+        count_extensions_into(carray, prefix, partition.iter().copied());
+        let exts = carray.frequent_extensions(delta);
+        let mut freq_next = Vec::with_capacity(exts.len());
+        for &(elem, support) in &exts {
+            let pat = prefix.extended(elem);
             guard.note_pattern()?;
             result.insert(pat.clone(), support);
-            freq3.push(pat);
+            freq_next.push(pat);
         }
+        if !self.policy.split(level, exts.iter().map(|&(_, s)| s), partition.len()) {
+            return self.run_disc(partition, freq_next, result, carray);
+        }
+        let (i_mask, s_mask) = carray.frequency_masks(delta);
 
-        // 2.1.3.2: DISC iterations for k ≥ 4.
-        run_disc_levels(partition, freq3, delta, self.config.bi_level, guard, result, carray)
+        let mut children: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
+        for (slot, &seq) in partition.iter().enumerate() {
+            guard.checkpoint()?;
+            if let Some(elem) = min_ext_elem(seq, prefix, &i_mask, &s_mask, None) {
+                children.entry(elem).or_default().push(slot);
+            }
+        }
+        while let Some((&elem, _)) = children.iter().next() {
+            guard.checkpoint()?;
+            let slots = children.remove(&elem).expect("key just observed");
+            if slots.len() as u64 >= delta {
+                let child: Vec<S> = slots.iter().map(|&s| partition[s]).collect();
+                self.process_partition(&prefix.extended(elem), &child, level + 1, result, carray)?;
+            }
+            for slot in slots {
+                guard.checkpoint()?;
+                if let Some(next) =
+                    min_ext_elem(partition[slot], prefix, &i_mask, &s_mask, Some(elem))
+                {
+                    children.entry(next).or_default().push(slot);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The `k = start, start+1, …` (or `start, start+2, …` under bi-level)
+    /// DISC loop below the last split. `freq_prev` holds the ascending
+    /// frequent (k-1)-sequences that seed the first iteration. Patterns
+    /// reach `result` only from *completed* discovery calls, so an abort
+    /// mid-discovery never records unverified supports.
+    fn run_disc<'a, S: SeqView<'a>>(
+        &self,
+        members: &[S],
+        mut freq_prev: Vec<Sequence>,
+        result: &mut MiningResult,
+        carray: &mut CountingArray,
+    ) -> Result<(), AbortReason> {
+        let (delta, bi_level, guard) = (self.delta, self.config.bi_level, self.guard);
+        while !freq_prev.is_empty() && members.len() as u64 >= delta {
+            guard.checkpoint()?;
+            let out =
+                discover_frequent_k_into(members, &freq_prev, delta, bi_level, guard, carray)?;
+            // Under bi-level, level k is final and level k+1 seeds the next
+            // round. Final patterns are *moved* into the result; only the
+            // seeding level clones (its sequences live on as the next
+            // (k-1)-sorted list).
+            let (last, seed) =
+                if bi_level { (out.freq_k, out.freq_k1) } else { (vec![], out.freq_k) };
+            for (p, s) in last {
+                guard.note_pattern()?;
+                result.insert(p, s);
+            }
+            freq_prev = Vec::with_capacity(seed.len());
+            for (p, s) in seed {
+                guard.note_pattern()?;
+                freq_prev.push(p.clone());
+                result.insert(p, s);
+            }
+        }
+        Ok(())
     }
 }
 
-/// Per database row, the ascending distinct *frequent* items it contains —
-/// the full itinerary of the row's first-level reassignment chain, computed
-/// in one pass per row.
-fn frequent_items_per_row(
-    flat: &FlatDb,
-    freq1: &[bool],
-    guard: &MineGuard,
-) -> Result<Vec<Vec<Item>>, AbortReason> {
-    let mut out = Vec::with_capacity(flat.len());
-    let mut items: Vec<Item> = Vec::new();
-    for row in flat.rows() {
-        guard.checkpoint()?;
-        items.clear();
-        for t in 0..row.n_transactions() {
-            items.extend(row.itemset_items(t).iter().copied().filter(|x| freq1[x.id() as usize]));
-        }
-        items.sort_unstable();
-        items.dedup();
-        out.push(items.clone());
-    }
-    Ok(out)
-}
-
-/// Step 1 of Figure 2, shared by the sequential and parallel miners: one
-/// counting-array scan finds the frequent 1-sequences, inserts them into
-/// `result`, and returns the `freq1` mask.
+/// Step 1 of Figure 2: one counting-array scan finds the frequent
+/// 1-sequences and inserts them into `result`. Returns the `freq1` mask and
+/// the frequent items' supports, ascending by item (the root's NRR input).
 pub(crate) fn frequent_one_sequences(
     flat: &FlatDb,
     delta: u64,
     n_items: usize,
     guard: &MineGuard,
     result: &mut MiningResult,
-) -> Result<Vec<bool>, AbortReason> {
+) -> Result<(Vec<bool>, Vec<u64>), AbortReason> {
     guard.charge(flat.len() as u64)?;
     let root = count_extensions(&Sequence::empty(), flat.rows(), n_items);
     let mut freq1 = vec![false; n_items];
+    let mut supports = Vec::new();
     for id in 0..n_items as u32 {
         let support = root.seq_support(Item(id));
         if support >= delta {
             freq1[id as usize] = true;
+            supports.push(support);
             guard.note_pattern()?;
             result.insert(Sequence::single(Item(id)), support);
         }
     }
-    Ok(freq1)
-}
-
-/// The `k = start, start+1, …` (or `start, start+2, …` under bi-level) DISC
-/// loop shared by DISC-all and Dynamic DISC-all. `freq_prev` holds the
-/// ascending frequent (k-1)-sequences that seed the first iteration.
-/// Patterns reach `result` only from *completed* discovery calls, so an
-/// abort mid-discovery never records unverified supports.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_disc_levels<'a, S: SeqView<'a>>(
-    members: &[S],
-    mut freq_prev: Vec<Sequence>,
-    delta: u64,
-    bi_level: bool,
-    guard: &MineGuard,
-    result: &mut MiningResult,
-    carray: &mut CountingArray,
-) -> Result<(), AbortReason> {
-    while !freq_prev.is_empty() && members.len() as u64 >= delta {
-        guard.checkpoint()?;
-        let out = discover_frequent_k_into(members, &freq_prev, delta, bi_level, guard, carray)?;
-        // Patterns that don't seed the next level are *moved* into the
-        // result; only the seeding level clones (its sequences live on as
-        // the next (k-1)-sorted list).
-        if bi_level {
-            for (p, s) in out.freq_k {
-                guard.note_pattern()?;
-                result.insert(p, s);
-            }
-            freq_prev = Vec::with_capacity(out.freq_k1.len());
-            for (p, s) in out.freq_k1 {
-                guard.note_pattern()?;
-                freq_prev.push(p.clone());
-                result.insert(p, s);
-            }
-        } else {
-            freq_prev = Vec::with_capacity(out.freq_k.len());
-            for (p, s) in out.freq_k {
-                guard.note_pattern()?;
-                freq_prev.push(p.clone());
-                result.insert(p, s);
-            }
-        }
-    }
-    Ok(())
+    Ok((freq1, supports))
 }
 
 #[cfg(test)]

@@ -1,24 +1,28 @@
-//! The **Dynamic DISC-all** algorithm (paper appendix): recursive
-//! partitioning that keeps splitting while partitioning pays off (NRR below
-//! the threshold γ) and hands over to the DISC strategy as soon as child
-//! partitions stop shrinking.
+//! The **Dynamic DISC-all** algorithm (paper appendix): DISC-all with one
+//! change — each partition decides whether to keep splitting (NRR below the
+//! threshold γ) instead of always stopping at level 2.
 //!
 //! Section 4.2's observation: database partitioning is profitable for
 //! partitions with a *low* non-reduction rate (children much smaller than
 //! the parent) and pure overhead when the NRR approaches 1 — in the extreme,
-//! every child is as large as its parent. The static DISC-all always stops
-//! partitioning at level 2; the dynamic variant measures the NRR of each
-//! partition from its counting-array scan and decides per partition.
+//! every child is as large as its parent. The dynamic variant measures the
+//! NRR of each partition from its counting-array scan and decides per
+//! partition.
+//!
+//! [`DynamicDiscAll`] runs DISC-all's partition engine
+//! ([`crate::disc_all`]) with its own [`SplitPolicy`]; DISC-all is the
+//! engine under [`SplitPolicy::FixedDepth`]`(2)`. When a
+//! partition is not split, the DISC strategy takes over from the next
+//! length: from k = 2 at the root, from k = 3 over the unreduced members of
+//! a first-level partition, and from k = j + 2 in a `<π>`-partition with
+//! `|π| = j ≥ 2`.
 
-use crate::counting::{count_extensions, CountingArray};
-use crate::disc_all::run_disc_levels;
-use crate::partition::{group_by_min_item_guarded, min_ext_elem, next_frequent_item, reduce_into};
+use crate::disc_all::{mine_partitioned, DiscConfig};
 use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use disc_core::{
-    checkpoint, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
-    MineGuard, MiningResult, SeqView, Sequence, SequenceDatabase, SequentialMiner,
+    checkpoint, AbortReason, FlatDb, GuardedResult, MinSupport, MineGuard, MiningResult,
+    SequenceDatabase, SequentialMiner,
 };
-use std::collections::BTreeMap;
 
 /// When does a partition get split into next-level partitions instead of
 /// being handed to the DISC strategy?
@@ -28,17 +32,27 @@ pub enum SplitPolicy {
     NrrThreshold(f64),
     /// The generalized static scheme the paper's §3 gestures at ("the
     /// number of levels should be adaptive"): split to a fixed prefix
-    /// depth, regardless of NRR. Depth 2 mirrors the static DISC-all's
-    /// two-level partitioning inside this machinery.
+    /// depth, regardless of NRR. Depth 2 is DISC-all.
     FixedDepth(usize),
 }
 
 impl SplitPolicy {
-    /// Should the partition at prefix length `level` with the given NRR be
-    /// split further?
-    fn split(self, level: usize, nrr: f64) -> bool {
+    /// Should the partition at prefix length `level` be split further,
+    /// given the supports of its frequent one-item extensions (its child
+    /// partitions' sizes) and its own size? The supports are read only
+    /// under [`SplitPolicy::NrrThreshold`]; a partition without frequent
+    /// extensions has no children and is never split by NRR.
+    pub(crate) fn split(
+        self,
+        level: usize,
+        ext_supports: impl IntoIterator<Item = u64>,
+        partition_size: usize,
+    ) -> bool {
         match self {
-            SplitPolicy::NrrThreshold(gamma) => nrr < gamma,
+            SplitPolicy::NrrThreshold(gamma) => {
+                let supports: Vec<u64> = ext_supports.into_iter().collect();
+                !supports.is_empty() && nrr(&supports, partition_size) < gamma
+            }
             SplitPolicy::FixedDepth(depth) => level < depth,
         }
     }
@@ -49,15 +63,15 @@ impl SplitPolicy {
 pub struct DynamicDiscAll {
     /// The split policy (γ-threshold per the appendix, or fixed depth).
     pub policy: SplitPolicy,
-    /// Use the bi-level optimization inside the DISC stages.
-    pub bi_level: bool,
+    /// DISC tuning knobs, shared with [`crate::DiscAll`].
+    pub config: DiscConfig,
 }
 
 impl Default for DynamicDiscAll {
     /// γ = 0.6 sits between the observed "partitioning pays" (≤ ~0.2) and
     /// "partitioning is overhead" (≥ ~0.8) regimes of Tables 12/14.
     fn default() -> Self {
-        DynamicDiscAll { policy: SplitPolicy::NrrThreshold(0.6), bi_level: true }
+        DynamicDiscAll { policy: SplitPolicy::NrrThreshold(0.6), config: DiscConfig::default() }
     }
 }
 
@@ -103,254 +117,27 @@ impl SequentialMiner for DynamicDiscAll {
 
 impl Checkpointable for DynamicDiscAll {
     fn provenance(&self) -> (u8, bool, u32) {
-        (checkpoint::MINER_DYNAMIC, self.bi_level, 1)
+        (checkpoint::MINER_DYNAMIC, self.config.bi_level, 1)
     }
 
-    /// The cooperative core. Snapshot hooks mirror [`crate::DiscAll`]'s:
-    /// boundaries at the frequent 1-sequences and per completed first-level
-    /// partition. The degenerate no-split path has no partition boundaries
-    /// — only the level-1 snapshot applies there.
+    /// The partition engine under this miner's policy, with DISC-all's
+    /// checkpoints and snapshot boundaries.
     fn mine_flat_into(
         &self,
         flat: &FlatDb,
         delta: u64,
         guard: &MineGuard,
         result: &mut MiningResult,
-        mut sink: Option<&mut CheckpointSink<'_>>,
+        sink: Option<&mut CheckpointSink<'_>>,
     ) -> Result<(), AbortReason> {
-        let Some(max_item) = flat.max_item() else {
-            return Ok(());
-        };
-        let n_items = max_item.id() as usize + 1;
-
-        // Root (λ = NULL, k = 0): scan for frequent 1-sequences.
-        guard.charge(flat.len() as u64)?;
-        let root = count_extensions(&Sequence::empty(), flat.rows(), n_items);
-        let mut freq1 = vec![false; n_items];
-        let mut supports1 = Vec::new();
-        for id in 0..n_items as u32 {
-            let support = root.seq_support(Item(id));
-            if support >= delta {
-                freq1[id as usize] = true;
-                supports1.push(support);
-                guard.note_pattern()?;
-                result.insert(Sequence::single(Item(id)), support);
-            }
-        }
-        if supports1.is_empty() {
-            return Ok(());
-        }
-        if let Some(s) = sink.as_deref_mut() {
-            s.level_one(result);
-        }
-
-        if !self.policy.split(0, nrr(&supports1, flat.len())) {
-            // Degenerate but well-defined: DISC over the whole database from
-            // k = 2, seeded by the 1-sorted list.
-            let members: Vec<_> = flat.rows().collect();
-            let list: Vec<Sequence> = (0..n_items as u32)
-                .filter(|&id| freq1[id as usize])
-                .map(|id| Sequence::single(Item(id)))
-                .collect();
-            let mut carray = CountingArray::new(n_items);
-            return run_disc_levels(
-                &members,
-                list,
-                delta,
-                self.bi_level,
-                guard,
-                result,
-                &mut carray,
-            );
-        }
-
-        // First-level partitions with reassignment chains.
-        let mut first_level = group_by_min_item_guarded(flat, guard)?;
-        while let Some((&lambda, _)) = first_level.iter().next() {
-            guard.checkpoint()?;
-            let members = first_level.remove(&lambda).expect("key just observed");
-            let resumed = sink.as_deref().is_some_and(|s| s.is_done(lambda));
-            if freq1[lambda.id() as usize] && !resumed {
-                self.process_first_level(
-                    flat, lambda, &members, delta, n_items, &freq1, guard, result,
-                )?;
-                if let Some(s) = sink.as_deref_mut() {
-                    s.partition_done(lambda, result);
-                }
-            }
-            for idx in members {
-                guard.checkpoint()?;
-                if let Some(next) = next_frequent_item(flat.row(idx), lambda, &freq1) {
-                    first_level.entry(next).or_default().push(idx);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl DynamicDiscAll {
-    /// One `<(λ)>`-partition: count 2-extensions, decide by NRR, then either
-    /// reduce + split into second-level partitions or run DISC from k = 3.
-    #[allow(clippy::too_many_arguments)]
-    fn process_first_level(
-        &self,
-        flat: &FlatDb,
-        lambda: Item,
-        members: &[usize],
-        delta: u64,
-        n_items: usize,
-        freq1: &[bool],
-        guard: &MineGuard,
-        result: &mut MiningResult,
-    ) -> Result<(), AbortReason> {
-        let prefix1 = Sequence::single(lambda);
-        guard.charge(members.len() as u64)?;
-        let mut array = count_extensions(&prefix1, members.iter().map(|&i| flat.row(i)), n_items);
-        let (i_mask, s_mask) = array.frequency_masks(delta);
-        let exts = array.frequent_extensions(delta);
-        if exts.is_empty() {
-            return Ok(());
-        }
-        let mut freq2 = Vec::with_capacity(exts.len());
-        let mut supports = Vec::with_capacity(exts.len());
-        for &(elem, support) in &exts {
-            let pat = prefix1.extended(elem);
-            guard.note_pattern()?;
-            result.insert(pat.clone(), support);
-            freq2.push(pat);
-            supports.push(support);
-        }
-
-        if !self.policy.split(1, nrr(&supports, members.len())) {
-            // DISC from k = 3 over the (unreduced) partition members.
-            let views: Vec<_> = members.iter().map(|&i| flat.row(i)).collect();
-            let mut carray = CountingArray::new(n_items);
-            return run_disc_levels(
-                &views,
-                freq2,
-                delta,
-                self.bi_level,
-                guard,
-                result,
-                &mut carray,
-            );
-        }
-
-        // Reduce into a partition-local flat arena, split by 2-minimum
-        // subsequence, recurse. Slots are arena row indices.
-        let mut arena = FlatArena::new();
-        let mut second: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
-        for &idx in members {
-            guard.checkpoint()?;
-            let seq = flat.row(idx);
-            let min_point =
-                seq.first_txn_containing(lambda).expect("partition members contain their key item");
-            let Some(row) =
-                reduce_into(&mut arena, seq, lambda, min_point, freq1, &i_mask, &s_mask)
-            else {
-                continue;
-            };
-            if let Some(elem) = min_ext_elem(arena.row(row), &prefix1, &i_mask, &s_mask, None) {
-                second.entry(elem).or_default().push(row);
-            } else {
-                arena.pop_row(); // unextendable: the row just appended is dead
-            }
-        }
-        while let Some((&elem, _)) = second.iter().next() {
-            guard.checkpoint()?;
-            let slots = second.remove(&elem).expect("key just observed");
-            if slots.len() as u64 >= delta {
-                let prefix2 = prefix1.extended(elem);
-                let partition: Vec<_> = slots.iter().map(|&s| arena.row(s)).collect();
-                self.process_deeper(&prefix2, &partition, delta, n_items, guard, result)?;
-            }
-            for slot in slots {
-                guard.checkpoint()?;
-                if let Some(next) =
-                    min_ext_elem(arena.row(slot), &prefix1, &i_mask, &s_mask, Some(elem))
-                {
-                    second.entry(next).or_default().push(slot);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// A `<π>`-partition with `|π| = j ≥ 2`: count (j+1)-extensions, decide
-    /// by policy, then recurse or run DISC from k = j + 2. Partitions are
-    /// slices of `Copy` views, so recursion copies 32-byte handles, not
-    /// sequences.
-    fn process_deeper<'a, S: SeqView<'a>>(
-        &self,
-        prefix: &Sequence,
-        partition: &[S],
-        delta: u64,
-        n_items: usize,
-        guard: &MineGuard,
-        result: &mut MiningResult,
-    ) -> Result<(), AbortReason> {
-        guard.charge(partition.len() as u64)?;
-        let mut array = count_extensions(prefix, partition.iter().copied(), n_items);
-        let (i_mask, s_mask) = array.frequency_masks(delta);
-        let exts = array.frequent_extensions(delta);
-        if exts.is_empty() {
-            return Ok(());
-        }
-        let mut freq_next = Vec::with_capacity(exts.len());
-        let mut supports = Vec::with_capacity(exts.len());
-        for &(elem, support) in &exts {
-            let pat = prefix.extended(elem);
-            guard.note_pattern()?;
-            result.insert(pat.clone(), support);
-            freq_next.push(pat);
-            supports.push(support);
-        }
-
-        if !self.policy.split(prefix.length(), nrr(&supports, partition.len())) {
-            let mut carray = CountingArray::new(n_items);
-            return run_disc_levels(
-                partition,
-                freq_next,
-                delta,
-                self.bi_level,
-                guard,
-                result,
-                &mut carray,
-            );
-        }
-
-        let mut children: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
-        for (slot, &seq) in partition.iter().enumerate() {
-            guard.checkpoint()?;
-            if let Some(elem) = min_ext_elem(seq, prefix, &i_mask, &s_mask, None) {
-                children.entry(elem).or_default().push(slot);
-            }
-        }
-        while let Some((&elem, _)) = children.iter().next() {
-            guard.checkpoint()?;
-            let slots = children.remove(&elem).expect("key just observed");
-            if slots.len() as u64 >= delta {
-                let child_prefix = prefix.extended(elem);
-                let child: Vec<S> = slots.iter().map(|&s| partition[s]).collect();
-                self.process_deeper(&child_prefix, &child, delta, n_items, guard, result)?;
-            }
-            for slot in slots {
-                guard.checkpoint()?;
-                if let Some(next) =
-                    min_ext_elem(partition[slot], prefix, &i_mask, &s_mask, Some(elem))
-                {
-                    children.entry(next).or_default().push(slot);
-                }
-            }
-        }
-        Ok(())
+        mine_partitioned(flat, delta, self.policy, self.config, guard, result, sink)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DiscAll;
     use disc_core::BruteForce;
 
     fn table1() -> SequenceDatabase {
@@ -400,7 +187,10 @@ mod tests {
     fn bi_level_toggle_matches_too() {
         let db = table6();
         let expected = BruteForce::default().mine(&db, MinSupport::Count(3));
-        let miner = DynamicDiscAll { policy: SplitPolicy::NrrThreshold(0.5), bi_level: false };
+        let miner = DynamicDiscAll {
+            policy: SplitPolicy::NrrThreshold(0.5),
+            config: DiscConfig { bi_level: false },
+        };
         let got = miner.mine(&db, MinSupport::Count(3));
         assert!(got.diff(&expected).is_empty());
     }
@@ -415,6 +205,28 @@ mod tests {
                         DynamicDiscAll::with_fixed_depth(depth).mine(&db, MinSupport::Count(delta));
                     let diff = got.diff(&expected);
                     assert!(diff.is_empty(), "depth={depth} δ={delta}:\n{}", diff.join("\n"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_depth_two_is_disc_all_step_for_step() {
+        // DISC-all is the partition engine under FixedDepth(2): the same
+        // patterns and supports, and the same guard charges along the way.
+        for db in [table1(), table6()] {
+            for delta in 1..=4u64 {
+                for bi_level in [true, false] {
+                    let config = DiscConfig { bi_level };
+                    let support = MinSupport::Count(delta);
+                    let disc_all =
+                        DiscAll { config }.mine_guarded(&db, support, &MineGuard::unlimited());
+                    let fixed = DynamicDiscAll { config, ..DynamicDiscAll::with_fixed_depth(2) }
+                        .mine_guarded(&db, support, &MineGuard::unlimited());
+                    assert!(disc_all.outcome.is_complete() && fixed.outcome.is_complete());
+                    let diff = fixed.result.diff(&disc_all.result);
+                    assert!(diff.is_empty(), "δ={delta} bi={bi_level}:\n{}", diff.join("\n"));
+                    assert_eq!(fixed.stats.ops, disc_all.stats.ops, "δ={delta} bi={bi_level}");
                 }
             }
         }

@@ -28,9 +28,9 @@
 //! | [`sorted_db`] | the k-sorted database on the locative AVL tree (§3.2) |
 //! | [`discovery`] | frequent k-sequence discovery (Figure 4) + the bi-level optimization |
 //! | [`partition`] | multi-level partitioning, reduction, reassignment chains (§3.1) |
-//! | [`disc_all`] | the DISC-all algorithm (Figure 2) |
-//! | [`parallel`] | DISC-all with first-level partitions sharded across a thread pool |
-//! | [`dynamic`] | the Dynamic DISC-all algorithm (Appendix) |
+//! | [`disc_all`] | the partition engine every DISC miner runs; DISC-all (Figure 2) is its fixed two-level split policy |
+//! | [`parallel`] | DISC-all with the engine's first-level step sharded across a thread pool |
+//! | [`dynamic`] | Dynamic DISC-all (Appendix): the engine with the NRR split policy |
 //! | [`resume`] | durable checkpoint/resume at first-level partition boundaries |
 //! | [`stats`] | the NRR metric of §4.2 (Tables 12 and 14) |
 //! | [`weighted`] | the §5 future-work extension: weighted sequence mining |

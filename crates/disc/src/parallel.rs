@@ -1,6 +1,6 @@
 //! **Parallel DISC-all**: first-level partitions sharded across a
 //! [`ParallelExecutor`] thread pool, with results bit-identical to
-//! sequential [`DiscAll`] at any thread count.
+//! sequential [`DiscAll`](crate::DiscAll) at any thread count.
 //!
 //! ## Why first-level partitions shard cleanly
 //!
@@ -21,27 +21,28 @@
 //! subsequences), never from member order or scheduling; shard outputs are
 //! merged in ascending key order; and [`MiningResult`] orders patterns
 //! canonically. The merged result — patterns and exact supports — is
-//! therefore identical to sequential [`DiscAll`] at 1, 2, 4, 8, … threads,
-//! which `tests/parallel_determinism.rs` and CI enforce.
+//! therefore identical to sequential [`DiscAll`](crate::DiscAll) at 1, 2,
+//! 4, 8, … threads, which `tests/parallel_determinism.rs` and CI enforce.
 //!
 //! Shard pattern sets are disjoint (every pattern found in the
 //! `<(λ)>`-partition starts with its minimum item `λ`), so the merge is a
 //! union; [`MiningResult::insert`] still cross-checks supports, so a shard
 //! disagreeing on a support is caught loudly rather than silently resolved.
 
-use crate::disc_all::{frequent_one_sequences, DiscAll};
+use crate::disc_all::{frequent_one_sequences, Engine, Scratch, DISC_ALL_POLICY};
+use crate::partition::frequent_items_per_row;
 use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use crate::DiscConfig;
 use disc_core::{
     checkpoint, AbortReason, FlatDb, GuardedResult, Item, MinSupport, MineGuard, MineOutcome,
-    MiningResult, ParallelExecutor, SeqView, SequenceDatabase, SequentialMiner,
+    MiningResult, ParallelExecutor, SequenceDatabase, SequentialMiner,
 };
 
 #[cfg(feature = "fault-injection")]
 use disc_core::FaultPlan;
 
-/// The parallel DISC-all miner: [`DiscAll`] semantics, executed one
-/// first-level partition per pool task.
+/// The parallel DISC-all miner: [`DiscAll`](crate::DiscAll) semantics,
+/// executed one first-level partition per pool task.
 ///
 /// Implements [`SequentialMiner`] like every other miner — `mine` and
 /// `mine_guarded` fan out internally — so it drops into fallback chains,
@@ -153,7 +154,7 @@ impl Checkpointable for ParallelDiscAll {
         let n_items = max_item.id() as usize + 1;
 
         // Step 1 (sequential, one scan): frequent 1-sequences.
-        let freq1 = frequent_one_sequences(flat, delta, n_items, guard, result)?;
+        let (freq1, _) = frequent_one_sequences(flat, delta, n_items, guard, result)?;
         if let Some(s) = sink.as_deref_mut() {
             s.level_one(result);
         }
@@ -168,24 +169,21 @@ impl Checkpointable for ParallelDiscAll {
         }
         let keys: Vec<Item> = shards.iter().map(|(lambda, _)| *lambda).collect();
 
-        // Step 3 (parallel): one first-level partition per pool task.
+        // Step 3 (parallel): one first-level partition per pool task — the
+        // partition engine's first-level step under DISC-all's policy.
         let executor = ParallelExecutor::with_threads(self.threads);
-        let shard_miner = DiscAll { config: self.config };
         let body = |worker: &MineGuard,
                     (lambda, members): (Item, Vec<usize>),
                     shard_result: &mut MiningResult| {
-            shard_miner.process_first_level(
+            let engine = Engine {
                 flat,
-                lambda,
-                &members,
                 delta,
-                &freq1,
-                worker,
-                shard_result,
-                &mut crate::counting::CountingArray::new(n_items),
-                &mut disc_core::FlatArena::new(),
-                &mut crate::partition::RowExtensions::new(),
-            )
+                freq1: &freq1,
+                policy: DISC_ALL_POLICY,
+                config: self.config,
+                guard: worker,
+            };
+            engine.process_first_level(lambda, &members, shard_result, &mut Scratch::new(n_items))
         };
         #[cfg(feature = "fault-injection")]
         let run = {
@@ -245,24 +243,16 @@ impl Checkpointable for ParallelDiscAll {
 /// One `(λ, members)` shard per frequent item: `members` lists every row
 /// containing `λ`, ascending — the `<(λ)>`-partition's full supporter set
 /// (see the module docs for why this equals the sequential membership).
+/// It is the transpose of the rows' reassignment-chain itineraries.
 fn shard_members(
     flat: &FlatDb,
     freq1: &[bool],
     guard: &MineGuard,
 ) -> Result<Vec<(Item, Vec<usize>)>, AbortReason> {
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); freq1.len()];
-    // Per-row generation stamps dedup repeated items without re-allocating.
-    let mut last_row = vec![usize::MAX; freq1.len()];
-    for (idx, row) in flat.rows().enumerate() {
-        guard.checkpoint()?;
-        for t in 0..row.n_transactions() {
-            for &item in row.itemset_items(t) {
-                let id = item.id() as usize;
-                if freq1[id] && last_row[id] != idx {
-                    last_row[id] = idx;
-                    members[id].push(idx);
-                }
-            }
+    for (idx, items) in frequent_items_per_row(flat, freq1, guard)?.iter().enumerate() {
+        for item in items {
+            members[item.id() as usize].push(idx);
         }
     }
     Ok(members
@@ -276,6 +266,7 @@ fn shard_members(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DiscAll;
     use disc_core::BruteForce;
 
     fn table6() -> SequenceDatabase {

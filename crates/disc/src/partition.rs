@@ -10,8 +10,7 @@
 //! supporter of its key is present, which is why counting arrays and DISC
 //! buckets inside a partition produce exact global supports.
 
-use crate::counting::CountingArray;
-use crate::kms::{all_extensions, decode_elem, encode_elem, first_gt_items, min_extension_where};
+use crate::kms::{all_extensions, decode_elem, encode_elem, min_extension_where};
 use disc_core::{
     AbortReason, ExtElem, ExtMode, FlatArena, FlatDb, Item, MineGuard, SeqView, Sequence,
 };
@@ -46,28 +45,28 @@ pub fn group_by_min_item_guarded(
     Ok(groups)
 }
 
-/// The smallest *frequent* item strictly greater than `after` occurring in
-/// `seq` (Step 2.2 of Figure 2, restricted to keys worth visiting).
-pub fn next_frequent_item<'a, S: SeqView<'a>>(
-    seq: S,
-    after: Item,
-    frequent: &[bool],
-) -> Option<Item> {
-    let mut best: Option<Item> = None;
-    for t in 0..seq.n_transactions() {
-        let set = seq.itemset_items(t);
-        let from = first_gt_items(set, after);
-        for &item in &set[from..] {
-            if best.is_some_and(|b| item >= b) {
-                break; // items are sorted; nothing better in this transaction
-            }
-            if frequent[item.id() as usize] {
-                best = Some(item);
-                break;
-            }
+/// Per database row, the ascending distinct *frequent* items it contains —
+/// the full itinerary of the row's first-level reassignment chain (Step 2.2
+/// of Figure 2), computed in one pass per row. After the `<(λ)>`-partition,
+/// a row moves on to the first item of its list greater than `λ`.
+pub(crate) fn frequent_items_per_row(
+    flat: &FlatDb,
+    freq1: &[bool],
+    guard: &MineGuard,
+) -> Result<Vec<Vec<Item>>, AbortReason> {
+    let mut out = Vec::with_capacity(flat.len());
+    let mut items: Vec<Item> = Vec::new();
+    for row in flat.rows() {
+        guard.checkpoint()?;
+        items.clear();
+        for t in 0..row.n_transactions() {
+            items.extend(row.itemset_items(t).iter().copied().filter(|x| freq1[x.id() as usize]));
         }
+        items.sort_unstable();
+        items.dedup();
+        out.push(items.clone());
     }
-    best
+    Ok(out)
 }
 
 /// Customer sequence reduction (Step 2.1.2 of Figure 2).
@@ -269,17 +268,6 @@ impl RowExtensions {
     }
 }
 
-/// Builds `(i_mask, s_mask)` plus the ascending frequent extensions of a
-/// partition in one step.
-pub fn frequent_extension_masks(
-    array: &mut CountingArray,
-    delta: u64,
-) -> (Vec<bool>, Vec<bool>, Vec<(ExtElem, u64)>) {
-    let (i_mask, s_mask) = array.frequency_masks(delta);
-    let exts = array.frequent_extensions(delta);
-    (i_mask, s_mask, exts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,32 +319,32 @@ mod tests {
 
     #[test]
     fn table_6_reassignment_after_processing_a() {
-        // Example 3.1: after <(a)>-partition, CIDs 1 and 2 go to <(c)> and
-        // <(b)>; CID 5 is removed. All 1-sequences except <(d)> are frequent.
-        let db = table6();
+        // Example 3.1: after the <(a)>-partition, CIDs 1 and 2 go to <(c)>
+        // and <(b)>. All 1-sequences except <(d)> are frequent, so a
+        // chain skips d.
+        let flat = FlatDb::from_database(&table6());
         let mut frequent = vec![true; 8];
         frequent[item('d').id() as usize] = false;
+        let itineraries =
+            frequent_items_per_row(&flat, &frequent, &MineGuard::unlimited()).unwrap();
+        let letters =
+            |items: &[Item]| -> String { items.iter().map(|i| i.as_letter().unwrap()).collect() };
+        // CID 1 = (a,d)(d)(a,g,h)(c): d never appears on its chain.
+        assert_eq!(letters(&itineraries[0]), "acgh");
+        assert_eq!(letters(&itineraries[8]), "fgh"); // CID 9 = (d,f)(d,f,g,h)
         let expected = [
-            Some('c'), // CID 1: (a,d)(d)(a,g,h)(c) — d is non-frequent
-            Some('b'),
-            Some('c'),
-            Some('c'),
-            None, // CID 5: (a,g) — minimum point at its end? g is next
-            Some('e'),
-            Some('b'),
+            'c', // CID 1: (a,d)(d)(a,g,h)(c) — d is non-frequent
+            'b', 'c', 'c',
+            // CID 5 = (a,g): the paper removes it ("minimum point at its
+            // end" — nothing frequent follows in a useful way); its next
+            // minimum 1-sequence is g, and the partition of <(g)> simply
+            // finds nothing of length ≥ 2 in it.
+            'g', 'e', 'b',
         ];
         for (idx, want) in expected.iter().enumerate() {
-            let got = next_frequent_item(db.sequence(idx), item('a'), &frequent)
-                .map(|i| i.as_letter().unwrap());
-            if idx == 4 {
-                // CID 5 = (a,g): the paper removes it ("minimum point at its
-                // end" — nothing frequent follows in a useful way); its next
-                // minimum 1-sequence is g, and the partition of <(g)> simply
-                // finds nothing of length ≥ 2 in it.
-                assert_eq!(got, Some('g'));
-            } else {
-                assert_eq!(got, *want, "CID {}", idx + 1);
-            }
+            let items = &itineraries[idx];
+            let next = items[items.partition_point(|&x| x <= item('a'))];
+            assert_eq!(next.as_letter(), Some(*want), "CID {}", idx + 1);
         }
     }
 

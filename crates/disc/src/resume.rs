@@ -220,7 +220,10 @@ impl<'g> CheckpointSink<'g> {
 /// A DISC miner: one cooperative core over a [`FlatDb`], with an optional
 /// [`CheckpointSink`] riding along. Implemented by
 /// [`DiscAll`](crate::DiscAll), [`DynamicDiscAll`](crate::DynamicDiscAll)
-/// and [`ParallelDiscAll`](crate::ParallelDiscAll); every other way in —
+/// and [`ParallelDiscAll`](crate::ParallelDiscAll), whose cores are one
+/// partition engine ([`crate::disc_all`]): the sequential miners run its
+/// whole walk under their split policies, and the parallel miner runs its
+/// first-level step once per shard. Every other way in —
 /// [`SequentialMiner`] on a nested database, [`Resumable`] runs — ends here.
 pub trait Checkpointable: SequentialMiner {
     /// `(miner code, bi_level, threads)` recorded in snapshot headers.

@@ -8,12 +8,15 @@
 //!   slices or across a drain/restart;
 //! * a repeat query is served from the cache with **no miner invocation**,
 //!   and an over-cap declared body is refused (413) without one;
+//! * `closed`/`maximal` jobs serve exactly those projections of a baseline
+//!   miner's result, each cached under its own mode;
 //! * cancellation settles the job without corrupting its peers;
 //! * two tenants make interleaved progress (fair round-robin);
 //! * malformed requests get typed 4xx responses, never a hang or a panic.
 
 use disc_algo::DiscAll;
-use disc_core::{MinSupport, SequenceDatabase, SequentialMiner};
+use disc_baselines::PseudoPrefixSpan;
+use disc_core::{MinSupport, Sequence, SequenceDatabase, SequentialMiner};
 use disc_datagen::QuestConfig;
 use disc_server::{SchedulerConfig, Server, ServerConfig};
 use std::io::{Read, Write};
@@ -220,6 +223,46 @@ fn repeat_queries_hit_the_cache_without_mining() {
     assert_eq!(wait_terminal(addr, 3), "done");
     let (_, stats) = get(addr, "/stats");
     assert_eq!(field(&stats, "hits"), "1");
+
+    drain(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_and_maximal_jobs_serve_the_baseline_projections_from_the_cache() {
+    let dir = temp_dir("modes");
+    let (server, addr, handle) = start(&dir, 1_000_000);
+    let invocations = || server.scheduler().mine_invocations.load(Ordering::Relaxed);
+    let db = quest_db(2);
+    post(addr, "/dbs?name=q", &disc_core::encode_database(&db));
+
+    let reference = PseudoPrefixSpan::default().mine(&db, MinSupport::Count(8));
+    let render = |lines: Vec<(&Sequence, u64)>| -> String {
+        lines.iter().map(|(p, s)| format!("{s}\t{p}\n")).collect()
+    };
+    let closed = render(reference.closed_patterns());
+    let maximal = render(reference.maximal_patterns());
+    // Both projections must drop something, or the modes go untested.
+    assert!(closed.lines().count() < reference.len(), "every pattern is closed");
+    assert!(maximal.lines().count() < closed.lines().count(), "every closed pattern is maximal");
+
+    for (id, mode, want) in [(1, "closed", &closed), (3, "maximal", &maximal)] {
+        let target = format!("/jobs?db=q&delta=8&mode={mode}");
+        let (status, body) = post(addr, &target, b"");
+        assert_eq!(status, 202, "{mode}: {body}");
+        assert_eq!(wait_terminal(addr, id), "done");
+        let (_, served) = get(addr, &format!("/jobs/{id}/result"));
+        assert_eq!(&served, want, "{mode} lines differ from PseudoPrefixSpan's");
+
+        // The same (db, δ, algo, mode) again: a cache hit, no miner run.
+        let mined = invocations();
+        let (status, repeat) = post(addr, &target, b"");
+        assert_eq!(status, 200, "{mode}: {repeat}");
+        assert_eq!(field(&repeat, "cached"), "true");
+        assert_eq!(invocations(), mined, "a cached {mode} hit must not invoke a miner");
+        let (_, again) = get(addr, &format!("/jobs/{}/result", id + 1));
+        assert_eq!(&again, want);
+    }
 
     drain(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);

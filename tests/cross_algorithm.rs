@@ -35,6 +35,7 @@ fn miners_under_test() -> Vec<Box<dyn SequentialMiner>> {
         Box::new(DynamicDiscAll::with_gamma(0.6)),
         Box::new(DynamicDiscAll::with_gamma(2.0)),
         Box::new(DynamicDiscAll::with_fixed_depth(1)),
+        Box::new(DynamicDiscAll::with_fixed_depth(2)),
         Box::new(DynamicDiscAll::with_fixed_depth(3)),
         Box::new(PrefixSpan::default()),
         Box::new(PseudoPrefixSpan::default()),
