@@ -31,10 +31,11 @@
 //! slow-loris client, whether fully silent or trickling bytes to renew
 //! the per-read timer, holds a handler thread for at most the request
 //! deadline plus one in-flight read before its 408. Per-request byte caps
-//! refuse oversized heads/bodies with 413 before buffering. Transient
-//! `accept()` failures
-//! (`EMFILE`/`EINTR`-class) are logged and retried with bounded backoff
-//! instead of killing the server. See `ALGORITHM.md` §17.
+//! refuse oversized heads/bodies with 413 before buffering. The listener
+//! blocks in `accept()`, so an arriving connection is admitted at once;
+//! transient `accept()` failures (`EMFILE`/`ENFILE`-class) are logged and
+//! retried with bounded backoff instead of killing the server. See
+//! `ALGORITHM.md` §17.
 //!
 //! ## Durability
 //!
@@ -43,12 +44,14 @@
 //! (`jobs/<id>/mine.dscck`, `jobs/<id>/result.tsv`), and a line-based
 //! `manifest` recording databases, jobs, and the id counter. Checkpoints,
 //! results and the manifest are all published through
-//! [`disc_core::durable::publish`], so a crash leaves each old or new, never torn. On SIGTERM (or `POST /admin/drain`) running slices are
-//! cancelled at their next checkpoint boundary, requeue with durable
-//! snapshots, and the manifest is written; a restarted server reloads the
-//! manifest and the requeued jobs resume from their snapshots —
-//! bit-identical to never having been interrupted, by the checkpoint
-//! layer's guarantee.
+//! [`disc_core::durable::publish`], so a crash leaves each old or new,
+//! never torn. SIGTERM and `POST /admin/drain` both go through
+//! `Server::begin_drain`: running slices are cancelled at their next
+//! checkpoint boundary, the blocked `accept()` is woken by a connection to
+//! the listener, slices requeue with durable snapshots, and the manifest
+//! is written; a restarted server reloads the manifest and the requeued
+//! jobs resume from their snapshots — bit-identical to never having been
+//! interrupted, by the checkpoint layer's guarantee.
 
 use crate::cache::{CacheKey, RenderedResult};
 use crate::chaos::{ChaosConfig, ChaosLedger, ChaosStream};
@@ -63,7 +66,7 @@ use crate::signal;
 use crate::status::{error_response, plain_error, quota_response, shed_response};
 use disc_core::{DiscError, IoWriter, MinSupport, RetryPolicy};
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -181,11 +184,26 @@ impl Server {
     pub fn run(&self) -> std::io::Result<Vec<u64>> {
         signal::install_termination_flag();
         let listener = TcpListener::bind(&self.shared.cfg.addr)?;
-        listener.set_nonblocking(true)?;
         *self.shared.bound.lock().unwrap() = Some(listener.local_addr()?);
 
         let sched = Arc::clone(&self.shared.sched);
         let sched_thread = std::thread::spawn(move || sched.run_loop());
+
+        // The signal handler can only flip a flag; this watcher turns it
+        // into a drain. It polls off the request path and exits once the
+        // server is draining, whichever way the drain began.
+        let watcher = {
+            let server = self.clone();
+            std::thread::spawn(move || {
+                while !server.shared.sched.is_draining() {
+                    if signal::termination_requested() {
+                        server.begin_drain();
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(15));
+                }
+            })
+        };
 
         // The fixed handler pool: each worker blocks on the bounded queue
         // and serves one connection at a time. Pool width — not arrival
@@ -201,28 +219,26 @@ impl Server {
             })
             .collect();
 
-        // Transient accept() failures (EMFILE/EINTR-class) back off and
-        // retry with the guard layer's jittered policy instead of killing
-        // the listener; only a persistent non-transient failure is fatal.
+        // Accept blocks; `begin_drain` wakes it with a connection of its
+        // own. Checking the flag before each accept also catches a drain
+        // that began before the listener was bound. Transient accept()
+        // failures (EMFILE/ENFILE-class) back off and retry with the guard
+        // layer's jittered policy instead of killing the listener; only a
+        // persistent non-transient failure is fatal.
         let accept_retry = RetryPolicy::default();
         let mut accept_failures: u32 = 0;
-        loop {
-            if signal::termination_requested() && !self.shared.sched.is_draining() {
-                self.shared.sched.drain();
-            }
-            if self.shared.sched.is_draining() {
-                break;
-            }
+        while !self.shared.sched.is_draining() {
             match listener.accept() {
                 Ok((stream, _)) => {
+                    if self.shared.sched.is_draining() {
+                        // The wake-up, or a client racing the drain:
+                        // refused, like a connection left in the backlog.
+                        break;
+                    }
                     accept_failures = 0;
                     self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                     self.admit(stream);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(15));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) if is_transient_accept_error(&e) => {
                     self.shared.stats.accept_retries.fetch_add(1, Ordering::Relaxed);
                     accept_failures = accept_failures.saturating_add(1);
@@ -244,6 +260,7 @@ impl Server {
         // then wait for the scheduler loop to checkpoint and requeue its
         // running slices. Then persist the manifest so the next process
         // resumes them.
+        let _ = watcher.join();
         self.shared.queue.shutdown();
         for worker in workers {
             let _ = worker.join();
@@ -251,6 +268,29 @@ impl Server {
         let queued = sched_thread.join().unwrap_or_default();
         self.persist_manifest();
         Ok(queued)
+    }
+
+    /// The one drain entry, shared by `POST /admin/drain` and the signal
+    /// watcher: marks the scheduler draining (running slices checkpoint and
+    /// requeue), then wakes the blocked `accept` in [`Server::run`] by
+    /// connecting to the listener. Scoped to this server, not the
+    /// process-global signal flag, so co-resident servers drain
+    /// independently.
+    fn begin_drain(&self) {
+        self.shared.sched.drain();
+        let Some(mut addr) = self.local_addr() else {
+            return; // not bound yet: `run` sees the flag before its first accept
+        };
+        if addr.ip().is_unspecified() {
+            let loopback: IpAddr = match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            };
+            addr.set_ip(loopback);
+        }
+        if let Err(e) = TcpStream::connect_timeout(&addr, Duration::from_secs(5)) {
+            eprintln!("disc-server: drain could not wake the accept loop at {addr}: {e}");
+        }
     }
 
     /// Deadline-stamps an accepted socket and enqueues it for the pool, or
@@ -343,11 +383,8 @@ impl Server {
                 })
             }
             ("GET", ["tenants"]) => self.get_tenants(),
-            // Scoped to this server's scheduler (not the process-global
-            // signal flag), so co-resident servers — tests, embedders —
-            // drain independently.
             ("POST", ["admin", "drain"]) => {
-                self.shared.sched.drain();
+                self.begin_drain();
                 Response::json(200, "{\"draining\":true}".into())
             }
             (_, ["healthz" | "readyz" | "stats" | "dbs" | "jobs" | "tenants", ..]) => {

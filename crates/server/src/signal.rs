@@ -4,7 +4,9 @@
 //! surface is a module-scoped allow around a direct `extern "C"`
 //! declaration of the libc symbol the platform already links. The handler
 //! does the only async-signal-safe thing there is to do — store to an
-//! atomic — and the server's accept loop polls the flag.
+//! atomic. A watcher thread in `Server::run` polls the flag, off the
+//! request path, and turns it into `Server::begin_drain`, which wakes the
+//! blocked accept loop.
 //!
 //! On non-Unix platforms installation is a no-op; the in-process drain
 //! endpoint (`POST /admin/drain`) covers graceful shutdown everywhere.

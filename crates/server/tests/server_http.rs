@@ -374,6 +374,30 @@ fn malformed_requests_get_typed_rejections() {
 }
 
 #[test]
+fn sequential_connections_are_accepted_without_a_poll_interval() {
+    let dir = temp_dir("blockingaccept");
+    let (_server, addr, handle) = start(&dir, 1_000_000);
+    let accepted = || -> u64 { field(&get(addr, "/admin/stats").1, "accepted").parse().unwrap() };
+    let before = accepted();
+
+    // A polling accept loop that sleeps 15 ms on an empty backlog puts a
+    // floor of 40 × 15 = 600 ms under these; a blocking accept admits
+    // each connection as it arrives.
+    let started = Instant::now();
+    for _ in 0..40 {
+        assert_eq!(get(addr, "/healthz").0, 200);
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(400), "40 sequential probes took {elapsed:?}");
+
+    // Each probe counted once; the second stats read counts itself.
+    assert_eq!(accepted() - before, 40 + 1);
+
+    drain(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn drain_checkpoints_and_a_second_server_resumes_bit_identically() {
     let dir = temp_dir("drainresume");
     let db = quest_db(5);
