@@ -23,10 +23,9 @@
 //!   generic kernel (compare, embed, count, extend) serves both, selected by
 //!   monomorphization — the nested representation keeps working everywhere,
 //!   the flat one is used on the hot paths;
-//! * a [`FlatKey`] caches a sequence's flattened `(item, transaction-number)`
-//!   pairs so repeated comparisons (AVL-tree descents in the k-sorted
-//!   database) are a single slice comparison instead of re-deriving the
-//!   flattened form each time.
+//! * [`FlatSeq::from_transaction`] views a row from one of its transactions
+//!   on, with no copy — how a first-level partition sees its members from
+//!   their minimum point.
 //!
 //! Views never materialize owned [`Sequence`]s during mining; patterns are
 //! still built as owned sequences, but only at result-reporting time (they
@@ -36,7 +35,7 @@ use crate::compact::ItemMapping;
 use crate::database::SequenceDatabase;
 use crate::item::Item;
 use crate::itemset::Itemset;
-use crate::sequence::{ExtElem, ExtMode, Sequence};
+use crate::sequence::Sequence;
 use crate::storage::DbStorage;
 use std::marker::PhantomData;
 
@@ -131,6 +130,14 @@ pub struct FlatSeq<'a> {
 }
 
 impl<'a> FlatSeq<'a> {
+    /// The same row viewed from transaction `t` on: the transactions
+    /// before `t` drop out and `t` becomes transaction 0. No copy — the
+    /// view's boundary slice starts `t` entries later.
+    #[inline]
+    pub fn from_transaction(self, t: usize) -> FlatSeq<'a> {
+        FlatSeq { items: self.items, sets: &self.sets[t..] }
+    }
+
     /// Materializes an owned [`Sequence`] — tests and result conversion
     /// only; mining kernels stay on the view.
     pub fn to_sequence(self) -> Sequence {
@@ -419,125 +426,9 @@ impl FlatDb {
     }
 }
 
-/// Packs one flattened pair into a `u64` word: item id in the high 32 bits,
-/// transaction number in the low 32. The fields don't overlap, so unsigned
-/// word order equals the lexicographic `(item, txn)` pair order — and
-/// word-*sequence* order equals the comparative order of Definition 2.2.
-#[inline]
-pub(crate) fn pack64(item: Item, txn: u32) -> u64 {
-    ((item.0 as u64) << 32) | txn as u64
-}
-
-/// Inverse of [`pack64`].
-#[inline]
-pub(crate) fn unpack64(word: u64) -> (Item, u32) {
-    (Item((word >> 32) as u32), word as u32)
-}
-
-/// A sequence key stored directly in flattened form — the key of the
-/// k-sorted database: each `(item, transaction-number)` pair of
-/// Definition 2.1 encoded as one `u64` word (item in the high half), so the
-/// lexicographic word order, with shorter prefixes smaller, is exactly the
-/// comparative order of Definition 2.2. The derived `Ord` is that slice
-/// order.
-///
-/// Keying the k-sorted database's AVL tree by `FlatKey` memoizes the
-/// flattening (every tree descent is one word-slice compare), and because
-/// the flattened form is invertible, no nested [`Sequence`] is stored at
-/// all: one is reconstructed only when a key is reported or split into a
-/// re-keying condition. Keys drained and discarded by the Lemma 2.2 skips
-/// never materialize one. Invertibility (transaction numbers recover the
-/// grouping, the fields don't overlap) also makes word equality coincide
-/// with sequence equality.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FlatKey {
-    words: Vec<u64>,
-}
-
-impl FlatKey {
-    /// Flattens `seq` into a key.
-    pub fn new(seq: &Sequence) -> FlatKey {
-        let mut words = Vec::with_capacity(seq.length());
-        words.extend(seq.flat_iter().map(|(i, t)| pack64(i, t)));
-        FlatKey { words }
-    }
-
-    /// The key of `self` extended by `elem` — an extension element always
-    /// appends exactly one flattened pair, so no sequence is built.
-    pub fn extended(&self, elem: ExtElem) -> FlatKey {
-        let last_txn = self.words.last().map_or(0, |&w| w as u32);
-        debug_assert!(
-            last_txn > 0 || elem.mode == ExtMode::Sequence,
-            "itemset extension of an empty key"
-        );
-        let txn = match elem.mode {
-            ExtMode::Itemset => last_txn,
-            ExtMode::Sequence => last_txn + 1,
-        };
-        let mut words = Vec::with_capacity(self.words.len() + 1);
-        words.extend_from_slice(&self.words);
-        words.push(pack64(elem.item, txn));
-        FlatKey { words }
-    }
-
-    /// Reconstructs the nested sequence (the flattening is invertible:
-    /// transaction numbers recover the grouping).
-    pub fn to_sequence(&self) -> Sequence {
-        let mut itemsets = Vec::with_capacity(self.words.last().map_or(0, |&w| w as u32 as usize));
-        let mut i = 0;
-        while i < self.words.len() {
-            let txn = self.words[i] as u32;
-            let mut items = Vec::new();
-            while i < self.words.len() && self.words[i] as u32 == txn {
-                items.push(unpack64(self.words[i]).0);
-                i += 1;
-            }
-            itemsets.push(Itemset::from_sorted(items));
-        }
-        Sequence::new(itemsets)
-    }
-
-    /// The flattened pairs, decoded from the words.
-    #[inline]
-    pub fn pairs(&self) -> impl Iterator<Item = (Item, u32)> + '_ {
-        self.words.iter().map(|&w| unpack64(w))
-    }
-
-    /// The `u64` words (one per flattened pair, comparison-ready).
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Compares `self` (whole) against `bound` *without its last pair* —
-    /// i.e. against the flattened `(k-1)`-prefix `X` of a condition
-    /// k-sequence. Dropping a sequence's last flattened pair is exactly
-    /// taking its `(k-1)`-prefix (whether the last itemset shrinks or
-    /// disappears), so this compares in the comparative order of
-    /// Definition 2.2 without materializing any nested sequence.
-    #[inline]
-    pub fn cmp_to_bound_prefix(&self, bound: &FlatKey) -> std::cmp::Ordering {
-        self.words.as_slice().cmp(&bound.words[..bound.words.len() - 1])
-    }
-
-    /// The last flattened pair, as an extension element of the key without
-    /// it (`Itemset` when it shares its transaction with the previous pair).
-    /// Requires at least two pairs — condition sequences have length ≥ 2.
-    #[inline]
-    pub fn last_ext(&self) -> ExtElem {
-        let n = self.words.len();
-        debug_assert!(n >= 2, "last_ext of a key shorter than 2 pairs");
-        let (item, txn) = unpack64(self.words[n - 1]);
-        let mode =
-            if txn == self.words[n - 2] as u32 { ExtMode::Itemset } else { ExtMode::Sequence };
-        ExtElem { item, mode }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::order::cmp_sequences;
     use crate::parse::parse_sequence;
 
     fn seq(s: &str) -> Sequence {
@@ -639,6 +530,18 @@ mod tests {
     }
 
     #[test]
+    fn from_transaction_drops_the_leading_transactions() {
+        let s = seq("(b)(a)(f)(a,c,e,g)");
+        let mut arena = FlatArena::new();
+        arena.push_sequence(&s);
+        let row = arena.row(0);
+        assert_eq!(row.from_transaction(0).to_sequence(), s);
+        assert_eq!(row.from_transaction(1).to_sequence(), seq("(a)(f)(a,c,e,g)"));
+        assert_eq!(row.from_transaction(3).length(), 4);
+        assert_eq!(row.from_transaction(4).n_transactions(), 0);
+    }
+
+    #[test]
     fn view_first_txn_containing_matches_sequence() {
         let s = seq("(b)(a)(f)(a,c,e,g)");
         let mut arena = FlatArena::new();
@@ -650,60 +553,6 @@ mod tests {
                 s.first_txn_containing(item(c)),
                 "item {c}"
             );
-        }
-    }
-
-    #[test]
-    fn flat_key_order_is_the_comparative_order() {
-        let texts = [
-            "(a)(b)(h)",
-            "(a)(c)(f)",
-            "(a,b)(c)",
-            "(a)(b,c)",
-            "(a)(b)",
-            "(a)(b)(c)",
-            "(b,f,g)",
-            "(a,c,d)(b,d)",
-            "(a,d,e)(a)",
-        ];
-        for x in &texts {
-            for y in &texts {
-                let (sx, sy) = (seq(x), seq(y));
-                assert_eq!(
-                    FlatKey::new(&sx).cmp(&FlatKey::new(&sy)),
-                    cmp_sequences(&sx, &sy),
-                    "{x} vs {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn flat_key_round_trips_its_sequence() {
-        let s = seq("(a)(b,c)");
-        let key = FlatKey::new(&s);
-        let pairs: Vec<(Item, u32)> = key.pairs().collect();
-        assert_eq!(pairs, vec![(item('a'), 1), (item('b'), 2), (item('c'), 2)]);
-        assert_eq!(key.to_sequence(), s);
-        for t in ["(a)", "(a,b,c)", "(a)(a)(a)", "(b,f,g)(a)(c,d)"] {
-            assert_eq!(FlatKey::new(&seq(t)).to_sequence(), seq(t), "{t}");
-        }
-    }
-
-    #[test]
-    fn flat_key_extension_appends_one_pair() {
-        let key = FlatKey::new(&seq("(a)(b)"));
-        let itemset_ext = key.extended(ExtElem { item: item('c'), mode: ExtMode::Itemset });
-        assert_eq!(itemset_ext.to_sequence(), seq("(a)(b,c)"));
-        let seq_ext = key.extended(ExtElem { item: item('a'), mode: ExtMode::Sequence });
-        assert_eq!(seq_ext.to_sequence(), seq("(a)(b)(a)"));
-        // Agrees with the nested extension for both modes.
-        for (elem, text) in [
-            (ExtElem { item: item('z'), mode: ExtMode::Itemset }, "(a)(b)"),
-            (ExtElem { item: item('a'), mode: ExtMode::Sequence }, "(a)(b)"),
-        ] {
-            let s = seq(text);
-            assert_eq!(FlatKey::new(&s).extended(elem), FlatKey::new(&s.extended(elem)));
         }
     }
 }

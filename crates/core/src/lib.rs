@@ -89,7 +89,7 @@ pub use durable::{IoFault, IoWriter};
 pub use embed::{contains, leftmost_embedding, leftmost_match_end, MatchPoint};
 pub use error::{DiscError, ParseError};
 pub use executor::{ParallelExecutor, ParallelRun, TaskOutcome};
-pub use flat::{flat_pairs, FlatArena, FlatDb, FlatKey, FlatSeq, SeqView};
+pub use flat::{flat_pairs, FlatArena, FlatDb, FlatSeq, SeqView};
 pub use flatfile::{
     decode_flat_file, encode_database_flat_file, encode_flat_file, open_flat_file,
     peek_flat_file_fingerprint, write_flat_file, FlatFileContents, Verify, FLAT_FILE_MAGIC,

@@ -227,20 +227,50 @@ impl CountingArray {
             }
         }
     }
+}
 
-    /// Boolean masks `(itemset_frequent, sequence_frequent)` per item id, for
-    /// the reduction and reassignment machinery.
-    pub fn frequency_masks(&self, delta: u64) -> (Vec<bool>, Vec<bool>) {
-        let n = self.seq_counts.len();
-        let mut i_mask = vec![false; n];
-        let mut s_mask = vec![false; n];
-        for i in 0..n {
-            if self.touch_epoch[i] == self.epoch {
-                i_mask[i] = self.item_counts[i] >= delta;
-                s_mask[i] = self.seq_counts[i] >= delta;
+/// Which one-item extensions of a partition's prefix are frequent, per item
+/// id — the masks the reduction, keying and reassignment steps filter by.
+///
+/// A refill clears only the ids the previous fill set and sets only ids
+/// the counting array touched this epoch, so it costs the items the scan
+/// saw, not the item universe. One engine run keeps one per partition
+/// level alive and refills it for every partition.
+#[derive(Debug, Clone, Default)]
+pub struct FrequencyMasks {
+    /// `itemset[x]`: `<π ⊕ᵢ x>` is frequent.
+    pub itemset: Vec<bool>,
+    /// `sequence[x]`: `<π>(x)` is frequent.
+    pub sequence: Vec<bool>,
+    /// Ids the last fill may have set.
+    set: Vec<u32>,
+}
+
+impl FrequencyMasks {
+    /// Refills the masks with the extensions of `array`'s current epoch
+    /// whose support is at least `delta`.
+    pub fn fill(&mut self, array: &CountingArray, delta: u64) {
+        let n = array.seq_counts.len();
+        if self.itemset.len() != n {
+            *self = FrequencyMasks {
+                itemset: vec![false; n],
+                sequence: vec![false; n],
+                set: Vec::new(),
+            };
+        }
+        for &id in &self.set {
+            self.itemset[id as usize] = false;
+            self.sequence[id as usize] = false;
+        }
+        self.set.clear();
+        for &id in &array.touched {
+            let i = id as usize;
+            self.itemset[i] = array.item_counts[i] >= delta;
+            self.sequence[i] = array.seq_counts[i] >= delta;
+            if self.itemset[i] || self.sequence[i] {
+                self.set.push(id);
             }
         }
-        (i_mask, s_mask)
     }
 }
 

@@ -13,12 +13,10 @@
 //! NRR threshold, and [`ParallelDiscAll`](crate::ParallelDiscAll) runs its
 //! first-level step once per shard.
 
-use crate::counting::{count_extensions, count_extensions_into, CountingArray};
+use crate::counting::{count_extensions, count_extensions_into, CountingArray, FrequencyMasks};
 use crate::discovery::discover_frequent_k_into;
 use crate::dynamic::SplitPolicy;
-use crate::partition::{
-    frequent_items_per_row, group_by_min_item_guarded, min_ext_elem, reduce_into, RowExtensions,
-};
+use crate::partition::{frequent_items_per_row, min_ext_elem, reduce_into, RowExtensions};
 use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use disc_core::{
     checkpoint, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
@@ -49,13 +47,15 @@ pub(crate) const DISC_ALL_POLICY: SplitPolicy = SplitPolicy::FixedDepth(2);
 /// Step by step (Figure 2):
 ///
 /// 1. one scan finds the frequent 1-sequences and groups customers by their
-///    minimum item into **first-level partitions**;
+///    minimum frequent item into **first-level partitions**; a member of
+///    the `<(λ)>`-partition is seen from its *minimum point*, the first
+///    transaction containing `λ`;
 /// 2. each first-level partition (ascending) with a frequent `λ`:
 ///    * one counting-array scan finds the frequent 2-sequences `<(λ)(x)>` /
 ///      `<(λ x)>`,
-///    * customers are **reduced** (non-frequent 1-/2-sequences removed) and
-///      grouped by their 2-minimum subsequence into **second-level
-///      partitions**;
+///    * customers are **reduced** (non-frequent 1-/2-sequences and the
+///      items no `λ`-pattern can use removed) and grouped by their
+///      2-minimum subsequence into **second-level partitions**;
 /// 3. each second-level partition (ascending): a counting-array scan finds
 ///    the frequent 3-sequences, then the **DISC strategy** iterates k = 4,
 ///    5, … (stepping by two under bi-level);
@@ -161,7 +161,7 @@ pub(crate) fn mine_partitioned(
     if let Some(s) = sink.as_deref_mut() {
         s.level_one(result);
     }
-    let engine = Engine { flat, delta, freq1: &freq1, policy, config, guard };
+    let engine = Engine { flat, delta, policy, config, guard };
 
     if !policy.split(0, supports1.iter().copied(), flat.len()) {
         // No partitioning at all: DISC over the whole database from k = 2,
@@ -174,32 +174,41 @@ pub(crate) fn mine_partitioned(
 
     // Step 2: walk first-level partitions in ascending key order. The
     // reassignment chain of a row visits, ascending, exactly the distinct
-    // frequent items it contains — precompute those lists once so every
-    // chain turn is a binary search instead of a row walk.
-    let row_items = frequent_items_per_row(flat, &freq1, guard)?;
-    let mut first_level = group_by_min_item_guarded(flat, guard)?;
+    // frequent items it contains — precompute those itineraries once, with
+    // each stop's minimum point, so every chain turn is a binary search
+    // instead of a row walk. A row starts at its first stop.
+    let itineraries = frequent_items_per_row(flat, &freq1, guard)?;
+    let mut first_level: BTreeMap<Item, Vec<Member>> = BTreeMap::new();
+    for (idx, stops) in itineraries.iter().enumerate() {
+        if let Some(&(lambda, min_point)) = stops.first() {
+            first_level.entry(lambda).or_default().push((idx, min_point));
+        }
+    }
     while let Some((&lambda, _)) = first_level.iter().next() {
         guard.checkpoint()?;
         let members = first_level.remove(&lambda).expect("key just observed");
-        let resumed = sink.as_deref().is_some_and(|s| s.is_done(lambda));
-        if freq1[lambda.id() as usize] && !resumed {
+        if !sink.as_deref().is_some_and(|s| s.is_done(lambda)) {
             engine.process_first_level(lambda, &members, result, &mut scratch)?;
             if let Some(s) = sink.as_deref_mut() {
                 s.partition_done(lambda, result);
             }
         }
         // Step 2.2: reassignment chains.
-        for idx in members {
+        for (idx, _) in members {
             guard.checkpoint()?;
-            let items = &row_items[idx];
-            let from = items.partition_point(|&x| x <= lambda);
-            if let Some(&next) = items.get(from) {
-                first_level.entry(next).or_default().push(idx);
+            let stops = &itineraries[idx];
+            let from = stops.partition_point(|&(x, _)| x <= lambda);
+            if let Some(&(next, min_point)) = stops.get(from) {
+                first_level.entry(next).or_default().push((idx, min_point));
             }
         }
     }
     Ok(())
 }
+
+/// A first-level partition member: a database row and its minimum point
+/// in the partition (the first transaction containing the partition item).
+pub(crate) type Member = (usize, u32);
 
 /// What every partition step of one engine run reads. One run is a whole
 /// sequential mine, or one shard of [`crate::ParallelDiscAll`] (which
@@ -207,8 +216,6 @@ pub(crate) fn mine_partitioned(
 pub(crate) struct Engine<'r> {
     pub(crate) flat: &'r FlatDb,
     pub(crate) delta: u64,
-    /// Which items are frequent 1-sequences.
-    pub(crate) freq1: &'r [bool],
     pub(crate) policy: SplitPolicy,
     pub(crate) config: DiscConfig,
     pub(crate) guard: &'r MineGuard,
@@ -219,7 +226,12 @@ pub(crate) struct Scratch {
     carray: CountingArray,
     arena: FlatArena,
     exts: RowExtensions,
+    masks: MaskPool,
 }
+
+/// Frequency masks free for reuse. A split partition takes one for as long
+/// as its children are walked, so the pool grows to the split depth.
+type MaskPool = Vec<FrequencyMasks>;
 
 impl Scratch {
     /// Empty buffers for item ids `0..n_items`.
@@ -228,12 +240,17 @@ impl Scratch {
             carray: CountingArray::new(n_items),
             arena: FlatArena::new(),
             exts: RowExtensions::new(),
+            masks: MaskPool::new(),
         }
     }
 }
 
 impl Engine<'_> {
-    /// Steps 2.1.1–2.1.3 for one `<(λ)>`-partition.
+    /// Steps 2.1.1–2.1.3 for one `<(λ)>`-partition, over its members
+    /// viewed from their minimum points: every embedding of a pattern
+    /// starting with `λ` starts there or later, so the 2-sequence count,
+    /// the reduction and the unsplit DISC path all skip the transactions
+    /// before it.
     ///
     /// This is also the **shard body** of [`crate::ParallelDiscAll`]: the
     /// member list of the `<(λ)>`-partition at its processing time is
@@ -243,18 +260,21 @@ impl Engine<'_> {
     pub(crate) fn process_first_level(
         &self,
         lambda: Item,
-        members: &[usize],
+        members: &[Member],
         result: &mut MiningResult,
         scratch: &mut Scratch,
     ) -> Result<(), AbortReason> {
-        let Scratch { carray, arena, exts } = scratch;
+        let Scratch { carray, arena, exts, masks: pool } = scratch;
         let (flat, delta, guard) = (self.flat, self.delta, self.guard);
         let prefix1 = Sequence::single(lambda);
+        let views: Vec<_> =
+            members.iter().map(|&(i, t)| flat.row(i).from_transaction(t as usize)).collect();
 
-        // 2.1.1: frequent 2-sequences by counting array (over the originals —
-        // every supporter of a 2-sequence starting with λ is a member now).
+        // 2.1.1: frequent 2-sequences by counting array (over the unreduced
+        // members — every supporter of a 2-sequence starting with λ is a
+        // member now).
         guard.charge(members.len() as u64)?;
-        count_extensions_into(carray, &prefix1, members.iter().map(|&i| flat.row(i)));
+        count_extensions_into(carray, &prefix1, views.iter().copied());
         let freq2 = carray.frequent_extensions(delta);
         for &(elem, support) in &freq2 {
             guard.note_pattern()?;
@@ -262,11 +282,12 @@ impl Engine<'_> {
         }
         if !self.policy.split(1, freq2.iter().map(|&(_, s)| s), members.len()) {
             // DISC from k = 3 over the (unreduced) partition members.
-            let views: Vec<_> = members.iter().map(|&i| flat.row(i)).collect();
             let list = freq2.iter().map(|&(elem, _)| prefix1.extended(elem)).collect();
             return self.run_disc(&views, list, result, carray);
         }
-        let (i_mask, s_mask) = carray.frequency_masks(delta);
+        let mut masks = pool.pop().unwrap_or_default();
+        masks.fill(carray, delta);
+        let (i_mask, s_mask) = (&masks.itemset[..], &masks.sequence[..]);
 
         // 2.1.2: reduce into a partition-local flat arena and group by
         // 2-minimum subsequence. Partition slots are arena row indices;
@@ -276,19 +297,14 @@ impl Engine<'_> {
         arena.clear();
         exts.clear();
         let mut second_level: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
-        for &idx in members {
+        for &seq in &views {
             guard.checkpoint()?;
-            let seq = flat.row(idx);
-            let min_point =
-                seq.first_txn_containing(lambda).expect("partition members contain their key item");
-            let Some(row) =
-                reduce_into(arena, seq, lambda, min_point, self.freq1, &i_mask, &s_mask)
-            else {
+            let Some(row) = reduce_into(arena, seq, lambda, i_mask, s_mask) else {
                 continue;
             };
             let ext_row = exts.push_row(arena.row(row), &prefix1);
             debug_assert_eq!(ext_row, row);
-            if let Some(elem) = exts.min_masked(row, &i_mask, &s_mask, None) {
+            if let Some(elem) = exts.min_masked(row, i_mask, s_mask, None) {
                 second_level.entry(elem).or_default().push(row);
             } else {
                 // Unextendable: the row just appended is dead.
@@ -304,16 +320,17 @@ impl Engine<'_> {
             if slots.len() as u64 >= delta {
                 let prefix2 = prefix1.extended(elem);
                 let partition: Vec<_> = slots.iter().map(|&s| arena.row(s)).collect();
-                self.process_partition(&prefix2, &partition, 2, result, carray)?;
+                self.process_partition(&prefix2, &partition, 2, result, carray, pool)?;
             }
             // 2.1.3.3: reassign by the next 2-minimum subsequence.
             for slot in slots {
                 guard.checkpoint()?;
-                if let Some(next) = exts.min_masked(slot, &i_mask, &s_mask, Some(elem)) {
+                if let Some(next) = exts.min_masked(slot, i_mask, s_mask, Some(elem)) {
                     second_level.entry(next).or_default().push(slot);
                 }
             }
         }
+        pool.push(masks);
         Ok(())
     }
 
@@ -331,6 +348,7 @@ impl Engine<'_> {
         level: usize,
         result: &mut MiningResult,
         carray: &mut CountingArray,
+        pool: &mut MaskPool,
     ) -> Result<(), AbortReason> {
         let (delta, guard) = (self.delta, self.guard);
         guard.charge(partition.len() as u64)?;
@@ -346,12 +364,14 @@ impl Engine<'_> {
         if !self.policy.split(level, exts.iter().map(|&(_, s)| s), partition.len()) {
             return self.run_disc(partition, freq_next, result, carray);
         }
-        let (i_mask, s_mask) = carray.frequency_masks(delta);
+        let mut masks = pool.pop().unwrap_or_default();
+        masks.fill(carray, delta);
+        let (i_mask, s_mask) = (&masks.itemset[..], &masks.sequence[..]);
 
         let mut children: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
         for (slot, &seq) in partition.iter().enumerate() {
             guard.checkpoint()?;
-            if let Some(elem) = min_ext_elem(seq, prefix, &i_mask, &s_mask, None) {
+            if let Some(elem) = min_ext_elem(seq, prefix, i_mask, s_mask, None) {
                 children.entry(elem).or_default().push(slot);
             }
         }
@@ -360,17 +380,19 @@ impl Engine<'_> {
             let slots = children.remove(&elem).expect("key just observed");
             if slots.len() as u64 >= delta {
                 let child: Vec<S> = slots.iter().map(|&s| partition[s]).collect();
-                self.process_partition(&prefix.extended(elem), &child, level + 1, result, carray)?;
+                let child_prefix = prefix.extended(elem);
+                self.process_partition(&child_prefix, &child, level + 1, result, carray, pool)?;
             }
             for slot in slots {
                 guard.checkpoint()?;
                 if let Some(next) =
-                    min_ext_elem(partition[slot], prefix, &i_mask, &s_mask, Some(elem))
+                    min_ext_elem(partition[slot], prefix, i_mask, s_mask, Some(elem))
                 {
                     children.entry(next).or_default().push(slot);
                 }
             }
         }
+        pool.push(masks);
         Ok(())
     }
 

@@ -4,7 +4,9 @@
 //! procedure
 //!
 //! 1. keys every member by its Apriori-KMS k-minimum subsequence in a
-//!    k-sorted database;
+//!    k-sorted database — as the pair (apriori pointer, extension element),
+//!    whose order is the keys' comparative order ([`RawKms`]); a key
+//!    becomes a sequence only when it is reported;
 //! 2. compares `α₁` (the minimum key) with `α_δ` (the key at customer
 //!    position δ):
 //!    * `α₁ = α_δ` → `α₁` is frequent (Lemma 2.1) and its bucket is its
@@ -16,6 +18,9 @@
 //!    * `α₁ < α_δ` → every k-sequence in `[α₁, α_δ)` is non-frequent
 //!      (Lemma 2.2); all members keyed below `α_δ` are re-keyed to their
 //!      conditional minimum `≥ α_δ` (Ω = `≥`) without touching them;
+//!
+//!    either way the CKMS condition is the bound key's own fields: its
+//!    pointer names the prefix `X`, its element is `Y`;
 //! 3. repeats until fewer than δ members remain.
 //!
 //! ### Why bucket size is exact support
@@ -30,9 +35,9 @@
 
 use crate::ckms::{apriori_ckms_resolved, BoundMode, ResolvedCondition};
 use crate::counting::CountingArray;
-use crate::kms::{apriori_kms_cached, ExtensionCache};
+use crate::kms::{apriori_kms_cached, ExtensionCache, RawKms};
 use crate::sorted_db::{Entry, KSortedDb};
-use disc_core::{AbortReason, ExtElem, FlatKey, MineGuard, SeqView, Sequence};
+use disc_core::{AbortReason, ExtElem, MineGuard, SeqView, Sequence};
 
 /// The output of one discovery call.
 #[derive(Debug, Clone, Default)]
@@ -111,13 +116,11 @@ pub(crate) fn discover_frequent_k_into<'a, S: SeqView<'a>>(
     }
     let mut out = DiscoveryOutput::default();
 
-    // Step 1: build the k-sorted database. The (k-1)-sorted list is
-    // flattened once; every key is then prefix-pairs + one appended pair,
-    // with no nested sequence built per insert.
-    let prev_keys: Vec<FlatKey> = freq_prev.iter().map(FlatKey::new).collect();
-    // Extension sets depend only on (member, prefix), so they are memoized
-    // across the whole compare/re-key loop: re-keys past a bound repeatedly
-    // re-ask extension questions the initial keying already answered.
+    // Step 1: build the k-sorted database, keyed by (apriori pointer,
+    // extension element) pairs into `freq_prev`. Extension sets depend only
+    // on (member, prefix), so they are memoized across the whole
+    // compare/re-key loop: re-keys past a bound repeatedly re-ask extension
+    // questions the initial keying already answered.
     let mut cache = ExtensionCache::new(members.len(), freq_prev.len());
     // The caller-owned counting array serves every virtual partition
     // (reset is O(1); allocating per frequent pattern would memset
@@ -127,7 +130,7 @@ pub(crate) fn discover_frequent_k_into<'a, S: SeqView<'a>>(
     for (m, &seq) in members.iter().enumerate() {
         guard.checkpoint()?;
         if let Some(raw) = apriori_kms_cached(seq, freq_prev, m, &mut cache) {
-            db.insert_key(m, prev_keys[raw.ptr].extended(raw.elem), raw.ptr);
+            db.insert(m, raw);
         }
     }
 
@@ -137,7 +140,7 @@ pub(crate) fn discover_frequent_k_into<'a, S: SeqView<'a>>(
         if db.alpha_1_equals_delta(delta) {
             // Lemma 2.1: frequent; the whole bucket keys on α₁.
             let (min_key, bucket) = db.take_min().expect("non-empty");
-            let key = min_key.to_sequence();
+            let key = freq_prev[min_key.ptr].extended(min_key.elem);
             let support = bucket.len() as u64;
 
             if bi_level {
@@ -153,59 +156,50 @@ pub(crate) fn discover_frequent_k_into<'a, S: SeqView<'a>>(
                 }
             }
 
-            let rcond = resolve_key_condition(&min_key, &prev_keys, BoundMode::Strictly);
+            let rcond = resolve_key_condition(min_key, BoundMode::Strictly);
             guard.charge(support)?;
-            rekey(&mut db, members, freq_prev, &prev_keys, &rcond, bucket, &mut cache);
+            rekey(&mut db, members, freq_prev, &rcond, bucket, &mut cache);
             out.freq_k.push((key, support));
         } else {
             // Lemma 2.2: everything in [α₁, α_δ) is non-frequent; skip it.
-            let bound = db.alpha_delta_key(delta).expect("len >= delta").clone();
-            let rcond = resolve_key_condition(&bound, &prev_keys, BoundMode::AtLeast);
-            let buckets = db.take_buckets_less_than(&bound);
-            for bucket in buckets {
+            let bound = db.alpha_delta(delta).expect("len >= delta");
+            let rcond = resolve_key_condition(bound, BoundMode::AtLeast);
+            for bucket in db.take_less_than(bound) {
                 guard.charge(bucket.len() as u64)?;
-                rekey(&mut db, members, freq_prev, &prev_keys, &rcond, bucket, &mut cache);
+                rekey(&mut db, members, freq_prev, &rcond, bucket, &mut cache);
             }
         }
     }
     Ok(out)
 }
 
-/// [`Condition::resolve`](crate::ckms::Condition::resolve) computed directly
-/// on flattened keys: `prev_keys` is the (k-1)-sorted list in the same order
-/// as `freq_prev` (flattening is an order isomorphism), and a condition's
-/// prefix `X` is its key minus the last pair — so the binary search and the
-/// equality probe are word-slice comparisons, with no nested sequence (or
-/// `k_prefix` allocation) in sight.
-fn resolve_key_condition(
-    bound: &FlatKey,
-    prev_keys: &[FlatKey],
-    mode: BoundMode,
-) -> ResolvedCondition {
-    use std::cmp::Ordering;
-    let start = prev_keys.partition_point(|k| k.cmp_to_bound_prefix(bound) == Ordering::Less);
-    let eq_at_start =
-        prev_keys.get(start).is_some_and(|k| k.cmp_to_bound_prefix(bound) == Ordering::Equal);
-    ResolvedCondition { start, eq_at_start, last: bound.last_ext(), mode }
+/// [`Condition::resolve`](crate::ckms::Condition::resolve) read off a key:
+/// the condition's (k-1)-prefix `X` is `freq_prev[bound.ptr]` itself, so
+/// the first entry `≥ X` is at `bound.ptr` and equals `X`.
+fn resolve_key_condition(bound: RawKms, mode: BoundMode) -> ResolvedCondition {
+    ResolvedCondition { start: bound.ptr, eq_at_start: true, last: bound.elem, mode }
 }
 
 /// Re-keys a drained bucket by Apriori-CKMS; members without a conditional
 /// minimum leave the k-sorted database. The bucket allocation is recycled
 /// into the database's pool.
+///
+/// Every drained key is at most the bound, so its apriori pointer is at
+/// most `rcond.start`, where the CKMS walk resumes (`max(ptr, start)`).
 fn rekey<'a, S: SeqView<'a>>(
     db: &mut KSortedDb,
     members: &[S],
     freq_prev: &[Sequence],
-    prev_keys: &[FlatKey],
     rcond: &ResolvedCondition,
     bucket: Vec<Entry>,
     cache: &mut ExtensionCache,
 ) {
     for &e in &bucket {
-        let raw =
-            apriori_ckms_resolved(members[e.member], freq_prev, e.ptr, rcond, e.member, cache);
-        if let Some(raw) = raw {
-            db.insert_key(e.member, prev_keys[raw.ptr].extended(raw.elem), raw.ptr);
+        let member = members[e.member];
+        if let Some(raw) =
+            apriori_ckms_resolved(member, freq_prev, rcond.start, rcond, e.member, cache)
+        {
+            db.insert(e.member, raw);
         }
     }
     db.recycle(bucket);

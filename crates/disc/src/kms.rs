@@ -337,10 +337,18 @@ pub struct Kms {
 
 /// A KMS/CKMS result in raw form: the prefix index and the appended
 /// extension element. The key sequence is always
-/// `freq_prev[ptr].extended(elem)` — callers that only need a flattened
-/// tree key (the discovery loop) build it from these two values without
-/// materializing any nested sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `freq_prev[ptr].extended(elem)`.
+///
+/// This pair *is* the k-sorted database's key: the derived `Ord` compares
+/// `ptr`, then `elem`, and over one strictly ascending (k-1)-sorted list
+/// that is the comparative order of the materialized keys. All keys have
+/// length k and extend their prefix by exactly one flattened pair, so two
+/// keys with different prefixes differ within the first k-1 pairs, in the
+/// order of their prefixes; two keys with the same prefix differ only in
+/// the appended pair, whose order is [`ExtElem`]'s. Apriori-KMS's minimum
+/// factorizes the same way (module docs), so a key is never materialized
+/// to be compared — only when its pattern is reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RawKms {
     /// Index into the (k-1)-sorted list of the key's (k-1)-prefix.
     pub ptr: usize,

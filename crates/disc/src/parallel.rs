@@ -29,7 +29,7 @@
 //! union; [`MiningResult::insert`] still cross-checks supports, so a shard
 //! disagreeing on a support is caught loudly rather than silently resolved.
 
-use crate::disc_all::{frequent_one_sequences, Engine, Scratch, DISC_ALL_POLICY};
+use crate::disc_all::{frequent_one_sequences, Engine, Member, Scratch, DISC_ALL_POLICY};
 use crate::partition::frequent_items_per_row;
 use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use crate::DiscConfig;
@@ -173,16 +173,10 @@ impl Checkpointable for ParallelDiscAll {
         // partition engine's first-level step under DISC-all's policy.
         let executor = ParallelExecutor::with_threads(self.threads);
         let body = |worker: &MineGuard,
-                    (lambda, members): (Item, Vec<usize>),
+                    (lambda, members): (Item, Vec<Member>),
                     shard_result: &mut MiningResult| {
-            let engine = Engine {
-                flat,
-                delta,
-                freq1: &freq1,
-                policy: DISC_ALL_POLICY,
-                config: self.config,
-                guard: worker,
-            };
+            let engine =
+                Engine { flat, delta, policy: DISC_ALL_POLICY, config: self.config, guard: worker };
             engine.process_first_level(lambda, &members, shard_result, &mut Scratch::new(n_items))
         };
         #[cfg(feature = "fault-injection")]
@@ -241,18 +235,19 @@ impl Checkpointable for ParallelDiscAll {
 }
 
 /// One `(λ, members)` shard per frequent item: `members` lists every row
-/// containing `λ`, ascending — the `<(λ)>`-partition's full supporter set
-/// (see the module docs for why this equals the sequential membership).
-/// It is the transpose of the rows' reassignment-chain itineraries.
+/// containing `λ`, ascending, each with its minimum point — the
+/// `<(λ)>`-partition's full supporter set (see the module docs for why this
+/// equals the sequential membership). It is the transpose of the rows'
+/// reassignment-chain itineraries.
 fn shard_members(
     flat: &FlatDb,
     freq1: &[bool],
     guard: &MineGuard,
-) -> Result<Vec<(Item, Vec<usize>)>, AbortReason> {
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); freq1.len()];
-    for (idx, items) in frequent_items_per_row(flat, freq1, guard)?.iter().enumerate() {
-        for item in items {
-            members[item.id() as usize].push(idx);
+) -> Result<Vec<(Item, Vec<Member>)>, AbortReason> {
+    let mut members: Vec<Vec<Member>> = vec![Vec::new(); freq1.len()];
+    for (idx, stops) in frequent_items_per_row(flat, freq1, guard)?.iter().enumerate() {
+        for &(item, min_point) in stops {
+            members[item.id() as usize].push((idx, min_point));
         }
     }
     Ok(members
@@ -293,10 +288,16 @@ mod tests {
         freq1[3] = false; // pretend 'd' is non-frequent
         let guard = MineGuard::unlimited();
         let shards = shard_members(&FlatDb::from_database(&db), &freq1, &guard).unwrap();
+        let rows = |letter| {
+            let shard = shards.iter().find(|(i, _)| i.as_letter() == Some(letter)).unwrap();
+            shard.1.iter().map(|&(row, _)| row).collect::<Vec<_>>()
+        };
+        assert_eq!(rows('a'), vec![0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(rows('c'), vec![0, 1, 2, 3, 9]);
+        // Each member carries its minimum point: CID 2 = (b)(a)(f)(a,c,e,g)
+        // enters the <(a)>-partition at its second transaction.
         let a = shards.iter().find(|(i, _)| i.as_letter() == Some('a')).unwrap();
-        assert_eq!(a.1, vec![0, 1, 2, 3, 4, 5, 6]);
-        let c = shards.iter().find(|(i, _)| i.as_letter() == Some('c')).unwrap();
-        assert_eq!(c.1, vec![0, 1, 2, 3, 9]);
+        assert_eq!(a.1[1], (1, 1));
         assert!(shards.iter().all(|(i, _)| i.as_letter() != Some('d')));
         // Ascending key order — the merge relies on it.
         let keys: Vec<Item> = shards.iter().map(|(i, _)| *i).collect();

@@ -9,6 +9,14 @@
 //! frequent keys it contains — so when a partition's turn comes, *every*
 //! supporter of its key is present, which is why counting arrays and DISC
 //! buckets inside a partition produce exact global supports.
+//!
+//! A row's first-level chain is its **itinerary**
+//! (`frequent_items_per_row`): its frequent items, ascending, each with
+//! the row's *minimum point* in that item's partition — the first
+//! transaction containing the item. The first-level step sees a member from
+//! its minimum point on, and [`reduce_into`] also drops the items below the
+//! partition item there: no pattern starting with that item can embed left
+//! of it (`docs/ALGORITHM.md` §6).
 
 use crate::kms::{all_extensions, decode_elem, encode_elem, min_extension_where};
 use disc_core::{
@@ -17,24 +25,16 @@ use disc_core::{
 use std::collections::BTreeMap;
 
 /// Groups database rows by their minimum 1-sequence (Step 1(b) of Figure 2).
-/// Keys include non-frequent items; mining skips those partitions but the
-/// reassignment chains still flow through them.
+/// Keys include non-frequent items — the paper's Table 6 grouping, which
+/// the NRR statistics read. The partition engine starts each row at the
+/// head of its itinerary (`frequent_items_per_row`) instead, which skips the
+/// non-frequent partitions a row would only pass through.
 ///
 /// Operates on the flat columns directly, so it works identically on a
 /// heap-built database and one mapped from a `DSCFD1` file.
 pub fn group_by_min_item(db: &FlatDb) -> BTreeMap<Item, Vec<usize>> {
-    group_by_min_item_guarded(db, &MineGuard::unlimited()).expect("unlimited guard never aborts")
-}
-
-/// [`group_by_min_item`] under a [`MineGuard`]: one checkpoint per row, so
-/// the initial grouping scan of a huge database stays abortable.
-pub fn group_by_min_item_guarded(
-    db: &FlatDb,
-    guard: &MineGuard,
-) -> Result<BTreeMap<Item, Vec<usize>>, AbortReason> {
     let mut groups: BTreeMap<Item, Vec<usize>> = BTreeMap::new();
     for (idx, row) in db.rows().enumerate() {
-        guard.checkpoint()?;
         // Itemsets are sorted, so a row's minimum item is the smallest
         // first element across its transactions.
         let min = (0..row.n_transactions()).filter_map(|t| row.itemset_items(t).first()).min();
@@ -42,29 +42,38 @@ pub fn group_by_min_item_guarded(
             groups.entry(item).or_default().push(idx);
         }
     }
-    Ok(groups)
+    groups
 }
 
-/// Per database row, the ascending distinct *frequent* items it contains —
-/// the full itinerary of the row's first-level reassignment chain (Step 2.2
-/// of Figure 2), computed in one pass per row. After the `<(λ)>`-partition,
-/// a row moves on to the first item of its list greater than `λ`.
+/// One stop of a row's first-level itinerary: a frequent item `λ` the row
+/// contains, and the row's *minimum point* in the `<(λ)>`-partition — the
+/// first transaction containing `λ`.
+pub(crate) type Stop = (Item, u32);
+
+/// Per database row, its **itinerary**: the ascending distinct *frequent*
+/// items it contains, each with its minimum point — the full route of the
+/// row's first-level reassignment chain (Step 2.2 of Figure 2), computed in
+/// one pass per row. A row starts in the partition of its first stop; after
+/// the `<(λ)>`-partition it moves on to its first stop past `λ`.
 pub(crate) fn frequent_items_per_row(
     flat: &FlatDb,
     freq1: &[bool],
     guard: &MineGuard,
-) -> Result<Vec<Vec<Item>>, AbortReason> {
+) -> Result<Vec<Vec<Stop>>, AbortReason> {
     let mut out = Vec::with_capacity(flat.len());
-    let mut items: Vec<Item> = Vec::new();
+    let mut stops: Vec<Stop> = Vec::new();
     for row in flat.rows() {
         guard.checkpoint()?;
-        items.clear();
+        stops.clear();
         for t in 0..row.n_transactions() {
-            items.extend(row.itemset_items(t).iter().copied().filter(|x| freq1[x.id() as usize]));
+            let frequent = row.itemset_items(t).iter().filter(|x| freq1[x.id() as usize]);
+            stops.extend(frequent.map(|&x| (x, t as u32)));
         }
-        items.sort_unstable();
-        items.dedup();
-        out.push(items.clone());
+        // Sorting by (item, transaction) puts each item's first
+        // transaction first; `dedup_by_key` keeps it.
+        stops.sort_unstable();
+        stops.dedup_by_key(|&mut (x, _)| x);
+        out.push(stops.clone());
     }
     Ok(out)
 }
@@ -120,46 +129,48 @@ pub fn reduce_sequence(
     }
 }
 
-/// [`reduce_sequence`] into flat storage: appends the reduced copy of `seq`
-/// to `arena` and returns its row index, or rolls the row back and returns
-/// `None` when fewer than 3 items survive. The keep-predicate is identical
-/// to [`reduce_sequence`]'s; the reduced member never exists as a nested
-/// [`Sequence`], so the hot reduction loop allocates only arena growth.
+/// [`reduce_sequence`] into flat storage, on a member viewed from its
+/// minimum point (transaction 0 of `seq` is the first one containing `λ`):
+/// appends the reduced copy to `arena` and returns its row index, or rolls
+/// the row back and returns `None` when fewer than 3 items survive.
+///
+/// Keeps what [`reduce_sequence`] keeps, minus the part no `λ`-pattern can
+/// use: the transactions left of the minimum point (they are not in the
+/// view) and the items `< λ` in the minimum-point transaction. A pattern
+/// starting with `λ` embeds its first itemset at or after the minimum
+/// point, and that itemset holds only items `≥ λ`; its later itemsets
+/// embed strictly after it. The masks already imply frequency (a frequent
+/// 2-sequence has frequent items), so no separate 1-sequence test is
+/// needed. The reduced member never exists as a nested [`Sequence`], so
+/// the hot reduction loop allocates only arena growth.
 pub fn reduce_into<'a, S: SeqView<'a>>(
     arena: &mut FlatArena,
     seq: S,
     lambda: Item,
-    min_point: usize,
-    freq1: &[bool],
     i_mask: &[bool],
     s_mask: &[bool],
 ) -> Option<usize> {
     // λ-containment is a property of the transaction, not the item — memoize
     // it across the items of the transaction being filtered.
     let mut memo_t = usize::MAX;
-    let mut memo_cond1 = false;
+    let mut memo_has_lambda = false;
     let row = arena.push_filtered(seq, |t, x| {
-        if x == lambda || t < min_point {
+        if x == lambda {
             return true;
         }
-        if t == min_point && x < lambda {
-            return true; // left of the minimum point within its transaction
-        }
-        if !freq1[x.id() as usize] {
-            return false;
+        let i_ok = x > lambda && i_mask[x.id() as usize];
+        if t == 0 {
+            return i_ok; // the minimum point: only <(λ x)> can use x
         }
         if t != memo_t {
             memo_t = t;
-            memo_cond1 = seq.itemset_items(t).binary_search(&lambda).is_ok();
+            memo_has_lambda = seq.itemset_items(t).binary_search(&lambda).is_ok();
         }
-        let cond1 = memo_cond1;
-        let cond2 = t > min_point;
-        let i_ok = x > lambda && i_mask[x.id() as usize];
         let s_ok = s_mask[x.id() as usize];
-        match (cond1, cond2) {
-            (false, _) => s_ok,
-            (true, false) => i_ok,
-            (true, true) => i_ok || s_ok,
+        if memo_has_lambda {
+            i_ok || s_ok
+        } else {
+            s_ok
         }
     });
     if arena.row(row).length() >= 3 {
@@ -271,7 +282,7 @@ impl RowExtensions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counting::count_extensions;
+    use crate::counting::{count_extensions, FrequencyMasks};
     use disc_core::{parse_sequence, SequenceDatabase};
 
     fn seq(s: &str) -> Sequence {
@@ -327,11 +338,18 @@ mod tests {
         frequent[item('d').id() as usize] = false;
         let itineraries =
             frequent_items_per_row(&flat, &frequent, &MineGuard::unlimited()).unwrap();
-        let letters =
-            |items: &[Item]| -> String { items.iter().map(|i| i.as_letter().unwrap()).collect() };
-        // CID 1 = (a,d)(d)(a,g,h)(c): d never appears on its chain.
-        assert_eq!(letters(&itineraries[0]), "acgh");
-        assert_eq!(letters(&itineraries[8]), "fgh"); // CID 9 = (d,f)(d,f,g,h)
+        let stops = |idx: usize| -> Vec<String> {
+            let stop = |&(x, t): &Stop| format!("{}@{t}", x.as_letter().unwrap());
+            itineraries[idx].iter().map(stop).collect()
+        };
+        // CID 1 = (a,d)(d)(a,g,h)(c): d never appears on its chain, and
+        // each stop carries its minimum point.
+        assert_eq!(stops(0), ["a@0", "c@3", "g@2", "h@2"]);
+        // CID 9 = (d,f)(d,f,g,h)
+        assert_eq!(stops(8), ["f@0", "g@1", "h@1"]);
+        // CID 2 = (b)(a)(f)(a,c,e,g) enters the <(a)>-partition at its
+        // second transaction.
+        assert_eq!(itineraries[1][0], (item('a'), 1));
         let expected = [
             'c', // CID 1: (a,d)(d)(a,g,h)(c) — d is non-frequent
             'b', 'c', 'c',
@@ -342,21 +360,28 @@ mod tests {
             'g', 'e', 'b',
         ];
         for (idx, want) in expected.iter().enumerate() {
-            let items = &itineraries[idx];
-            let next = items[items.partition_point(|&x| x <= item('a'))];
+            let stops = &itineraries[idx];
+            let (next, _) = stops[stops.partition_point(|&(x, _)| x <= item('a'))];
             assert_eq!(next.as_letter(), Some(*want), "CID {}", idx + 1);
         }
+    }
+
+    /// The masks of the <(a)>-partition of Table 6 at δ = 3, and the
+    /// 1-sequence frequencies (all but d).
+    fn a_partition_masks(db: &SequenceDatabase) -> (FrequencyMasks, Vec<bool>) {
+        let members: Vec<&Sequence> = (0..7).map(|i| db.sequence(i)).collect();
+        let prefix = Sequence::single(item('a'));
+        let array = count_extensions(&prefix, members.iter().copied(), 8);
+        let mut masks = FrequencyMasks::default();
+        masks.fill(&array, 3);
+        (masks, vec![true, true, true, false, true, true, true, true])
     }
 
     #[test]
     fn table_7_reduction_of_the_a_partition() {
         let db = table6();
-        let members: Vec<&Sequence> = (0..7).map(|i| db.sequence(i)).collect();
-        let prefix = Sequence::single(item('a'));
-        let array = count_extensions(&prefix, members.iter().copied(), 8);
-        let (i_mask, s_mask) = array.frequency_masks(3);
-        let freq1 = vec![true, true, true, false, true, true, true, true]; // all but d
-
+        let (masks, freq1) = a_partition_masks(&db);
+        let (i_mask, s_mask) = (&masks.itemset, &masks.sequence);
         let expected = [
             Some("(a)(a, g, h)(c)"),
             Some("(b)(a)(a, c, e, g)"),
@@ -369,7 +394,7 @@ mod tests {
         for (idx, want) in expected.iter().enumerate() {
             let s = db.sequence(idx);
             let (_, min_point) = s.min_item_with_point().unwrap();
-            let got = reduce_sequence(s, item('a'), min_point, &freq1, &i_mask, &s_mask)
+            let got = reduce_sequence(s, item('a'), min_point, &freq1, i_mask, s_mask)
                 .map(|r| r.to_string());
             assert_eq!(got.as_deref(), *want, "CID {}", idx + 1);
         }
@@ -377,22 +402,47 @@ mod tests {
 
     #[test]
     fn reduce_into_matches_reduce_sequence() {
+        // reduce_into sees each member from its minimum point and yields
+        // Table 7 without the part left of it: the leading transactions and
+        // the items < a in the minimum-point transaction (none here).
         let db = table6();
-        let members: Vec<&Sequence> = (0..7).map(|i| db.sequence(i)).collect();
-        let prefix = Sequence::single(item('a'));
-        let array = count_extensions(&prefix, members.iter().copied(), 8);
-        let (i_mask, s_mask) = array.frequency_masks(3);
-        let freq1 = vec![true, true, true, false, true, true, true, true];
+        let flat = FlatDb::from_database(&db);
+        let (masks, _) = a_partition_masks(&db);
+        let (i_mask, s_mask) = (&masks.itemset, &masks.sequence);
+        let expected = [
+            Some("(a)(a, g, h)(c)"),
+            Some("(a)(a, c, e, g)"), // CID 2 loses its leading (b)
+            Some("(a, f, g)(a, e, g, h)(c, g, h)"),
+            Some("(a, f)(a, c, e, g, h)"), // CID 4 loses its leading (f)
+            None,
+            Some("(a, f)(a, e, g, h)"),
+            Some("(a, g)(a, e, g)(g, h)"),
+        ];
         let mut arena = FlatArena::new();
-        for idx in 0..7 {
-            let s = db.sequence(idx);
-            let (_, min_point) = s.min_item_with_point().unwrap();
-            let nested = reduce_sequence(s, item('a'), min_point, &freq1, &i_mask, &s_mask);
-            let flat = reduce_into(&mut arena, s, item('a'), min_point, &freq1, &i_mask, &s_mask);
-            assert_eq!(flat.map(|r| arena.row(r).to_sequence()), nested, "CID {}", idx + 1);
+        for (idx, want) in expected.iter().enumerate() {
+            let min_point = db.sequence(idx).first_txn_containing(item('a')).unwrap();
+            let view = flat.row(idx).from_transaction(min_point);
+            let got = reduce_into(&mut arena, view, item('a'), i_mask, s_mask);
+            let got = got.map(|r| arena.row(r).to_sequence().to_string());
+            assert_eq!(got.as_deref(), *want, "CID {}", idx + 1);
         }
         // Rejected rows were rolled back: only the survivors occupy the arena.
         assert_eq!(arena.len(), 6);
+    }
+
+    #[test]
+    fn reduce_into_drops_items_below_lambda_at_the_minimum_point() {
+        // In the <(c)>-partition, (a,c,e)(c,e) keeps neither a (no pattern
+        // starting with c can hold it in the first itemset) nor anything
+        // left of the minimum point.
+        let s = seq("(b)(a,c,e)(c,e)");
+        let mut arena = FlatArena::new();
+        arena.push_sequence(&s);
+        let all = vec![true; 8];
+        let view = arena.row(0).from_transaction(1);
+        let mut out = FlatArena::new();
+        let r = reduce_into(&mut out, view, item('c'), &all, &all).unwrap();
+        assert_eq!(out.row(r).to_sequence(), seq("(c,e)(c,e)"));
     }
 
     #[test]

@@ -2,16 +2,22 @@
 //!
 //! * Apriori-KMS / Apriori-CKMS equal the exhaustive-enumeration references
 //!   on random sequences and random frequent-prefix lists;
+//! * the k-sorted database's `(apriori pointer, extension)` key order is the
+//!   comparative order of the keys it stands for;
+//! * a first-level partition loses nothing by seeing its members from their
+//!   minimum points;
 //! * DISC-all (bi-level on and off) and Dynamic DISC-all (several γ) return
 //!   exactly the brute-force frequent set with exact supports on random
 //!   databases.
 
 use disc_algo::ckms::{apriori_ckms, BoundMode, Condition};
-use disc_algo::kms::apriori_kms;
+use disc_algo::counting::count_extensions;
+use disc_algo::kms::{apriori_kms, RawKms};
 use disc_algo::{DiscAll, DynamicDiscAll};
 use disc_core::kmin::{all_k_subsequences, min_k_subsequence_with_allowed_prefix_naive};
 use disc_core::{
-    BruteForce, Item, Itemset, MinSupport, Sequence, SequenceDatabase, SequentialMiner,
+    cmp_sequences, BruteForce, ExtElem, ExtMode, FlatDb, Item, Itemset, MinSupport, SeqView,
+    Sequence, SequenceDatabase, SequentialMiner,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -96,6 +102,58 @@ proptest! {
                 let again = apriori_ckms(&s, &list, p, &cond);
                 prop_assert_eq!(again.as_ref(), Some(kms));
             }
+        }
+    }
+
+    #[test]
+    fn raw_kms_order_is_the_comparative_order(
+        (_, list2) in arb_prefix_scenario(3),
+        (_, list3) in arb_prefix_scenario(4),
+        elems in prop::collection::vec((0u32..6, any::<bool>()), 1..=6),
+    ) {
+        // Random ascending lists of equal-length prefixes (lengths 2 and 3)
+        // and every key they admit for the random elements: an itemset
+        // extension must exceed the prefix's last item.
+        for list in [list2, list3] {
+            let mut keys = Vec::new();
+            for (ptr, prefix) in list.iter().enumerate() {
+                let last = prefix.last_flat_item().expect("non-empty prefix");
+                for &(item, itemset) in &elems {
+                    let mode = if itemset { ExtMode::Itemset } else { ExtMode::Sequence };
+                    if mode == ExtMode::Sequence || Item(item) > last {
+                        keys.push(RawKms { ptr, elem: ExtElem { item: Item(item), mode } });
+                    }
+                }
+            }
+            for a in &keys {
+                for b in &keys {
+                    let (ka, kb) = (a.into_kms(&list).key, b.into_kms(&list).key);
+                    prop_assert_eq!(a.cmp(b), cmp_sequences(&ka, &kb), "{} vs {}", ka, kb);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counting_from_the_minimum_point_is_lossless(db in arb_db(5, 8), delta in 1u64..=3) {
+        // For every frequent λ, the <(λ)> counting array over the rows
+        // containing λ is the same whether a row is seen whole or from its
+        // minimum point (its first transaction containing λ).
+        let flat = FlatDb::from_database(&db);
+        let root = count_extensions(&Sequence::empty(), flat.rows(), 5);
+        for lambda in (0..5).map(Item).filter(|&x| root.seq_support(x) >= delta) {
+            let prefix = Sequence::single(lambda);
+            let members: Vec<_> = flat
+                .rows()
+                .filter_map(|row| row.first_txn_containing(lambda).map(|t| (row, t)))
+                .collect();
+            let whole = members.iter().map(|&(row, _)| row);
+            let started = members.iter().map(|&(row, t)| row.from_transaction(t));
+            prop_assert_eq!(
+                count_extensions(&prefix, whole, 5).frequent_extensions(1),
+                count_extensions(&prefix, started, 5).frequent_extensions(1),
+                "λ = {}", lambda
+            );
         }
     }
 
