@@ -8,7 +8,8 @@
 //! verifies it, renames it over `<path>`, and fsyncs the parent directory.
 //! A crash at any point leaves at `<path>` either the previous complete file
 //! or the new one — never a mix — plus at worst a stray `.tmp` that no
-//! reader looks at.
+//! reader looks at. [`create_dir_all`] makes a directory created for such
+//! a file durable too, by fsyncing the directory above it.
 //!
 //! It is also the one place that stages an injected [`IoFault`] for a
 //! publish: the writers only choose *which* fault fires (through a
@@ -175,9 +176,34 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// invalidates data already synced.
 pub fn sync_parent_dir(path: &Path) {
     if let Some(parent) = path.parent() {
+        let parent = if parent.as_os_str().is_empty() { Path::new(".") } else { parent };
         if let Ok(dir) = fs::File::open(parent) {
             let _ = dir.sync_all();
         }
+    }
+}
+
+/// Creates `dir` and any missing ancestors, like [`fs::create_dir_all`],
+/// and makes each new directory's entry durable by fsyncing its parent
+/// ([`sync_parent_dir`]). A file later published inside a new directory is
+/// otherwise only as durable as that entry: [`publish`] fsyncs the file's
+/// own directory, not the one above it. An existing `dir` costs one `stat`.
+pub fn create_dir_all(dir: &Path) -> std::io::Result<()> {
+    if dir.as_os_str().is_empty() || dir.is_dir() {
+        return Ok(());
+    }
+    if let Some(parent) = dir.parent() {
+        create_dir_all(parent)?;
+    }
+    match fs::create_dir(dir) {
+        Ok(()) => {
+            sync_parent_dir(dir);
+            Ok(())
+        }
+        // Lost a race with another creator: the entry exists, and its
+        // creator makes it durable.
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists && dir.is_dir() => Ok(()),
+        Err(e) => Err(e),
     }
 }
 
@@ -321,6 +347,18 @@ mod tests {
                 }
             }
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn create_dir_all_creates_missing_ancestors_and_accepts_existing_ones() {
+        let dir = tmp_dir("mkdir");
+        let nested = dir.join("jobs").join("7");
+        create_dir_all(&nested).unwrap();
+        assert!(nested.is_dir());
+        create_dir_all(&nested).unwrap();
+        fs::write(dir.join("file"), b"x").unwrap();
+        assert!(create_dir_all(&dir.join("file")).is_err(), "a file is not a directory");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -41,11 +41,10 @@ use disc_core::checkpoint::{
     SnapshotView,
 };
 use disc_core::{
-    run_guarded, AbortReason, FlatDb, FlatFileContents, GuardedResult, Item, ItemMapping,
+    durable, run_guarded, AbortReason, FlatDb, FlatFileContents, GuardedResult, Item, ItemMapping,
     MinSupport, MineGuard, MiningResult, SequenceDatabase, SequentialMiner,
 };
 use std::cell::Cell;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -107,7 +106,7 @@ impl<'g> CheckpointSink<'g> {
     ) -> CheckpointSink<'g> {
         if let Some(dir) = path.parent() {
             // A missing directory surfaces at the first write, not here.
-            let _ = fs::create_dir_all(dir);
+            let _ = durable::create_dir_all(dir);
         }
         CheckpointSink {
             guard,
@@ -468,6 +467,7 @@ mod tests {
     use crate::{DiscAll, DynamicDiscAll, ParallelDiscAll};
     use disc_core::database_fingerprint;
     use disc_core::{CancelToken, MineOutcome, ResourceBudget};
+    use std::fs;
 
     fn table6() -> SequenceDatabase {
         SequenceDatabase::from_parsed(&[

@@ -42,16 +42,23 @@
 //! The data directory holds everything a restart needs: uploaded databases
 //! (`dbs/<name>.dscdb`), per-job checkpoints and results
 //! (`jobs/<id>/mine.dscck`, `jobs/<id>/result.tsv`), and a line-based
-//! `manifest` recording databases, jobs, and the id counter. Checkpoints,
-//! results and the manifest are all published through
-//! [`disc_core::durable::publish`], so a crash leaves each old or new,
-//! never torn. SIGTERM and `POST /admin/drain` both go through
-//! `Server::begin_drain`: running slices are cancelled at their next
-//! checkpoint boundary, the blocked `accept()` is woken by a connection to
-//! the listener, slices requeue with durable snapshots, and the manifest
-//! is written; a restarted server reloads the manifest and the requeued
-//! jobs resume from their snapshots — bit-identical to never having been
-//! interrupted, by the checkpoint layer's guarantee.
+//! `manifest` recording databases, jobs, and the id counter. Only mined
+//! jobs have a `result.tsv`. A cache hit's one durable write is its
+//! manifest line, which records the fingerprint of the database it was
+//! answered against; a restart serves the hit the result file of the
+//! job that mined the same query under that fingerprint, and re-mines
+//! only when no such file survived. Checkpoints, results and the
+//! manifest are all published through [`disc_core::durable::publish`],
+//! so a crash leaves each old or new, never torn, and each new
+//! `jobs/<id>/` directory is made durable by
+//! [`disc_core::durable::create_dir_all`]. SIGTERM and
+//! `POST /admin/drain` both go through `Server::begin_drain`: running
+//! slices are cancelled at their next checkpoint boundary, the blocked
+//! `accept()` is woken by a connection to the listener, slices requeue
+//! with durable snapshots, and the manifest is written; a restarted server
+//! reloads the manifest and the requeued jobs resume from their snapshots
+//! — bit-identical to never having been interrupted, by the checkpoint
+//! layer's guarantee.
 
 use crate::cache::{CacheKey, RenderedResult};
 use crate::chaos::{ChaosConfig, ChaosLedger, ChaosStream};
@@ -65,6 +72,7 @@ use crate::scheduler::{valid_algo, valid_mode, Scheduler, SchedulerConfig};
 use crate::signal;
 use crate::status::{error_response, plain_error, quota_response, shed_response};
 use disc_core::{DiscError, IoWriter, MinSupport, RetryPolicy};
+use std::collections::HashMap;
 use std::io::Read;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -522,20 +530,20 @@ impl Server {
         };
 
         // Cache first: a repeat query is answered without any miner
-        // invocation (the `mine_invocations` counter attests to that).
+        // invocation (the `mine_invocations` counter attests to that). A
+        // hit writes no result file: the manifest line below is its one
+        // durable record, and a restart serves it the mined job's file.
+        let fingerprint = db.loaded.fingerprint;
         let cached = if spec.no_cache {
             None
         } else {
-            self.shared.sched.cache.lock().unwrap().get(&CacheKey::of(db.loaded.fingerprint, &spec))
+            self.shared.sched.cache.lock().unwrap().get(&CacheKey::of(fingerprint, &spec))
         };
         let (status, job) = match cached {
-            Some(result) => {
-                let job = Arc::new(Job::from_cache(spec, Arc::clone(&result)));
-                self.shared.sched.persist_result(job.spec.id, &result);
-                (200, job)
-            }
-            None => (202, Arc::new(Job::new(spec, self.shared.cfg.scheduler.slice_ops))),
+            Some(result) => (200, Job::from_cache(spec, Some(fingerprint), result)),
+            None => (202, Job::new(spec, self.shared.cfg.scheduler.slice_ops)),
         };
+        let job = Arc::new(job);
         self.shared.sched.submit(Arc::clone(&job), db);
         self.persist_manifest();
         Response::json(status, self.job_status_json(&job))
@@ -752,7 +760,7 @@ impl Server {
     /// Serializes registry + jobs + id counter to `manifest`, atomically.
     pub fn persist_manifest(&self) {
         let _guard = self.shared.manifest_lock.lock().unwrap();
-        let mut out = String::from("v1\n");
+        let mut out = String::from("v2\n");
         out.push_str(&format!("nextjob {}\n", self.shared.next_job.load(Ordering::SeqCst)));
         for entry in self.shared.registry.lock().unwrap().list() {
             match &entry.source {
@@ -775,7 +783,7 @@ impl Server {
             };
             let s = &job.spec;
             out.push_str(&format!(
-                "job {} {} {} {} {} {} {} {} {} {}\n",
+                "job {} {} {} {} {} {} {} {} {} {} {}\n",
                 s.id,
                 s.tenant,
                 s.db,
@@ -786,6 +794,7 @@ impl Server {
                 s.max_patterns.map_or("-".into(), |v| v.to_string()),
                 u8::from(s.no_cache),
                 state.name(),
+                inner.fingerprint.map_or("-".into(), |fp| format!("{fp:016x}")),
             ));
         }
         let path = self.manifest_path();
@@ -799,15 +808,23 @@ impl Server {
     /// checkpoints auto-resume), finished jobs reload their rendered
     /// results. A database that no longer loads fails its dependent jobs
     /// rather than the whole server.
+    ///
+    /// Version 2 job lines end with the fingerprint of the database the
+    /// job was answered against (`-` before it is). Version 1 lines have
+    /// none: their results serve their own jobs and warm nothing.
     fn load_manifest(&self) {
         let Ok(text) = std::fs::read_to_string(self.manifest_path()) else {
             return;
         };
         let mut lines = text.lines();
-        if lines.next() != Some("v1") {
+        if !matches!(lines.next(), Some("v1" | "v2")) {
             eprintln!("disc-server: unrecognized manifest version; starting fresh");
             return;
         }
+        // Every result this reload read, by the key it answers. Lines are
+        // sorted by id, so a cache hit, which has no file of its own, comes
+        // after the job that mined its result.
+        let mut results = HashMap::new();
         for line in lines {
             let fields: Vec<&str> = line.split(' ').collect();
             match fields.as_slice() {
@@ -844,7 +861,8 @@ impl Server {
                         eprintln!("disc-server: cannot re-attach db {name}: {e:?}");
                     }
                 }
-                ["job", id, tenant, db, delta, algo, mode, max_ops, max_patterns, no_cache, state] =>
+                ["job", id, tenant, db, delta, algo, mode, max_ops, max_patterns, no_cache, state, answered @ ..]
+                    if answered.len() <= 1 =>
                 {
                     let (Ok(id), Ok(delta)) = (id.parse::<u64>(), delta.parse::<u64>()) else {
                         continue;
@@ -863,14 +881,25 @@ impl Server {
                         deadline: None,
                         no_cache: *no_cache == "1",
                     };
-                    self.reload_job(spec, state);
+                    let fingerprint =
+                        answered.first().and_then(|fp| u64::from_str_radix(fp, 16).ok());
+                    self.reload_job(spec, state, fingerprint, &mut results);
                 }
                 _ => eprintln!("disc-server: skipping unrecognized manifest line: {line}"),
             }
         }
     }
 
-    fn reload_job(&self, spec: JobSpec, state: &str) {
+    /// Re-registers one manifest job. A `done` job reloads its own
+    /// `result.tsv` or, without one (a cache hit), the result `results`
+    /// holds for the key it was answered under.
+    fn reload_job(
+        &self,
+        spec: JobSpec,
+        state: &str,
+        fingerprint: Option<u64>,
+        results: &mut HashMap<CacheKey, Arc<RenderedResult>>,
+    ) {
         let id = spec.id;
         let Some(db) = self.shared.registry.lock().unwrap().get(&spec.db) else {
             // Terminal from birth: submit() only queues non-terminal jobs,
@@ -879,23 +908,35 @@ impl Server {
             self.shared.sched.submit_terminal(Arc::new(job));
             return;
         };
-        let result = if state == "done" { self.load_result(id) } else { None };
+        let key = fingerprint.map(|fp| CacheKey::of(fp, &spec));
+        let result = if state != "done" {
+            None
+        } else if let Some(own) = self.load_result(id) {
+            if let Some(key) = &key {
+                results.insert(key.clone(), Arc::clone(&own));
+            }
+            Some(own)
+        } else {
+            key.as_ref().and_then(|key| results.get(key).cloned())
+        };
         let job = match (state, result) {
             ("done", Some(result)) => {
-                // Warm the cache from the persisted result so a repeat
-                // query after the restart is still served without a
-                // miner invocation.
-                if !spec.no_cache {
-                    let key = CacheKey::of(db.loaded.fingerprint, &spec);
+                // Warm the cache so a repeat query after the restart is
+                // still served without a miner invocation — but only with
+                // results of the database now registered under this name.
+                if let Some(key) =
+                    key.filter(|key| !spec.no_cache && key.fingerprint == db.loaded.fingerprint)
+                {
                     self.shared.sched.cache.lock().unwrap().insert(key, Arc::clone(&result));
                 }
-                Job::from_cache(spec, result)
+                Job::from_cache(spec, fingerprint, result)
             }
             ("failed", _) => Job::ended(spec, Some("failed before the restart")),
             ("cancelled", _) => Job::ended(spec, None),
-            // queued, done without a surviving result file (its publish
-            // failed), and anything unrecognized, conservatively: requeue;
-            // a checkpoint at jobs/<id>/mine.dscck resumes automatically.
+            // queued, done with no surviving result (its publish failed,
+            // or the mined job's did), and anything unrecognized,
+            // conservatively: requeue; a checkpoint at jobs/<id>/mine.dscck
+            // resumes automatically.
             _ => {
                 let job = Job::new(spec, self.shared.cfg.scheduler.slice_ops);
                 // Seed accumulated spend from the checkpoint, so the first

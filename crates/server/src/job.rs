@@ -132,6 +132,11 @@ pub struct JobInner {
     pub progress: Option<SnapshotProgress>,
     /// The rendered result once `Done`.
     pub result: Option<Arc<RenderedResult>>,
+    /// Fingerprint of the database `result` was mined from, set with it
+    /// (`None` for a result a version-1 manifest reloaded). The manifest
+    /// records it, so a restart never takes the result for one of a
+    /// database since republished under the same name.
+    pub fingerprint: Option<u64>,
     /// The failure once `Failed`.
     pub error: Option<JobError>,
     /// Whether the result came straight from the cache (no mining).
@@ -166,19 +171,23 @@ impl Job {
                 slice_ops: initial_slice_ops.max(1),
                 progress: None,
                 result: None,
+                fingerprint: None,
                 error: None,
                 from_cache: false,
             }),
         }
     }
 
-    /// A job born `Done` from a cache hit — no slice ever runs.
-    pub fn from_cache(spec: JobSpec, result: Arc<RenderedResult>) -> Job {
+    /// A job born `Done` — a cache hit, or a finished job a restart
+    /// reloads — with the result mined from the database with
+    /// `fingerprint`. No slice ever runs.
+    pub fn from_cache(spec: JobSpec, fingerprint: Option<u64>, result: Arc<RenderedResult>) -> Job {
         let job = Job::new(spec, 1);
         {
             let mut inner = job.inner.lock().unwrap();
             inner.state = JobState::Done;
             inner.result = Some(result);
+            inner.fingerprint = fingerprint;
             inner.from_cache = true;
         }
         job
@@ -304,7 +313,7 @@ mod tests {
     #[test]
     fn cache_hit_jobs_are_born_done() {
         let result = Arc::new(RenderedResult { lines: vec![], total_patterns: 0 });
-        let job = Job::from_cache(spec(), result);
+        let job = Job::from_cache(spec(), Some(7), result);
         let inner = job.inner.lock().unwrap();
         assert_eq!(inner.state, JobState::Done);
         assert!(inner.from_cache);

@@ -103,7 +103,7 @@ impl DbRegistry {
         self.check_name_free(name)?;
         let db = parse_database(body)?;
         if persist {
-            std::fs::create_dir_all(&self.dbs_dir)
+            durable::create_dir_all(&self.dbs_dir)
                 .map_err(|e| DiscError::from_io(&self.dbs_dir, &e))?;
             let path = self.upload_path(name);
             let bytes = disc_core::encode_database(&db);

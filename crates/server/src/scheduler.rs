@@ -206,7 +206,7 @@ impl Scheduler {
 
     /// Publishes one of the server's files — the `manifest` or a job's
     /// `result.tsv` — through [`durable::publish`], creating the parent
-    /// directory first.
+    /// directory first ([`durable::create_dir_all`]).
     pub(crate) fn publish(
         &self,
         writer: IoWriter,
@@ -230,7 +230,7 @@ impl Scheduler {
             None
         };
         if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)
+            durable::create_dir_all(parent)
                 .map_err(|error| PublishError::Io { path: parent.to_path_buf(), error })?;
         }
         let published = durable::publish(path, bytes, None, fault);
@@ -667,6 +667,7 @@ impl Scheduler {
         if inner.state == JobState::Running {
             inner.state = JobState::Done;
             inner.result = Some(rendered);
+            inner.fingerprint = Some(db.loaded.fingerprint);
         }
         // A cancel that raced completion stays Cancelled: the tenant asked
         // for the job to die and the result was never exposed.
@@ -686,12 +687,14 @@ impl Scheduler {
         self.wake.notify_all();
     }
 
-    /// Writes a finished job's rendered lines next to its checkpoint, so a
+    /// Writes a mined job's rendered lines next to its checkpoint, so a
     /// restarted server can serve results for jobs that completed before
-    /// the restart. Failure is logged, not fatal — the in-memory result
-    /// still serves this process, and a restart re-mines a `done` job whose
-    /// result file is missing.
-    pub fn persist_result(&self, id: u64, result: &RenderedResult) {
+    /// the restart. Only mined jobs have a `result.tsv`: a cache hit's
+    /// durable record is its manifest line, and a restart serves it the
+    /// result file of the job that mined the same query. Failure is logged,
+    /// not fatal — the in-memory result still serves this process, and a
+    /// restart re-mines a `done` job whose result no file holds.
+    fn persist_result(&self, id: u64, result: &RenderedResult) {
         let path = self.result_path(id);
         if let Err(e) = self.publish(IoWriter::JobResult, &path, &result.render(1, 0, usize::MAX)) {
             eprintln!("disc-server: cannot persist result for job {id}: {e}");

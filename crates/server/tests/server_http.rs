@@ -8,6 +8,8 @@
 //!   slices or across a drain/restart;
 //! * a repeat query is served from the cache with **no miner invocation**,
 //!   and an over-cap declared body is refused (413) without one;
+//! * a cache hit writes no result file, and a restart still serves it —
+//!   from the mined job's file, never from a database republished since;
 //! * `closed`/`maximal` jobs serve exactly those projections of a baseline
 //!   miner's result, each cached under its own mode;
 //! * cancellation settles the job without corrupting its peers;
@@ -39,11 +41,19 @@ fn start(
     data_dir: &Path,
     slice_ops: u64,
 ) -> (Server, SocketAddr, std::thread::JoinHandle<Vec<u64>>) {
+    start_with_cache(data_dir, slice_ops, 16)
+}
+
+fn start_with_cache(
+    data_dir: &Path,
+    slice_ops: u64,
+    cache_entries: usize,
+) -> (Server, SocketAddr, std::thread::JoinHandle<Vec<u64>>) {
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".into(),
         data_dir: data_dir.to_path_buf(),
         scheduler: SchedulerConfig { threads: 2, slice_ops, ..SchedulerConfig::default() },
-        cache_entries: 16,
+        cache_entries,
         ..ServerConfig::default()
     };
     let server = Server::new(cfg);
@@ -508,6 +518,110 @@ fn an_attached_file_truncated_in_place_fails_its_jobs_not_the_server() {
     assert!(get(addr, &format!("/jobs/{id}")).1.contains("changed in place"));
     let (_, job) = post(addr, "/jobs?db=text&delta=1", b"");
     assert_eq!(wait_terminal(addr, field(&job, "id").parse().unwrap()), "done");
+
+    drain(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_restart_serves_cache_hits_from_their_mined_jobs_result_files() {
+    let dir = temp_dir("hitrestart");
+    let db = quest_db(2);
+    // One cache entry: the second query evicts the first, so a restart
+    // that looked for a hit's result in the cache would not find it.
+    let (_s1, addr, handle) = start_with_cache(&dir, 1_000_000, 1);
+    post(addr, "/dbs?name=q", &disc_core::encode_database(&db));
+    let queries = [(1, 8), (2, 8), (3, 12), (4, 12)];
+    for &(id, delta) in &queries {
+        let (status, body) = post(addr, &format!("/jobs?db=q&delta={delta}"), b"");
+        let hit = id % 2 == 0;
+        assert_eq!(status, if hit { 200 } else { 202 }, "{body}");
+        assert_eq!(field(&body, "id"), id.to_string());
+        assert_eq!(wait_terminal(addr, id), "done");
+    }
+    drain(addr, handle);
+    for (id, _) in queries {
+        let job_dir = dir.join("jobs").join(id.to_string());
+        if id % 2 == 0 {
+            assert!(!job_dir.exists(), "cache hit {id} created {}", job_dir.display());
+        } else {
+            assert!(job_dir.join("result.tsv").is_file(), "mined job {id} left no result");
+        }
+    }
+
+    let (s2, addr2, handle2) = start_with_cache(&dir, 1_000_000, 1);
+    let (_, stats) = get(addr2, "/stats");
+    assert_eq!(field(&stats, "hits"), "0", "{stats}");
+    assert_eq!(field(&stats, "misses"), "0", "{stats}");
+    for (id, delta) in queries {
+        assert_eq!(wait_terminal(addr2, id), "done");
+        let (status, served) = get(addr2, &format!("/jobs/{id}/result"));
+        assert_eq!(status, 200, "{served}");
+        assert_eq!(served, expected(&db, delta), "job {id} differs from direct mining");
+    }
+    assert_eq!(
+        s2.scheduler().mine_invocations.load(Ordering::Relaxed),
+        0,
+        "the restart must serve every job without mining"
+    );
+
+    drain(addr2, handle2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_restart_never_serves_a_stale_hit_for_a_republished_attached_file() {
+    let dir = temp_dir("republish");
+    let path = dir.join("db.dscfd");
+    let (old, new) = (quest_db(8), quest_db(9));
+    let (was, now) = (expected(&old, 12), expected(&new, 12));
+    assert_ne!(was, now, "the two databases must mine differently");
+    disc_core::write_flat_file(&path, &disc_core::encode_database_flat_file(&old)).unwrap();
+    let attach = format!("/dbs?name=flat&attach={}", path.display());
+
+    let (_s1, addr, handle) = start(&dir, 1_000_000);
+    assert_eq!(post(addr, &attach, b"").0, 201);
+    post(addr, "/jobs?db=flat&delta=12", b"");
+    assert_eq!(wait_terminal(addr, 1), "done");
+    drain(addr, handle);
+
+    // Republished by rename between the two processes, as a store
+    // compaction publishes its mirror.
+    disc_core::write_flat_file(&path, &disc_core::encode_database_flat_file(&new)).unwrap();
+    let (s2, addr2, handle2) = start(&dir, 1_000_000);
+    assert_eq!(get(addr2, "/jobs/1/result").1, was, "a finished job keeps what it mined");
+    let (status, again) = post(addr2, "/jobs?db=flat&delta=12", b"");
+    assert_eq!(status, 202, "the republished file must be mined: {again}");
+    assert_eq!(field(&again, "cached"), "false");
+    let id: u64 = field(&again, "id").parse().unwrap();
+    assert_eq!(wait_terminal(addr2, id), "done");
+    assert!(s2.scheduler().mine_invocations.load(Ordering::Relaxed) > 0);
+    assert_eq!(get(addr2, &format!("/jobs/{id}/result")).1, now);
+
+    drain(addr2, handle2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_version_1_manifest_reloads_its_jobs_and_warms_nothing() {
+    let dir = temp_dir("manifestv1");
+    let db = quest_db(2);
+    std::fs::create_dir_all(dir.join("dbs")).unwrap();
+    std::fs::write(dir.join("dbs/q.dscdb"), disc_core::encode_database(&db)).unwrap();
+    std::fs::create_dir_all(dir.join("jobs/1")).unwrap();
+    std::fs::write(dir.join("jobs/1/result.tsv"), expected(&db, 8)).unwrap();
+    let manifest = "v1\nnextjob 2\ndb q upload\njob 1 default q 8 disc-all all - - 0 done\n";
+    std::fs::write(dir.join("manifest"), manifest).unwrap();
+
+    let (_server, addr, handle) = start(&dir, 1_000_000);
+    assert_eq!(get(addr, "/jobs/1/result").1, expected(&db, 8));
+    assert_eq!(field(&get(addr, "/stats").1, "entries"), "0");
+    // A version-1 line does not say which database the job was answered
+    // against, so the same query is mined again.
+    let (status, body) = post(addr, "/jobs?db=q&delta=8", b"");
+    assert_eq!(status, 202, "{body}");
+    assert_eq!(field(&body, "id"), "2");
+    assert_eq!(wait_terminal(addr, 2), "done");
 
     drain(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,7 +1,9 @@
 //! The server crash matrix: a short serving session — upload, a cacheable
 //! job, a cache hit, a `nocache` job, drain — with one fault staged at each
 //! publish point of the server's `manifest` and per-job `result.tsv`, then a
-//! restart on the same data directory.
+//! restart on the same data directory. Only the two mined jobs publish a
+//! `result.tsv`; the cache hit's one durable write is its manifest line,
+//! and the restart serves it the cacheable job's result.
 //!
 //! The restarted server must reload every job the manifest records, and
 //! each must end `done` with bytes identical to direct mining — no fault
@@ -31,20 +33,20 @@ const FAULTS: [IoFault; 5] = [
     IoFault::Interrupted,
 ];
 
-/// Every publish point of the session, as `(writer, n, step, early)`: the
-/// `n`-th publish of `writer` fires during session step `step` (see
-/// [`run_session`]), before that step's manifest publish when `early`.
-const POINTS: [(IoWriter, u64, usize, bool); 8] = [
-    (IoWriter::Manifest, 0, 0, false),
-    (IoWriter::Manifest, 1, 1, false),
-    (IoWriter::Manifest, 2, 2, false),
-    (IoWriter::Manifest, 3, 3, false),
-    (IoWriter::Manifest, 4, 4, false),
-    // The cacheable job finishes after its submission was recorded.
-    (IoWriter::JobResult, 0, 1, false),
-    // A cache hit writes its result before the manifest records the job.
-    (IoWriter::JobResult, 1, 2, true),
-    (IoWriter::JobResult, 2, 3, false),
+/// Every publish point of the session, as `(writer, n, step)`: the `n`-th
+/// publish of `writer` fires during session step `step` (see
+/// [`run_session`]), after that step's manifest publish.
+const POINTS: [(IoWriter, u64, usize); 7] = [
+    (IoWriter::Manifest, 0, 0),
+    (IoWriter::Manifest, 1, 1),
+    (IoWriter::Manifest, 2, 2),
+    (IoWriter::Manifest, 3, 3),
+    (IoWriter::Manifest, 4, 4),
+    // Each mined job finishes after its submission was recorded. The
+    // cache hit at step 2 publishes no result: its manifest line is its
+    // only write.
+    (IoWriter::JobResult, 0, 1),
+    (IoWriter::JobResult, 1, 3),
 ];
 
 const DELTA: u64 = 6;
@@ -187,16 +189,15 @@ fn run_session(dir: &Path, db: &SequenceDatabase, plan: FaultPlan) -> Vec<Step> 
 
 /// One case of the matrix: the session with `fault` at `point`, the
 /// manifest checks, then a restart whose jobs must all settle correctly.
-fn run_case(
-    db: &SequenceDatabase,
-    want: &str,
-    point: (IoWriter, u64, usize, bool),
-    fault: IoFault,
-) {
-    let (writer, n, at, early) = point;
+fn run_case(db: &SequenceDatabase, want: &str, point: (IoWriter, u64, usize), fault: IoFault) {
+    let (writer, n, at) = point;
     let label = format!("{writer:?}-{n}-{fault:?}");
     let dir = fresh_dir(&label);
     let steps = run_session(&dir, db, FaultPlan::io_fault_at(writer, n, fault));
+    assert!(
+        !dir.join("jobs").join("2").exists(),
+        "{label}: the cache hit (job 2) must create no job directory or result.tsv"
+    );
 
     if writer == IoWriter::Manifest {
         let s = &steps[at];
@@ -204,10 +205,12 @@ fn run_case(
             let after = s.after.as_deref().unwrap_or_else(|| panic!("{label}: no manifest"));
             let new = match &s.adds {
                 Some(line) => after.lines().any(|l| l.starts_with(line.as_str())),
-                // The drain's manifest records every job finished.
-                None => {
-                    after.lines().filter(|l| l.starts_with("job ")).all(|l| l.ends_with(" done"))
-                }
+                // The drain's manifest records every job finished (the
+                // state is a job line's eleventh field).
+                None => after
+                    .lines()
+                    .filter(|l| l.starts_with("job "))
+                    .all(|l| l.split(' ').nth(10) == Some("done")),
             };
             assert!(new, "{label}: the new manifest must be published:\n{after}");
         } else {
@@ -217,7 +220,7 @@ fn run_case(
     if fault.is_crash() {
         // The "killed" server writes nothing more: the manifest stays what
         // the crash left.
-        let frozen = if early { &steps[at].before } else { &steps[at].after };
+        let frozen = &steps[at].after;
         for s in &steps[at..] {
             assert_eq!(&s.after, frozen, "{label}: a write after the crash landed");
         }
