@@ -68,8 +68,9 @@ fn bench_depth(c: &mut Criterion) {
     group.finish();
 }
 
-/// Weighted mining vs unweighted at uniform weights: the price of carrying
-/// weights through the tree and counting arrays.
+/// Weighted mining at uniform weights vs unweighted DISC-all: both run the
+/// one partition engine, so this measures the cost of reading a weight
+/// column instead of weight 1.
 fn bench_weighted(c: &mut Criterion) {
     let mut group = c.benchmark_group("weighted_overhead");
     group.sample_size(10);

@@ -2,7 +2,7 @@
 //! comparative order, containment/leftmost embedding, and Apriori-KMS.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use disc_algo::kms::apriori_kms;
+use disc_algo::kms::apriori_kms_raw;
 use disc_core::{cmp_sequences, contains, Item, Itemset, Sequence};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,7 +60,7 @@ fn bench_kms(c: &mut Criterion) {
         b.iter(|| {
             let mut found = 0usize;
             for m in &members {
-                found += usize::from(apriori_kms(black_box(m), black_box(&list)).is_some());
+                found += usize::from(apriori_kms_raw(black_box(m), black_box(&list)).is_some());
             }
             black_box(found)
         })

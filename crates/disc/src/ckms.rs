@@ -13,7 +13,7 @@
 //!   prefix `> X` makes the whole k-sequence exceed `α_δ` regardless of the
 //!   element, so the plain minimum extension applies (step 13).
 
-use crate::kms::{cached_min_extension_above, ExtensionCache, Kms, RawKms};
+use crate::kms::{cached_min_extension_above, ExtensionCache, RawKms};
 use disc_core::{ExtElem, ExtMode, SeqView, Sequence};
 
 /// The bound comparison mode `Ω` of Definition 2.5.
@@ -147,25 +147,21 @@ pub fn apriori_ckms_resolved<'a, S: SeqView<'a>>(
     }
 }
 
-/// [`apriori_ckms_raw`] with the key sequence materialized.
-pub fn apriori_ckms<'a, S: SeqView<'a>>(
-    s: S,
-    freq_prev: &[Sequence],
-    ptr: usize,
-    cond: &Condition,
-) -> Option<Kms> {
-    apriori_ckms_raw(s, freq_prev, ptr, cond).map(|raw| raw.into_kms(freq_prev))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kms::Kms;
     use disc_core::kmin::min_k_subsequence_with_allowed_prefix_naive;
     use disc_core::parse_sequence;
     use std::collections::BTreeSet;
 
     fn seq(s: &str) -> Sequence {
         parse_sequence(s).unwrap()
+    }
+
+    /// Apriori-CKMS with the key sequence materialized.
+    fn ckms(s: &Sequence, list: &[Sequence], ptr: usize, cond: &Condition) -> Option<Kms> {
+        apriori_ckms_raw(s, list, ptr, cond).map(|raw| raw.into_kms(list))
     }
 
     fn seqs(texts: &[&str]) -> Vec<Sequence> {
@@ -195,7 +191,7 @@ mod tests {
         // <(a)(a,e)> (index 0). The conditional 4-minimum is <(a)(a,e,g)>.
         let list = seqs(&["(a)(a,e)", "(a)(a,g)", "(a)(a,h)"]);
         let cond = Condition::new(&seq("(a)(a,e,g)"), BoundMode::AtLeast);
-        let got = apriori_ckms(&seq("(a,f,g)(a,e,g,h)(c,g,h)"), &list, 0, &cond).unwrap();
+        let got = ckms(&seq("(a,f,g)(a,e,g,h)(c,g,h)"), &list, 0, &cond).unwrap();
         assert_eq!(got.key, seq("(a)(a,e,g)"));
         assert_eq!(got.ptr, 0);
     }
@@ -212,9 +208,9 @@ mod tests {
             "(e)(b)", "(h)(f)", "(g)(f)", "(c)(b)", "(h)(c)", "(f,h)", "(b,h)", "(g)(h)", "(a)(e)",
         ]);
         let cond = Condition::new(&seq("(b)(d)(e)"), BoundMode::AtLeast);
-        let cid1 = apriori_ckms(&seq("(a,e,g)(b)(h)(f)(c)(b,f)"), &all_2seqs, 0, &cond).unwrap();
+        let cid1 = ckms(&seq("(a,e,g)(b)(h)(f)(c)(b,f)"), &all_2seqs, 0, &cond).unwrap();
         assert_eq!(cid1.key, seq("(b)(f)(b)"));
-        let cid4 = apriori_ckms(&seq("(f)(a,g)(b,f,h)(b,f)"), &all_2seqs, 0, &cond).unwrap();
+        let cid4 = ckms(&seq("(f)(a,g)(b,f,h)(b,f)"), &all_2seqs, 0, &cond).unwrap();
         assert_eq!(cid4.key, seq("(b,f)(b)"));
     }
 
@@ -223,12 +219,10 @@ mod tests {
         let list = seqs(&["(a)(b)"]);
         let s = seq("(a)(b)(c)(b)(d)");
         let at_least =
-            apriori_ckms(&s, &list, 0, &Condition::new(&seq("(a)(b)(c)"), BoundMode::AtLeast))
-                .unwrap();
+            ckms(&s, &list, 0, &Condition::new(&seq("(a)(b)(c)"), BoundMode::AtLeast)).unwrap();
         assert_eq!(at_least.key, seq("(a)(b)(c)"));
         let strictly =
-            apriori_ckms(&s, &list, 0, &Condition::new(&seq("(a)(b)(c)"), BoundMode::Strictly))
-                .unwrap();
+            ckms(&s, &list, 0, &Condition::new(&seq("(a)(b)(c)"), BoundMode::Strictly)).unwrap();
         assert_eq!(strictly.key, seq("(a)(b)(d)"));
     }
 
@@ -241,7 +235,7 @@ mod tests {
         let list = seqs(&["(a)(b)"]);
         let s = seq("(a)(b)(c)(b,f)");
         let cond = Condition::new(&seq("(a)(b)(c)"), BoundMode::Strictly);
-        let got = apriori_ckms(&s, &list, 0, &cond).unwrap();
+        let got = ckms(&s, &list, 0, &cond).unwrap();
         assert_eq!(got.key, seq("(a)(b,f)"));
     }
 
@@ -249,7 +243,7 @@ mod tests {
     fn exhausted_sequences_return_none() {
         let list = seqs(&["(a)(b)"]);
         let cond = Condition::new(&seq("(a)(b)(z)"), BoundMode::AtLeast);
-        assert_eq!(apriori_ckms(&seq("(a)(b)(c)"), &list, 0, &cond), None);
+        assert_eq!(ckms(&seq("(a)(b)(c)"), &list, 0, &cond), None);
     }
 
     #[test]
@@ -259,7 +253,7 @@ mod tests {
         let list = seqs(&["(a)(b)", "(c)(d)"]);
         let cond = Condition::new(&seq("(a)(b)(c)"), BoundMode::AtLeast);
         let s = seq("(a)(b)(c)(d)(e)");
-        let got = apriori_ckms(&s, &list, 1, &cond).unwrap();
+        let got = ckms(&s, &list, 1, &cond).unwrap();
         assert_eq!(got.key, seq("(c)(d)(e)"));
     }
 
@@ -270,11 +264,9 @@ mod tests {
         // through to the sequence extension <(a)(b)>.
         let list = seqs(&["(a)"]);
         let s = seq("(a,b)(b)");
-        let eq =
-            apriori_ckms(&s, &list, 0, &Condition::new(&seq("(a,b)"), BoundMode::AtLeast)).unwrap();
+        let eq = ckms(&s, &list, 0, &Condition::new(&seq("(a,b)"), BoundMode::AtLeast)).unwrap();
         assert_eq!(eq.key, seq("(a,b)"));
-        let gt = apriori_ckms(&s, &list, 0, &Condition::new(&seq("(a,b)"), BoundMode::Strictly))
-            .unwrap();
+        let gt = ckms(&s, &list, 0, &Condition::new(&seq("(a,b)"), BoundMode::Strictly)).unwrap();
         assert_eq!(gt.key, seq("(a)(b)"));
     }
 
@@ -299,7 +291,7 @@ mod tests {
                 let bound = seq(bound_text);
                 for (mode, strict) in [(BoundMode::AtLeast, false), (BoundMode::Strictly, true)] {
                     let cond = Condition::new(&bound, mode);
-                    let fast = apriori_ckms(&s, &list, 0, &cond).map(|k| k.key);
+                    let fast = ckms(&s, &list, 0, &cond).map(|k| k.key);
                     let slow = min_k_subsequence_with_allowed_prefix_naive(
                         &s,
                         4,

@@ -22,9 +22,9 @@ use disc_core::{
 
 /// The counting array: per item, the supports of the two extension forms.
 ///
-/// Supports are weighted sums; the unweighted case is weight 1 per member
-/// (see [`CountingArray::add_member_weighted`] and the weighted DISC
-/// extension in [`crate::weighted`]).
+/// Supports are weighted sums: every member contributes its weight (1 in
+/// ordinary mining, the customer's weight in [`crate::weighted`]) to each
+/// extension it supports — see [`CountingArray::add_member_weighted`].
 ///
 /// The array is **reusable**: [`CountingArray::reset`] is O(1), counts are
 /// lazily zeroed on first touch per epoch, and the marked item ids are
@@ -101,8 +101,8 @@ impl CountingArray {
     }
 
     /// Like [`CountingArray::add_member`], but the member contributes
-    /// `weight` units of support to each of its extensions — the weighted
-    /// counting used by [`crate::weighted`].
+    /// `weight` units of support to each of its extensions — the counting
+    /// every partition-engine scan does.
     ///
     /// Generic over [`SeqView`] and allocation-free: β is a borrowed slice
     /// of the prefix's itemsets.
@@ -288,17 +288,18 @@ pub fn count_extensions<'a, S: SeqView<'a>>(
     array
 }
 
-/// [`count_extensions`] into a reusable array: [`CountingArray::reset`] is
-/// O(1), so callers looping over partitions pay the `n_items`-sized
-/// zero-fill once per run instead of once per partition.
+/// [`count_extensions`] over `(member, weight)` pairs into a reusable
+/// array: [`CountingArray::reset`] is O(1), so callers looping over
+/// partitions pay the `n_items`-sized zero-fill once per run instead of once
+/// per partition.
 pub fn count_extensions_into<'a, S: SeqView<'a>>(
     array: &mut CountingArray,
     prefix: &Sequence,
-    members: impl IntoIterator<Item = S>,
+    members: impl IntoIterator<Item = (S, u64)>,
 ) {
     array.reset();
-    for m in members {
-        array.add_member(m, prefix);
+    for (m, weight) in members {
+        array.add_member_weighted(m, prefix, weight);
     }
 }
 

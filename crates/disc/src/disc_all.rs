@@ -12,8 +12,16 @@
 //! [`DynamicDiscAll`](crate::DynamicDiscAll) runs the same engine with its
 //! NRR threshold, and [`ParallelDiscAll`](crate::ParallelDiscAll) runs its
 //! first-level step once per shard.
+//!
+//! Every member carries a weight, and every threshold test — frequency,
+//! partition size, the k-sorted database's `α_δ` — reads weight sums. The
+//! miners above run with weight 1 per row, where a weight sum is a member
+//! count; [`WeightedDisc`](crate::WeightedDisc) runs the same walk with its
+//! customers' weights. Weights ride beside the member lists each step
+//! builds anyway, as `(view, weight)` pairs, so weight 1 is never
+//! materialized for the whole database.
 
-use crate::counting::{count_extensions, count_extensions_into, CountingArray, FrequencyMasks};
+use crate::counting::{count_extensions_into, CountingArray, FrequencyMasks};
 use crate::discovery::discover_frequent_k_into;
 use crate::dynamic::SplitPolicy;
 use crate::partition::{frequent_items_per_row, min_ext_elem, reduce_into, RowExtensions};
@@ -119,7 +127,15 @@ impl Checkpointable for DiscAll {
         result: &mut MiningResult,
         sink: Option<&mut CheckpointSink<'_>>,
     ) -> Result<(), AbortReason> {
-        mine_partitioned(flat, delta, DISC_ALL_POLICY, self.config, guard, result, sink)
+        let engine = Engine {
+            flat,
+            weights: None,
+            delta,
+            policy: DISC_ALL_POLICY,
+            config: self.config,
+            guard,
+        };
+        mine_partitioned(&engine, result, sink)
     }
 }
 
@@ -134,19 +150,16 @@ impl DiscAll {
     }
 }
 
-/// The partition engine's whole walk under `policy`, with the checkpoints
-/// and snapshot boundaries [`DiscAll`]'s `mine_flat_into` documents. A
-/// policy that does not split the root has no partition boundaries; only
-/// the level-1 snapshot applies there.
+/// The partition engine's whole walk under its policy, with the
+/// checkpoints and snapshot boundaries [`DiscAll`]'s `mine_flat_into`
+/// documents. A policy that does not split the root has no partition
+/// boundaries; only the level-1 snapshot applies there.
 pub(crate) fn mine_partitioned(
-    flat: &FlatDb,
-    delta: u64,
-    policy: SplitPolicy,
-    config: DiscConfig,
-    guard: &MineGuard,
+    engine: &Engine<'_>,
     result: &mut MiningResult,
     mut sink: Option<&mut CheckpointSink<'_>>,
 ) -> Result<(), AbortReason> {
+    let Engine { flat, weights, policy, guard, .. } = *engine;
     let Some(max_item) = flat.max_item() else {
         return Ok(());
     };
@@ -157,16 +170,17 @@ pub(crate) fn mine_partitioned(
     let mut scratch = Scratch::new(n_items);
 
     // Step 1: frequent 1-sequences.
-    let (freq1, supports1) = frequent_one_sequences(flat, delta, n_items, guard, result)?;
+    let (freq1, supports1) = frequent_one_sequences(engine, n_items, result)?;
     if let Some(s) = sink.as_deref_mut() {
         s.level_one(result);
     }
-    let engine = Engine { flat, delta, policy, config, guard };
 
-    if !policy.split(0, supports1.iter().copied(), flat.len()) {
+    let total = weights.map_or(flat.len() as u64, |w| w.iter().sum());
+    if !policy.split(0, supports1.iter().copied(), total) {
         // No partitioning at all: DISC over the whole database from k = 2,
         // seeded by the 1-sorted list.
-        let members: Vec<_> = flat.rows().collect();
+        let members: Vec<_> =
+            flat.rows().enumerate().map(|(i, row)| (row, engine.weight(i))).collect();
         let list = (0..n_items as u32).filter(|&id| freq1[id as usize]);
         let list = list.map(|id| Sequence::single(Item(id))).collect();
         return engine.run_disc(&members, list, result, &mut scratch.carray);
@@ -210,11 +224,16 @@ pub(crate) fn mine_partitioned(
 /// in the partition (the first transaction containing the partition item).
 pub(crate) type Member = (usize, u32);
 
-/// What every partition step of one engine run reads. One run is a whole
-/// sequential mine, or one shard of [`crate::ParallelDiscAll`] (which
-/// brings its worker guard).
+/// One engine run: the database, its row weights, the threshold and the
+/// split policy every partition step reads. One run is a whole sequential
+/// mine, or one shard of [`crate::ParallelDiscAll`] (which brings its
+/// worker guard).
+#[derive(Clone, Copy)]
 pub(crate) struct Engine<'r> {
     pub(crate) flat: &'r FlatDb,
+    /// One weight per row of `flat`, with `delta` a weighted threshold;
+    /// `None` is weight 1 for every row.
+    pub(crate) weights: Option<&'r [u64]>,
     pub(crate) delta: u64,
     pub(crate) policy: SplitPolicy,
     pub(crate) config: DiscConfig,
@@ -225,6 +244,8 @@ pub(crate) struct Engine<'r> {
 pub(crate) struct Scratch {
     carray: CountingArray,
     arena: FlatArena,
+    /// The weight of each `arena` row.
+    arena_weights: Vec<u64>,
     exts: RowExtensions,
     masks: MaskPool,
 }
@@ -239,13 +260,24 @@ impl Scratch {
         Scratch {
             carray: CountingArray::new(n_items),
             arena: FlatArena::new(),
+            arena_weights: Vec::new(),
             exts: RowExtensions::new(),
             masks: MaskPool::new(),
         }
     }
 }
 
+/// The total weight of `(member, weight)` pairs.
+fn weight_of<S>(members: &[(S, u64)]) -> u64 {
+    members.iter().map(|&(_, w)| w).sum()
+}
+
 impl Engine<'_> {
+    /// The weight of database row `row`.
+    fn weight(&self, row: usize) -> u64 {
+        self.weights.map_or(1, |w| w[row])
+    }
+
     /// Steps 2.1.1–2.1.3 for one `<(λ)>`-partition, over its members
     /// viewed from their minimum points: every embedding of a pattern
     /// starting with `λ` starts there or later, so the 2-sequence count,
@@ -264,11 +296,13 @@ impl Engine<'_> {
         result: &mut MiningResult,
         scratch: &mut Scratch,
     ) -> Result<(), AbortReason> {
-        let Scratch { carray, arena, exts, masks: pool } = scratch;
+        let Scratch { carray, arena, arena_weights, exts, masks: pool } = scratch;
         let (flat, delta, guard) = (self.flat, self.delta, self.guard);
         let prefix1 = Sequence::single(lambda);
-        let views: Vec<_> =
-            members.iter().map(|&(i, t)| flat.row(i).from_transaction(t as usize)).collect();
+        let views: Vec<_> = members
+            .iter()
+            .map(|&(i, t)| (flat.row(i).from_transaction(t as usize), self.weight(i)))
+            .collect();
 
         // 2.1.1: frequent 2-sequences by counting array (over the unreduced
         // members — every supporter of a 2-sequence starting with λ is a
@@ -280,7 +314,7 @@ impl Engine<'_> {
             guard.note_pattern()?;
             result.insert(prefix1.extended(elem), support);
         }
-        if !self.policy.split(1, freq2.iter().map(|&(_, s)| s), members.len()) {
+        if !self.policy.split(1, freq2.iter().map(|&(_, s)| s), weight_of(&views)) {
             // DISC from k = 3 over the (unreduced) partition members.
             let list = freq2.iter().map(|&(elem, _)| prefix1.extended(elem)).collect();
             return self.run_disc(&views, list, result, carray);
@@ -295,9 +329,10 @@ impl Engine<'_> {
         // extension set is computed once here; the keying below and every
         // 2.1.3.3 reassignment turn are lookups into it.
         arena.clear();
+        arena_weights.clear();
         exts.clear();
         let mut second_level: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
-        for &seq in &views {
+        for &(seq, weight) in &views {
             guard.checkpoint()?;
             let Some(row) = reduce_into(arena, seq, lambda, i_mask, s_mask) else {
                 continue;
@@ -306,6 +341,8 @@ impl Engine<'_> {
             debug_assert_eq!(ext_row, row);
             if let Some(elem) = exts.min_masked(row, i_mask, s_mask, None) {
                 second_level.entry(elem).or_default().push(row);
+                debug_assert_eq!(arena_weights.len(), row);
+                arena_weights.push(weight);
             } else {
                 // Unextendable: the row just appended is dead.
                 arena.pop_row();
@@ -317,9 +354,10 @@ impl Engine<'_> {
         while let Some((&elem, _)) = second_level.iter().next() {
             guard.checkpoint()?;
             let slots = second_level.remove(&elem).expect("key just observed");
-            if slots.len() as u64 >= delta {
+            if slots.iter().map(|&s| arena_weights[s]).sum::<u64>() >= delta {
                 let prefix2 = prefix1.extended(elem);
-                let partition: Vec<_> = slots.iter().map(|&s| arena.row(s)).collect();
+                let partition: Vec<_> =
+                    slots.iter().map(|&s| (arena.row(s), arena_weights[s])).collect();
                 self.process_partition(&prefix2, &partition, 2, result, carray, pool)?;
             }
             // 2.1.3.3: reassign by the next 2-minimum subsequence.
@@ -339,12 +377,12 @@ impl Engine<'_> {
     /// (level+1)-sequences; then the policy either hands the partition to
     /// the DISC strategy from k = level + 2, or splits it by (conditional)
     /// (level+1)-minimum subsequence and recurses with reassignment chains.
-    /// Partitions are slices of `Copy` views, so recursion copies handles,
-    /// not sequences.
+    /// Partitions are slices of `Copy` `(view, weight)` pairs, so recursion
+    /// copies handles, not sequences.
     fn process_partition<'a, S: SeqView<'a>>(
         &self,
         prefix: &Sequence,
-        partition: &[S],
+        partition: &[(S, u64)],
         level: usize,
         result: &mut MiningResult,
         carray: &mut CountingArray,
@@ -361,7 +399,7 @@ impl Engine<'_> {
             result.insert(pat.clone(), support);
             freq_next.push(pat);
         }
-        if !self.policy.split(level, exts.iter().map(|&(_, s)| s), partition.len()) {
+        if !self.policy.split(level, exts.iter().map(|&(_, s)| s), weight_of(partition)) {
             return self.run_disc(partition, freq_next, result, carray);
         }
         let mut masks = pool.pop().unwrap_or_default();
@@ -369,7 +407,7 @@ impl Engine<'_> {
         let (i_mask, s_mask) = (&masks.itemset[..], &masks.sequence[..]);
 
         let mut children: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
-        for (slot, &seq) in partition.iter().enumerate() {
+        for (slot, &(seq, _)) in partition.iter().enumerate() {
             guard.checkpoint()?;
             if let Some(elem) = min_ext_elem(seq, prefix, i_mask, s_mask, None) {
                 children.entry(elem).or_default().push(slot);
@@ -378,15 +416,15 @@ impl Engine<'_> {
         while let Some((&elem, _)) = children.iter().next() {
             guard.checkpoint()?;
             let slots = children.remove(&elem).expect("key just observed");
-            if slots.len() as u64 >= delta {
-                let child: Vec<S> = slots.iter().map(|&s| partition[s]).collect();
+            if slots.iter().map(|&s| partition[s].1).sum::<u64>() >= delta {
+                let child: Vec<_> = slots.iter().map(|&s| partition[s]).collect();
                 let child_prefix = prefix.extended(elem);
                 self.process_partition(&child_prefix, &child, level + 1, result, carray, pool)?;
             }
             for slot in slots {
                 guard.checkpoint()?;
                 if let Some(next) =
-                    min_ext_elem(partition[slot], prefix, i_mask, s_mask, Some(elem))
+                    min_ext_elem(partition[slot].0, prefix, i_mask, s_mask, Some(elem))
                 {
                     children.entry(next).or_default().push(slot);
                 }
@@ -397,19 +435,21 @@ impl Engine<'_> {
     }
 
     /// The `k = start, start+1, …` (or `start, start+2, …` under bi-level)
-    /// DISC loop below the last split. `freq_prev` holds the ascending
-    /// frequent (k-1)-sequences that seed the first iteration. Patterns
-    /// reach `result` only from *completed* discovery calls, so an abort
-    /// mid-discovery never records unverified supports.
+    /// DISC loop below the last split, over `(member, weight)` pairs.
+    /// `freq_prev` holds the ascending frequent (k-1)-sequences that seed
+    /// the first iteration. Patterns reach `result` only from *completed*
+    /// discovery calls, so an abort mid-discovery never records unverified
+    /// supports.
     fn run_disc<'a, S: SeqView<'a>>(
         &self,
-        members: &[S],
+        members: &[(S, u64)],
         mut freq_prev: Vec<Sequence>,
         result: &mut MiningResult,
         carray: &mut CountingArray,
     ) -> Result<(), AbortReason> {
         let (delta, bi_level, guard) = (self.delta, self.config.bi_level, self.guard);
-        while !freq_prev.is_empty() && members.len() as u64 >= delta {
+        let weight = weight_of(members);
+        while !freq_prev.is_empty() && weight >= delta {
             guard.checkpoint()?;
             let out =
                 discover_frequent_k_into(members, &freq_prev, delta, bi_level, guard, carray)?;
@@ -438,14 +478,15 @@ impl Engine<'_> {
 /// 1-sequences and inserts them into `result`. Returns the `freq1` mask and
 /// the frequent items' supports, ascending by item (the root's NRR input).
 pub(crate) fn frequent_one_sequences(
-    flat: &FlatDb,
-    delta: u64,
+    engine: &Engine<'_>,
     n_items: usize,
-    guard: &MineGuard,
     result: &mut MiningResult,
 ) -> Result<(Vec<bool>, Vec<u64>), AbortReason> {
+    let Engine { flat, delta, guard, .. } = *engine;
     guard.charge(flat.len() as u64)?;
-    let root = count_extensions(&Sequence::empty(), flat.rows(), n_items);
+    let mut root = CountingArray::new(n_items);
+    let rows = flat.rows().enumerate().map(|(i, row)| (row, engine.weight(i)));
+    count_extensions_into(&mut root, &Sequence::empty(), rows);
     let mut freq1 = vec![false; n_items];
     let mut supports = Vec::new();
     for id in 0..n_items as u32 {

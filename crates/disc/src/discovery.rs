@@ -8,9 +8,10 @@
 //!    whose order is the keys' comparative order ([`RawKms`]); a key
 //!    becomes a sequence only when it is reported;
 //! 2. compares `α₁` (the minimum key) with `α_δ` (the key at customer
-//!    position δ):
-//!    * `α₁ = α_δ` → `α₁` is frequent (Lemma 2.1) and its bucket is its
-//!      exact support — every member containing `α₁` provably keys on it;
+//!    position δ — weight position δ when members carry weights):
+//!    * `α₁ = α_δ` → `α₁` is frequent (Lemma 2.1) and its bucket's weight
+//!      is its exact support — every member containing `α₁` provably keys
+//!      on it;
 //!      the bucket is re-keyed past `α₁` (Ω = `>`), and — under the
 //!      **bi-level** optimization of §3.2 — doubles as the *virtual
 //!      partition* whose counting array yields the frequent
@@ -21,9 +22,14 @@
 //!
 //!    either way the CKMS condition is the bound key's own fields: its
 //!    pointer names the prefix `X`, its element is `Y`;
-//! 3. repeats until fewer than δ members remain.
+//! 3. repeats until the remaining members weigh less than δ.
 //!
-//! ### Why bucket size is exact support
+//! Every threshold test reads weights, never row counts: a member's weight
+//! is its contribution to every support (1 in ordinary mining, the
+//! customer's weight in [`crate::weighted`]). Weights are non-negative, so
+//! both lemmas hold unchanged — positions become cumulative weights.
+//!
+//! ### Why bucket weight is exact support
 //!
 //! Invariant: a member's key is its minimum k-subsequence (with frequent
 //! prefix) satisfying its last bound, and bounds never exceed the minimum
@@ -48,7 +54,7 @@ pub struct DiscoveryOutput {
     pub freq_k1: Vec<(Sequence, u64)>,
 }
 
-/// Runs frequent k-sequence discovery over `members`.
+/// Runs frequent k-sequence discovery over `members`, each of weight 1.
 ///
 /// * `freq_prev` — the (k-1)-sorted list: ascending frequent
 ///   (k-1)-sequences, all sharing the partition prefix.
@@ -64,15 +70,9 @@ pub fn discover_frequent_k<M: AsRef<Sequence>>(
     n_items: usize,
 ) -> DiscoveryOutput {
     let views: Vec<&Sequence> = members.iter().map(AsRef::as_ref).collect();
-    discover_frequent_k_guarded(
-        &views,
-        freq_prev,
-        delta,
-        bi_level,
-        n_items,
-        &MineGuard::unlimited(),
-    )
-    .expect("unlimited guard never aborts")
+    let guard = MineGuard::unlimited();
+    discover_frequent_k_guarded(&views, freq_prev, delta, bi_level, n_items, &guard)
+        .expect("unlimited guard never aborts")
 }
 
 /// [`discover_frequent_k`] under a [`MineGuard`]: charges one operation per
@@ -90,20 +90,18 @@ pub fn discover_frequent_k_guarded<'a, S: SeqView<'a>>(
     n_items: usize,
     guard: &MineGuard,
 ) -> Result<DiscoveryOutput, AbortReason> {
-    debug_assert!(freq_prev.windows(2).all(|w| w[0] < w[1]), "(k-1)-sorted list not sorted");
-    if freq_prev.is_empty() || (members.len() as u64) < delta {
-        return Ok(DiscoveryOutput::default());
-    }
+    let members: Vec<(S, u64)> = members.iter().map(|&m| (m, 1)).collect();
     let mut array = CountingArray::new(n_items);
-    discover_frequent_k_into(members, freq_prev, delta, bi_level, guard, &mut array)
+    discover_frequent_k_into(&members, freq_prev, delta, bi_level, guard, &mut array)
 }
 
-/// [`discover_frequent_k_guarded`] against a caller-owned counting array
-/// (sized to the item universe): the DISC-all walk calls discovery once per
-/// second-level partition, and reusing one array across all of them turns
+/// [`discover_frequent_k_guarded`] over `(member, weight)` pairs — supports
+/// are weight sums — against a caller-owned counting array (sized to the
+/// item universe): the partition engine calls discovery once per partition
+/// below its last split, and reusing one array across all of them turns
 /// thousands of `n_items`-sized allocations into O(1) epoch resets.
 pub(crate) fn discover_frequent_k_into<'a, S: SeqView<'a>>(
-    members: &[S],
+    members: &[(S, u64)],
     freq_prev: &[Sequence],
     delta: u64,
     bi_level: bool,
@@ -111,7 +109,7 @@ pub(crate) fn discover_frequent_k_into<'a, S: SeqView<'a>>(
     array: &mut CountingArray,
 ) -> Result<DiscoveryOutput, AbortReason> {
     debug_assert!(freq_prev.windows(2).all(|w| w[0] < w[1]), "(k-1)-sorted list not sorted");
-    if freq_prev.is_empty() || (members.len() as u64) < delta {
+    if freq_prev.is_empty() || members.iter().map(|&(_, w)| w).sum::<u64>() < delta {
         return Ok(DiscoveryOutput::default());
     }
     let mut out = DiscoveryOutput::default();
@@ -127,28 +125,28 @@ pub(crate) fn discover_frequent_k_into<'a, S: SeqView<'a>>(
     // 4·n_items words tens of thousands of times per run).
     let mut db = KSortedDb::new();
     let mut ext_buf: Vec<(ExtElem, u64)> = Vec::new();
-    for (m, &seq) in members.iter().enumerate() {
+    for (m, &(seq, weight)) in members.iter().enumerate() {
         guard.checkpoint()?;
         if let Some(raw) = apriori_kms_cached(seq, freq_prev, m, &mut cache) {
-            db.insert(m, raw);
+            db.insert(m, raw, weight);
         }
     }
 
-    // Step 2: compare / re-key until fewer than δ members remain.
-    while db.len() as u64 >= delta {
+    // Step 2: compare / re-key until the members left weigh less than δ.
+    while db.weight() >= delta {
         guard.checkpoint()?;
         if db.alpha_1_equals_delta(delta) {
             // Lemma 2.1: frequent; the whole bucket keys on α₁.
-            let (min_key, bucket) = db.take_min().expect("non-empty");
+            let (min_key, bucket, support) = db.take_min().expect("non-empty");
             let key = freq_prev[min_key.ptr].extended(min_key.elem);
-            let support = bucket.len() as u64;
 
             if bi_level {
                 // §3.2: the bucket is the virtual partition of α₁.
-                guard.charge(support)?;
+                guard.charge(bucket.len() as u64)?;
                 array.reset();
                 for e in &bucket {
-                    array.add_member(members[e.member], &key);
+                    let (member, weight) = members[e.member];
+                    array.add_member_weighted(member, &key, weight);
                 }
                 array.frequent_extensions_into(delta, &mut ext_buf);
                 for &(elem, support_k1) in &ext_buf {
@@ -157,12 +155,12 @@ pub(crate) fn discover_frequent_k_into<'a, S: SeqView<'a>>(
             }
 
             let rcond = resolve_key_condition(min_key, BoundMode::Strictly);
-            guard.charge(support)?;
+            guard.charge(bucket.len() as u64)?;
             rekey(&mut db, members, freq_prev, &rcond, bucket, &mut cache);
             out.freq_k.push((key, support));
         } else {
             // Lemma 2.2: everything in [α₁, α_δ) is non-frequent; skip it.
-            let bound = db.alpha_delta(delta).expect("len >= delta");
+            let bound = db.alpha_delta(delta).expect("weight >= delta");
             let rcond = resolve_key_condition(bound, BoundMode::AtLeast);
             for bucket in db.take_less_than(bound) {
                 guard.charge(bucket.len() as u64)?;
@@ -188,18 +186,18 @@ fn resolve_key_condition(bound: RawKms, mode: BoundMode) -> ResolvedCondition {
 /// most `rcond.start`, where the CKMS walk resumes (`max(ptr, start)`).
 fn rekey<'a, S: SeqView<'a>>(
     db: &mut KSortedDb,
-    members: &[S],
+    members: &[(S, u64)],
     freq_prev: &[Sequence],
     rcond: &ResolvedCondition,
     bucket: Vec<Entry>,
     cache: &mut ExtensionCache,
 ) {
     for &e in &bucket {
-        let member = members[e.member];
+        let (member, weight) = members[e.member];
         if let Some(raw) =
             apriori_ckms_resolved(member, freq_prev, rcond.start, rcond, e.member, cache)
         {
-            db.insert(e.member, raw);
+            db.insert(e.member, raw, weight);
         }
     }
     db.recycle(bucket);

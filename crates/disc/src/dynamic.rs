@@ -17,7 +17,7 @@
 //! a first-level partition, and from k = j + 2 in a `<π>`-partition with
 //! `|π| = j ≥ 2`.
 
-use crate::disc_all::{mine_partitioned, DiscConfig};
+use crate::disc_all::{mine_partitioned, DiscConfig, Engine};
 use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use disc_core::{
     checkpoint, AbortReason, FlatDb, GuardedResult, MinSupport, MineGuard, MiningResult,
@@ -39,19 +39,20 @@ pub enum SplitPolicy {
 impl SplitPolicy {
     /// Should the partition at prefix length `level` be split further,
     /// given the supports of its frequent one-item extensions (its child
-    /// partitions' sizes) and its own size? The supports are read only
-    /// under [`SplitPolicy::NrrThreshold`]; a partition without frequent
+    /// partitions' sizes) and its own size? Sizes are weights — member
+    /// counts in ordinary mining. The supports are read only under
+    /// [`SplitPolicy::NrrThreshold`]; a partition without frequent
     /// extensions has no children and is never split by NRR.
     pub(crate) fn split(
         self,
         level: usize,
         ext_supports: impl IntoIterator<Item = u64>,
-        partition_size: usize,
+        partition_weight: u64,
     ) -> bool {
         match self {
             SplitPolicy::NrrThreshold(gamma) => {
                 let supports: Vec<u64> = ext_supports.into_iter().collect();
-                !supports.is_empty() && nrr(&supports, partition_size) < gamma
+                !supports.is_empty() && nrr(&supports, partition_weight) < gamma
             }
             SplitPolicy::FixedDepth(depth) => level < depth,
         }
@@ -90,7 +91,7 @@ impl DynamicDiscAll {
 /// The NRR of a partition, from its counting-array scan: the mean ratio of
 /// child-partition size (= the support of each frequent one-item extension)
 /// to the partition's own size.
-fn nrr(ext_supports: &[u64], partition_size: usize) -> f64 {
+fn nrr(ext_supports: &[u64], partition_size: u64) -> f64 {
     debug_assert!(!ext_supports.is_empty() && partition_size > 0);
     let sum: f64 = ext_supports.iter().map(|&s| s as f64 / partition_size as f64).sum();
     sum / ext_supports.len() as f64
@@ -130,7 +131,9 @@ impl Checkpointable for DynamicDiscAll {
         result: &mut MiningResult,
         sink: Option<&mut CheckpointSink<'_>>,
     ) -> Result<(), AbortReason> {
-        mine_partitioned(flat, delta, self.policy, self.config, guard, result, sink)
+        let engine =
+            Engine { flat, weights: None, delta, policy: self.policy, config: self.config, guard };
+        mine_partitioned(&engine, result, sink)
     }
 }
 

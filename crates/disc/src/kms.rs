@@ -386,11 +386,6 @@ pub fn apriori_kms_cached<'a, S: SeqView<'a>>(
     cache.first_with_extension(s, freq_prev, member, 0)
 }
 
-/// [`apriori_kms_raw`] with the key sequence materialized.
-pub fn apriori_kms<'a, S: SeqView<'a>>(s: S, freq_prev: &[Sequence]) -> Option<Kms> {
-    apriori_kms_raw(s, freq_prev).map(|raw| raw.into_kms(freq_prev))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,6 +395,11 @@ mod tests {
 
     fn seq(s: &str) -> Sequence {
         parse_sequence(s).unwrap()
+    }
+
+    /// Apriori-KMS with the key sequence materialized.
+    fn kms(s: &Sequence, list: &[Sequence]) -> Option<Kms> {
+        apriori_kms_raw(s, list).map(|raw| raw.into_kms(list))
     }
 
     fn seqs(texts: &[&str]) -> Vec<Sequence> {
@@ -435,7 +435,7 @@ mod tests {
             ("(a,g)(a,e,g)(g,h)", "(a)(a,e,g)", 0),
         ];
         for (customer, kms_text, ptr) in expected {
-            let got = apriori_kms(&seq(customer), &list).unwrap();
+            let got = kms(&seq(customer), &list).unwrap();
             assert_eq!(got.key, seq(kms_text), "customer {customer}");
             assert_eq!(got.ptr, ptr, "customer {customer}");
         }
@@ -446,7 +446,7 @@ mod tests {
         // CID 3 contains both <(a)(a,e)> (extendable by (c)) and <(a)(a,g)>
         // (extendable by items < c). The prefix dominates: <(a)(a,e)(c)>.
         let list = seqs(&["(a)(a,e)", "(a)(a,g)", "(a)(a,h)"]);
-        let got = apriori_kms(&seq("(a,f,g)(a,e,g,h)(c,g,h)"), &list).unwrap();
+        let got = kms(&seq("(a,f,g)(a,e,g,h)(c,g,h)"), &list).unwrap();
         assert_eq!(got.key, seq("(a)(a,e)(c)"));
     }
 
@@ -455,7 +455,7 @@ mod tests {
         // <(a)(b)> matches but ends at the end of the sequence; <(a)(c)>
         // matches with extensions, the smallest appended element being b.
         let list = seqs(&["(a)(b)", "(a)(c)"]);
-        let got = apriori_kms(&seq("(a)(c)(d)(b)"), &list).unwrap();
+        let got = kms(&seq("(a)(c)(d)(b)"), &list).unwrap();
         assert_eq!(got.key, seq("(a)(c)(b)"));
         assert_eq!(got.ptr, 1);
     }
@@ -463,9 +463,9 @@ mod tests {
     #[test]
     fn returns_none_when_nothing_extends() {
         let list = seqs(&["(a)(b)"]);
-        assert_eq!(apriori_kms(&seq("(a)(b)"), &list), None);
-        assert_eq!(apriori_kms(&seq("(x)(y)(z)"), &list), None);
-        assert_eq!(apriori_kms(&seq("(a)(b)"), &[]), None);
+        assert_eq!(kms(&seq("(a)(b)"), &list), None);
+        assert_eq!(kms(&seq("(x)(y)(z)"), &list), None);
+        assert_eq!(kms(&seq("(a)(b)"), &[]), None);
     }
 
     #[test]
@@ -473,14 +473,14 @@ mod tests {
         // After matching <(a)>, item b is available both in the same
         // transaction and later; the itemset extension <(a,b)> is smaller.
         let list = seqs(&["(a)"]);
-        let got = apriori_kms(&seq("(a,b)(b)"), &list).unwrap();
+        let got = kms(&seq("(a,b)(b)"), &list).unwrap();
         assert_eq!(got.key, seq("(a,b)"));
     }
 
     #[test]
     fn smaller_item_in_later_transaction_beats_same_transaction() {
         let list = seqs(&["(b)"]);
-        let got = apriori_kms(&seq("(b,d)(c)"), &list).unwrap();
+        let got = kms(&seq("(b,d)(c)"), &list).unwrap();
         assert_eq!(got.key, seq("(b)(c)"));
     }
 
@@ -492,7 +492,7 @@ mod tests {
         let list = seqs(&["(a)(b)"]);
         let s = seq("(a)(b)(b,f)");
         // Unconstrained minimum: the sequence extension (b).
-        let got = apriori_kms(&s, &list).unwrap();
+        let got = kms(&s, &list).unwrap();
         assert_eq!(got.key, seq("(a)(b)(b)"));
         // Constrained past every sequence-extension item except f's
         // competitors: (f, itemset) beats (f, sequence).
@@ -517,7 +517,7 @@ mod tests {
             "(a,g)(a,e,g)(g,h)",
         ] {
             let s = seq(customer);
-            let fast = apriori_kms(&s, &list).map(|k| k.key);
+            let fast = kms(&s, &list).map(|k| k.key);
             let slow = min_k_subsequence_with_allowed_prefix_naive(&s, 4, &allowed, None);
             assert_eq!(fast, slow, "customer {customer}");
         }

@@ -25,7 +25,7 @@
 //! | [`counting`] | the counting array of §3.1 (Figures 3 and 7) |
 //! | [`kms`] | Apriori-KMS (Figure 5) |
 //! | [`ckms`] | Apriori-CKMS (Figure 6) |
-//! | [`sorted_db`] | the k-sorted database on the locative AVL tree (§3.2) |
+//! | [`sorted_db`] | the k-sorted database (§3.2): weighted buckets in an ordered map, in place of the locative AVL tree |
 //! | [`discovery`] | frequent k-sequence discovery (Figure 4) + the bi-level optimization |
 //! | [`partition`] | multi-level partitioning, reduction, reassignment chains (§3.1) |
 //! | [`disc_all`] | the partition engine every DISC miner runs; DISC-all (Figure 2) is its fixed two-level split policy |
@@ -33,7 +33,7 @@
 //! | [`dynamic`] | Dynamic DISC-all (Appendix): the engine with the NRR split policy |
 //! | [`resume`] | durable checkpoint/resume at first-level partition boundaries |
 //! | [`stats`] | the NRR metric of §4.2 (Tables 12 and 14) |
-//! | [`weighted`] | the §5 future-work extension: weighted sequence mining |
+//! | [`weighted`] | the §5 future-work extension: weighted sequence mining on the partition engine |
 //!
 //! ## Quick example
 //!

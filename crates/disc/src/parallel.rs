@@ -154,7 +154,15 @@ impl Checkpointable for ParallelDiscAll {
         let n_items = max_item.id() as usize + 1;
 
         // Step 1 (sequential, one scan): frequent 1-sequences.
-        let (freq1, _) = frequent_one_sequences(flat, delta, n_items, guard, result)?;
+        let engine = Engine {
+            flat,
+            weights: None,
+            delta,
+            policy: DISC_ALL_POLICY,
+            config: self.config,
+            guard,
+        };
+        let (freq1, _) = frequent_one_sequences(&engine, n_items, result)?;
         if let Some(s) = sink.as_deref_mut() {
             s.level_one(result);
         }
@@ -175,9 +183,8 @@ impl Checkpointable for ParallelDiscAll {
         let body = |worker: &MineGuard,
                     (lambda, members): (Item, Vec<Member>),
                     shard_result: &mut MiningResult| {
-            let engine =
-                Engine { flat, delta, policy: DISC_ALL_POLICY, config: self.config, guard: worker };
-            engine.process_first_level(lambda, &members, shard_result, &mut Scratch::new(n_items))
+            let shard = Engine { guard: worker, ..engine };
+            shard.process_first_level(lambda, &members, shard_result, &mut Scratch::new(n_items))
         };
         #[cfg(feature = "fault-injection")]
         let run = {

@@ -257,23 +257,29 @@ pub trait Checkpointable: SequentialMiner {
 /// Flattens `db` once and mines it through the flat core: the whole of
 /// [`SequentialMiner::mine`] (under an unlimited guard) and
 /// [`SequentialMiner::mine_guarded`] for every DISC miner.
-///
-/// The cores size their counting arrays by the largest item id, so a sparse
-/// id space is flattened onto compact ids first (when
-/// [`ItemMapping::is_worthwhile`]) and the result, complete or partial, is
-/// translated back.
 pub(crate) fn mine_flattened<M: Checkpointable>(
     miner: &M,
     db: &SequenceDatabase,
     min_support: MinSupport,
     guard: &MineGuard,
 ) -> GuardedResult {
+    mine_on_flat(db, |flat| miner.mine_flat_guarded(flat, min_support, guard))
+}
+
+/// Runs `mine` on `db` flattened, rows in database order. The cores size
+/// their counting arrays by the largest item id, so a sparse id space is
+/// flattened onto compact ids first (when [`ItemMapping::is_worthwhile`])
+/// and the result, complete or partial, is translated back.
+pub(crate) fn mine_on_flat(
+    db: &SequenceDatabase,
+    mine: impl FnOnce(&FlatDb) -> GuardedResult,
+) -> GuardedResult {
     let mapping = ItemMapping::analyze(db);
     if !mapping.is_worthwhile() {
-        return miner.mine_flat_guarded(&FlatDb::from_database(db), min_support, guard);
+        return mine(&FlatDb::from_database(db));
     }
     let flat = FlatDb::from_database_compacted(db, &mapping);
-    let run = miner.mine_flat_guarded(&flat, min_support, guard);
+    let run = mine(&flat);
     GuardedResult { result: mapping.restore_result(&run.result), ..run }
 }
 

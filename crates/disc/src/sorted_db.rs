@@ -10,13 +10,18 @@
 //! discovery loop reports its pattern, against the list it was computed
 //! from.
 //!
-//! The backing store is a `BTreeMap<RawKms, Vec<Entry>>` with an explicitly
-//! tracked entry count. The discovery loop only ever asks order statistics
-//! about the *head* of the database — `α₁`, `α_δ` for the small rank
-//! `δ = ⌈minsup·|D|⌉` within a virtual partition, and head drains — so a
-//! short in-order walk over the first few buckets beats maintaining subtree
-//! counts on every insert (the former `LocativeAvlTree` backing, still used
-//! by [`disc_tree`] for the general rank-select case).
+//! Every member carries a weight (1 for ordinary mining), and every bucket
+//! the sum of its members' weights. Positions in the database are weight
+//! positions: `α_δ` is the key where the cumulative weight reaches δ, and a
+//! bucket's support is its weight. Under weight 1 these are the paper's
+//! customer positions and bucket sizes.
+//!
+//! The backing store is a `BTreeMap<RawKms, Bucket>` with an explicitly
+//! tracked total weight. The discovery loop only ever asks order statistics
+//! about the *head* of the database — `α₁`, `α_δ` for the small threshold δ
+//! within a virtual partition, and head drains — so a short in-order walk
+//! over the first few buckets replaces the paper's locative AVL tree, whose
+//! subtree counts every insert would have to maintain.
 
 use crate::kms::RawKms;
 use std::collections::BTreeMap;
@@ -29,11 +34,20 @@ pub struct Entry {
     pub member: usize,
 }
 
+/// The members keyed on one key, and the sum of their weights.
+#[derive(Debug)]
+struct Bucket {
+    entries: Vec<Entry>,
+    weight: u64,
+}
+
 /// The k-sorted database.
 #[derive(Debug, Default)]
 pub struct KSortedDb {
-    map: BTreeMap<RawKms, Vec<Entry>>,
-    len: usize,
+    map: BTreeMap<RawKms, Bucket>,
+    /// Sum of every bucket's weight (the paper's "size of SD" under weight
+    /// 1).
+    weight: u64,
     /// Drained bucket allocations, reused by later inserts: most buckets are
     /// singletons, so without the pool every re-keying would allocate one
     /// small `Vec` per member movement.
@@ -46,29 +60,27 @@ impl KSortedDb {
         KSortedDb::default()
     }
 
-    /// Number of customer positions (the paper's "size of SD").
-    pub fn len(&self) -> usize {
-        self.len
+    /// Total weight of the members it holds.
+    pub fn weight(&self) -> u64 {
+        self.weight
     }
 
-    /// True when no customers remain.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts a member under its (conditional) k-minimum subsequence.
-    pub fn insert(&mut self, member: usize, key: RawKms) {
+    /// Inserts a member of weight `weight` under its (conditional) k-minimum
+    /// subsequence.
+    pub fn insert(&mut self, member: usize, key: RawKms, weight: u64) {
         match self.map.entry(key) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
-                e.get_mut().push(Entry { member });
+                let bucket = e.get_mut();
+                bucket.entries.push(Entry { member });
+                bucket.weight += weight;
             }
             std::collections::btree_map::Entry::Vacant(v) => {
-                let mut bucket = self.pool.pop().unwrap_or_default();
-                bucket.push(Entry { member });
-                v.insert(bucket);
+                let mut entries = self.pool.pop().unwrap_or_default();
+                entries.push(Entry { member });
+                v.insert(Bucket { entries, weight });
             }
         }
-        self.len += 1;
+        self.weight += weight;
     }
 
     /// Returns a drained bucket's allocation to the pool for reuse.
@@ -84,15 +96,15 @@ impl KSortedDb {
         self.map.keys().next().copied()
     }
 
-    /// `α_δ`: the key at customer position δ (1-based) — an in-order walk
-    /// accumulating bucket sizes until the running customer count reaches
-    /// δ. The rank δ is the partition's support threshold — a small
-    /// constant — so this touches at most a handful of head buckets.
+    /// `α_δ`: the key at weight position δ — an in-order walk accumulating
+    /// bucket weights until the running total reaches δ. The threshold δ is
+    /// small next to the partition's weight, so this touches at most a
+    /// handful of head buckets.
     pub fn alpha_delta(&self, delta: u64) -> Option<RawKms> {
         debug_assert!(delta >= 1);
         let mut seen = 0u64;
-        for (&k, vs) in &self.map {
-            seen += vs.len() as u64;
+        for (&k, bucket) in &self.map {
+            seen += bucket.weight;
             if seen >= delta {
                 return Some(k);
             }
@@ -100,22 +112,20 @@ impl KSortedDb {
         None
     }
 
-    /// `α₁ = α_δ`? — the Lemma 2.1 test: the minimum bucket alone holds at
-    /// least δ customers.
+    /// `α₁ = α_δ`? — the Lemma 2.1 test: the minimum bucket alone weighs at
+    /// least δ.
     pub fn alpha_1_equals_delta(&self, delta: u64) -> bool {
         debug_assert!(delta >= 1);
-        match self.map.values().next() {
-            Some(vs) => vs.len() as u64 >= delta,
-            None => false,
-        }
+        self.map.values().next().is_some_and(|bucket| bucket.weight >= delta)
     }
 
-    /// Detaches the minimum bucket: `(α₁, its virtual partition)`. The bucket
-    /// length is `α₁`'s exact support among the partition members.
-    pub fn take_min(&mut self) -> Option<(RawKms, Vec<Entry>)> {
-        let (k, vs) = self.map.pop_first()?;
-        self.len -= vs.len();
-        Some((k, vs))
+    /// Detaches the minimum bucket: `(α₁, its virtual partition, its
+    /// weight)`. The weight is `α₁`'s exact support among the partition
+    /// members.
+    pub fn take_min(&mut self) -> Option<(RawKms, Vec<Entry>, u64)> {
+        let (k, bucket) = self.map.pop_first()?;
+        self.weight -= bucket.weight;
+        Some((k, bucket.entries, bucket.weight))
     }
 
     /// Detaches every bucket keyed strictly below `bound`, ascending. The
@@ -124,14 +134,14 @@ impl KSortedDb {
     pub fn take_less_than(&mut self, bound: RawKms) -> Vec<Vec<Entry>> {
         let rest = self.map.split_off(&bound);
         let below = std::mem::replace(&mut self.map, rest);
-        self.len -= below.values().map(Vec::len).sum::<usize>();
-        below.into_values().collect()
+        self.weight -= below.values().map(|bucket| bucket.weight).sum::<u64>();
+        below.into_values().map(|bucket| bucket.entries).collect()
     }
 
     /// In-order view of `(key, entries)` — Table 3/9-style dumps for tests
     /// and debugging.
     pub fn snapshot(&self) -> Vec<(RawKms, Vec<Entry>)> {
-        self.map.iter().map(|(&k, vs)| (k, vs.clone())).collect()
+        self.map.iter().map(|(&k, bucket)| (k, bucket.entries.clone())).collect()
     }
 }
 
@@ -165,7 +175,7 @@ mod tests {
         ];
         let mut db = KSortedDb::new();
         for (m, text) in customers.iter().enumerate() {
-            db.insert(m, apriori_kms_raw(&seq(text), list).unwrap());
+            db.insert(m, apriori_kms_raw(&seq(text), list).unwrap(), 1);
         }
         db
     }
@@ -176,7 +186,7 @@ mod tests {
         let db = table_9_database(&list);
         // Keys decode against the list they were computed from.
         let decode = |k: Option<RawKms>| k.map(|k| k.into_kms(&list).key);
-        assert_eq!(db.len(), 6);
+        assert_eq!(db.weight(), 6);
         assert_eq!(decode(db.alpha_1()), Some(seq("(a)(a,e)(c)")));
         // δ = 3: the third customer position holds <(a)(a,e,g)>.
         assert_eq!(decode(db.alpha_delta(3)), Some(seq("(a)(a,e,g)")));
@@ -195,15 +205,40 @@ mod tests {
     }
 
     #[test]
+    fn weights_move_the_head() {
+        // Table 9 with CID 3 (member 2, the only <(a)(a,e)(c)> customer)
+        // weighing 3: at δ = 3 the minimum bucket alone reaches δ, so
+        // Lemma 2.1 applies where the unweighted database takes Lemma 2.2.
+        let list = table_8_list();
+        let mut db = KSortedDb::new();
+        let customers = [
+            ("(a)(a,g,h)(c)", 1),
+            ("(b)(a)(a,c,e,g)", 1),
+            ("(a,f,g)(a,e,g,h)(c,g,h)", 3),
+            ("(a,f)(a,e,g,h)", 1),
+        ];
+        for (m, (text, w)) in customers.into_iter().enumerate() {
+            db.insert(m, apriori_kms_raw(&seq(text), &list).unwrap(), w);
+        }
+        assert_eq!(db.weight(), 6);
+        assert!(db.alpha_1_equals_delta(3));
+        assert_eq!(db.alpha_delta(3), db.alpha_1());
+        let (key, entries, support) = db.take_min().unwrap();
+        assert_eq!(key.into_kms(&list).key, seq("(a)(a,e)(c)"));
+        assert_eq!((entries.len(), support), (1, 3));
+        assert_eq!(db.weight(), 3);
+    }
+
+    #[test]
     fn take_less_than_drains_the_head() {
         let elem = |c| ExtElem { item: Item::from_letter(c).unwrap(), mode: ExtMode::Sequence };
         let mut db = KSortedDb::new();
-        db.insert(0, RawKms { ptr: 0, elem: elem('b') });
-        db.insert(1, RawKms { ptr: 0, elem: elem('c') });
-        db.insert(2, RawKms { ptr: 1, elem: elem('c') });
+        db.insert(0, RawKms { ptr: 0, elem: elem('b') }, 1);
+        db.insert(1, RawKms { ptr: 0, elem: elem('c') }, 1);
+        db.insert(2, RawKms { ptr: 1, elem: elem('c') }, 1);
         let below = db.take_less_than(RawKms { ptr: 1, elem: elem('c') });
         assert_eq!(below.len(), 2);
-        assert_eq!(db.len(), 1);
+        assert_eq!(db.weight(), 1);
         assert_eq!(db.alpha_1(), Some(RawKms { ptr: 1, elem: elem('c') }));
     }
 }

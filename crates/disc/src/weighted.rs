@@ -10,49 +10,57 @@
 //!
 //! * sort customers by (conditional) k-minimum subsequence, with weights;
 //! * let `α_δ` be the key at the position where **cumulative weight**
-//!   reaches `δ_w` ([`disc_tree::WeightedLocativeTree::select_by_weight`]);
+//!   reaches `δ_w` ([`KSortedDb::alpha_delta`](crate::sorted_db::KSortedDb::alpha_delta));
 //! * `α₁ = α_δ` ⇒ the bucket of `α₁` carries weight ≥ `δ_w`, and — by the
 //!   same invariant as the unweighted case — every customer containing `α₁`
 //!   keys on it, so the bucket weight is the exact weighted support;
 //! * `α₁ < α_δ` ⇒ any `α ∈ [α₁, α_δ)` is supported only by customers keyed
 //!   below `α_δ`, whose total weight is < `δ_w` — non-frequent, skipped.
 //!
-//! Uniform weight 1 recovers ordinary mining exactly (property-tested).
-//!
-//! The miner here runs the DISC strategy directly from k = 2 (weighted
-//! counting arrays for level 1, weighted k-sorted databases above); the
-//! multi-level partitioning of DISC-all is orthogonal and omitted for
-//! clarity.
+//! The counting arrays sum weights the same way, and every partition-size
+//! test compares a weight sum with `δ_w`, so [`WeightedDisc`] is DISC-all's
+//! partition engine ([`crate::disc_all`]) run with the customers' weights.
+//! Uniform weight 1 is ordinary mining, exactly (property-tested).
 
-use crate::ckms::{apriori_ckms, BoundMode, Condition};
-use crate::counting::CountingArray;
-use crate::kms::apriori_kms;
-use disc_core::{contains, CustomerId, Item, MiningResult, Sequence, SequenceDatabase};
-use disc_tree::WeightedLocativeTree;
+use crate::disc_all::{mine_partitioned, DiscConfig, Engine, DISC_ALL_POLICY};
+use crate::resume::mine_on_flat;
+use disc_core::{
+    contains, run_guarded, CustomerId, MineGuard, MiningResult, Sequence, SequenceDatabase,
+};
 
 /// A sequence database whose customers carry weights.
 #[derive(Debug, Clone, Default)]
 pub struct WeightedDatabase {
     db: SequenceDatabase,
     weights: Vec<u64>,
+    /// Sum of `weights`; every weighted support is at most this.
+    total: u64,
 }
 
 impl WeightedDatabase {
     /// Builds from `(sequence, weight)` pairs, assigning CIDs 1, 2, ….
+    ///
+    /// # Panics
+    ///
+    /// If the weights sum to more than `u64::MAX`: weighted supports are
+    /// `u64` sums, so such a database has no representable supports.
     pub fn from_weighted(rows: impl IntoIterator<Item = (Sequence, u64)>) -> WeightedDatabase {
         let mut db = SequenceDatabase::new();
         let mut weights = Vec::new();
+        let mut total = 0u64;
         for (i, (seq, w)) in rows.into_iter().enumerate() {
             db.push(CustomerId(i as u64 + 1), seq);
             weights.push(w);
+            total = total.checked_add(w).expect("total customer weight exceeds u64::MAX");
         }
-        WeightedDatabase { db, weights }
+        WeightedDatabase { db, weights, total }
     }
 
     /// Wraps an unweighted database with uniform weight 1.
     pub fn uniform(db: SequenceDatabase) -> WeightedDatabase {
         let weights = vec![1; db.len()];
-        WeightedDatabase { db, weights }
+        let total = db.len() as u64;
+        WeightedDatabase { db, weights, total }
     }
 
     /// The underlying sequences.
@@ -67,7 +75,7 @@ impl WeightedDatabase {
 
     /// Total weight of all customers.
     pub fn total_weight(&self) -> u64 {
-        self.weights.iter().sum()
+        self.total
     }
 
     /// Definitional weighted support: total weight of the customers
@@ -82,7 +90,7 @@ impl WeightedDatabase {
     }
 }
 
-/// The weighted DISC miner.
+/// The weighted DISC miner: DISC-all over weighted customers.
 #[derive(Debug, Clone)]
 pub struct WeightedDisc {
     /// Use the bi-level optimization (weighted counting arrays over the
@@ -100,112 +108,19 @@ impl WeightedDisc {
     /// Mines every pattern with weighted support ≥ `delta_w`. Supports in
     /// the result are weighted supports.
     pub fn mine(&self, wdb: &WeightedDatabase, delta_w: u64) -> MiningResult {
-        let delta_w = delta_w.max(1);
-        let mut result = MiningResult::new();
-        let Some(max_item) = wdb.db.max_item() else {
-            return result;
-        };
-        let n_items = max_item.id() as usize + 1;
-
-        // Level 1: weighted counting array over the whole database.
-        let mut array = CountingArray::new(n_items);
-        for (i, s) in wdb.db.sequences().enumerate() {
-            array.add_member_weighted(s, &Sequence::empty(), wdb.weights[i]);
-        }
-        let mut freq_prev: Vec<Sequence> = Vec::new();
-        for id in 0..n_items as u32 {
-            let support = array.seq_support(Item(id));
-            if support >= delta_w {
-                let pat = Sequence::single(Item(id));
-                result.insert(pat.clone(), support);
-                freq_prev.push(pat);
-            }
-        }
-
-        // Levels k ≥ 2 by weighted DISC discovery.
-        while !freq_prev.is_empty() && wdb.total_weight() >= delta_w {
-            let out = self.discover(wdb, &freq_prev, delta_w, n_items, &mut result);
-            freq_prev = out;
-        }
-        result
-    }
-
-    /// One weighted frequent-k-sequence discovery pass; returns the list
-    /// seeding the next pass ((k+1)-sequences under bi-level, k-sequences
-    /// otherwise).
-    fn discover(
-        &self,
-        wdb: &WeightedDatabase,
-        freq_prev: &[Sequence],
-        delta_w: u64,
-        n_items: usize,
-        result: &mut MiningResult,
-    ) -> Vec<Sequence> {
-        #[derive(Clone, Copy)]
-        struct Entry {
-            member: usize,
-            ptr: usize,
-        }
-
-        let mut tree: WeightedLocativeTree<Sequence, Entry> = WeightedLocativeTree::new();
-        for (m, s) in wdb.db.sequences().enumerate() {
-            if let Some(kms) = apriori_kms(s, freq_prev) {
-                tree.insert(kms.key, Entry { member: m, ptr: kms.ptr }, wdb.weights[m]);
-            }
-        }
-
-        let mut freq_k: Vec<Sequence> = Vec::new();
-        let mut freq_k1: Vec<(Sequence, u64)> = Vec::new();
-        while tree.total_weight() >= delta_w {
-            let alpha_1 = tree.min().expect("non-empty").0.clone();
-            let alpha_delta =
-                tree.select_by_weight(delta_w).expect("total weight >= delta_w").clone();
-
-            if alpha_1 == alpha_delta {
-                let (key, bucket, bucket_weight) = tree.take_min().expect("non-empty");
-                result.insert(key.clone(), bucket_weight);
-                freq_k.push(key.clone());
-
-                if self.bi_level {
-                    let mut array = CountingArray::new(n_items);
-                    for (e, w) in &bucket {
-                        array.add_member_weighted(wdb.db.sequence(e.member), &key, *w);
-                    }
-                    for (elem, support) in array.frequent_extensions(delta_w) {
-                        freq_k1.push((key.extended(elem), support));
-                    }
-                }
-
-                let cond = Condition::new(&key, BoundMode::Strictly);
-                for (e, w) in bucket {
-                    if let Some(kms) =
-                        apriori_ckms(wdb.db.sequence(e.member), freq_prev, e.ptr, &cond)
-                    {
-                        tree.insert(kms.key, Entry { member: e.member, ptr: kms.ptr }, w);
-                    }
-                }
-            } else {
-                let cond = Condition::new(&alpha_delta, BoundMode::AtLeast);
-                for (_, bucket, _) in tree.take_less_than(&alpha_delta) {
-                    for (e, w) in bucket {
-                        if let Some(kms) =
-                            apriori_ckms(wdb.db.sequence(e.member), freq_prev, e.ptr, &cond)
-                        {
-                            tree.insert(kms.key, Entry { member: e.member, ptr: kms.ptr }, w);
-                        }
-                    }
-                }
-            }
-        }
-
-        if self.bi_level {
-            for (p, s) in &freq_k1 {
-                result.insert(p.clone(), *s);
-            }
-            freq_k1.into_iter().map(|(p, _)| p).collect()
-        } else {
-            freq_k
-        }
+        let guard = MineGuard::unlimited();
+        let run = mine_on_flat(&wdb.db, |flat| {
+            let engine = Engine {
+                flat,
+                weights: Some(&wdb.weights),
+                delta: delta_w.max(1),
+                policy: DISC_ALL_POLICY,
+                config: DiscConfig { bi_level: self.bi_level },
+                guard: &guard,
+            };
+            run_guarded(&guard, |result| mine_partitioned(&engine, result, None))
+        });
+        run.into_complete()
     }
 }
 
@@ -213,7 +128,7 @@ impl WeightedDisc {
 mod tests {
     use super::*;
     use crate::DiscAll;
-    use disc_core::{parse_sequence, MinSupport, SequentialMiner};
+    use disc_core::{parse_sequence, Item, MinSupport, SequentialMiner};
 
     fn seq(s: &str) -> Sequence {
         parse_sequence(s).unwrap()
@@ -280,17 +195,42 @@ mod tests {
         assert_eq!(wdb.weighted_support(&seq("(d)")), 1);
     }
 
+    /// Two heavy customers outweigh δ_w = 8 on their own, though fewer
+    /// than 8 rows support anything: a row count compared with δ_w anywhere
+    /// in the engine loses their long patterns.
+    fn heavy_pair_weighted() -> WeightedDatabase {
+        WeightedDatabase::from_weighted([
+            (seq("(a,b)(c)(d,e)(f)(c)"), 5),
+            (seq("(a,b)(c)(d,e)(c)(f)"), 5),
+            (seq("(a)(c)(e)"), 1),
+            (seq("(b)(d)(f)"), 1),
+            (seq("(c)(d,e)(f)"), 1),
+        ])
+    }
+
     #[test]
     fn matches_weighted_brute_force() {
-        let wdb = table1_weighted();
-        for delta_w in [1u64, 3, 5, 8, 11] {
-            let expected = weighted_brute_force(&wdb, delta_w);
-            for miner in [WeightedDisc::default(), WeightedDisc { bi_level: false }] {
-                let got = miner.mine(&wdb, delta_w);
-                let diff = got.diff(&expected);
-                assert!(diff.is_empty(), "δw={delta_w}:\n{}", diff.join("\n"));
+        let inputs =
+            [(table1_weighted(), [1u64, 3, 5, 8, 11]), (heavy_pair_weighted(), [3, 5, 8, 10, 11])];
+        for (wdb, thresholds) in inputs {
+            for delta_w in thresholds {
+                let expected = weighted_brute_force(&wdb, delta_w);
+                for miner in [WeightedDisc::default(), WeightedDisc { bi_level: false }] {
+                    let got = miner.mine(&wdb, delta_w);
+                    let diff = got.diff(&expected);
+                    assert!(diff.is_empty(), "δw={delta_w}:\n{}", diff.join("\n"));
+                }
             }
         }
+        // The heavy pair's longest shared pattern is frequent at δ_w = 8.
+        let got = WeightedDisc::default().mine(&heavy_pair_weighted(), 8);
+        assert_eq!(got.support_of(&seq("(a,b)(c)(d,e)(f)")), Some(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "total customer weight exceeds u64::MAX")]
+    fn total_weight_overflow_panics() {
+        WeightedDatabase::from_weighted([(seq("(a)(b)"), u64::MAX), (seq("(a)(b)"), 1)]);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!   exactly the brute-force frequent set with exact supports on random
 //!   databases.
 
-use disc_algo::ckms::{apriori_ckms, BoundMode, Condition};
+use disc_algo::ckms::{apriori_ckms_raw, BoundMode, Condition};
 use disc_algo::counting::count_extensions;
-use disc_algo::kms::{apriori_kms, RawKms};
+use disc_algo::kms::{apriori_kms_raw, RawKms};
 use disc_algo::{DiscAll, DynamicDiscAll};
 use disc_core::kmin::{all_k_subsequences, min_k_subsequence_with_allowed_prefix_naive};
 use disc_core::{
@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn kms_matches_reference((s, list) in arb_prefix_scenario(3)) {
         let allowed: BTreeSet<Sequence> = list.iter().cloned().collect();
-        let fast = apriori_kms(&s, &list).map(|k| k.key);
+        let fast = apriori_kms_raw(&s, &list).map(|r| r.into_kms(&list).key);
         let slow = min_k_subsequence_with_allowed_prefix_naive(&s, 3, &allowed, None);
         prop_assert_eq!(fast, slow, "sequence {} list {:?}", s,
             list.iter().map(|p| p.to_string()).collect::<Vec<_>>());
@@ -79,7 +79,7 @@ proptest! {
         let mode = if strict { BoundMode::Strictly } else { BoundMode::AtLeast };
         let cond = Condition::new(&alpha_delta, mode);
         let allowed: BTreeSet<Sequence> = list.iter().cloned().collect();
-        let fast = apriori_ckms(&s, &list, 0, &cond).map(|k| k.key);
+        let fast = apriori_ckms_raw(&s, &list, 0, &cond).map(|r| r.into_kms(&list).key);
         let slow = min_k_subsequence_with_allowed_prefix_naive(
             &s, 3, &allowed, Some((&alpha_delta, strict)));
         prop_assert_eq!(fast, slow, "sequence {} bound {}", s, alpha_delta);
@@ -95,11 +95,11 @@ proptest! {
         prop_assume!(bound.length() >= 3 && !list.is_empty());
         let alpha_delta = bound.k_prefix(3);
         let cond = Condition::new(&alpha_delta, BoundMode::AtLeast);
-        let from_zero = apriori_ckms(&s, &list, 0, &cond);
+        let from_zero = apriori_ckms_raw(&s, &list, 0, &cond);
         if let Some(kms) = &from_zero {
             // Re-run starting from any pointer up to the answer's pointer.
             for p in 0..=kms.ptr {
-                let again = apriori_ckms(&s, &list, p, &cond);
+                let again = apriori_ckms_raw(&s, &list, p, &cond);
                 prop_assert_eq!(again.as_ref(), Some(kms));
             }
         }

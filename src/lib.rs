@@ -11,11 +11,11 @@
 //! * [`core`] — the sequence data model, comparative order, and the
 //!   [`SequentialMiner`](disc_core::SequentialMiner) interface;
 //! * [`algo`] — [`DiscAll`](disc_algo::DiscAll),
-//!   [`DynamicDiscAll`](disc_algo::DynamicDiscAll), and the sharded
-//!   [`ParallelDiscAll`](disc_algo::ParallelDiscAll);
+//!   [`DynamicDiscAll`](disc_algo::DynamicDiscAll), the sharded
+//!   [`ParallelDiscAll`](disc_algo::ParallelDiscAll), and weighted mining
+//!   ([`WeightedDisc`](disc_algo::WeightedDisc));
 //! * [`baselines`] — PrefixSpan, Pseudo, GSP, SPADE, SPAM;
 //! * [`datagen`] — the synthetic customer-sequence generator;
-//! * [`tree`] — the locative AVL tree;
 //! * [`server`] — mining-as-a-service: the multi-tenant job server behind
 //!   `disc-mine serve`.
 //!
@@ -46,7 +46,6 @@ pub use disc_baselines as baselines;
 pub use disc_core as core;
 pub use disc_datagen as datagen;
 pub use disc_server as server;
-pub use disc_tree as tree;
 
 /// The most common imports in one place.
 pub mod prelude {

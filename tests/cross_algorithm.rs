@@ -1,7 +1,7 @@
 //! Workspace integration: every miner — DISC-all (both bi-level settings),
-//! Dynamic DISC-all (several γ), and all five baselines — must produce the
-//! identical frequent set with identical supports on Quest-generated
-//! workloads at several thresholds.
+//! Dynamic DISC-all (several γ), weighted DISC under uniform weights, and
+//! all five baselines — must produce the identical frequent set with
+//! identical supports on Quest-generated workloads at several thresholds.
 
 use disc_miner::prelude::*;
 
@@ -53,6 +53,19 @@ fn assert_agreement(db: &SequenceDatabase, min_support: MinSupport) {
             diff.is_empty(),
             "{} disagrees at {min_support:?} ({} lines):\n{}",
             miner.name(),
+            diff.len(),
+            diff.join("\n")
+        );
+    }
+    // Weighted DISC under uniform weight 1 is ordinary mining.
+    let wdb = WeightedDatabase::uniform(db.clone());
+    let delta_w = min_support.resolve(db.len());
+    for miner in [WeightedDisc::default(), WeightedDisc { bi_level: false }] {
+        let diff = miner.mine(&wdb, delta_w).diff(&reference);
+        assert!(
+            diff.is_empty(),
+            "WeightedDisc (bi-level {}) disagrees at {min_support:?} ({} lines):\n{}",
+            miner.bi_level,
             diff.len(),
             diff.join("\n")
         );
