@@ -15,7 +15,7 @@
 //! Leftmost embeddings are sufficient in both cases: they minimize the end
 //! transaction, so they dominate every other embedding's candidate set.
 
-use crate::kms::first_gt_items;
+use crate::kms::{encode_elem, first_gt_items};
 use disc_core::{
     embed::view_leftmost_end, is_sorted_subset, ExtElem, ExtMode, Item, Itemset, SeqView, Sequence,
 };
@@ -203,7 +203,7 @@ impl CountingArray {
     /// All extension elements with support ≥ δ, ascending in the comparative
     /// order of the extended sequences (item, then itemset-before-sequence),
     /// with their supports. Walks only the items the current epoch marked.
-    pub fn frequent_extensions(&mut self, delta: u64) -> Vec<(ExtElem, u64)> {
+    pub fn frequent_extensions(&self, delta: u64) -> Vec<(ExtElem, u64)> {
         let mut out = Vec::new();
         self.frequent_extensions_into(delta, &mut out);
         out
@@ -212,9 +212,11 @@ impl CountingArray {
     /// [`CountingArray::frequent_extensions`] into a caller-owned buffer —
     /// the bi-level loop asks once per frequent pattern, and reusing the
     /// buffer keeps those tens of thousands of queries allocation-free.
-    pub fn frequent_extensions_into(&mut self, delta: u64, out: &mut Vec<(ExtElem, u64)>) {
+    ///
+    /// Filters the touched ids by `delta` first and sorts only the
+    /// survivors: most touched ids of a virtual partition are infrequent.
+    pub fn frequent_extensions_into(&self, delta: u64, out: &mut Vec<(ExtElem, u64)>) {
         out.clear();
-        self.touched.sort_unstable();
         for &id in &self.touched {
             let item = Item(id);
             let ic = self.item_counts[id as usize];
@@ -226,11 +228,12 @@ impl CountingArray {
                 out.push((ExtElem { item, mode: ExtMode::Sequence }, sc));
             }
         }
+        out.sort_unstable_by_key(|&(e, _)| encode_elem(e));
     }
 }
 
 /// Which one-item extensions of a partition's prefix are frequent, per item
-/// id — the masks the reduction, keying and reassignment steps filter by.
+/// id — the masks the reduction step filters by.
 ///
 /// A refill clears only the ids the previous fill set and sets only ids
 /// the counting array touched this epoch, so it costs the items the scan
@@ -270,6 +273,14 @@ impl FrequencyMasks {
             if self.itemset[i] || self.sequence[i] {
                 self.set.push(id);
             }
+        }
+    }
+
+    /// Whether the extension `e` is frequent.
+    pub(crate) fn admits(&self, e: ExtElem) -> bool {
+        match e.mode {
+            ExtMode::Itemset => self.itemset[e.item.id() as usize],
+            ExtMode::Sequence => self.sequence[e.item.id() as usize],
         }
     }
 }
@@ -362,7 +373,7 @@ mod tests {
     #[test]
     fn figure_3_frequent_extensions_at_delta_3() {
         let prefix = Sequence::single(item('a'));
-        let mut array = count_extensions(&prefix, a_partition().iter(), 8);
+        let array = count_extensions(&prefix, a_partition().iter(), 8);
         // Example 3.2: only <(a)(b)>, <(a)(d)>, <(a)(f)>, <(ab)>, <(ac)>,
         // <(ad)> are not frequent (δ = 3) — among items with any support.
         let frequent: Vec<String> = array
@@ -408,7 +419,7 @@ mod tests {
         let members =
             [seq("(a,f,g)(a,e,g,h)(c,g,h)"), seq("(f)(a,f)(a,c,e,g,h)"), seq("(a,f)(a,e,g,h)")];
         let prefix = seq("(a)(a,e,g)");
-        let mut array = count_extensions(&prefix, members.iter(), 8);
+        let array = count_extensions(&prefix, members.iter(), 8);
         assert_eq!(array.seq_support(item('c')), 1);
         assert_eq!(array.seq_support(item('g')), 1);
         assert_eq!(array.seq_support(item('h')), 1);

@@ -2,13 +2,17 @@
 //! DISC miner runs.
 //!
 //! The engine is Figure 2's walk, written once: the frequent 1-sequences,
-//! first-level partitions with their reassignment chains, counting-array
-//! scans, reduction into a reused arena, next-level partitions keyed by
-//! (conditional) minimum extensions, and the DISC strategy below the last
-//! split. At every level it asks a [`SplitPolicy`] whether to split the
-//! partition further or hand it to the DISC strategy. DISC-all is the
-//! constant [`SplitPolicy::FixedDepth`]`(2)`: two levels of partitioning,
-//! counting arrays for lengths 1–3, DISC for lengths ≥ 4.
+//! first-level partitions, counting-array scans, reduction into a reused
+//! arena, next-level partitions keyed by (conditional) minimum extensions,
+//! and the DISC strategy below the last split. Each level's partitions get
+//! their members from transposed member lists
+//! (`partition::MemberLists`): every member the paper's
+//! reassignment chains would bring a partition by its turn, built once per
+//! level instead of replayed hop by hop. At every level the engine asks a
+//! [`SplitPolicy`] whether to split the partition further or hand it to the
+//! DISC strategy. DISC-all is the constant [`SplitPolicy::FixedDepth`]`(2)`:
+//! two levels of partitioning, counting arrays for lengths 1–3, DISC for
+//! lengths ≥ 4.
 //! [`DynamicDiscAll`](crate::DynamicDiscAll) runs the same engine with its
 //! NRR threshold, and [`ParallelDiscAll`](crate::ParallelDiscAll) runs its
 //! first-level step once per shard.
@@ -24,13 +28,12 @@
 use crate::counting::{count_extensions_into, CountingArray, FrequencyMasks};
 use crate::discovery::discover_frequent_k_into;
 use crate::dynamic::SplitPolicy;
-use crate::partition::{frequent_items_per_row, min_ext_elem, reduce_into, RowExtensions};
+use crate::partition::{extension_lists, first_level_members, reduce_into, Member, RowExtensions};
 use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use disc_core::{
-    checkpoint, AbortReason, ExtElem, FlatArena, FlatDb, GuardedResult, Item, MinSupport,
-    MineGuard, MiningResult, SeqView, Sequence, SequenceDatabase, SequentialMiner,
+    checkpoint, AbortReason, FlatArena, FlatDb, GuardedResult, Item, MinSupport, MineGuard,
+    MiningResult, SeqView, Sequence, SequenceDatabase, SequentialMiner,
 };
-use std::collections::BTreeMap;
 
 /// Tuning knobs shared by every DISC miner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +72,8 @@ pub(crate) const DISC_ALL_POLICY: SplitPolicy = SplitPolicy::FixedDepth(2);
 ///    5, … (stepping by two under bi-level);
 /// 4. after a partition is processed its members are *reassigned* to the
 ///    partition of their next minimum, so later partitions always see every
-///    supporter of their key.
+///    supporter of their key. The engine lists those supporters up front,
+///    by transposition, instead of moving members along the chains.
 #[derive(Debug, Clone, Default)]
 pub struct DiscAll {
     /// Configuration.
@@ -117,8 +121,7 @@ impl Checkpointable for DiscAll {
     /// and notes every pattern. With a [`CheckpointSink`], reports the
     /// boundary-consistent state after the frequent 1-sequences and after
     /// every completed first-level partition, and skips partitions a
-    /// resumed snapshot marks done (their reassignment chains still run —
-    /// later partitions need them).
+    /// resumed snapshot marks done.
     fn mine_flat_into(
         &self,
         flat: &FlatDb,
@@ -178,51 +181,34 @@ pub(crate) fn mine_partitioned(
     let total = weights.map_or(flat.len() as u64, |w| w.iter().sum());
     if !policy.split(0, supports1.iter().copied(), total) {
         // No partitioning at all: DISC over the whole database from k = 2,
-        // seeded by the 1-sorted list.
+        // seeded by the 1-sorted list. Its patterns are noted and already
+        // in `result` (the level-1 snapshot holds them); moving them in
+        // again re-inserts them unchanged.
         let members: Vec<_> =
             flat.rows().enumerate().map(|(i, row)| (row, engine.weight(i))).collect();
-        let list = (0..n_items as u32).filter(|&id| freq1[id as usize]);
-        let list = list.map(|id| Sequence::single(Item(id))).collect();
-        return engine.run_disc(&members, list, result, &mut scratch.carray);
+        let patterns = (0..n_items as u32).filter(|&id| freq1[id as usize]);
+        let patterns = patterns.map(|id| Sequence::single(Item(id))).collect();
+        let seeds = Seeds { patterns, supports: supports1 };
+        return engine.run_disc(&members, seeds, result, &mut scratch.carray);
     }
 
     // Step 2: walk first-level partitions in ascending key order. The
-    // reassignment chain of a row visits, ascending, exactly the distinct
-    // frequent items it contains — precompute those itineraries once, with
-    // each stop's minimum point, so every chain turn is a binary search
-    // instead of a row walk. A row starts at its first stop.
-    let itineraries = frequent_items_per_row(flat, &freq1, guard)?;
-    let mut first_level: BTreeMap<Item, Vec<Member>> = BTreeMap::new();
-    for (idx, stops) in itineraries.iter().enumerate() {
-        if let Some(&(lambda, min_point)) = stops.first() {
-            first_level.entry(lambda).or_default().push((idx, min_point));
-        }
-    }
-    while let Some((&lambda, _)) = first_level.iter().next() {
+    // reassignment chains (Step 2.2) hand the <(λ)>-partition every row
+    // containing λ by its turn; the transposition lists exactly those rows
+    // up front. Partitions a resumed snapshot marks done are skipped.
+    let first_level = first_level_members(flat, &freq1, guard)?;
+    for (lambda, members) in first_level.iter() {
         guard.checkpoint()?;
-        let members = first_level.remove(&lambda).expect("key just observed");
-        if !sink.as_deref().is_some_and(|s| s.is_done(lambda)) {
-            engine.process_first_level(lambda, &members, result, &mut scratch)?;
-            if let Some(s) = sink.as_deref_mut() {
-                s.partition_done(lambda, result);
-            }
+        if sink.as_deref().is_some_and(|s| s.is_done(lambda)) {
+            continue;
         }
-        // Step 2.2: reassignment chains.
-        for (idx, _) in members {
-            guard.checkpoint()?;
-            let stops = &itineraries[idx];
-            let from = stops.partition_point(|&(x, _)| x <= lambda);
-            if let Some(&(next, min_point)) = stops.get(from) {
-                first_level.entry(next).or_default().push((idx, min_point));
-            }
+        engine.process_first_level(lambda, members, result, &mut scratch)?;
+        if let Some(s) = sink.as_deref_mut() {
+            s.partition_done(lambda, result);
         }
     }
     Ok(())
 }
-
-/// A first-level partition member: a database row and its minimum point
-/// in the partition (the first transaction containing the partition item).
-pub(crate) type Member = (usize, u32);
 
 /// One engine run: the database, its row weights, the threshold and the
 /// split policy every partition step reads. One run is a whole sequential
@@ -247,12 +233,11 @@ pub(crate) struct Scratch {
     /// The weight of each `arena` row.
     arena_weights: Vec<u64>,
     exts: RowExtensions,
-    masks: MaskPool,
+    masks: FrequencyMasks,
+    /// The key-position table of [`extension_lists`], `u32::MAX` between
+    /// uses.
+    slot_of: Vec<u32>,
 }
-
-/// Frequency masks free for reuse. A split partition takes one for as long
-/// as its children are walked, so the pool grows to the split depth.
-type MaskPool = Vec<FrequencyMasks>;
 
 impl Scratch {
     /// Empty buffers for item ids `0..n_items`.
@@ -262,7 +247,59 @@ impl Scratch {
             arena: FlatArena::new(),
             arena_weights: Vec::new(),
             exts: RowExtensions::new(),
-            masks: MaskPool::new(),
+            masks: FrequencyMasks::default(),
+            slot_of: vec![u32::MAX; 2 * n_items],
+        }
+    }
+}
+
+/// A (k-1)-sorted list seeding a DISC round: patterns the guard has noted
+/// that `result` does not hold yet. They seed the round, then *move* into
+/// the result — once the round completes, or on an abort, so a partial
+/// result holds exactly the patterns the guard noted.
+#[derive(Default)]
+struct Seeds {
+    patterns: Vec<Sequence>,
+    supports: Vec<u64>,
+}
+
+impl Seeds {
+    /// Notes each of `found` with the guard and keeps it as a seed. On an
+    /// abort the patterns noted so far stay here, for the caller to move.
+    fn note(
+        &mut self,
+        guard: &MineGuard,
+        found: impl IntoIterator<Item = (Sequence, u64)>,
+    ) -> Result<(), AbortReason> {
+        for (pattern, support) in found {
+            guard.note_pattern()?;
+            self.patterns.push(pattern);
+            self.supports.push(support);
+        }
+        Ok(())
+    }
+
+    /// [`Seeds::note`] into a new list; on an abort the patterns noted so
+    /// far go into `result`.
+    fn noted(
+        guard: &MineGuard,
+        found: impl IntoIterator<Item = (Sequence, u64)>,
+        result: &mut MiningResult,
+    ) -> Result<Seeds, AbortReason> {
+        let mut seeds = Seeds::default();
+        match seeds.note(guard, found) {
+            Ok(()) => Ok(seeds),
+            Err(reason) => {
+                seeds.move_into(result);
+                Err(reason)
+            }
+        }
+    }
+
+    /// Moves every seed into `result`, leaving the list empty.
+    fn move_into(&mut self, result: &mut MiningResult) {
+        for (pattern, support) in self.patterns.drain(..).zip(self.supports.drain(..)) {
+            result.insert(pattern, support);
         }
     }
 }
@@ -285,10 +322,9 @@ impl Engine<'_> {
     /// before it.
     ///
     /// This is also the **shard body** of [`crate::ParallelDiscAll`]: the
-    /// member list of the `<(λ)>`-partition at its processing time is
-    /// exactly the rows containing `λ` (the reassignment chains enumerate,
-    /// per row, every frequent item it contains), so first-level partitions
-    /// are mutually independent and can run concurrently.
+    /// member list of the `<(λ)>`-partition is exactly the rows containing
+    /// `λ` ([`first_level_members`]), so first-level partitions are
+    /// mutually independent and can run concurrently.
     pub(crate) fn process_first_level(
         &self,
         lambda: Item,
@@ -296,51 +332,48 @@ impl Engine<'_> {
         result: &mut MiningResult,
         scratch: &mut Scratch,
     ) -> Result<(), AbortReason> {
-        let Scratch { carray, arena, arena_weights, exts, masks: pool } = scratch;
+        let Scratch { carray, arena, arena_weights, exts, masks, slot_of } = scratch;
         let (flat, delta, guard) = (self.flat, self.delta, self.guard);
         let prefix1 = Sequence::single(lambda);
         let views: Vec<_> = members
             .iter()
-            .map(|&(i, t)| (flat.row(i).from_transaction(t as usize), self.weight(i)))
+            .map(|&(i, t)| {
+                (flat.row(i as usize).from_transaction(t as usize), self.weight(i as usize))
+            })
             .collect();
 
         // 2.1.1: frequent 2-sequences by counting array (over the unreduced
         // members — every supporter of a 2-sequence starting with λ is a
-        // member now).
+        // member).
         guard.charge(members.len() as u64)?;
         count_extensions_into(carray, &prefix1, views.iter().copied());
         let freq2 = carray.frequent_extensions(delta);
+        if !self.policy.split(1, freq2.iter().map(|&(_, s)| s), weight_of(&views)) {
+            // DISC from k = 3 over the (unreduced) partition members.
+            let found = freq2.iter().map(|&(elem, s)| (prefix1.extended(elem), s));
+            let seeds = Seeds::noted(guard, found, result)?;
+            return self.run_disc(&views, seeds, result, carray);
+        }
         for &(elem, support) in &freq2 {
             guard.note_pattern()?;
             result.insert(prefix1.extended(elem), support);
         }
-        if !self.policy.split(1, freq2.iter().map(|&(_, s)| s), weight_of(&views)) {
-            // DISC from k = 3 over the (unreduced) partition members.
-            let list = freq2.iter().map(|&(elem, _)| prefix1.extended(elem)).collect();
-            return self.run_disc(&views, list, result, carray);
-        }
-        let mut masks = pool.pop().unwrap_or_default();
         masks.fill(carray, delta);
-        let (i_mask, s_mask) = (&masks.itemset[..], &masks.sequence[..]);
 
-        // 2.1.2: reduce into a partition-local flat arena and group by
-        // 2-minimum subsequence. Partition slots are arena row indices;
-        // reduced members never exist as nested sequences. Each row's
-        // extension set is computed once here; the keying below and every
-        // 2.1.3.3 reassignment turn are lookups into it.
+        // 2.1.2: reduce into a partition-local flat arena, with each row's
+        // extension set. Partition slots are arena row indices; reduced
+        // members never exist as nested sequences.
         arena.clear();
         arena_weights.clear();
         exts.clear();
-        let mut second_level: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
         for &(seq, weight) in &views {
             guard.checkpoint()?;
-            let Some(row) = reduce_into(arena, seq, lambda, i_mask, s_mask) else {
+            let Some(row) = reduce_into(arena, seq, lambda, &masks.itemset, &masks.sequence) else {
                 continue;
             };
             let ext_row = exts.push_row(arena.row(row), &prefix1);
             debug_assert_eq!(ext_row, row);
-            if let Some(elem) = exts.min_masked(row, i_mask, s_mask, None) {
-                second_level.entry(elem).or_default().push(row);
+            if exts.any_masked(row, masks) {
                 debug_assert_eq!(arena_weights.len(), row);
                 arena_weights.push(weight);
             } else {
@@ -350,35 +383,32 @@ impl Engine<'_> {
             }
         }
 
-        // 2.1.3: walk second-level partitions in ascending key order.
-        while let Some((&elem, _)) = second_level.iter().next() {
+        // 2.1.3: walk second-level partitions in ascending key order; each
+        // lists every reduced row whose extension set holds its key, the
+        // rows the 2.1.3.3 reassignment chains would bring.
+        let keys = freq2.into_iter().map(|(elem, _)| elem).collect();
+        let second_level = extension_lists(exts, keys, slot_of);
+        for (elem, slots) in second_level.iter() {
             guard.checkpoint()?;
-            let slots = second_level.remove(&elem).expect("key just observed");
-            if slots.iter().map(|&s| arena_weights[s]).sum::<u64>() >= delta {
+            if slots.iter().map(|&s| arena_weights[s as usize]).sum::<u64>() >= delta {
                 let prefix2 = prefix1.extended(elem);
-                let partition: Vec<_> =
-                    slots.iter().map(|&s| (arena.row(s), arena_weights[s])).collect();
-                self.process_partition(&prefix2, &partition, 2, result, carray, pool)?;
-            }
-            // 2.1.3.3: reassign by the next 2-minimum subsequence.
-            for slot in slots {
-                guard.checkpoint()?;
-                if let Some(next) = exts.min_masked(slot, i_mask, s_mask, Some(elem)) {
-                    second_level.entry(next).or_default().push(slot);
-                }
+                let partition: Vec<_> = slots
+                    .iter()
+                    .map(|&s| (arena.row(s as usize), arena_weights[s as usize]))
+                    .collect();
+                self.process_partition(&prefix2, &partition, 2, result, carray, slot_of)?;
             }
         }
-        pool.push(masks);
         Ok(())
     }
 
     /// A `<π>`-partition with `|π| = level ≥ 2` (step 2.1.3 for DISC-all's
     /// second level): a counting-array scan finds the frequent
     /// (level+1)-sequences; then the policy either hands the partition to
-    /// the DISC strategy from k = level + 2, or splits it by (conditional)
-    /// (level+1)-minimum subsequence and recurses with reassignment chains.
-    /// Partitions are slices of `Copy` `(view, weight)` pairs, so recursion
-    /// copies handles, not sequences.
+    /// the DISC strategy from k = level + 2, or splits it by its members'
+    /// frequent extensions (the (conditional) (level+1)-minimum
+    /// subsequences) and recurses. Partitions are slices of `Copy`
+    /// `(view, weight)` pairs, so recursion copies handles, not sequences.
     fn process_partition<'a, S: SeqView<'a>>(
         &self,
         prefix: &Sequence,
@@ -386,89 +416,85 @@ impl Engine<'_> {
         level: usize,
         result: &mut MiningResult,
         carray: &mut CountingArray,
-        pool: &mut MaskPool,
+        slot_of: &mut [u32],
     ) -> Result<(), AbortReason> {
         let (delta, guard) = (self.delta, self.guard);
         guard.charge(partition.len() as u64)?;
         count_extensions_into(carray, prefix, partition.iter().copied());
         let exts = carray.frequent_extensions(delta);
-        let mut freq_next = Vec::with_capacity(exts.len());
-        for &(elem, support) in &exts {
-            let pat = prefix.extended(elem);
-            guard.note_pattern()?;
-            result.insert(pat.clone(), support);
-            freq_next.push(pat);
-        }
+        let found = exts.iter().map(|&(elem, support)| (prefix.extended(elem), support));
         if !self.policy.split(level, exts.iter().map(|&(_, s)| s), weight_of(partition)) {
-            return self.run_disc(partition, freq_next, result, carray);
+            let seeds = Seeds::noted(guard, found, result)?;
+            return self.run_disc(partition, seeds, result, carray);
         }
-        let mut masks = pool.pop().unwrap_or_default();
-        masks.fill(carray, delta);
-        let (i_mask, s_mask) = (&masks.itemset[..], &masks.sequence[..]);
+        for (pattern, support) in found {
+            guard.note_pattern()?;
+            result.insert(pattern, support);
+        }
 
-        let mut children: BTreeMap<ExtElem, Vec<usize>> = BTreeMap::new();
-        for (slot, &(seq, _)) in partition.iter().enumerate() {
+        let mut member_exts = RowExtensions::new();
+        for &(seq, _) in partition {
             guard.checkpoint()?;
-            if let Some(elem) = min_ext_elem(seq, prefix, i_mask, s_mask, None) {
-                children.entry(elem).or_default().push(slot);
-            }
+            member_exts.push_row(seq, prefix);
         }
-        while let Some((&elem, _)) = children.iter().next() {
+        let keys = exts.into_iter().map(|(elem, _)| elem).collect();
+        let children = extension_lists(&member_exts, keys, slot_of);
+        drop(member_exts);
+        for (elem, slots) in children.iter() {
             guard.checkpoint()?;
-            let slots = children.remove(&elem).expect("key just observed");
-            if slots.iter().map(|&s| partition[s].1).sum::<u64>() >= delta {
-                let child: Vec<_> = slots.iter().map(|&s| partition[s]).collect();
+            if slots.iter().map(|&s| partition[s as usize].1).sum::<u64>() >= delta {
+                let child: Vec<_> = slots.iter().map(|&s| partition[s as usize]).collect();
                 let child_prefix = prefix.extended(elem);
-                self.process_partition(&child_prefix, &child, level + 1, result, carray, pool)?;
-            }
-            for slot in slots {
-                guard.checkpoint()?;
-                if let Some(next) =
-                    min_ext_elem(partition[slot].0, prefix, i_mask, s_mask, Some(elem))
-                {
-                    children.entry(next).or_default().push(slot);
-                }
+                self.process_partition(&child_prefix, &child, level + 1, result, carray, slot_of)?;
             }
         }
-        pool.push(masks);
         Ok(())
     }
 
     /// The `k = start, start+1, …` (or `start, start+2, …` under bi-level)
     /// DISC loop below the last split, over `(member, weight)` pairs.
-    /// `freq_prev` holds the ascending frequent (k-1)-sequences that seed
-    /// the first iteration. Patterns reach `result` only from *completed*
+    /// `seeds` holds the ascending frequent (k-1)-sequences that seed the
+    /// first iteration. Patterns reach `result` only from *completed*
     /// discovery calls, so an abort mid-discovery never records unverified
-    /// supports.
+    /// supports; each (k-1)-sorted list moves into `result` once the round
+    /// it seeds has completed, or on an abort.
     fn run_disc<'a, S: SeqView<'a>>(
         &self,
         members: &[(S, u64)],
-        mut freq_prev: Vec<Sequence>,
+        mut seeds: Seeds,
+        result: &mut MiningResult,
+        carray: &mut CountingArray,
+    ) -> Result<(), AbortReason> {
+        let outcome = self.disc_rounds(members, &mut seeds, result, carray);
+        seeds.move_into(result);
+        outcome
+    }
+
+    /// [`Engine::run_disc`]'s rounds; leaves the seeds of the next round
+    /// (or of the aborted one) in `seeds`.
+    fn disc_rounds<'a, S: SeqView<'a>>(
+        &self,
+        members: &[(S, u64)],
+        seeds: &mut Seeds,
         result: &mut MiningResult,
         carray: &mut CountingArray,
     ) -> Result<(), AbortReason> {
         let (delta, bi_level, guard) = (self.delta, self.config.bi_level, self.guard);
         let weight = weight_of(members);
-        while !freq_prev.is_empty() && weight >= delta {
+        while !seeds.patterns.is_empty() && weight >= delta {
             guard.checkpoint()?;
             let out =
-                discover_frequent_k_into(members, &freq_prev, delta, bi_level, guard, carray)?;
+                discover_frequent_k_into(members, &seeds.patterns, delta, bi_level, guard, carray)?;
+            seeds.move_into(result);
             // Under bi-level, level k is final and level k+1 seeds the next
-            // round. Final patterns are *moved* into the result; only the
-            // seeding level clones (its sequences live on as the next
-            // (k-1)-sorted list).
-            let (last, seed) =
+            // round.
+            let (last, next) =
                 if bi_level { (out.freq_k, out.freq_k1) } else { (vec![], out.freq_k) };
             for (p, s) in last {
                 guard.note_pattern()?;
                 result.insert(p, s);
             }
-            freq_prev = Vec::with_capacity(seed.len());
-            for (p, s) in seed {
-                guard.note_pattern()?;
-                freq_prev.push(p.clone());
-                result.insert(p, s);
-            }
+            seeds.note(guard, next)?;
         }
         Ok(())
     }

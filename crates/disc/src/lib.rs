@@ -27,7 +27,7 @@
 //! | [`ckms`] | Apriori-CKMS (Figure 6) |
 //! | [`sorted_db`] | the k-sorted database (§3.2): weighted buckets in an ordered map, in place of the locative AVL tree |
 //! | [`discovery`] | frequent k-sequence discovery (Figure 4) + the bi-level optimization |
-//! | [`partition`] | multi-level partitioning, reduction, reassignment chains (§3.1) |
+//! | [`partition`] | multi-level partitioning, reduction, member lists by transposition (the reassignment chains of §3.1) |
 //! | [`disc_all`] | the partition engine every DISC miner runs; DISC-all (Figure 2) is its fixed two-level split policy |
 //! | [`parallel`] | DISC-all with the engine's first-level step sharded across a thread pool |
 //! | [`dynamic`] | Dynamic DISC-all (Appendix): the engine with the NRR split policy |

@@ -28,9 +28,9 @@
 //!
 //! Resume validates the snapshot's database fingerprint and resolved δ,
 //! seeds the saved patterns and guard spend, skips the completed partitions
-//! (their reassignment chains are re-derived from the shard/partition
-//! structure itself, which depends only on the database), and re-mines the
-//! interrupted partition from scratch. Because partition pattern sets are
+//! (every partition's member list is built from the database alone, so a
+//! skipped one leaves later partitions nothing to make up), and re-mines
+//! the interrupted partition from scratch. Because partition pattern sets are
 //! disjoint and [`MiningResult::insert`] cross-checks supports on overlap,
 //! the completed result is **bit-identical** to an uninterrupted run — the
 //! recovery matrix in `tests/checkpoint_recovery.rs` asserts this for every

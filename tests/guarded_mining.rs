@@ -19,7 +19,7 @@ fn scaled(n: usize) -> usize {
 
 fn quest(seed: u64, ncust: usize, slen: f64) -> SequenceDatabase {
     QuestConfig::paper_table11()
-        .with_ncust(scaled(ncust))
+        .with_ncust(ncust)
         .with_nitems(80)
         .with_pools(80, 160)
         .with_slen(slen)
@@ -178,7 +178,7 @@ fn deadline_bounds_a_disc_all_run_on_a_generated_workload() {
     // A workload big enough that full mining takes well over 50 ms, even in
     // release mode: the guarded run must come back Partial, quickly, and
     // sound.
-    let db = quest(42, 2000, 12.0);
+    let db = quest(42, scaled(2000), 12.0);
     let delta = MinSupport::Fraction(0.02).resolve(db.len());
     for miner in [
         Box::new(DiscAll::default()) as Box<dyn SequentialMiner>,
@@ -208,7 +208,7 @@ fn deadline_bounds_a_disc_all_run_on_a_generated_workload() {
 
 #[test]
 fn cancellation_from_another_thread_stops_a_disc_all_run() {
-    let db = quest(43, 2000, 12.0);
+    let db = quest(43, scaled(2000), 12.0);
     let delta = MinSupport::Fraction(0.02).resolve(db.len());
     let token = CancelToken::new();
     let guard = MineGuard::new(token.clone(), ResourceBudget::unlimited());
@@ -283,4 +283,40 @@ fn fallback_chain_as_a_plain_miner_uses_its_first_healthy_stage() {
     let expected = DynamicDiscAll::default().mine(&db, MinSupport::Count(4));
     let got = chain.mine(&db, MinSupport::Count(4));
     assert!(got.diff(&expected).is_empty());
+}
+
+#[test]
+fn pattern_budget_sweep_ends_every_miner_at_exactly_the_cap() {
+    // Caps through the whole pattern count: past the short patterns they
+    // end inside DISC rounds, where a round's seed patterns are noted
+    // before the round runs and reach the result only after it. A partial
+    // result must still hold exactly the noted patterns, each frequent
+    // with its exact support. (A fixed 20-customer database and every
+    // third cap keep the debug run short.)
+    let db = quest(44, 20, 6.0);
+    let delta = 5;
+    let full = BruteForce::default().mine(&db, MinSupport::Count(delta));
+    assert_sound_subset("BruteForce", &db, &full, delta);
+    assert!(full.max_length() >= 5, "too short to reach DISC rounds: {}", full.max_length());
+    let caps = (1..=full.len()).step_by(3).chain([full.len() + 1]);
+    for miner in every_miner() {
+        for cap in caps.clone() {
+            let budget = ResourceBudget::unlimited().with_max_patterns(cap);
+            let guard = MineGuard::new(CancelToken::new(), budget);
+            let run = miner.mine_guarded(&db, MinSupport::Count(delta), &guard);
+            let name = format!("{} at cap {cap}", miner.name());
+            assert_eq!(run.result.len(), cap.min(full.len()), "{name}");
+            assert_eq!(run.stats.patterns, run.result.len(), "{name}");
+            if cap != full.len() {
+                // At exactly the full count, a miner may or may not ask for
+                // one more slot.
+                assert_eq!(run.outcome.is_complete(), cap > full.len(), "{name}");
+            }
+            // Sound: each pattern is in the full (checked) result with the
+            // same support.
+            for (pattern, support) in run.result.iter() {
+                assert_eq!(full.support_of(pattern), Some(support), "{name}: {pattern}");
+            }
+        }
+    }
 }
