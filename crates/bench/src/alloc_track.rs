@@ -4,8 +4,8 @@
 //! bytes and the high-water mark — so measurements can report peak
 //! allocation per run. The offline build environment has no allocation
 //! profiler crates, so the counter lives here; every target that links
-//! `disc-bench` (the experiment runner, the Criterion benches, the crate's
-//! tests) allocates through it.
+//! `disc-bench` (the experiment runner and the crate's tests) allocates
+//! through it.
 //!
 //! The counters use relaxed ordering: they are statistics, not
 //! synchronization, and a few bytes of cross-thread skew in the peak is

@@ -1,7 +1,7 @@
 //! Regenerates the DISC paper's evaluation tables and figures.
 //!
 //! ```text
-//! experiments <fig8|fig9|fig10|table12|table13|table14|parallel|all> [--smoke|--full]
+//! experiments <fig8|fig9|fig10|table12|table13|table14|parallel|ablation|all> [--smoke|--full]
 //! ```
 //!
 //! Default scale divides the paper's customer counts by ten so a full run
@@ -13,7 +13,7 @@ use disc_bench::workloads::Scale;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <fig8|fig9|fig10|table12|table13|table14|parallel|all> [--smoke|--full]"
+        "usage: experiments <fig8|fig9|fig10|table12|table13|table14|parallel|ablation|all> [--smoke|--full]"
     );
     std::process::exit(2);
 }
@@ -38,6 +38,7 @@ fn main() {
         Some("table13") => experiments::table13,
         Some("table14") => experiments::table14,
         Some("parallel") => experiments::parallel,
+        Some("ablation") => experiments::ablation,
         Some("all") => experiments::all,
         _ => usage(),
     };

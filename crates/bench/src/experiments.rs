@@ -7,9 +7,13 @@ use crate::runner::{assert_agreement, measure, measure_with_threads, Measurement
 use crate::workloads::{
     fig10_db, fig8_db, fig8_sizes, fig9_db, fig9_thresholds, theta_grid, Scale, WorkloadCache,
 };
-use disc_algo::{nrr_by_level, DiscAll, DynamicDiscAll, ParallelDiscAll};
+use disc_algo::{
+    nrr_by_level, DiscAll, DynamicDiscAll, ParallelDiscAll, WeightedDatabase, WeightedDisc,
+};
 use disc_baselines::{PrefixSpan, PseudoPrefixSpan};
-use disc_core::{MinSupport, MiningResult, SequenceDatabase, SequentialMiner};
+use disc_core::{
+    GuardedResult, MinSupport, MineGuard, MiningResult, SequenceDatabase, SequentialMiner,
+};
 
 const SEED: u64 = 20040330; // ICDE 2004 conference dates — an arbitrary fixed seed.
 
@@ -238,6 +242,135 @@ pub fn parallel(scale: Scale) {
     let _ = persist("parallel", &measurements);
 }
 
+/// A miner reported under its ablation label ("γ = 0.6", "depth 3"): every
+/// Dynamic DISC-all variant has the same name.
+struct Labeled<M> {
+    label: String,
+    miner: M,
+}
+
+impl<M: SequentialMiner> SequentialMiner for Labeled<M> {
+    fn name(&self) -> &str {
+        &self.label
+    }
+
+    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
+        self.miner.mine(db, min_support)
+    }
+
+    fn mine_guarded(
+        &self,
+        db: &SequenceDatabase,
+        min_support: MinSupport,
+        guard: &MineGuard,
+    ) -> GuardedResult {
+        self.miner.mine_guarded(db, min_support, guard)
+    }
+}
+
+fn labeled(label: String, miner: impl SequentialMiner + 'static) -> Box<dyn SequentialMiner> {
+    Box::new(Labeled { label, miner })
+}
+
+/// [`WeightedDisc`] over a uniform-weight copy of the mined database, so its
+/// weighted supports must equal DISC-all's counts. The copy is built before
+/// the timer starts. Weighted mining has no guarded entry, so the harness
+/// deadline is checked only before the run.
+struct UniformWeighted(WeightedDatabase);
+
+impl SequentialMiner for UniformWeighted {
+    fn name(&self) -> &str {
+        "WeightedDisc (uniform)"
+    }
+
+    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
+        assert_eq!(db.len(), self.0.database().len(), "mined a database it did not weight");
+        WeightedDisc::default().mine(&self.0, min_support.resolve(db.len()))
+    }
+}
+
+/// Times one ablation group on one workload through [`run_sweep`], which
+/// checks every variant bit-identical against the first, and prints a row
+/// per variant with its time relative to the first.
+fn ablation_group(
+    key: &str,
+    db: &SequenceDatabase,
+    variants: &[Box<dyn SequentialMiner>],
+    min_support: MinSupport,
+    rows: &mut Vec<(String, Measurement)>,
+) {
+    let mut measurements = Vec::new();
+    run_sweep(db, variants, min_support, db.len() as f64, &mut measurements);
+    let first = measurements[0].seconds.max(1e-9);
+    for m in measurements {
+        println!(
+            "| {key} | {} | {:.3} | {:.2} | {} |",
+            m.miner,
+            m.seconds,
+            m.seconds / first,
+            m.patterns
+        );
+        rows.push((key.to_string(), m));
+    }
+}
+
+/// **Ablations** (not in the paper) of the design knobs DESIGN.md names:
+///
+/// * bi-level counting on and off, on a sparse workload (Table 11 at the
+///   Figure 8 sweep's smallest size) and a dense one (the Figure 9
+///   database at minsup 0.01);
+/// * Dynamic DISC-all's NRR threshold γ ∈ {0, 0.3, 0.6, 0.9, 2}, on the
+///   Figure 10 databases at θ = 10 and 40 (minsup 0.04). At γ = 0 no
+///   partition is split; at 2 every partition with frequent extensions is,
+///   since an NRR never exceeds 1;
+/// * a fixed partition depth 0–4 on the sparse workload (depth 2 is
+///   DISC-all's policy);
+/// * uniform-weight [`WeightedDisc`] vs DISC-all on the sparse workload.
+///
+/// Each group's variants must agree bit-identically with its first. The
+/// JSON rows are `[group/workload, measurement]` with `param` = customers.
+pub fn ablation(scale: Scale) {
+    println!("## Ablations — bi-level counting, γ, partition depth, uniform weights\n");
+    let cache = WorkloadCache::new();
+    let sparse = cache.get(&fig8_db(fig8_sizes(scale)[0], SEED));
+    // Figure 8's threshold, except where it would put δ at 2 (smoke scale's
+    // 500 customers), which explodes the frequent set.
+    let sparse_minsup = MinSupport::Fraction(if scale == Scale::Smoke { 0.01 } else { 0.0025 });
+    let dense = cache.get(&fig9_db(scale, SEED));
+    println!("| group/workload | variant | seconds | × first | patterns |");
+    println!("|---|---|---|---|---|");
+    let mut rows = Vec::new();
+
+    let bi_level = || -> Vec<Box<dyn SequentialMiner>> {
+        vec![Box::new(DiscAll::default()), Box::new(DiscAll::without_bi_level())]
+    };
+    ablation_group("bi-level/sparse", &sparse, &bi_level(), sparse_minsup, &mut rows);
+    ablation_group("bi-level/dense", &dense, &bi_level(), MinSupport::Fraction(0.01), &mut rows);
+
+    let gammas: Vec<_> = [0.0, 0.3, 0.6, 0.9, 2.0]
+        .into_iter()
+        .map(|g| labeled(format!("γ = {}", trim_float(g)), DynamicDiscAll::with_gamma(g)))
+        .collect();
+    for theta in [10.0, 40.0] {
+        let db = cache.get(&fig10_db(theta, scale, SEED));
+        let key = format!("gamma/θ={theta}");
+        ablation_group(&key, &db, &gammas, MinSupport::Fraction(0.04), &mut rows);
+    }
+
+    let depths: Vec<_> = (0..=4)
+        .map(|d| labeled(format!("depth {d}"), DynamicDiscAll::with_fixed_depth(d)))
+        .collect();
+    ablation_group("depth/sparse", &sparse, &depths, sparse_minsup, &mut rows);
+
+    let weighted: Vec<Box<dyn SequentialMiner>> = vec![
+        Box::new(DiscAll::default()),
+        Box::new(UniformWeighted(WeightedDatabase::uniform(SequenceDatabase::clone(&sparse)))),
+    ];
+    ablation_group("weighted/sparse", &sparse, &weighted, sparse_minsup, &mut rows);
+    println!();
+    let _ = persist("ablation", &rows);
+}
+
 /// Runs every experiment at the given scale. The Figure 9 sweep is shared
 /// with Tables 12 and 13 so the most expensive workload runs once.
 pub fn all(scale: Scale) {
@@ -251,6 +384,7 @@ pub fn all(scale: Scale) {
     table14(scale);
     fig10(scale);
     parallel(scale);
+    ablation(scale);
 }
 
 #[cfg(test)]
@@ -267,6 +401,7 @@ mod tests {
         fig8(Scale::Smoke);
         table12(Scale::Smoke);
         fig10(Scale::Smoke);
+        ablation(Scale::Smoke);
     }
 
     /// A minimal end-to-end pass through the sweep machinery: tiny database,

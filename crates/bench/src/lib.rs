@@ -11,12 +11,15 @@
 //! | Table 13 (Pseudo / DISC-all ratio) | [`experiments::table13`] |
 //! | Table 14 (average NRR vs θ) | [`experiments::table14`] |
 //! | Figure 10 (runtime vs θ) | [`experiments::fig10`] |
+//! | parallel scaling (not in the paper) | [`experiments::parallel`] |
+//! | ablations: bi-level, γ, partition depth, weights (not in the paper) | [`experiments::ablation`] |
 //!
 //! Run them through the `experiments` binary:
 //!
 //! ```text
 //! cargo run --release -p disc-bench --bin experiments -- all
 //! cargo run --release -p disc-bench --bin experiments -- fig8 --full
+//! cargo run --release -p disc-bench --bin experiments -- ablation --smoke
 //! ```
 //!
 //! Default workload sizes are scaled to finish on a laptop (the paper used

@@ -1,5 +1,4 @@
-//! Timing and measurement plumbing shared by the experiment runner and the
-//! Criterion benches.
+//! Timing, measurement and agreement checks for the experiment runner.
 
 use disc_core::{
     CancelToken, DiscError, MinSupport, MineGuard, MiningResult, ResourceBudget, SequenceDatabase,

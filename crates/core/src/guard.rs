@@ -723,7 +723,7 @@ impl MineGuard {
 
     /// Charges `n` operations against the budget. Once the charges since the
     /// last full check reach the interval, runs the full check: fault
-    /// injection, cancellation, deadline, operation and pattern budgets.
+    /// injection, cancellation, deadline and the operation budget.
     #[inline]
     pub fn charge(&self, n: u64) -> Result<(), AbortReason> {
         self.ops.set(self.ops.get().saturating_add(n));
@@ -814,15 +814,9 @@ impl MineGuard {
                 return Err(AbortReason::BudgetExhausted);
             }
         }
-        let patterns_total = match &self.shared {
-            Some(shared) => shared.patterns.load(Ordering::Relaxed),
-            None => self.patterns.get(),
-        };
-        if let Some(max) = self.budget.max_patterns {
-            if patterns_total >= max {
-                return Err(AbortReason::BudgetExhausted);
-            }
-        }
+        // The pattern cap is `note_pattern`'s alone: it refuses the
+        // (cap+1)-th pattern, so a run that finds exactly `cap` ends complete
+        // whether or not a checkpoint follows its last pattern.
         Ok(())
     }
 }

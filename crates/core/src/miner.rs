@@ -24,12 +24,13 @@ pub trait SequentialMiner {
     ///
     /// The default implementation wraps [`SequentialMiner::mine`] in a panic
     /// boundary with a pre-flight guard check: a pre-cancelled token, an
-    /// expired deadline, or a zero budget aborts before any work, and a
-    /// panic becomes [`crate::guard::AbortReason::Panicked`] — but a default
-    /// run cannot stop midway or return partial results. Miners in this
-    /// workspace override it with cooperative implementations that
-    /// checkpoint inside their hot loops and keep whatever was found before
-    /// an abort.
+    /// expired deadline, or a zero operation budget aborts before any work,
+    /// and a panic becomes [`crate::guard::AbortReason::Panicked`] — but a
+    /// default run cannot stop midway or return partial results, and it
+    /// enforces no pattern cap, which only [`MineGuard::note_pattern`]
+    /// checks. Miners in this workspace override it with cooperative
+    /// implementations that checkpoint inside their hot loops and keep
+    /// whatever was found before an abort.
     fn mine_guarded(
         &self,
         db: &SequenceDatabase,

@@ -292,13 +292,14 @@ fn pattern_budget_sweep_ends_every_miner_at_exactly_the_cap() {
     // before the round runs and reach the result only after it. A partial
     // result must still hold exactly the noted patterns, each frequent
     // with its exact support. (A fixed 20-customer database and every
-    // third cap keep the debug run short.)
+    // third cap, plus the full count and one past it, keep the debug run
+    // short.)
     let db = quest(44, 20, 6.0);
     let delta = 5;
     let full = BruteForce::default().mine(&db, MinSupport::Count(delta));
     assert_sound_subset("BruteForce", &db, &full, delta);
     assert!(full.max_length() >= 5, "too short to reach DISC rounds: {}", full.max_length());
-    let caps = (1..=full.len()).step_by(3).chain([full.len() + 1]);
+    let caps = (1..full.len()).step_by(3).chain([full.len(), full.len() + 1]);
     for miner in every_miner() {
         for cap in caps.clone() {
             let budget = ResourceBudget::unlimited().with_max_patterns(cap);
@@ -307,11 +308,9 @@ fn pattern_budget_sweep_ends_every_miner_at_exactly_the_cap() {
             let name = format!("{} at cap {cap}", miner.name());
             assert_eq!(run.result.len(), cap.min(full.len()), "{name}");
             assert_eq!(run.stats.patterns, run.result.len(), "{name}");
-            if cap != full.len() {
-                // At exactly the full count, a miner may or may not ask for
-                // one more slot.
-                assert_eq!(run.outcome.is_complete(), cap > full.len(), "{name}");
-            }
+            // Only a refused (cap+1)-th pattern ends a run early, so a cap
+            // of exactly the full count completes.
+            assert_eq!(run.outcome.is_complete(), cap >= full.len(), "{name}");
             // Sound: each pattern is in the full (checked) result with the
             // same support.
             for (pattern, support) in run.result.iter() {
