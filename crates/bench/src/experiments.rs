@@ -274,8 +274,8 @@ fn labeled(label: String, miner: impl SequentialMiner + 'static) -> Box<dyn Sequ
 
 /// [`WeightedDisc`] over a uniform-weight copy of the mined database, so its
 /// weighted supports must equal DISC-all's counts. The copy is built before
-/// the timer starts. Weighted mining has no guarded entry, so the harness
-/// deadline is checked only before the run.
+/// the timer starts. Its guarded entry runs [`WeightedDisc::mine_guarded`],
+/// so the harness deadline bounds the run itself.
 struct UniformWeighted(WeightedDatabase);
 
 impl SequentialMiner for UniformWeighted {
@@ -284,8 +284,17 @@ impl SequentialMiner for UniformWeighted {
     }
 
     fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
+        self.mine_guarded(db, min_support, &MineGuard::unlimited()).into_complete()
+    }
+
+    fn mine_guarded(
+        &self,
+        db: &SequenceDatabase,
+        min_support: MinSupport,
+        guard: &MineGuard,
+    ) -> GuardedResult {
         assert_eq!(db.len(), self.0.database().len(), "mined a database it did not weight");
-        WeightedDisc::default().mine(&self.0, min_support.resolve(db.len()))
+        WeightedDisc::default().mine_guarded(&self.0, min_support.resolve(db.len()), guard)
     }
 }
 

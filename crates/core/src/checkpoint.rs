@@ -206,26 +206,63 @@ const fn crc_table() -> [u32; 256] {
 
 const CRC_TABLE: [u32; 256] = crc_table();
 
-/// CRC-32 (IEEE 802.3) of a byte slice.
+/// Slicing-by-16 tables: `CRC_SLICES[k][b]` is the CRC register after
+/// byte `b` is followed by `k` zero bytes, so sixteen lookups advance the
+/// CRC over a whole 16-byte block.
+const fn crc_slices() -> [[u32; 256]; 16] {
+    let mut slices = [CRC_TABLE; 16];
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
+}
+
+const CRC_SLICES: [[u32; 256]; 16] = crc_slices();
+
+/// CRC-32 (IEEE 802.3) of a byte slice, sixteen bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let block = u128::from_le_bytes(block.try_into().expect("16-byte block")) ^ u128::from(c);
+        let block = block.to_le_bytes();
+        c = (0..16).fold(0, |acc, i| acc ^ CRC_SLICES[15 - i][block[i] as usize]);
+    }
+    for &b in blocks.remainder() {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// 64-bit FNV-1a of a byte slice. Over a [`codec::encode_database`]
+/// encoding it is that database's [`database_fingerprint`].
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
 }
 
 /// A stable 64-bit fingerprint of a database (FNV-1a over its canonical
 /// binary encoding). Snapshot headers record it so a resume against the
 /// wrong database is rejected instead of silently producing garbage.
 pub fn database_fingerprint(db: &SequenceDatabase) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    codec::encode_database_chunks(db, |bytes| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    });
+    let mut h = FNV_OFFSET;
+    codec::encode_database_chunks(db, |bytes| h = fnv1a_extend(h, bytes));
     h
 }
 
@@ -757,11 +794,50 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time CRC the sliced kernel must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn pseudo_random_bytes(n: usize, mut state: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bytewise_at_every_length_and_offset() {
+        let buf = pseudo_random_bytes(16 + 64, 7);
+        for start in 0..16 {
+            for len in 0..=64 {
+                let slice = &buf[start..start + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "start {start} len {len}");
+            }
+        }
+        let big = pseudo_random_bytes(1 << 20, 11);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn fnv1a_of_the_encoding_is_the_database_fingerprint() {
+        for db in [table1(), SequenceDatabase::new()] {
+            assert_eq!(fnv1a(&codec::encode_database(&db)), database_fingerprint(&db));
+        }
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //!
 //! LEB128 varints plus delta-encoded items keep typical Quest workloads
 //! around 2 bytes per item occurrence.
+//!
+//! Decoders reject non-canonical varints: an overlong encoding (a final
+//! byte of zero after the first byte) and a tenth byte carrying more than
+//! the one bit left of a `u64`. Every value therefore has exactly one
+//! accepted encoding, and so does every database: whatever
+//! [`decode_database`] accepts, [`encode_database`] turns back into the
+//! same bytes. A store snapshot relies on this to check its recorded
+//! fingerprint against the database bytes it has already CRC-checked.
 
 use crate::database::{CustomerId, SequenceDatabase};
 use crate::item::Item;
@@ -35,6 +43,8 @@ pub enum CodecError {
     Truncated,
     /// A varint exceeded 64 bits.
     Overflow,
+    /// A varint was encoded in more bytes than its value needs.
+    Overlong,
     /// Two customers carried the same id — the file is not a database.
     DuplicateCustomer(u64),
     /// A structural invariant was violated (empty transaction, item overflow).
@@ -47,6 +57,7 @@ impl fmt::Display for CodecError {
             CodecError::BadMagic => write!(f, "not a DSCDB1 file"),
             CodecError::Truncated => write!(f, "input ended inside a value"),
             CodecError::Overflow => write!(f, "varint overflow"),
+            CodecError::Overlong => write!(f, "overlong varint"),
             CodecError::DuplicateCustomer(cid) => {
                 write!(f, "customer id {cid} appears more than once")
             }
@@ -69,18 +80,20 @@ pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Reads one varint written by [`put_varint`], accepting only the
+/// canonical encoding: the shortest one, with no bits beyond 64.
 pub(crate) fn get_varint(input: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
         let &byte = input.get(*pos).ok_or(CodecError::Truncated)?;
         *pos += 1;
-        if shift >= 64 {
+        if shift == 63 && byte > 1 {
             return Err(CodecError::Overflow);
         }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
-            return Ok(v);
+            return if byte == 0 && shift > 0 { Err(CodecError::Overlong) } else { Ok(v) };
         }
         shift += 7;
     }
@@ -106,22 +119,28 @@ pub(crate) fn put_sequence(out: &mut Vec<u8>, seq: &Sequence) {
     }
 }
 
+fn remaining(input: &[u8], pos: usize) -> u64 {
+    input.len().saturating_sub(pos) as u64
+}
+
 /// Reads one sequence written by [`put_sequence`], validating every
 /// structural invariant (non-empty transactions, strictly ascending items
 /// within a transaction, ids within `u32`).
 pub(crate) fn get_sequence(input: &[u8], pos: &mut usize) -> Result<Sequence, CodecError> {
     let n_txns = get_varint(input, pos)?;
-    let mut itemsets = Vec::with_capacity(n_txns as usize);
+    // Every transaction and item takes at least one byte: a corrupt count
+    // cannot reserve more than the input could hold.
+    let mut itemsets = Vec::with_capacity(n_txns.min(remaining(input, *pos)) as usize);
     for _ in 0..n_txns {
         let n_items = get_varint(input, pos)?;
         if n_items == 0 {
             return Err(CodecError::Invalid("empty transaction"));
         }
-        let mut items = Vec::with_capacity(n_items as usize);
+        let mut items = Vec::with_capacity(n_items.min(remaining(input, *pos)) as usize);
         let mut prev = 0u64;
         for i in 0..n_items {
             let delta = get_varint(input, pos)?;
-            let v = if i == 0 { delta } else { prev + delta };
+            let v = if i == 0 { delta } else { prev.saturating_add(delta) };
             if v > u64::from(u32::MAX) || (i > 0 && delta == 0) {
                 return Err(CodecError::Invalid("item id out of range or duplicate"));
             }
@@ -243,6 +262,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_an_item_gap_past_u64() {
+        // "(5, 5 + gap)" with a gap that would wrap back below 5.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(MAGIC);
+        for v in [1, 1, 1, 2, 5, u64::MAX - 1] {
+            put_varint(&mut bytes, v);
+        }
+        assert_eq!(
+            decode_database(&bytes),
+            Err(CodecError::Invalid("item id out of range or duplicate"))
+        );
+    }
+
+    #[test]
     fn rejects_duplicate_customer_ids() {
         // Hand-build a file with cid 7 twice: a single-item sequence "(a)"
         // encodes as n_txns=1, n_items=1, item=0.
@@ -272,12 +305,104 @@ mod tests {
 
     #[test]
     fn varint_roundtrip_extremes() {
-        for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX), u64::MAX] {
+        let powers = (0..64).map(|k| 1u64 << k);
+        for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX), u64::MAX]
+            .into_iter()
+            .chain(powers)
+        {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             let mut pos = 0;
             assert_eq!(get_varint(&buf, &mut pos), Ok(v));
             assert_eq!(pos, buf.len());
+        }
+    }
+
+    #[test]
+    fn non_canonical_varints_are_rejected() {
+        for overlong in [&[0x80u8, 0x00][..], &[0x81, 0x00], &[0xFF, 0x80, 0x00]] {
+            assert_eq!(get_varint(overlong, &mut 0), Err(CodecError::Overlong), "{overlong:?}");
+        }
+        // u64::MAX ends in a tenth byte of 0x01; 0x02 would be bit 64.
+        let mut too_wide = vec![0xFFu8; 9];
+        too_wide.push(0x02);
+        assert_eq!(get_varint(&too_wide, &mut 0), Err(CodecError::Overflow));
+        too_wide[9] = 0x81;
+        assert_eq!(get_varint(&too_wide, &mut 0), Err(CodecError::Overflow));
+        too_wide[9] = 0x01;
+        assert_eq!(get_varint(&too_wide, &mut 0), Ok(u64::MAX));
+    }
+
+    use proptest::prelude::*;
+
+    fn arb_database() -> impl Strategy<Value = SequenceDatabase> {
+        let item = prop_oneof![0u32..40, 0u32..=u32::MAX].prop_map(Item);
+        let itemset = proptest::collection::btree_set(item, 1..4)
+            .prop_map(|set| Itemset::from_sorted(set.into_iter().collect()));
+        let seq = proptest::collection::vec(itemset, 0..5).prop_map(Sequence::new);
+        let cid = prop_oneof![0u64..300, any::<u64>()];
+        let cids = proptest::collection::btree_set(cid, 0..8);
+        (cids, proptest::collection::vec(seq, 8)).prop_map(|(cids, seqs)| {
+            let mut db = SequenceDatabase::new();
+            for (cid, seq) in cids.into_iter().zip(seqs) {
+                db.push(CustomerId(cid), seq);
+            }
+            db
+        })
+    }
+
+    /// One byte edit: flip bits, insert a byte, or delete one, at a
+    /// position taken modulo the input length.
+    #[derive(Debug, Clone)]
+    enum Edit {
+        Flip(usize, u8),
+        Insert(usize, u8),
+        Delete(usize),
+    }
+
+    fn arb_edit() -> impl Strategy<Value = Edit> {
+        prop_oneof![
+            (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Edit::Flip(at, mask)),
+            (any::<usize>(), any::<u8>()).prop_map(|(at, b)| Edit::Insert(at, b)),
+            any::<usize>().prop_map(Edit::Delete),
+        ]
+    }
+
+    fn apply(bytes: &mut Vec<u8>, edit: &Edit) {
+        match *edit {
+            Edit::Flip(at, mask) => {
+                let i = at % bytes.len();
+                bytes[i] ^= mask;
+            }
+            Edit::Insert(at, b) => bytes.insert(at % (bytes.len() + 1), b),
+            Edit::Delete(at) => {
+                bytes.remove(at % bytes.len());
+            }
+        }
+    }
+
+    proptest! {
+        /// Decoding is injective: every input it accepts is the one
+        /// encoding of what it decoded to, so hashing the input gives the
+        /// decoded database's fingerprint.
+        #[test]
+        fn accepted_mutants_reencode_to_themselves(
+            db in arb_database(),
+            edits in proptest::collection::vec(arb_edit(), 1..4)
+        ) {
+            let mut bytes = encode_database(&db);
+            for edit in &edits {
+                if !bytes.is_empty() {
+                    apply(&mut bytes, edit);
+                }
+            }
+            if let Ok(decoded) = decode_database(&bytes) {
+                prop_assert_eq!(&encode_database(&decoded), &bytes);
+                prop_assert_eq!(
+                    crate::checkpoint::fnv1a(&bytes),
+                    crate::checkpoint::database_fingerprint(&decoded)
+                );
+            }
         }
     }
 }

@@ -144,7 +144,12 @@ impl FlatFileContents {
     /// The in-memory half of [`encode_database_flat_file`]: fingerprints
     /// `db`, analyzes its dictionary and flattens it onto compact ids.
     pub fn from_database(db: &SequenceDatabase) -> FlatFileContents {
-        let fingerprint = crate::checkpoint::database_fingerprint(db);
+        Self::with_fingerprint(db, crate::checkpoint::database_fingerprint(db))
+    }
+
+    /// [`FlatFileContents::from_database`] for a caller that already holds
+    /// `db`'s fingerprint (a store compaction hashes its encoding once).
+    pub(crate) fn with_fingerprint(db: &SequenceDatabase, fingerprint: u64) -> FlatFileContents {
         let mapping = ItemMapping::analyze(db);
         let flat = FlatDb::from_database_compacted(db, &mapping);
         FlatFileContents { flat, mapping, fingerprint }

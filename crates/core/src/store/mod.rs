@@ -775,8 +775,11 @@ impl SequenceStore {
         }
         self.seal_current()?;
         let first_live = self.next_seg_id;
+        // One encoding and one hash feed the snapshot, its read-back check
+        // and the mirror's header.
+        let db_bytes = crate::codec::encode_database(&self.db);
+        let fingerprint = crate::checkpoint::fnv1a(&db_bytes);
         let rows = self.db.len();
-        let fingerprint = crate::checkpoint::database_fingerprint(&self.db);
         let snap_path = self.dir.join(SNAPSHOT_FILE);
 
         let fault = self.fire(IoWriter::StoreSnapshot, self.snapshot_n);
@@ -785,7 +788,9 @@ impl SequenceStore {
             Some(IoFault::StaleVersion) => SNAPSHOT_VERSION + 1,
             _ => SNAPSHOT_VERSION,
         };
-        let bytes = encode_store_snapshot_version(&self.db, first_live, version);
+        let bytes =
+            encode_store_snapshot_version(&db_bytes, fingerprint, rows, first_live, version);
+        drop(db_bytes);
         let verify = |back: Vec<u8>| {
             decode_store_snapshot(&snap_path, &back).is_ok_and(|s| {
                 s.first_live_segment == first_live
@@ -817,7 +822,9 @@ impl SequenceStore {
         let flat = self.flat_file_path();
         let fault = self.fire(IoWriter::FlatFile, self.flatfile_n);
         self.flatfile_n += 1;
-        let encoded = crate::flatfile::encode_database_flat_file(&self.db);
+        let encoded = crate::flatfile::encode_flat_file(
+            &crate::flatfile::FlatFileContents::with_fingerprint(&self.db, fingerprint),
+        );
         let flat_file_bytes =
             crate::flatfile::write_flat_file_faulted(&flat, &encoded, fault).map_err(|e| {
                 StoreError::Io { path: flat, message: e.to_string(), transient: e.is_transient() }

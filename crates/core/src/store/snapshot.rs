@@ -18,13 +18,16 @@
 //!
 //! Decoding is strict and never returns partial state: bad magic, an
 //! unsupported version, a failed CRC, trailing bytes, or a header that
-//! disagrees with the decoded database (fingerprint or row count) all
+//! disagrees with the database section (fingerprint or row count) all
 //! reject the whole file. The fingerprint is the same FNV-1a over the
 //! canonical DSCDB1 bytes that checkpoints use, so a store snapshot can
-//! serve as a result-cache key later.
+//! serve as a result-cache key later. The decoder hashes the database
+//! section's bytes as read: the DSCDB1 decoder accepts only canonical
+//! encodings, so bytes it accepts are exactly the re-encoding of the
+//! database they decode to, and their hash is that database's fingerprint.
 
 use super::StoreError;
-use crate::checkpoint::{crc32, database_fingerprint};
+use crate::checkpoint::{crc32, fnv1a};
 use crate::codec;
 use crate::database::SequenceDatabase;
 use std::path::Path;
@@ -45,7 +48,10 @@ const SEC_END: u8 = 0xFF;
 pub struct StoreSnapshot {
     /// The folded database.
     pub db: SequenceDatabase,
-    /// FNV-1a fingerprint of `db` (recomputed and verified on load).
+    /// FNV-1a fingerprint of `db`
+    /// ([`crate::checkpoint::database_fingerprint`]). Verified on load
+    /// against the hash of the CRC-checked database section, which equals
+    /// the recomputed fingerprint because decoding is canonical.
     pub fingerprint: u64,
     /// The lowest WAL segment id *not* folded into this snapshot: recovery
     /// replays segments `>= first_live_segment` and deletes the rest.
@@ -62,26 +68,37 @@ fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 /// Encodes a snapshot folding `db`, with segments below `first_live_segment`
 /// superseded.
 pub fn encode_store_snapshot(db: &SequenceDatabase, first_live_segment: u64) -> Vec<u8> {
-    encode_store_snapshot_version(db, first_live_segment, SNAPSHOT_VERSION)
+    let db_bytes = codec::encode_database(db);
+    let fingerprint = fnv1a(&db_bytes);
+    encode_store_snapshot_version(
+        &db_bytes,
+        fingerprint,
+        db.len(),
+        first_live_segment,
+        SNAPSHOT_VERSION,
+    )
 }
 
-/// [`encode_store_snapshot`] stamped with format `version` — the stale
-/// encoding a compaction hands the publisher under the stale-version fault.
+/// [`encode_store_snapshot`] of a database already encoded to `db_bytes`
+/// (DSCDB1, `rows` customers, FNV-1a `fingerprint`), stamped with format
+/// `version` — the stale encoding a compaction hands the publisher under
+/// the stale-version fault.
 pub(super) fn encode_store_snapshot_version(
-    db: &SequenceDatabase,
+    db_bytes: &[u8],
+    fingerprint: u64,
+    rows: usize,
     first_live_segment: u64,
     version: u64,
 ) -> Vec<u8> {
-    let db_bytes = codec::encode_database(db);
     let mut header = Vec::with_capacity(8 + 10 + 10);
-    header.extend_from_slice(&database_fingerprint(db).to_le_bytes());
-    codec::put_varint(&mut header, db.len() as u64);
+    header.extend_from_slice(&fingerprint.to_le_bytes());
+    codec::put_varint(&mut header, rows as u64);
     codec::put_varint(&mut header, first_live_segment);
     let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + db_bytes.len() + 64);
     out.extend_from_slice(SNAPSHOT_MAGIC);
     codec::put_varint(&mut out, version);
     put_section(&mut out, SEC_HEADER, &header);
-    put_section(&mut out, SEC_DATABASE, &db_bytes);
+    put_section(&mut out, SEC_DATABASE, db_bytes);
     put_section(&mut out, SEC_END, &[]);
     out
 }
@@ -165,7 +182,9 @@ pub fn decode_store_snapshot(path: &Path, input: &[u8]) -> Result<StoreSnapshot,
     if db.len() as u64 != rows {
         return Err(corrupt(path, "row count disagrees with database section"));
     }
-    if database_fingerprint(&db) != fingerprint {
+    // The section decoded, so it is the canonical encoding of `db` and its
+    // hash is `database_fingerprint(&db)`.
+    if fnv1a(database) != fingerprint {
         return Err(corrupt(path, "fingerprint disagrees with database section"));
     }
     Ok(StoreSnapshot { db, fingerprint, first_live_segment })
@@ -174,6 +193,7 @@ pub fn decode_store_snapshot(path: &Path, input: &[u8]) -> Result<StoreSnapshot,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::database_fingerprint;
 
     fn table1() -> SequenceDatabase {
         SequenceDatabase::from_parsed(&[

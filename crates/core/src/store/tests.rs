@@ -320,3 +320,93 @@ fn renamed_segment_is_refused() {
     fs::rename(&tmp, &b).unwrap();
     assert!(matches!(SequenceStore::open(&dir, cfg), Err(StoreError::SegmentIdMismatch { .. })));
 }
+
+/// A reproducible database of `n` customers: gapped customer ids, one to
+/// five transactions of one to four items, and some item ids far above the
+/// rest, so the mirror's dictionary is not the identity.
+fn seeded_rows(n: u64, mut state: u64) -> Vec<(CustomerId, Sequence)> {
+    let mut next = move |bound: u64| {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % bound
+    };
+    (0..n)
+        .map(|i| {
+            let txns = (0..1 + next(5))
+                .map(|_| {
+                    let items: std::collections::BTreeSet<u32> =
+                        (0..1 + next(4))
+                            .map(|_| {
+                                if next(10) == 0 {
+                                    70_000 + next(3) as u32
+                                } else {
+                                    next(60) as u32
+                                }
+                            })
+                            .collect();
+                    crate::itemset::Itemset::from_sorted(
+                        items.into_iter().map(crate::item::Item).collect(),
+                    )
+                })
+                .collect::<Vec<_>>();
+            (CustomerId(i * 3 + next(3)), Sequence::new(txns))
+        })
+        .collect()
+}
+
+/// Every file a store and a checkpoint write, as `(name, length, FNV-1a)`,
+/// sorted by name. The constants below were recorded from the format as it
+/// stood before the encoder and checksum kernels were optimized; any drift
+/// in a snapshot, WAL segment, `DSCFD1` mirror or checkpoint byte fails.
+fn written_file_digests() -> Vec<(String, u64, u64)> {
+    let dir = fresh_dir("golden");
+    let rows = seeded_rows(400, 20_040_330);
+    let cfg = StoreConfig { sync: SyncPolicy::Never, segment_max_bytes: 4096 };
+    let mut store = SequenceStore::open(&dir, cfg).unwrap();
+    ingest(&mut store, &rows[..300]);
+    store.compact().unwrap();
+    ingest(&mut store, &rows[300..]);
+    let db = store.view();
+    store.close().unwrap();
+
+    let snap = crate::checkpoint::MiningSnapshot {
+        fingerprint: crate::checkpoint::database_fingerprint(&db),
+        rows: db.len() as u64,
+        delta: 3,
+        miner: crate::checkpoint::MINER_DISC_ALL,
+        bi_level: true,
+        threads: 1,
+        done: vec![0, 2, 5],
+        patterns: rows[..20].iter().map(|(_, s)| (s.clone(), 3)).collect(),
+        ops: 987_654,
+        noted_patterns: 20,
+    };
+    crate::checkpoint::write_snapshot(&dir.join("mine.dscck"), &snap).unwrap();
+
+    let mut digests: Vec<(String, u64, u64)> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let bytes = fs::read(entry.path()).unwrap();
+            let name = entry.file_name().into_string().unwrap();
+            (name, bytes.len() as u64, crate::checkpoint::fnv1a(&bytes))
+        })
+        .collect();
+    digests.sort();
+    let _ = fs::remove_dir_all(&dir);
+    digests
+}
+
+#[test]
+fn written_files_are_byte_identical_to_the_recorded_format() {
+    let digests = written_file_digests();
+    let expected: &[(&str, u64, u64)] = &[
+        ("mine.dscck", 336, 0xd8a6_d83b_71dd_6cd3),
+        ("store.dscfd", 24828, 0x69d4_eaa9_902f_d797),
+        ("store.dscsn", 4507, 0xf948_4b37_d68b_c1a9),
+        ("wal-00000003.dscwl", 2166, 0xe3ab_c51e_5462_57c3),
+    ];
+    let got: Vec<(&str, u64, u64)> =
+        digests.iter().map(|(name, len, fnv)| (name.as_str(), *len, *fnv)).collect();
+    assert_eq!(got, expected);
+}

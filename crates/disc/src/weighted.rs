@@ -25,7 +25,8 @@
 use crate::disc_all::{mine_partitioned, DiscConfig, Engine, DISC_ALL_POLICY};
 use crate::resume::mine_on_flat;
 use disc_core::{
-    contains, run_guarded, CustomerId, MineGuard, MiningResult, Sequence, SequenceDatabase,
+    contains, run_guarded, CustomerId, GuardedResult, MineGuard, MiningResult, Sequence,
+    SequenceDatabase,
 };
 
 /// A sequence database whose customers carry weights.
@@ -108,19 +109,30 @@ impl WeightedDisc {
     /// Mines every pattern with weighted support ≥ `delta_w`. Supports in
     /// the result are weighted supports.
     pub fn mine(&self, wdb: &WeightedDatabase, delta_w: u64) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        let run = mine_on_flat(&wdb.db, |flat| {
+        self.mine_guarded(wdb, delta_w, &MineGuard::unlimited()).into_complete()
+    }
+
+    /// [`WeightedDisc::mine`] under `guard`: cancellable, deadline- and
+    /// budget-bound, with a pattern cap, as DISC-all's guarded entry. A
+    /// partial result holds only patterns with their exact weighted
+    /// supports.
+    pub fn mine_guarded(
+        &self,
+        wdb: &WeightedDatabase,
+        delta_w: u64,
+        guard: &MineGuard,
+    ) -> GuardedResult {
+        mine_on_flat(&wdb.db, |flat| {
             let engine = Engine {
                 flat,
                 weights: Some(&wdb.weights),
                 delta: delta_w.max(1),
                 policy: DISC_ALL_POLICY,
                 config: DiscConfig { bi_level: self.bi_level },
-                guard: &guard,
+                guard,
             };
-            run_guarded(&guard, |result| mine_partitioned(&engine, result, None))
-        });
-        run.into_complete()
+            run_guarded(guard, |result| mine_partitioned(&engine, result, None))
+        })
     }
 }
 
@@ -128,7 +140,9 @@ impl WeightedDisc {
 mod tests {
     use super::*;
     use crate::DiscAll;
-    use disc_core::{parse_sequence, Item, MinSupport, SequentialMiner};
+    use disc_core::{
+        parse_sequence, CancelToken, Item, MinSupport, ResourceBudget, SequentialMiner,
+    };
 
     fn seq(s: &str) -> Sequence {
         parse_sequence(s).unwrap()
@@ -225,6 +239,23 @@ mod tests {
         // The heavy pair's longest shared pattern is frequent at δ_w = 8.
         let got = WeightedDisc::default().mine(&heavy_pair_weighted(), 8);
         assert_eq!(got.support_of(&seq("(a,b)(c)(d,e)(f)")), Some(10));
+    }
+
+    #[test]
+    fn pattern_cap_ends_a_weighted_run_with_exact_weighted_supports() {
+        let wdb = heavy_pair_weighted();
+        let full = WeightedDisc::default().mine(&wdb, 3);
+        assert!(full.len() > 8, "too few patterns to cap: {}", full.len());
+        for cap in [1, 2, 5, full.len() - 1] {
+            let budget = ResourceBudget::unlimited().with_max_patterns(cap);
+            let guard = MineGuard::new(CancelToken::new(), budget);
+            let run = WeightedDisc::default().mine_guarded(&wdb, 3, &guard);
+            assert!(!run.outcome.is_complete(), "cap {cap}: {:?}", run.outcome);
+            assert_eq!(run.result.len(), cap, "cap {cap}");
+            for (pattern, support) in run.result.iter() {
+                assert_eq!(full.support_of(pattern), Some(support), "cap {cap}: {pattern}");
+            }
+        }
     }
 
     #[test]
