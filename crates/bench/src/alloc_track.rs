@@ -96,27 +96,3 @@ pub fn peak_bytes() -> usize {
 pub fn live_bytes() -> usize {
     CURRENT.load(Ordering::Relaxed)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn peak_tracks_a_large_allocation() {
-        let _measuring = measuring();
-        reset_peak();
-        let before = peak_bytes();
-        let buf = vec![0u8; 1 << 20];
-        let during = peak_bytes();
-        drop(buf);
-        assert!(
-            during >= before + (1 << 20),
-            "peak should rise by at least the 1 MiB allocation: before={before} during={during}"
-        );
-        // After the drop the peak stays at the high-water mark…
-        assert!(peak_bytes() >= during);
-        // …until a reset brings it back down to the live count.
-        reset_peak();
-        assert!(peak_bytes() < during);
-    }
-}

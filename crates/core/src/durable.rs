@@ -1,8 +1,7 @@
 //! **One durable publish path** for every file the workspace replaces
 //! atomically: the mining checkpoint (`core::checkpoint`), the DSCFD1 flat
-//! file (`core::flatfile`, standalone or as a store's mirror), the store
-//! snapshot (`core::store`), and the server's `manifest` and per-job
-//! `result.tsv`.
+//! file (`core::flatfile`, standalone or as a store's data file), and the
+//! server's `manifest` and per-job `result.tsv`.
 //!
 //! [`publish`] writes `<path>.tmp`, fsyncs it, optionally reads it back and
 //! verifies it, renames it over `<path>`, and fsyncs the parent directory.
@@ -32,14 +31,12 @@ pub enum IoWriter {
     Checkpoint,
     /// A WAL frame append (`core::store::wal`).
     WalAppend,
-    /// A store snapshot publication during compaction (`core::store`).
+    /// The publication of a store's data file during compaction
+    /// (`core::store`).
     StoreSnapshot,
-    /// A store file read during recovery or fsck (`core::store`). Targets
-    /// the n-th file opened, for short-read and `EINTR` injection.
+    /// A store file read during recovery (`core::store`). Targets the n-th
+    /// file opened, for short-read and `EINTR` injection.
     StoreRead,
-    /// A DSCFD1 flat-file publication (`core::flatfile`), standalone or as
-    /// the columnar mirror a store compaction emits.
-    FlatFile,
     /// The job server's `manifest` (databases, jobs, id counter).
     Manifest,
     /// A finished job's `result.tsv` in the job server's data directory.

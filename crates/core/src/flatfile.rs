@@ -32,18 +32,26 @@
 //!     64     4  section count
 //!     68     4  header CRC32 — over bytes [0, 128 + 32·sections) with this
 //!                slot zeroed
-//!     72    56  reserved (zero)
+//!     72     8  store slot: the lowest WAL segment id the file does not
+//!                fold (0 in a file no store wrote)
+//!     80    48  reserved (zero)
 //!    128   32·n  section table: {tag u32, 0, offset u64, byte_len u64,
 //!                CRC32 u32, 0} per section
 //!    ...        section payloads, each offset page-aligned (4096)
 //! ```
 //!
-//! Section tags: 1 items, 2 set_starts, 3 row_sets, 4 dictionary. Items are
-//! stored in the **compact** id space (dense from 0), with the dictionary
-//! always written so results can be translated back; compaction is
-//! monotone, so the comparative order of the stored database equals that of
-//! the original — mining the mapped columns yields exactly the original
-//! patterns after [`FlatFileContents::restore`].
+//! Section tags: 1 items, 2 set_starts, 3 row_sets, 4 dictionary, 6
+//! customer ids (one u64 per row). Items are stored in the **compact** id
+//! space (dense from 0), with the dictionary always written so results can
+//! be translated back; compaction is monotone, so the comparative order of
+//! the stored database equals that of the original — mining the mapped
+//! columns yields exactly the original patterns after
+//! [`FlatFileContents::restore`].
+//!
+//! Every writer writes the customer ids; mining never reads them. A
+//! [`crate::store::SequenceStore`] keeps its rows in one such file
+//! (`store.dscfd`). Files written by earlier builds carry no section 6 and a
+//! zero slot, and open and mine as before.
 //!
 //! Files written by earlier builds may also carry tag 5, a packed-u32 word
 //! column index-parallel to the items (flag bit 0). Nothing reads it any
@@ -78,7 +86,6 @@ use crate::item::Item;
 use crate::mmap::{Advice, Mmap};
 use crate::result::MiningResult;
 use crate::storage::DbStorage;
-use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -86,13 +93,14 @@ use std::sync::Arc;
 pub const FLAT_FILE_MAGIC: [u8; 8] = *b"DSCFD1\0\0";
 /// The format version this build reads and writes.
 pub const FLAT_FILE_VERSION: u32 = 1;
-/// File name of the columnar mirror a [`crate::store::SequenceStore`]
-/// compaction emits next to its snapshot.
+/// File name of a [`crate::store::SequenceStore`]'s data file: the
+/// compacted database, which each compaction republishes.
 pub const FLAT_FILE_NAME: &str = "store.dscfd";
 
 const HEADER_LEN: usize = 128;
 const ENTRY_LEN: usize = 32;
 const CRC_SLOT: usize = 68;
+const STORE_SLOT: usize = 72;
 const PAGE: usize = 4096;
 /// Flag of the packed word column earlier builds wrote (section 5).
 const FLAG_PACKED: u32 = 1;
@@ -104,6 +112,8 @@ const SEC_ROW_SETS: u32 = 3;
 const SEC_DICT: u32 = 4;
 /// The legacy packed word column: verified, never read.
 const SEC_PACKED: u32 = 5;
+/// Customer ids, one u64 (two little-endian u32 words) per row.
+const SEC_CIDS: u32 = 6;
 
 /// How much of a flat file [`open_flat_file`] checks before trusting it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,8 +145,7 @@ pub struct FlatFileContents {
     pub mapping: ItemMapping,
     /// FNV-1a fingerprint of the source database in original ids
     /// ([`crate::checkpoint::database_fingerprint`]) — the cache key and
-    /// checkpoint identity of the database, and the staleness check against
-    /// a store snapshot.
+    /// checkpoint identity of the database.
     pub fingerprint: u64,
 }
 
@@ -144,15 +153,9 @@ impl FlatFileContents {
     /// The in-memory half of [`encode_database_flat_file`]: fingerprints
     /// `db`, analyzes its dictionary and flattens it onto compact ids.
     pub fn from_database(db: &SequenceDatabase) -> FlatFileContents {
-        Self::with_fingerprint(db, crate::checkpoint::database_fingerprint(db))
-    }
-
-    /// [`FlatFileContents::from_database`] for a caller that already holds
-    /// `db`'s fingerprint (a store compaction hashes its encoding once).
-    pub(crate) fn with_fingerprint(db: &SequenceDatabase, fingerprint: u64) -> FlatFileContents {
         let mapping = ItemMapping::analyze(db);
         let flat = FlatDb::from_database_compacted(db, &mapping);
-        FlatFileContents { flat, mapping, fingerprint }
+        FlatFileContents { flat, mapping, fingerprint: crate::checkpoint::database_fingerprint(db) }
     }
 
     /// Translates a result mined from [`FlatFileContents::flat`] back to
@@ -230,21 +233,23 @@ fn push_section(
     });
 }
 
-/// Encodes a loaded database into `DSCFD1` bytes. Its dictionary must
-/// cover exactly the compact id space of its columns
-/// (`mapping.len() == max_item + 1`), as [`FlatFileContents::from_database`]
-/// builds it.
-pub fn encode_flat_file(loaded: &FlatFileContents) -> Vec<u8> {
+/// Encodes `db` into `DSCFD1` bytes with `first_live_segment` in the store
+/// slot (0 outside a store), and returns them with `db`'s fingerprint.
+pub(crate) fn encode_flat_file(db: &SequenceDatabase, first_live_segment: u64) -> (Vec<u8>, u64) {
+    let loaded = FlatFileContents::from_database(db);
     let (items, sets, rows) = loaded.flat.columns();
     let dict = loaded.mapping.originals().iter().map(|i| i.id());
-    let mut out = vec![0u8; HEADER_LEN + 4 * ENTRY_LEN];
-    let mut entries = Vec::with_capacity(4);
+    let cids = db.rows().iter().flat_map(|r| [r.cid.0 as u32, (r.cid.0 >> 32) as u32]);
+    let mut out = vec![0u8; HEADER_LEN + 5 * ENTRY_LEN];
+    let mut entries = Vec::with_capacity(5);
     push_section(&mut out, &mut entries, SEC_ITEMS, items.iter().map(|i| i.id()));
     push_section(&mut out, &mut entries, SEC_SET_STARTS, sets.iter().copied());
     push_section(&mut out, &mut entries, SEC_ROW_SETS, rows.iter().copied());
     push_section(&mut out, &mut entries, SEC_DICT, dict);
-    finish_header(&mut out, loaded, 0, &entries);
-    out
+    push_section(&mut out, &mut entries, SEC_CIDS, cids);
+    put_u64(&mut out, STORE_SLOT, first_live_segment);
+    finish_header(&mut out, &loaded, 0, &entries);
+    (out, loaded.fingerprint)
 }
 
 /// Fills in the header and section table in front of the section payloads
@@ -280,14 +285,14 @@ fn finish_header(out: &mut [u8], loaded: &FlatFileContents, flags: u32, entries:
     refresh_header_crc(out);
 }
 
-/// Encodes a [`SequenceDatabase`] end to end:
-/// [`FlatFileContents::from_database`], then [`encode_flat_file`].
+/// Encodes a [`SequenceDatabase`] as a standalone `DSCFD1` file (store
+/// slot 0).
 ///
 /// This is the *packing* step and it is in-memory: it builds the full
 /// columns before writing. Mining the resulting file is what runs
 /// out-of-core.
 pub fn encode_database_flat_file(db: &SequenceDatabase) -> Vec<u8> {
-    encode_flat_file(&FlatFileContents::from_database(db))
+    encode_flat_file(db, 0).0
 }
 
 // ---------------------------------------------------------------------------
@@ -303,6 +308,7 @@ struct Header {
     max_item_plus_one: u32,
     max_txns: u32,
     fingerprint: u64,
+    first_live_segment: u64,
     entries: Vec<SectionEntry>,
 }
 
@@ -371,6 +377,7 @@ fn parse_header(path: &Path, bytes: &[u8], file_len: u64) -> Result<Header, Disc
         max_item_plus_one: u32_at(bytes, 48),
         max_txns: u32_at(bytes, 52),
         fingerprint: u64_at(bytes, 56),
+        first_live_segment: u64_at(bytes, STORE_SLOT),
         entries,
     })
 }
@@ -428,6 +435,20 @@ fn col_items(map: &Arc<Mmap>, off: usize, len: usize) -> DbStorage<Item> {
     )
 }
 
+/// What a store reads from its data file besides the database: the store
+/// slot and the customer ids (two little-endian u32 words per row).
+pub(crate) struct StoreSlots {
+    pub first_live_segment: u64,
+    cid_words: DbStorage<u32>,
+}
+
+impl StoreSlots {
+    /// The customer id of row `i`.
+    pub fn cid(&self, i: usize) -> u64 {
+        u64::from(self.cid_words[2 * i]) | u64::from(self.cid_words[2 * i + 1]) << 32
+    }
+}
+
 /// Opens, verifies, and decodes the flat file at `path`, memory-mapping it
 /// so the returned columns borrow from the page cache where the platform
 /// allows (see [`crate::mmap`]). Hints the kernel that access will be
@@ -435,10 +456,14 @@ fn col_items(map: &Arc<Mmap>, off: usize, len: usize) -> DbStorage<Item> {
 /// which is what keeps resident memory bounded on databases larger than
 /// RAM.
 pub fn open_flat_file(path: &Path, verify: Verify) -> Result<FlatFileContents, DiscError> {
+    Ok(decode_from_map(path, map_file(path)?, verify)?.0)
+}
+
+fn map_file(path: &Path) -> Result<Arc<Mmap>, DiscError> {
     let map = Arc::new(Mmap::open(path).map_err(|e| DiscError::from_io(path, &e))?);
     map.advise(Advice::WillNeed);
     map.advise(Advice::Sequential);
-    decode_from_map(path, map, verify)
+    Ok(map)
 }
 
 /// Decodes `DSCFD1` bytes already in memory (columns are heap-owned copies
@@ -449,14 +474,31 @@ pub fn decode_flat_file(
     bytes: Vec<u8>,
     verify: Verify,
 ) -> Result<FlatFileContents, DiscError> {
-    decode_from_map(path, Arc::new(Mmap::from_vec(bytes)), verify)
+    Ok(decode_from_map(path, Arc::new(Mmap::from_vec(bytes)), verify)?.0)
 }
 
+/// A store's data file under [`Verify::Full`]: decoded from `bytes` when
+/// given, else mapped from `path`. Refuses a file without a store slot.
+pub(crate) fn load_store_file(
+    path: &Path,
+    bytes: Option<Vec<u8>>,
+) -> Result<(FlatFileContents, StoreSlots), DiscError> {
+    let map = match bytes {
+        Some(bytes) => Arc::new(Mmap::from_vec(bytes)),
+        None => map_file(path)?,
+    };
+    match decode_from_map(path, map, Verify::Full)? {
+        (contents, Some(slots)) => Ok((contents, slots)),
+        _ => Err(bad(path, "no store slot: not a store data file")),
+    }
+}
+
+/// Decodes a mapped file, with its store slot when it carries one.
 fn decode_from_map(
     path: &Path,
     map: Arc<Mmap>,
     verify: Verify,
-) -> Result<FlatFileContents, DiscError> {
+) -> Result<(FlatFileContents, Option<StoreSlots>), DiscError> {
     let bytes = map.bytes();
     let header = parse_header(path, bytes, map.len() as u64)?;
 
@@ -477,6 +519,9 @@ fn decode_from_map(
         }
         None
     };
+    let cids = header.entries.iter().any(|e| e.tag == SEC_CIDS);
+    let cids = cids.then(|| header.section(path, SEC_CIDS, header.n_rows.saturating_mul(2)));
+    let cids = cids.transpose()?;
     if u64::from(header.max_item_plus_one) != header.dict_len {
         return Err(bad(path, "dictionary length must cover the compact id space"));
     }
@@ -490,6 +535,7 @@ fn decode_from_map(
         ]
         .into_iter()
         .chain(legacy_packed.map(|(off, n)| (SEC_PACKED, off, n)))
+        .chain(cids.map(|(off, n)| (SEC_CIDS, off, n)))
         {
             if crc32(&bytes[off..off + n * 4]) != header.crc_of(tag) {
                 return Err(bad(path, "section CRC mismatch"));
@@ -541,37 +587,36 @@ fn decode_from_map(
 
     let max_item =
         if header.max_item_plus_one == 0 { None } else { Some(Item(header.max_item_plus_one - 1)) };
-    Ok(FlatFileContents {
+    let first_live_segment = header.first_live_segment;
+    let slots = cids
+        .filter(|_| first_live_segment != 0)
+        .map(|(off, n)| StoreSlots { first_live_segment, cid_words: col_u32(&map, off, n) });
+    let contents = FlatFileContents {
         flat: FlatDb::from_columns(items, sets, rows, max_item),
         mapping: ItemMapping::from_originals(dict),
         fingerprint: header.fingerprint,
-    })
-}
-
-/// Reads just the header of the flat file at `path` — magic, version, and
-/// header CRC are verified — and returns the stored source-database
-/// fingerprint. A few hundred bytes of IO: the staleness check the store
-/// runs on recovery and `store mine --mmap` runs before mapping.
-pub fn peek_flat_file_fingerprint(path: &Path) -> Result<u64, DiscError> {
-    use std::io::Read;
-    let file = fs::File::open(path).map_err(|e| DiscError::from_io(path, &e))?;
-    let file_len = file.metadata().map_err(|e| DiscError::from_io(path, &e))?.len();
-    let mut head = Vec::with_capacity(PAGE.min(file_len as usize));
-    file.take(PAGE as u64).read_to_end(&mut head).map_err(|e| DiscError::from_io(path, &e))?;
-    Ok(parse_header(path, &head, file_len)?.fingerprint)
+    };
+    Ok((contents, slots))
 }
 
 // ---------------------------------------------------------------------------
 // Atomic publication
 // ---------------------------------------------------------------------------
 
-/// Publishes `bytes` (a [`encode_flat_file`] encoding) at `path` through
+/// Publishes `bytes` (a `DSCFD1` encoding) at `path` through
 /// [`durable::publish`], read-back verified: the temp file must hold
 /// exactly `bytes` and pass a [`Verify::Full`] decode before it is renamed
 /// into place. On any error the final path is either untouched or the
 /// previous complete file. Returns the byte count written.
 pub fn write_flat_file(path: &Path, bytes: &[u8]) -> Result<u64, DiscError> {
-    write_flat_file_faulted(path, bytes, None)
+    write_flat_file_faulted(path, bytes, None).map_err(|e| match e {
+        PublishError::Unverified { .. } => bad(path, "post-write verification failed"),
+        e => DiscError::Io {
+            path: e.path().to_path_buf(),
+            message: e.to_string(),
+            transient: e.is_transient(),
+        },
+    })
 }
 
 /// [`write_flat_file`] staging an injected `fault` (`None` outside the
@@ -582,7 +627,7 @@ pub(crate) fn write_flat_file_faulted(
     path: &Path,
     bytes: &[u8],
     fault: Option<IoFault>,
-) -> Result<u64, DiscError> {
+) -> Result<u64, PublishError> {
     let mut stale = Vec::new();
     let bytes = if fault == Some(IoFault::StaleVersion) {
         stale.extend_from_slice(bytes);
@@ -593,14 +638,7 @@ pub(crate) fn write_flat_file_faulted(
         bytes
     };
     let verify = |back: Vec<u8>| decode_flat_file(path, back, Verify::Full).is_ok();
-    durable::publish(path, bytes, Some(&verify), fault).map_err(|e| match e {
-        PublishError::Unverified { .. } => bad(path, "post-write verification failed"),
-        e => DiscError::Io {
-            path: e.path().to_path_buf(),
-            message: e.to_string(),
-            transient: e.is_transient(),
-        },
-    })?;
+    durable::publish(path, bytes, Some(&verify), fault)?;
     Ok(bytes.len() as u64)
 }
 
@@ -746,7 +784,6 @@ mod tests {
         write_flat_file(&path, &encode_database_flat_file(&db)).unwrap();
         let contents = open_flat_file(&path, Verify::Full).unwrap();
         assert_eq!(contents.fingerprint, database_fingerprint(&db));
-        assert_eq!(peek_flat_file_fingerprint(&path).unwrap(), contents.fingerprint);
         #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
         assert!(contents.is_mapped());
         let _ = std::fs::remove_dir_all(&dir);
@@ -805,7 +842,7 @@ mod tests {
         let bytes = encode_database_flat_file(&paper_db());
         for fault in [IoFault::CorruptByte, IoFault::StaleVersion] {
             let err = write_flat_file_faulted(&path, &bytes, Some(fault)).unwrap_err();
-            assert!(matches!(err, DiscError::FlatFile { .. }), "{fault:?}: {err}");
+            assert!(matches!(err, PublishError::Unverified { .. }), "{fault:?}: {err}");
             assert!(!path.exists(), "{fault:?} must not publish");
         }
         write_flat_file(&path, &bytes).unwrap();

@@ -91,9 +91,8 @@ pub use error::{DiscError, ParseError};
 pub use executor::{ParallelExecutor, ParallelRun, TaskOutcome};
 pub use flat::{flat_pairs, FlatArena, FlatDb, FlatSeq, SeqView};
 pub use flatfile::{
-    decode_flat_file, encode_database_flat_file, encode_flat_file, open_flat_file,
-    peek_flat_file_fingerprint, write_flat_file, FlatFileContents, Verify, FLAT_FILE_MAGIC,
-    FLAT_FILE_NAME,
+    decode_flat_file, encode_database_flat_file, open_flat_file, write_flat_file, FlatFileContents,
+    Verify, FLAT_FILE_MAGIC, FLAT_FILE_NAME,
 };
 #[cfg(any(test, feature = "fault-injection"))]
 pub use guard::FaultPlan;
@@ -114,7 +113,8 @@ pub use sequence::{ExtElem, ExtMode, Sequence};
 pub use storage::{ColumnWord, DbStorage, MappedCol};
 pub use store::fsck::{fsck, FsckReport, SegmentStatus, SnapshotStatus};
 pub use store::{
-    CompactionReport, RecoveryReport, SequenceStore, StoreConfig, StoreError, SyncPolicy,
+    open_fresh, CompactionReport, RecoveryReport, SequenceStore, StoreConfig, StoreError,
+    SyncPolicy,
 };
 pub use support::{support_count, MinSupport};
 pub use topk::TopK;

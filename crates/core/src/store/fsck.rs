@@ -1,25 +1,28 @@
 //! Read-only auditing of a store directory: what recovery *would* do.
 //!
-//! [`fsck`] never mutates anything — it classifies the snapshot and every
-//! segment, so an operator (or CI) can distinguish a store that is clean,
+//! [`fsck`] never mutates anything — it classifies the snapshot (the data
+//! file, through recovery's loader) and every segment, as recovery does, so
+//! an operator (or CI) can distinguish a store that is clean,
 //! one that recovery will repair (a torn tail from a crash, stale segments
 //! from an interrupted compaction), and one that is genuinely corrupt
 //! (mid-file damage recovery refuses to guess past).
 
-use super::snapshot::{decode_store_snapshot, SNAPSHOT_FILE};
-use super::wal::{decode_segment_header, scan_frames, ScanOutcome, SEGMENT_HEADER_LEN};
-use super::{list_segments, StoreError};
+use super::snapshot::SNAPSHOT_FILE;
+use super::wal::{decode_segment_header, scan_frames, ScanOutcome, WalRecord, SEGMENT_HEADER_LEN};
+use super::{list_segments, load_base, StoreError};
+use crate::durable::tmp_path;
+use crate::flatfile::FLAT_FILE_NAME;
 use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// The snapshot's state, as fsck found it.
+/// The state of the store's compacted rows, as fsck found them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotStatus {
-    /// No snapshot file — every record lives in WAL segments.
+    /// Never compacted — every record lives in WAL segments.
     Absent,
-    /// The snapshot decoded and self-verified.
+    /// The data file (or a legacy snapshot) decoded and self-verified.
     Valid {
         /// Rows in the folded database.
         rows: usize,
@@ -28,7 +31,7 @@ pub enum SnapshotStatus {
         /// The lowest segment id the snapshot does *not* supersede.
         first_live_segment: u64,
     },
-    /// The snapshot failed its strict verification; recovery will refuse
+    /// The data file failed its strict verification; recovery will refuse
     /// to open this store.
     Corrupt {
         /// What was wrong.
@@ -88,7 +91,8 @@ pub struct FsckReport {
     pub snapshot: SnapshotStatus,
     /// Every segment file, in id order.
     pub segments: Vec<SegmentCheck>,
-    /// Whether a stray snapshot temp file (interrupted compaction) exists.
+    /// Whether an interrupted compaction left a removable file behind: a
+    /// stray temp file, or a legacy `store.dscsn` the data file replaced.
     pub stray_tmp: bool,
     /// Records recovery would restore: snapshot rows plus valid frames in
     /// live segments.
@@ -136,7 +140,7 @@ impl fmt::Display for FsckReport {
             SnapshotStatus::Corrupt { what } => writeln!(f, "  snapshot: CORRUPT — {what}")?,
         }
         if self.stray_tmp {
-            writeln!(f, "  stray snapshot temp file (interrupted compaction; removable)")?;
+            writeln!(f, "  stray file from an interrupted compaction (removable)")?;
         }
         for seg in &self.segments {
             write!(f, "  segment {:08} ({} bytes): ", seg.id, seg.bytes)?;
@@ -167,77 +171,78 @@ impl fmt::Display for FsckReport {
 /// Audits a store directory without mutating it. Only real IO failures
 /// return `Err`; damage is reported inside the [`FsckReport`].
 pub fn fsck(dir: &Path) -> Result<FsckReport, StoreError> {
-    let snap_path = dir.join(SNAPSHOT_FILE);
     let mut cids: HashSet<u64> = HashSet::new();
     let mut acked = 0u64;
     let mut first_live = 1u64;
-    let snapshot = if snap_path.exists() {
-        let bytes = fs::read(&snap_path).map_err(|e| StoreError::io(&snap_path, e))?;
-        match decode_store_snapshot(&snap_path, &bytes) {
-            Ok(snap) => {
-                first_live = snap.first_live_segment;
-                acked += snap.db.len() as u64;
-                cids.extend(snap.db.rows().iter().map(|r| r.cid.0));
-                SnapshotStatus::Valid {
-                    rows: snap.db.len(),
-                    fingerprint: snap.fingerprint,
-                    first_live_segment: snap.first_live_segment,
-                }
-            }
-            Err(StoreError::CorruptSnapshot { what, .. }) => SnapshotStatus::Corrupt { what },
-            Err(e) => return Err(e),
+    let mut read = |path: &Path| fs::read(path).map_err(|e| StoreError::io(path, e));
+    let (snapshot, legacy) = match load_base(dir, &mut read) {
+        Ok(Some((snap, legacy))) => {
+            first_live = snap.first_live_segment;
+            acked += snap.db.len() as u64;
+            cids.extend(snap.db.rows().iter().map(|r| r.cid.0));
+            let status = SnapshotStatus::Valid {
+                rows: snap.db.len(),
+                fingerprint: snap.fingerprint,
+                first_live_segment: snap.first_live_segment,
+            };
+            (status, legacy)
         }
-    } else {
-        SnapshotStatus::Absent
+        Ok(None) => (SnapshotStatus::Absent, false),
+        Err(StoreError::CorruptSnapshot { what, .. }) => (SnapshotStatus::Corrupt { what }, false),
+        Err(e) => return Err(e),
     };
-    let stray_tmp = crate::durable::tmp_path(&snap_path).exists();
+    let legacy_path = dir.join(SNAPSHOT_FILE);
+    let stray_tmp = tmp_path(&dir.join(FLAT_FILE_NAME)).exists()
+        || tmp_path(&legacy_path).exists()
+        || (!legacy && legacy_path.exists() && matches!(snapshot, SnapshotStatus::Valid { .. }));
 
     let mut segments = Vec::new();
     for (id, path) in list_segments(dir)? {
         let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
-        let total = bytes.len() as u64;
         let status = if id < first_live {
             SegmentStatus::Stale
         } else {
-            match decode_segment_header(&bytes) {
-                Err(_) => SegmentStatus::BadHeader,
-                Ok(hid) if hid != id => SegmentStatus::Corrupt {
-                    offset: 0,
-                    what: "segment id disagrees with file name",
-                },
-                Ok(_) => match scan_frames(&bytes[SEGMENT_HEADER_LEN..]) {
-                    ScanOutcome::Clean { records } => {
-                        let mut status = SegmentStatus::Clean { frames: records.len() as u64 };
-                        for r in &records {
-                            if !cids.insert(r.cid.0) {
-                                status = SegmentStatus::Corrupt {
-                                    offset: SEGMENT_HEADER_LEN as u64,
-                                    what: "duplicate customer id",
-                                };
-                            }
-                        }
-                        if matches!(status, SegmentStatus::Clean { .. }) {
-                            acked += records.len() as u64;
-                        }
-                        status
-                    }
-                    ScanOutcome::TornTail { records, valid_bytes } => {
-                        acked += records.len() as u64;
-                        for r in &records {
-                            cids.insert(r.cid.0);
-                        }
-                        SegmentStatus::TornTail {
-                            frames: records.len() as u64,
-                            lost_bytes: total - SEGMENT_HEADER_LEN as u64 - valid_bytes,
-                        }
-                    }
-                    ScanOutcome::Corrupt { offset, what, .. } => {
-                        SegmentStatus::Corrupt { offset: SEGMENT_HEADER_LEN as u64 + offset, what }
-                    }
-                },
-            }
+            let (status, records) = classify(id, &bytes, &mut cids);
+            acked += records.len() as u64;
+            status
         };
-        segments.push(SegmentCheck { id, path, bytes: total, status });
+        segments.push(SegmentCheck { id, path, bytes: bytes.len() as u64, status });
     }
     Ok(FsckReport { dir: dir.to_path_buf(), snapshot, segments, stray_tmp, acked_records: acked })
+}
+
+/// Classifies a live segment's bytes — the one decision recovery acts on
+/// and fsck reports — and returns the records recovery would replay from
+/// it: none unless the status is clean or a torn tail. Their customer ids
+/// go into `cids`; a repeated id makes the segment corrupt.
+pub(super) fn classify(
+    id: u64,
+    bytes: &[u8],
+    cids: &mut HashSet<u64>,
+) -> (SegmentStatus, Vec<WalRecord>) {
+    let header = SEGMENT_HEADER_LEN as u64;
+    let (status, records) = match decode_segment_header(bytes) {
+        Err(_) => return (SegmentStatus::BadHeader, Vec::new()),
+        Ok(found) if found != id => {
+            let what = "segment id disagrees with file name";
+            return (SegmentStatus::Corrupt { offset: 0, what }, Vec::new());
+        }
+        Ok(_) => match scan_frames(&bytes[SEGMENT_HEADER_LEN..]) {
+            ScanOutcome::Clean { records } => {
+                (SegmentStatus::Clean { frames: records.len() as u64 }, records)
+            }
+            ScanOutcome::TornTail { records, valid_bytes } => {
+                let lost_bytes = bytes.len() as u64 - header - valid_bytes;
+                (SegmentStatus::TornTail { frames: records.len() as u64, lost_bytes }, records)
+            }
+            ScanOutcome::Corrupt { offset, what, .. } => {
+                return (SegmentStatus::Corrupt { offset: header + offset, what }, Vec::new())
+            }
+        },
+    };
+    if records.iter().all(|r| cids.insert(r.cid.0)) {
+        (status, records)
+    } else {
+        (SegmentStatus::Corrupt { offset: header, what: "duplicate customer id" }, Vec::new())
+    }
 }

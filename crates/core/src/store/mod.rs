@@ -1,27 +1,30 @@
 //! The durable ingest store: a crash-safe write-ahead log for sequence
-//! arrivals, folded into immutable snapshots by compaction.
-//!
-//! Every run of the workspace previously started from an in-memory database
-//! parsed from a flat file; this module gives arrivals a durable write path
-//! so mining can sit behind ingestion. The shape is WAL-then-compact:
+//! arrivals, folded by compaction into **one data file**, `store.dscfd` — a
+//! `DSCFD1` flat file ([`crate::flatfile`]) whose customer ids and store
+//! slot make it the snapshot, and whose columns miners map zero-copy.
 //!
 //! * [`SequenceStore::append`] frames each record (length prefix + CRC-32,
 //!   the [`wal`] format) into numbered segment files, fsyncing on the
 //!   configured [`SyncPolicy`] and rotating segments at a size threshold;
-//! * [`SequenceStore::compact`] folds the base snapshot plus every sealed
-//!   segment into one immutable, self-verifying [`snapshot`] file,
-//!   published by [`crate::durable::publish`] (temp → fsync → read-back
-//!   verify → rename) and only then deletes the superseded segments;
-//! * [`SequenceStore::open`] recovers: it loads the snapshot, deletes
-//!   segments the snapshot supersedes, replays the live segments, and
-//!   truncates a torn tail at the last valid frame — so **every append
-//!   acknowledged under [`SyncPolicy::Always`] survives a crash**, and no
-//!   unacknowledged append is ever resurrected;
+//! * [`SequenceStore::compact`] folds the data file plus every sealed
+//!   segment into a new data file, published by [`crate::durable::publish`]
+//!   (temp → fsync → read-back verify → rename), and only then deletes the
+//!   superseded segments;
+//! * [`SequenceStore::open`] recovers: it loads the data file, deletes
+//!   segments it supersedes, replays the live segments, and truncates a
+//!   torn tail at the last valid frame — so **every append acknowledged
+//!   under [`SyncPolicy::Always`] survives a crash**, and no unacknowledged
+//!   append is ever resurrected;
 //! * [`SequenceStore::view`] publishes a consistent point-in-time
 //!   [`SequenceDatabase`] to miners (copy-on-write: appends never mutate a
 //!   view already handed out);
+//! * [`open_fresh`] maps the data file for mining, read-only, refusing it
+//!   while a live segment holds a record it lacks;
 //! * [`fsck::fsck`] audits a store directory read-only and reports exactly
 //!   what recovery would do.
+//!
+//! A store an earlier build wrote keeps its rows in `store.dscsn` (read
+//! by the [`snapshot`] decoder) until its next compaction deletes it.
 //!
 //! All file IO retries transient (`EINTR`-class) failures with the bounded
 //! jittered backoff of [`crate::guard::retry_transient`]; permanent
@@ -39,11 +42,14 @@ pub mod wal;
 
 use crate::database::{CustomerId, SequenceDatabase};
 use crate::durable::{self, tmp_path, IoFault, IoWriter, PublishError};
+use crate::error::DiscError;
+use crate::flat::SeqView;
+use crate::flatfile::{self, FlatFileContents, FLAT_FILE_NAME};
 use crate::guard::{retry_transient, RetryPolicy};
+use crate::itemset::Itemset;
 use crate::sequence::Sequence;
-use snapshot::{
-    decode_store_snapshot, encode_store_snapshot_version, SNAPSHOT_FILE, SNAPSHOT_VERSION,
-};
+use fsck::SegmentStatus;
+use snapshot::{decode_store_snapshot, StoreSnapshot, SNAPSHOT_FILE};
 use std::collections::HashSet;
 use std::fmt;
 use std::fs;
@@ -52,7 +58,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wal::{
     decode_segment_header, encode_frame, encode_segment_header, parse_segment_file_name,
-    scan_frames, segment_file_name, ScanOutcome, WalRecord, SEGMENT_HEADER_LEN,
+    segment_file_name, WalRecord, SEGMENT_HEADER_LEN,
 };
 
 // -------------------------------------------------------------------------
@@ -81,9 +87,10 @@ pub enum StoreError {
         /// What was wrong.
         what: &'static str,
     },
-    /// The snapshot file failed its strict self-verification.
+    /// The data file (or a legacy `store.dscsn` snapshot) failed its
+    /// strict verification.
     CorruptSnapshot {
-        /// The snapshot file.
+        /// The file.
         path: PathBuf,
         /// What was wrong.
         what: &'static str,
@@ -104,10 +111,24 @@ pub enum StoreError {
         /// The repeated customer id.
         cid: u64,
     },
-    /// The freshly written snapshot failed its pre-publication read-back
-    /// verification; the old snapshot and all segments were left untouched.
+    /// The freshly written data file failed its pre-publication read-back
+    /// verification; the old one and all segments were left untouched.
     SnapshotVerify {
         /// The temp file that failed verification (already removed).
+        path: PathBuf,
+    },
+    /// [`open_fresh`] refused: live WAL segments hold records the data file
+    /// lacks.
+    Stale {
+        /// The store directory.
+        dir: PathBuf,
+        /// Valid frames in the live segments.
+        live_records: u64,
+    },
+    /// [`open_fresh`] refused: an earlier build wrote the store, whose rows
+    /// stay in `store.dscsn` until its next compaction.
+    LegacySnapshot {
+        /// The legacy snapshot.
         path: PathBuf,
     },
     /// A previous write failed, leaving the segment tail in an unknown
@@ -127,6 +148,18 @@ impl StoreError {
     /// [`crate::guard::is_transient_io_kind`].
     pub fn is_transient(&self) -> bool {
         matches!(self, StoreError::Io { transient: true, .. })
+    }
+
+    /// A data-file load failure: a refused file is corrupt, anything else
+    /// is IO.
+    fn flat(e: DiscError) -> StoreError {
+        match e {
+            DiscError::FlatFile { path, what } => StoreError::CorruptSnapshot { path, what },
+            DiscError::Io { path, message, transient } => {
+                StoreError::Io { path, message, transient }
+            }
+            e => unreachable!("a flat-file load fails only as FlatFile or Io: {e}"),
+        }
     }
 
     fn io(path: &Path, e: std::io::Error) -> StoreError {
@@ -149,7 +182,7 @@ impl fmt::Display for StoreError {
                 write!(f, "corrupt WAL segment {} at byte {offset}: {what}", path.display())
             }
             StoreError::CorruptSnapshot { path, what } => {
-                write!(f, "corrupt store snapshot {}: {what}", path.display())
+                write!(f, "corrupt store data file {}: {what}", path.display())
             }
             StoreError::SegmentIdMismatch { path, expected, found } => write!(
                 f,
@@ -161,9 +194,16 @@ impl fmt::Display for StoreError {
             }
             StoreError::SnapshotVerify { path } => write!(
                 f,
-                "snapshot read-back verification failed at {}; nothing was published",
+                "data file read-back verification failed at {}; nothing was published",
                 path.display()
             ),
+            StoreError::Stale { dir, live_records } => {
+                let dir = dir.display();
+                write!(f, "{live_records} acknowledged records in {dir} are not in its data file")
+            }
+            StoreError::LegacySnapshot { path } => {
+                write!(f, "{} was written by an earlier build", path.display())
+            }
             StoreError::Poisoned => write!(
                 f,
                 "a previous write failed and the segment tail is in an unknown state; \
@@ -216,7 +256,7 @@ impl Default for StoreConfig {
 /// What [`SequenceStore::open`] found and did while recovering.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Rows restored from the snapshot.
+    /// Rows restored from the data file (or a legacy snapshot).
     pub snapshot_rows: usize,
     /// Records replayed out of live WAL segments.
     pub replayed_records: usize,
@@ -228,32 +268,23 @@ pub struct RecoveryReport {
     /// Superseded segments deleted (a compaction had published their fold
     /// but crashed before cleaning up).
     pub stale_segments_removed: usize,
-    /// Whether a stray snapshot temp file from an interrupted compaction
-    /// was removed.
-    pub removed_tmp: bool,
-    /// Whether a stray flat-file temp from an interrupted publication was
+    /// Whether a stray temp file from an interrupted compaction was
     /// removed.
-    pub removed_flat_tmp: bool,
-    /// Whether a `store.dscfd` mirror was removed because its fingerprint
-    /// disagreed with the snapshot (or there was no snapshot at all) — an
-    /// interrupted compaction left it behind.
-    pub stale_flat_file_removed: bool,
+    pub removed_tmp: bool,
 }
 
 /// What a successful [`SequenceStore::compact`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionReport {
-    /// WAL segments folded into the snapshot and deleted.
+    /// WAL segments folded into the data file and deleted.
     pub folded_segments: usize,
-    /// Rows in the published snapshot.
+    /// Rows in the published data file.
     pub rows: usize,
-    /// Size of the published snapshot file.
+    /// Size of the published data file.
     pub snapshot_bytes: u64,
     /// FNV-1a fingerprint of the folded database — stable across encode /
     /// decode, and the designated key for a future result cache.
     pub fingerprint: u64,
-    /// Size of the published `DSCFD1` columnar mirror.
-    pub flat_file_bytes: u64,
 }
 
 // -------------------------------------------------------------------------
@@ -271,7 +302,7 @@ const RETRY: RetryPolicy = RetryPolicy::io_default();
 /// A durable, crash-recoverable sequence store rooted at one directory.
 ///
 /// The directory holds numbered WAL segments (`wal-00000001.dscwl`, …) and
-/// at most one snapshot (`store.dscsn`). One `SequenceStore` owns the
+/// at most one data file (`store.dscfd`). One `SequenceStore` owns the
 /// directory for writing; [`view`](SequenceStore::view) hands out immutable
 /// point-in-time databases that stay valid while appends continue.
 pub struct SequenceStore {
@@ -288,14 +319,13 @@ pub struct SequenceStore {
     append_n: u64,
     snapshot_n: u64,
     read_n: u64,
-    flatfile_n: u64,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: Option<crate::guard::FaultPlan>,
 }
 
 impl SequenceStore {
     /// Opens (creating the directory if needed) and recovers a store:
-    /// loads the snapshot, deletes superseded segments, replays live
+    /// loads the data file, deletes superseded segments, replays live
     /// segments in order, and truncates a torn tail at the last valid
     /// frame. Appends after recovery go to a fresh segment — a repaired
     /// tail is never appended to.
@@ -354,7 +384,6 @@ impl SequenceStore {
             append_n: 0,
             snapshot_n: 0,
             read_n: 0,
-            flatfile_n: 0,
             #[cfg(any(test, feature = "fault-injection"))]
             fault: None,
         }
@@ -403,59 +432,38 @@ impl SequenceStore {
             .map_err(|e| StoreError::io(&self.dir, e))?;
 
         // A stray temp file is an interrupted compaction; its contents are
-        // still fully covered by the old snapshot + segments. Remove it.
-        let snap_path = self.dir.join(SNAPSHOT_FILE);
-        let tmp = tmp_path(&snap_path);
-        if tmp.exists() {
-            retry_transient(RETRY, || fs::remove_file(&tmp))
-                .map_err(|e| StoreError::io(&tmp, e))?;
-            self.recovery.removed_tmp = true;
+        // still fully covered by the old data file + segments. Remove it (a
+        // legacy store may leave one of its snapshot).
+        for name in [FLAT_FILE_NAME, SNAPSHOT_FILE] {
+            let tmp = tmp_path(&self.dir.join(name));
+            if tmp.exists() {
+                remove(&tmp)?;
+                self.recovery.removed_tmp = true;
+            }
         }
 
-        let mut snapshot_fp = None;
-        if snap_path.exists() {
-            let bytes = self.read_file(&snap_path)?;
-            let snap = decode_store_snapshot(&snap_path, &bytes)?;
+        let dir = self.dir.clone();
+        if let Some((snap, legacy)) = load_base(&dir, &mut |path| self.read_file(path))? {
+            let superseded = dir.join(SNAPSHOT_FILE);
+            if !legacy && superseded.exists() {
+                // A compaction published the data file, then died before
+                // deleting the legacy snapshot it replaces.
+                remove(&superseded)?;
+            }
             self.first_live_segment = snap.first_live_segment;
             self.recovery.snapshot_rows = snap.db.len();
             self.cids = snap.db.rows().iter().map(|r| r.cid.0).collect();
-            snapshot_fp = Some(snap.fingerprint);
             self.db = Arc::new(snap.db);
-        }
-
-        // The columnar mirror is derived state: keep it only when its header
-        // fingerprint matches the snapshot it claims to mirror. Anything
-        // else — a stray temp, a mirror without a snapshot, a fingerprint
-        // mismatch from an interrupted compaction — is deleted; the next
-        // compaction re-publishes it.
-        let flat = self.dir.join(crate::flatfile::FLAT_FILE_NAME);
-        let flat_tmp = tmp_path(&flat);
-        if flat_tmp.exists() {
-            retry_transient(RETRY, || fs::remove_file(&flat_tmp))
-                .map_err(|e| StoreError::io(&flat_tmp, e))?;
-            self.recovery.removed_flat_tmp = true;
-        }
-        if flat.exists() {
-            let fresh = match snapshot_fp {
-                Some(fp) => crate::flatfile::peek_flat_file_fingerprint(&flat) == Ok(fp),
-                None => false,
-            };
-            if !fresh {
-                retry_transient(RETRY, || fs::remove_file(&flat))
-                    .map_err(|e| StoreError::io(&flat, e))?;
-                self.recovery.stale_flat_file_removed = true;
-            }
         }
 
         let segments = list_segments(&self.dir)?;
         let mut live: Vec<(u64, PathBuf)> = Vec::new();
         for (id, path) in segments {
             if id < self.first_live_segment {
-                // Superseded by the snapshot: a compaction published its
+                // Superseded by the data file: a compaction published its
                 // fold but died before cleanup. Replaying it would
                 // double-ingest, so delete it.
-                retry_transient(RETRY, || fs::remove_file(&path))
-                    .map_err(|e| StoreError::io(&path, e))?;
+                remove(&path)?;
                 self.recovery.stale_segments_removed += 1;
             } else {
                 live.push((id, path));
@@ -466,72 +474,51 @@ impl SequenceStore {
             let last = i + 1 == live.len();
             let bytes = self.read_file(path)?;
             match decode_segment_header(&bytes) {
-                Ok(hid) if hid == *id => {}
-                Ok(hid) => {
-                    return Err(StoreError::SegmentIdMismatch {
-                        path: path.clone(),
-                        expected: *id,
-                        found: hid,
-                    })
+                Ok(found) if found != *id => {
+                    let path = path.clone();
+                    return Err(StoreError::SegmentIdMismatch { path, expected: *id, found });
                 }
-                Err(_) if last => {
+                _ => {}
+            }
+            let corrupt = |offset, what| StoreError::Corrupt { path: path.clone(), offset, what };
+            let (status, records) = fsck::classify(*id, &bytes, &mut self.cids);
+            match status {
+                SegmentStatus::Clean { .. } => {}
+                SegmentStatus::BadHeader if last => {
                     // The final segment's header never made it to disk
                     // whole — its creation was torn, so no frame in it can
                     // have been acknowledged as synced. Drop the file.
-                    retry_transient(RETRY, || fs::remove_file(path))
-                        .map_err(|e| StoreError::io(path, e))?;
+                    remove(path)?;
                     self.recovery.truncated_bytes += bytes.len() as u64;
                     continue;
                 }
-                Err(_) => {
-                    return Err(StoreError::Corrupt {
-                        path: path.clone(),
-                        offset: 0,
-                        what: "bad segment header before the final segment",
-                    })
+                SegmentStatus::TornTail { lost_bytes, .. } if last => {
+                    // Repair: drop the torn tail so the segment scans clean
+                    // from now on. Acknowledged synced records all precede it.
+                    self.recovery.truncated_bytes += lost_bytes;
+                    let keep = bytes.len() as u64 - lost_bytes;
+                    let file =
+                        retry_transient(RETRY, || fs::OpenOptions::new().write(true).open(path))
+                            .map_err(|e| StoreError::io(path, e))?;
+                    retry_transient(RETRY, || file.set_len(keep))
+                        .map_err(|e| StoreError::io(path, e))?;
+                    retry_transient(RETRY, || file.sync_all())
+                        .map_err(|e| StoreError::io(path, e))?;
                 }
+                SegmentStatus::BadHeader => {
+                    return Err(corrupt(0, "bad segment header before the final segment"))
+                }
+                SegmentStatus::TornTail { lost_bytes, .. } => {
+                    let offset = bytes.len() as u64 - lost_bytes;
+                    return Err(corrupt(offset, "torn tail in a non-final segment"));
+                }
+                SegmentStatus::Corrupt { offset, what } => return Err(corrupt(offset, what)),
+                SegmentStatus::Stale => unreachable!("classify never calls a segment stale"),
             }
-            let (records, keep) = match scan_frames(&bytes[SEGMENT_HEADER_LEN..]) {
-                ScanOutcome::Clean { records } => (records, None),
-                ScanOutcome::TornTail { records, valid_bytes } if last => {
-                    (records, Some(SEGMENT_HEADER_LEN as u64 + valid_bytes))
-                }
-                ScanOutcome::TornTail { valid_bytes, .. } => {
-                    return Err(StoreError::Corrupt {
-                        path: path.clone(),
-                        offset: SEGMENT_HEADER_LEN as u64 + valid_bytes,
-                        what: "torn tail in a non-final segment",
-                    })
-                }
-                ScanOutcome::Corrupt { offset, what, .. } => {
-                    return Err(StoreError::Corrupt {
-                        path: path.clone(),
-                        offset: SEGMENT_HEADER_LEN as u64 + offset,
-                        what,
-                    })
-                }
-            };
-            if let Some(keep) = keep {
-                // Repair: drop the torn tail so the segment scans clean
-                // from now on. Acknowledged synced records all precede it.
-                self.recovery.truncated_bytes += bytes.len() as u64 - keep;
-                let file = retry_transient(RETRY, || fs::OpenOptions::new().write(true).open(path))
-                    .map_err(|e| StoreError::io(path, e))?;
-                retry_transient(RETRY, || file.set_len(keep))
-                    .map_err(|e| StoreError::io(path, e))?;
-                retry_transient(RETRY, || file.sync_all()).map_err(|e| StoreError::io(path, e))?;
-            }
+            self.recovery.replayed_records += records.len();
             let db = Arc::make_mut(&mut self.db);
             for record in records {
-                if !self.cids.insert(record.cid.0) {
-                    return Err(StoreError::Corrupt {
-                        path: path.clone(),
-                        offset: SEGMENT_HEADER_LEN as u64,
-                        what: "duplicate customer id in replay",
-                    });
-                }
                 db.push(record.cid, record.sequence);
-                self.recovery.replayed_records += 1;
             }
             self.recovery.segments_replayed += 1;
         }
@@ -757,93 +744,131 @@ impl SequenceStore {
 
     // -- compaction -------------------------------------------------------
 
-    /// Folds the snapshot plus every segment into a new immutable snapshot,
-    /// published atomically, then deletes the superseded segments and
-    /// publishes the columnar `DSCFD1` mirror (`store.dscfd`, see
-    /// [`crate::flatfile`]), so miners can map the acknowledged prefix
-    /// zero-copy.
+    /// Folds the data file plus every segment into a new data file,
+    /// published atomically, then deletes what it supersedes: a legacy
+    /// `store.dscsn`, then the folded segments.
     ///
-    /// Both files go through [`durable::publish`] with a read-back
-    /// verification: a snapshot that does not decode back to the exact live
-    /// database is never published, and the segments it would have replaced
-    /// are never deleted. A crash anywhere leaves a store that recovers to
-    /// the identical database. The mirror is always exactly as fresh as the
-    /// snapshot: recovery deletes one whose fingerprint disagrees.
+    /// The file goes through [`durable::publish`] with a [`Verify::Full`](crate::flatfile::Verify::Full)
+    /// read-back: a file that does not decode is never published, and the
+    /// segments it would have replaced are never deleted. A crash anywhere
+    /// leaves a store that recovers to the identical database.
     pub fn compact(&mut self) -> Result<CompactionReport, StoreError> {
         if self.poisoned {
             return Err(StoreError::Poisoned);
         }
         self.seal_current()?;
         let first_live = self.next_seg_id;
-        // One encoding and one hash feed the snapshot, its read-back check
-        // and the mirror's header.
-        let db_bytes = crate::codec::encode_database(&self.db);
-        let fingerprint = crate::checkpoint::fnv1a(&db_bytes);
-        let rows = self.db.len();
-        let snap_path = self.dir.join(SNAPSHOT_FILE);
+        let (bytes, fingerprint) = flatfile::encode_flat_file(&self.db, first_live);
+        let path = self.flat_file_path();
 
         let fault = self.fire(IoWriter::StoreSnapshot, self.snapshot_n);
         self.snapshot_n += 1;
-        let version = match fault {
-            Some(IoFault::StaleVersion) => SNAPSHOT_VERSION + 1,
-            _ => SNAPSHOT_VERSION,
-        };
-        let bytes =
-            encode_store_snapshot_version(&db_bytes, fingerprint, rows, first_live, version);
-        drop(db_bytes);
-        let verify = |back: Vec<u8>| {
-            decode_store_snapshot(&snap_path, &back).is_ok_and(|s| {
-                s.first_live_segment == first_live
-                    && s.db.len() == rows
-                    && s.fingerprint == fingerprint
-            })
-        };
-        durable::publish(&snap_path, &bytes, Some(&verify), fault).map_err(|e| match e {
+        flatfile::write_flat_file_faulted(&path, &bytes, fault).map_err(|e| match e {
             PublishError::Io { path, error } => StoreError::io(&path, error),
             PublishError::Unverified { path } => StoreError::SnapshotVerify { path },
-            // After a crash past the rename the snapshot IS published; only
-            // cleanup was skipped. Recovery deletes the stale segments.
+            // After a crash past the rename the data file IS published; only
+            // cleanup was skipped. Recovery deletes what it supersedes.
             PublishError::Crashed { fault, .. } => StoreError::Injected { fault },
         })?;
         self.first_live_segment = first_live;
 
+        let legacy = self.dir.join(SNAPSHOT_FILE);
+        if legacy.exists() {
+            remove(&legacy)?;
+        }
         let mut folded = 0usize;
         for (id, path) in list_segments(&self.dir)? {
             if id < first_live {
-                retry_transient(RETRY, || fs::remove_file(&path))
-                    .map_err(|e| StoreError::io(&path, e))?;
+                remove(&path)?;
                 folded += 1;
             }
         }
 
-        // The snapshot is already durable at this point: an error here
-        // leaves (at worst) a stale or absent mirror, which recovery and
-        // `open_flat_file` callers detect by fingerprint.
-        let flat = self.flat_file_path();
-        let fault = self.fire(IoWriter::FlatFile, self.flatfile_n);
-        self.flatfile_n += 1;
-        let encoded = crate::flatfile::encode_flat_file(
-            &crate::flatfile::FlatFileContents::with_fingerprint(&self.db, fingerprint),
-        );
-        let flat_file_bytes =
-            crate::flatfile::write_flat_file_faulted(&flat, &encoded, fault).map_err(|e| {
-                StoreError::Io { path: flat, message: e.to_string(), transient: e.is_transient() }
-            })?;
-
         Ok(CompactionReport {
             folded_segments: folded,
-            rows,
+            rows: self.db.len(),
             snapshot_bytes: bytes.len() as u64,
             fingerprint,
-            flat_file_bytes,
         })
     }
 
-    /// Where this store's `DSCFD1` columnar mirror lives (the file exists
-    /// only after a compaction).
+    /// Where this store's data file lives (the file exists only after a
+    /// compaction).
     pub fn flat_file_path(&self) -> PathBuf {
-        self.dir.join(crate::flatfile::FLAT_FILE_NAME)
+        self.dir.join(FLAT_FILE_NAME)
     }
+}
+
+/// The one loader of a store's compacted rows, for recovery and fsck: the
+/// data file, else an earlier build's `store.dscsn` (the bool). `read`
+/// reads a whole file; `None` when the store was never compacted.
+fn load_base(
+    dir: &Path,
+    read: &mut dyn FnMut(&Path) -> Result<Vec<u8>, StoreError>,
+) -> Result<Option<(StoreSnapshot, bool)>, StoreError> {
+    let data = dir.join(FLAT_FILE_NAME);
+    let legacy = dir.join(SNAPSHOT_FILE);
+    let current = if data.exists() { Some(decode_data_file(&data, read(&data)?)) } else { None };
+    match current {
+        Some(Ok(snap)) => Ok(Some((snap, false))),
+        _ if legacy.exists() => Ok(Some((decode_store_snapshot(&legacy, &read(&legacy)?)?, true))),
+        Some(Err(e)) => Err(e),
+        None => Ok(None),
+    }
+}
+
+/// Decodes a data file and rebuilds its nested rows in original item ids.
+/// The header fingerprint must be the fingerprint of those rows, customer
+/// ids included.
+fn decode_data_file(path: &Path, bytes: Vec<u8>) -> Result<StoreSnapshot, StoreError> {
+    let (loaded, slots) = flatfile::load_store_file(path, Some(bytes)).map_err(StoreError::flat)?;
+    let original = |&i| loaded.mapping.to_original(i).expect("Full bounds items by the dictionary");
+    let db = SequenceDatabase::from_rows(loaded.flat.rows().enumerate().map(|(r, row)| {
+        let sets = (0..row.n_transactions())
+            .map(|t| Itemset::from_sorted(row.itemset_items(t).iter().map(original).collect()));
+        (CustomerId(slots.cid(r)), Sequence::new(sets))
+    }));
+    if crate::checkpoint::database_fingerprint(&db) != loaded.fingerprint {
+        let what = "fingerprint disagrees with the rows";
+        return Err(StoreError::CorruptSnapshot { path: path.into(), what });
+    }
+    let (fingerprint, first_live_segment) = (loaded.fingerprint, slots.first_live_segment);
+    Ok(StoreSnapshot { db, fingerprint, first_live_segment })
+}
+
+/// Maps the data file of the store at `dir` for mining, fully verified,
+/// only while no live WAL segment holds a valid frame ([`StoreError::Stale`]
+/// counts them). Unlike [`SequenceStore::open`] it writes nothing, so it
+/// may run against a directory another process is appending to.
+pub fn open_fresh(dir: &Path) -> Result<FlatFileContents, StoreError> {
+    let path = dir.join(FLAT_FILE_NAME);
+    let legacy = dir.join(SNAPSHOT_FILE);
+    let (loaded, slots) = flatfile::load_store_file(&path, None).map_err(|e| match e {
+        _ if legacy.exists() => StoreError::LegacySnapshot { path: legacy },
+        e => StoreError::flat(e),
+    })?;
+    let (mut live_records, mut cids) = (0, HashSet::new());
+    for (id, seg) in list_segments(dir)? {
+        if id < slots.first_live_segment {
+            continue;
+        }
+        let bytes = fs::read(&seg).map_err(|e| StoreError::io(&seg, e))?;
+        live_records += match fsck::classify(id, &bytes, &mut cids) {
+            (SegmentStatus::Corrupt { offset, what }, _) => {
+                return Err(StoreError::Corrupt { path: seg, offset, what })
+            }
+            (_, records) => records.len() as u64,
+        };
+    }
+    if live_records > 0 {
+        return Err(StoreError::Stale { dir: dir.to_path_buf(), live_records });
+    }
+    Ok(loaded)
+}
+
+/// Deletes a file, retrying transient failures.
+fn remove(path: &Path) -> Result<(), StoreError> {
+    retry_transient(RETRY, || fs::remove_file(path)).map_err(|e| StoreError::io(path, e))
 }
 
 /// Lists the WAL segments in a store directory, sorted by id. Foreign

@@ -1,8 +1,6 @@
-//! The immutable compacted snapshot: `store.dscsn`.
-//!
-//! A snapshot folds the base snapshot plus every sealed WAL segment into
-//! one self-verifying file, published atomically by
-//! [`crate::durable::publish`].
+//! The legacy snapshot, `store.dscsn`: read-only. Earlier builds kept a
+//! store's compacted rows here; nothing writes it now, and recovery and
+//! fsck read it until the store's next compaction (see [`super`]).
 //! Format, following the DSCCK1 section discipline:
 //!
 //! ```text
@@ -19,12 +17,10 @@
 //! Decoding is strict and never returns partial state: bad magic, an
 //! unsupported version, a failed CRC, trailing bytes, or a header that
 //! disagrees with the database section (fingerprint or row count) all
-//! reject the whole file. The fingerprint is the same FNV-1a over the
-//! canonical DSCDB1 bytes that checkpoints use, so a store snapshot can
-//! serve as a result-cache key later. The decoder hashes the database
-//! section's bytes as read: the DSCDB1 decoder accepts only canonical
-//! encodings, so bytes it accepts are exactly the re-encoding of the
-//! database they decode to, and their hash is that database's fingerprint.
+//! reject the whole file. The decoder hashes the database section's bytes
+//! as read: the DSCDB1 decoder accepts only canonical encodings, so bytes
+//! it accepts are exactly the re-encoding of the database they decode to,
+//! and their hash is that database's fingerprint.
 
 use super::StoreError;
 use crate::checkpoint::{crc32, fnv1a};
@@ -34,73 +30,27 @@ use std::path::Path;
 
 /// Magic bytes opening a snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8] = b"DSCSN1\n";
-/// Snapshot format version written by this build.
+/// The snapshot format version this build reads.
 pub const SNAPSHOT_VERSION: u64 = 1;
-/// File name of the snapshot inside a store directory.
+/// File name of the legacy snapshot inside a store directory.
 pub const SNAPSHOT_FILE: &str = "store.dscsn";
 
 const SEC_HEADER: u8 = 1;
 const SEC_DATABASE: u8 = 2;
 const SEC_END: u8 = 0xFF;
 
-/// A decoded, verified snapshot.
+/// A store's compacted rows, decoded and verified: from the data file or
+/// from a legacy snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreSnapshot {
     /// The folded database.
     pub db: SequenceDatabase,
     /// FNV-1a fingerprint of `db`
-    /// ([`crate::checkpoint::database_fingerprint`]). Verified on load
-    /// against the hash of the CRC-checked database section, which equals
-    /// the recomputed fingerprint because decoding is canonical.
+    /// ([`crate::checkpoint::database_fingerprint`]), verified on load.
     pub fingerprint: u64,
     /// The lowest WAL segment id *not* folded into this snapshot: recovery
     /// replays segments `>= first_live_segment` and deletes the rest.
     pub first_live_segment: u64,
-}
-
-fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.push(tag);
-    codec::put_varint(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-}
-
-/// Encodes a snapshot folding `db`, with segments below `first_live_segment`
-/// superseded.
-pub fn encode_store_snapshot(db: &SequenceDatabase, first_live_segment: u64) -> Vec<u8> {
-    let db_bytes = codec::encode_database(db);
-    let fingerprint = fnv1a(&db_bytes);
-    encode_store_snapshot_version(
-        &db_bytes,
-        fingerprint,
-        db.len(),
-        first_live_segment,
-        SNAPSHOT_VERSION,
-    )
-}
-
-/// [`encode_store_snapshot`] of a database already encoded to `db_bytes`
-/// (DSCDB1, `rows` customers, FNV-1a `fingerprint`), stamped with format
-/// `version` — the stale encoding a compaction hands the publisher under
-/// the stale-version fault.
-pub(super) fn encode_store_snapshot_version(
-    db_bytes: &[u8],
-    fingerprint: u64,
-    rows: usize,
-    first_live_segment: u64,
-    version: u64,
-) -> Vec<u8> {
-    let mut header = Vec::with_capacity(8 + 10 + 10);
-    header.extend_from_slice(&fingerprint.to_le_bytes());
-    codec::put_varint(&mut header, rows as u64);
-    codec::put_varint(&mut header, first_live_segment);
-    let mut out = Vec::with_capacity(SNAPSHOT_MAGIC.len() + db_bytes.len() + 64);
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    codec::put_varint(&mut out, version);
-    put_section(&mut out, SEC_HEADER, &header);
-    put_section(&mut out, SEC_DATABASE, db_bytes);
-    put_section(&mut out, SEC_END, &[]);
-    out
 }
 
 fn corrupt(path: &Path, what: &'static str) -> StoreError {
@@ -195,6 +145,27 @@ mod tests {
     use super::*;
     use crate::checkpoint::database_fingerprint;
 
+    fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+        out.push(tag);
+        codec::put_varint(out, payload.len() as u64);
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+    }
+
+    /// `db` as earlier builds wrote a snapshot folding it.
+    fn legacy_snapshot_file(db: &SequenceDatabase, first_live_segment: u64) -> Vec<u8> {
+        let db_bytes = codec::encode_database(db);
+        let mut header = fnv1a(&db_bytes).to_le_bytes().to_vec();
+        codec::put_varint(&mut header, db.len() as u64);
+        codec::put_varint(&mut header, first_live_segment);
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        codec::put_varint(&mut out, SNAPSHOT_VERSION);
+        put_section(&mut out, SEC_HEADER, &header);
+        put_section(&mut out, SEC_DATABASE, &db_bytes);
+        put_section(&mut out, SEC_END, &[]);
+        out
+    }
+
     fn table1() -> SequenceDatabase {
         SequenceDatabase::from_parsed(&[
             "(a,e,g)(b)(h)(f)(c)(b,f)",
@@ -208,7 +179,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrip() {
         let db = table1();
-        let bytes = encode_store_snapshot(&db, 5);
+        let bytes = legacy_snapshot_file(&db, 5);
         let snap = decode_store_snapshot(Path::new("t"), &bytes).unwrap();
         assert_eq!(snap.db, db);
         assert_eq!(snap.first_live_segment, 5);
@@ -218,7 +189,7 @@ mod tests {
     #[test]
     fn empty_snapshot_roundtrip() {
         let db = SequenceDatabase::new();
-        let bytes = encode_store_snapshot(&db, 1);
+        let bytes = legacy_snapshot_file(&db, 1);
         let snap = decode_store_snapshot(Path::new("t"), &bytes).unwrap();
         assert!(snap.db.is_empty());
         assert_eq!(snap.first_live_segment, 1);
@@ -226,7 +197,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_rejected() {
-        let bytes = encode_store_snapshot(&table1(), 3);
+        let bytes = legacy_snapshot_file(&table1(), 3);
         for cut in 0..bytes.len() {
             assert!(
                 decode_store_snapshot(Path::new("t"), &bytes[..cut]).is_err(),
@@ -237,7 +208,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_corruption_is_rejected() {
-        let bytes = encode_store_snapshot(&table1(), 3);
+        let bytes = legacy_snapshot_file(&table1(), 3);
         let original = decode_store_snapshot(Path::new("t"), &bytes).unwrap();
         for i in 0..bytes.len() {
             let mut dam = bytes.clone();
@@ -254,7 +225,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = encode_store_snapshot(&table1(), 3);
+        let mut bytes = legacy_snapshot_file(&table1(), 3);
         bytes.push(0);
         assert!(decode_store_snapshot(Path::new("t"), &bytes).is_err());
     }

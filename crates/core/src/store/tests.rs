@@ -323,7 +323,7 @@ fn renamed_segment_is_refused() {
 
 /// A reproducible database of `n` customers: gapped customer ids, one to
 /// five transactions of one to four items, and some item ids far above the
-/// rest, so the mirror's dictionary is not the identity.
+/// rest, so the data file's dictionary is not the identity.
 fn seeded_rows(n: u64, mut state: u64) -> Vec<(CustomerId, Sequence)> {
     let mut next = move |bound: u64| {
         state =
@@ -355,9 +355,11 @@ fn seeded_rows(n: u64, mut state: u64) -> Vec<(CustomerId, Sequence)> {
 }
 
 /// Every file a store and a checkpoint write, as `(name, length, FNV-1a)`,
-/// sorted by name. The constants below were recorded from the format as it
-/// stood before the encoder and checksum kernels were optimized; any drift
-/// in a snapshot, WAL segment, `DSCFD1` mirror or checkpoint byte fails.
+/// sorted by name. The checkpoint and WAL constants below were recorded
+/// before the encoder and checksum kernels were optimized, the data file's
+/// when it gained its customer ids and store slot; any drift in a data
+/// file, WAL segment or checkpoint byte fails. The same store written by
+/// the earlier two-file format is the `legacy-store` fixture.
 fn written_file_digests() -> Vec<(String, u64, u64)> {
     let dir = fresh_dir("golden");
     let rows = seeded_rows(400, 20_040_330);
@@ -402,11 +404,135 @@ fn written_files_are_byte_identical_to_the_recorded_format() {
     let digests = written_file_digests();
     let expected: &[(&str, u64, u64)] = &[
         ("mine.dscck", 336, 0xd8a6_d83b_71dd_6cd3),
-        ("store.dscfd", 24828, 0x69d4_eaa9_902f_d797),
-        ("store.dscsn", 4507, 0xf948_4b37_d68b_c1a9),
+        ("store.dscfd", 31072, 0x8d8d_04a9_6447_0feb),
         ("wal-00000003.dscwl", 2166, 0xe3ab_c51e_5462_57c3),
     ];
     let got: Vec<(&str, u64, u64)> =
         digests.iter().map(|(name, len, fnv)| (name.as_str(), *len, *fnv)).collect();
     assert_eq!(got, expected);
+}
+
+/// A copy of the store `written_file_digests` writes, as the earlier
+/// two-file format left it: `store.dscsn` (pinned at 4507 bytes, FNV-1a
+/// `0xf948_4b37_d68b_c1a9`), a `store.dscfd` mirror without the store slot,
+/// and one live segment.
+fn legacy_store(tag: &str) -> PathBuf {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy-store");
+    let dir = fresh_dir(tag);
+    fs::create_dir_all(&dir).unwrap();
+    for entry in fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let snapshot = fs::read(dir.join(snapshot::SNAPSHOT_FILE)).unwrap();
+    assert_eq!(
+        (snapshot.len(), crate::checkpoint::fnv1a(&snapshot)),
+        (4507, 0xf948_4b37_d68b_c1a9)
+    );
+    dir
+}
+
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> =
+        fs::read_dir(dir).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn a_legacy_store_opens_identically_and_its_first_compaction_leaves_one_file() {
+    let dir = legacy_store("legacy");
+    let mut expected = SequenceDatabase::new();
+    for (cid, s) in seeded_rows(400, 20_040_330) {
+        expected.push(cid, s);
+    }
+
+    let audit = fsck(&dir).unwrap();
+    assert!(audit.is_recoverable(), "{audit}");
+    assert!(matches!(audit.snapshot, fsck::SnapshotStatus::Valid { rows: 300, .. }), "{audit}");
+    assert_eq!(audit.acked_records, 400);
+    assert!(matches!(open_fresh(&dir), Err(StoreError::LegacySnapshot { .. })));
+
+    let mut store = SequenceStore::open(&dir, StoreConfig::default()).unwrap();
+    assert_eq!(*store.view(), expected);
+    assert_eq!(store.fingerprint(), crate::checkpoint::database_fingerprint(&expected));
+    assert_eq!(store.recovery_report().snapshot_rows, 300);
+    let report = store.compact().unwrap();
+    assert_eq!(report.fingerprint, store.fingerprint());
+    drop(store);
+    assert_eq!(file_names(&dir), ["store.dscfd"]);
+
+    let store = SequenceStore::open(&dir, StoreConfig::default()).unwrap();
+    assert_eq!(*store.view(), expected);
+    assert_eq!(store.recovery_report().snapshot_rows, 400);
+    assert!(fsck(&dir).unwrap().is_clean());
+    assert_eq!(open_fresh(&dir).unwrap().fingerprint, report.fingerprint);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_forged_header_fingerprint_is_refused_by_recovery_and_fsck() {
+    let dir = fresh_dir("forged");
+    let mut store = SequenceStore::open(&dir, StoreConfig::default()).unwrap();
+    ingest(&mut store, &sample_rows());
+    store.compact().unwrap();
+    let path = store.flat_file_path();
+    drop(store);
+
+    // Rewrite the fingerprint and make the header CRC agree again: every
+    // CRC passes, so only the rows' own fingerprint can tell.
+    let mut bytes = fs::read(&path).unwrap();
+    bytes[56] ^= 0x01;
+    let sections = u32::from_le_bytes(bytes[64..68].try_into().unwrap()) as usize;
+    bytes[68..72].fill(0);
+    let crc = crate::checkpoint::crc32(&bytes[..128 + 32 * sections]);
+    bytes[68..72].copy_from_slice(&crc.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+    crate::flatfile::decode_flat_file(&path, bytes, crate::flatfile::Verify::Full).unwrap();
+
+    assert!(matches!(
+        SequenceStore::open(&dir, StoreConfig::default()),
+        Err(StoreError::CorruptSnapshot { what: "fingerprint disagrees with the rows", .. })
+    ));
+    let audit = fsck(&dir).unwrap();
+    assert!(!audit.is_recoverable(), "{audit}");
+    assert!(matches!(audit.snapshot, fsck::SnapshotStatus::Corrupt { .. }), "{audit}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn open_fresh_refuses_live_records_and_writes_nothing() {
+    let dir = fresh_dir("fresh");
+    let rows = sample_rows();
+    let mut store = SequenceStore::open(&dir, StoreConfig::default()).unwrap();
+    ingest(&mut store, &rows[..3]);
+    let report = store.compact().unwrap();
+    let fresh = open_fresh(&dir).unwrap();
+    assert_eq!(fresh.fingerprint, report.fingerprint);
+    let heap = FlatFileContents::from_database(&store.view());
+    assert_eq!((fresh.flat.columns(), &fresh.mapping), (heap.flat.columns(), &heap.mapping));
+
+    // Two more appends, then a torn third: the live segment holds two
+    // valid frames and a torn tail that only recovery may repair.
+    ingest(&mut store, &rows[3..]);
+    drop(store);
+    let seg = dir.join(wal::segment_file_name(2));
+    let torn = [fs::read(&seg).unwrap(), vec![0x7f, 0x00, 0x01]].concat();
+    fs::write(&seg, &torn).unwrap();
+    let before: Vec<(String, Vec<u8>)> = file_names(&dir)
+        .into_iter()
+        .map(|n| (n.clone(), fs::read(dir.join(&n)).unwrap()))
+        .collect();
+    assert!(matches!(open_fresh(&dir), Err(StoreError::Stale { live_records: 2, .. })));
+    let after: Vec<(String, Vec<u8>)> = file_names(&dir)
+        .into_iter()
+        .map(|n| (n.clone(), fs::read(dir.join(&n)).unwrap()))
+        .collect();
+    assert_eq!(before, after, "the check must leave every file as it was");
+
+    let mut store = SequenceStore::open(&dir, StoreConfig::default()).unwrap();
+    assert_eq!(store.len(), rows.len());
+    store.compact().unwrap();
+    assert_eq!(open_fresh(&dir).unwrap().fingerprint, store.fingerprint());
+    let _ = fs::remove_dir_all(&dir);
 }

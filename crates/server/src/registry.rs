@@ -7,11 +7,13 @@
 //!   server's data directory (as `DSCDB1`) so a restart reloads it
 //!   byte-identically;
 //! * **attach** — the request names a server-local path: a `.dscfd` flat
-//!   file, or a durable-store directory whose compacted `.dscfd` mirror is
-//!   used. A store mirror that is **stale** — appends recovered from the
-//!   WAL since the last compaction — is refused (409 at the API layer)
-//!   rather than silently mining fewer rows, exactly like
-//!   `disc-mine store mine --mmap`.
+//!   file, or a durable-store directory whose data file is mapped through
+//!   [`disc_core::open_fresh`]. That check is read-only — an attach never
+//!   repairs or deletes a file in a directory another process may be
+//!   writing — and a store whose WAL holds records its data file lacks (or
+//!   that an earlier build wrote and nothing has compacted since) is
+//!   refused (409 at the API layer) rather than silently mining fewer
+//!   rows, exactly like `disc-mine store mine --mmap`.
 //!
 //! Either way the entry holds the loaded database `disc-mine` would mine
 //! ([`FlatFileContents`]; an attached file stays memory-mapped), so served
@@ -23,8 +25,8 @@
 //! [`disc_core::FlatDb::file_unchanged`] and fails the job if it moved.
 
 use disc_core::{
-    durable, open_flat_file, peek_flat_file_fingerprint, DiscError, FlatFileContents,
-    SequenceDatabase, SequenceStore, StoreConfig, Verify,
+    durable, open_flat_file, open_fresh, DiscError, FlatFileContents, SequenceDatabase, StoreError,
+    Verify,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -34,7 +36,8 @@ use std::sync::Arc;
 /// flows through the [`crate::status`] `DiscError` mapping.
 #[derive(Debug)]
 pub enum RegisterError {
-    /// A name/state conflict: duplicate name, stale store mirror.
+    /// A name/state conflict: duplicate name, a store not compacted since
+    /// its last append.
     Conflict(String),
     /// A data or IO failure from the underlying layers.
     Disc(DiscError),
@@ -118,7 +121,7 @@ impl DbRegistry {
     }
 
     /// Registers a server-local path: a `.dscfd` flat file or a store
-    /// directory (via its compacted mirror, refusing a stale one).
+    /// directory (via its data file, refusing a stale one).
     pub fn register_attach(
         &mut self,
         name: &str,
@@ -175,32 +178,18 @@ fn parse_database(body: &[u8]) -> Result<SequenceDatabase, DiscError> {
     Ok(SequenceDatabase::from_text(text)?)
 }
 
-/// Maps an attached path zero-copy. Store directories go through the
-/// stale-mirror check; plain paths must be a flat file.
+/// Maps an attached path zero-copy: a store directory's data file once it
+/// holds every acknowledged record, or a flat file.
 fn load_attached(path: &Path) -> Result<FlatFileContents, RegisterError> {
-    if path.is_dir() {
-        return load_store_mirror(path);
+    if !path.is_dir() {
+        return Ok(open_flat_file(path, Verify::Full)?);
     }
-    Ok(open_flat_file(path, Verify::Full)?)
-}
-
-/// Opens a store directory and maps its compacted `.dscfd` mirror,
-/// refusing a mirror that is stale relative to the recovered rows.
-fn load_store_mirror(dir: &Path) -> Result<FlatFileContents, RegisterError> {
-    let store = SequenceStore::open(dir, StoreConfig::default())
-        .map_err(|e| RegisterError::Disc(DiscError::Store(e)))?;
-    let live_fp = store.fingerprint();
-    let flat_path = store.flat_file_path();
-    store.close().map_err(|e| RegisterError::Disc(DiscError::Store(e)))?;
-    let mirror_fp = peek_flat_file_fingerprint(&flat_path).map_err(RegisterError::Disc)?;
-    if mirror_fp != live_fp {
-        return Err(RegisterError::Conflict(format!(
-            "flat mirror {} is stale (fingerprint {mirror_fp:#018x}, store {live_fp:#018x}); \
-             run `disc-mine store compact` first",
-            flat_path.display()
-        )));
-    }
-    open_flat_file(&flat_path, Verify::Full).map_err(RegisterError::Disc)
+    open_fresh(path).map_err(|e| match e {
+        StoreError::Stale { .. } | StoreError::LegacySnapshot { .. } => {
+            RegisterError::Conflict(e.to_string())
+        }
+        e => RegisterError::Disc(DiscError::Store(e)),
+    })
 }
 
 #[cfg(test)]

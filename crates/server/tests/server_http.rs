@@ -10,6 +10,8 @@
 //!   and an over-cap declared body is refused (413) without one;
 //! * a cache hit writes no result file, and a restart still serves it —
 //!   from the mined job's file, never from a database republished since;
+//! * an attached store directory serves only while its data file holds
+//!   every acknowledged record, and the attach writes nothing there;
 //! * `closed`/`maximal` jobs serve exactly those projections of a baseline
 //!   miner's result, each cached under its own mode;
 //! * cancellation settles the job without corrupting its peers;
@@ -18,7 +20,9 @@
 
 use disc_algo::DiscAll;
 use disc_baselines::PseudoPrefixSpan;
-use disc_core::{MinSupport, Sequence, SequenceDatabase, SequentialMiner};
+use disc_core::{
+    CustomerId, MinSupport, Sequence, SequenceDatabase, SequenceStore, SequentialMiner, StoreConfig,
+};
 use disc_datagen::QuestConfig;
 use disc_server::{SchedulerConfig, Server, ServerConfig};
 use std::io::{Read, Write};
@@ -499,6 +503,64 @@ fn attached_flat_file_serves_what_the_cli_mines_and_shares_the_upload_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file in `dir`: name, length and bytes, sorted by name.
+fn dir_contents(dir: &Path) -> Vec<(String, u64, Vec<u8>)> {
+    let mut files: Vec<(String, u64, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let bytes = std::fs::read(e.path()).unwrap();
+            (e.file_name().into_string().unwrap(), bytes.len() as u64, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn an_attached_store_serves_while_fresh_and_is_refused_once_stale_without_a_write() {
+    let dir = temp_dir("store-attach");
+    let store_dir = dir.join("store");
+    let db = quest_db(6);
+    let mut store = SequenceStore::open(&store_dir, StoreConfig::default()).unwrap();
+    for row in db.rows() {
+        store.append(row.cid, row.sequence.clone()).unwrap();
+    }
+    store.compact().unwrap();
+    let (_server, addr, handle) = start(&dir, 1_000_000);
+
+    let before = dir_contents(&store_dir);
+    let (status, attached) =
+        post(addr, &format!("/dbs?name=fresh&attach={}", store_dir.display()), b"");
+    assert_eq!(status, 201, "{attached}");
+    let (_, job) = post(addr, "/jobs?db=fresh&delta=6&nocache=1", b"");
+    let id: u64 = field(&job, "id").parse().unwrap();
+    assert_eq!(wait_terminal(addr, id), "done");
+    assert_eq!(get(addr, &format!("/jobs/{id}/result")).1, expected(&db, 6));
+    assert_eq!(dir_contents(&store_dir), before, "an attach must leave every file as it was");
+
+    // One append after the compaction, then a torn frame after it: the
+    // final segment holds one valid frame and a tail only recovery repairs.
+    store.append(CustomerId(1 << 40), disc_core::parse_sequence("(1)(2)").unwrap()).unwrap();
+    drop(store);
+    let last = dir_contents(&store_dir).into_iter().map(|(name, ..)| name).max().unwrap();
+    assert!(last.starts_with("wal-"), "{last}");
+    let mut tail = std::fs::OpenOptions::new().append(true).open(store_dir.join(&last)).unwrap();
+    tail.write_all(&[0x7f, 0x00, 0x01]).unwrap();
+    drop(tail);
+    let stale = dir_contents(&store_dir);
+    assert_ne!(stale, before);
+
+    let (status, refused) =
+        post(addr, &format!("/dbs?name=stale&attach={}", store_dir.display()), b"");
+    assert_eq!(status, 409, "{refused}");
+    assert!(refused.contains("1 acknowledged records"), "{refused}");
+    assert_eq!(dir_contents(&store_dir), stale, "an attach must leave every file as it was");
+
+    drain(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn an_attached_file_truncated_in_place_fails_its_jobs_not_the_server() {
     let dir = temp_dir("pinned");
@@ -586,7 +648,7 @@ fn a_restart_never_serves_a_stale_hit_for_a_republished_attached_file() {
     drain(addr, handle);
 
     // Republished by rename between the two processes, as a store
-    // compaction publishes its mirror.
+    // compaction publishes its data file.
     disc_core::write_flat_file(&path, &disc_core::encode_database_flat_file(&new)).unwrap();
     let (s2, addr2, handle2) = start(&dir, 1_000_000);
     assert_eq!(get(addr2, "/jobs/1/result").1, was, "a finished job keeps what it mined");

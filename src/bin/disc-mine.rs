@@ -310,6 +310,11 @@ fn open_flat(path: &Path, args: &Args) -> FlatFileContents {
             eprintln!("cannot open {}: {e}", path.display());
             exit(1);
         });
+    print_flat_stats(&loaded, args);
+    loaded
+}
+
+fn print_flat_stats(loaded: &FlatFileContents, args: &Args) {
     if args.stats {
         eprintln!(
             "# flat file: {} rows, {} item ids, columns {}",
@@ -318,7 +323,6 @@ fn open_flat(path: &Path, args: &Args) -> FlatFileContents {
             if loaded.is_mapped() { "memory-mapped (zero-copy)" } else { "heap (mmap fallback)" },
         );
     }
-    loaded
 }
 
 /// Flattens a parsed database in memory, printing its shape under
@@ -373,12 +377,12 @@ fn store_usage() -> ! {
          \t\t[--min-length N] [--max-patterns N] [--stats]\n\
          ingest appends each customer sequence to a crash-safe write-ahead log;\n\
          every acknowledged append survives a crash (`--sync always`, the\n\
-         default). compact folds sealed segments into a verified immutable\n\
-         snapshot. fsck audits without mutating: exit 0 when open() would\n\
-         succeed, 1 when the store is corrupt. mine recovers the store and\n\
-         mines the restored database; with --mmap it instead memory-maps\n\
-         the compacted .dscfd mirror and mines it zero-copy, refusing a\n\
-         mirror that is stale relative to the recovered rows.\n\
+         default). compact folds sealed segments into the store's one\n\
+         verified data file, store.dscfd. fsck audits without mutating:\n\
+         exit 0 when open() would succeed, 1 when the store is corrupt.\n\
+         mine recovers the store and mines the restored database; with\n\
+         --mmap it instead memory-maps store.dscfd read-only and mines it\n\
+         zero-copy, refusing it while the WAL holds records it lacks.\n\
          Exit codes: 0 ok, 1 permanent failure, 2 usage, 75 transient failure."
     );
     exit(2);
@@ -398,6 +402,13 @@ fn open_existing(dir: &str, cfg: StoreConfig) -> SequenceStore {
         exit(1);
     }
     SequenceStore::open(dir, cfg).unwrap_or_else(|e| fail_store("cannot open store", &e))
+}
+
+fn print_compaction(report: &CompactionReport) {
+    eprintln!(
+        "# compacted {} segments into a {}-byte data file ({} rows, fingerprint {:#018x})",
+        report.folded_segments, report.snapshot_bytes, report.rows, report.fingerprint
+    );
 }
 
 fn print_recovery(store: &SequenceStore) {
@@ -513,10 +524,7 @@ fn store_main(argv: Vec<String>) -> ! {
             if do_compact {
                 let report =
                     store.compact().unwrap_or_else(|e| fail_store("compaction failed", &e));
-                eprintln!(
-                    "# compacted {} segments into a {}-byte snapshot ({} rows, fingerprint {:#018x})",
-                    report.folded_segments, report.snapshot_bytes, report.rows, report.fingerprint
-                );
+                print_compaction(&report);
             }
             let total = store.len();
             store.close().unwrap_or_else(|e| fail_store("close failed", &e));
@@ -530,10 +538,7 @@ fn store_main(argv: Vec<String>) -> ! {
             }
             let report = store.compact().unwrap_or_else(|e| fail_store("compaction failed", &e));
             store.close().unwrap_or_else(|e| fail_store("close failed", &e));
-            eprintln!(
-                "# compacted {} segments into a {}-byte snapshot ({} rows, fingerprint {:#018x})",
-                report.folded_segments, report.snapshot_bytes, report.rows, report.fingerprint
-            );
+            print_compaction(&report);
             exit(0);
         }
         "fsck" => {
@@ -546,42 +551,21 @@ fn store_main(argv: Vec<String>) -> ! {
             println!("{report}");
             exit(if report.is_recoverable() { 0 } else { 1 });
         }
+        "mine" if use_mmap => {
+            let loaded = disc_miner::core::open_fresh(Path::new(&dir))
+                .unwrap_or_else(|e| fail_store("cannot map the store's data file", &e));
+            print_flat_stats(&loaded, &mine_args);
+            run_mining(&loaded, &mine_args);
+            exit(0);
+        }
         "mine" => {
             let store = open_existing(&dir, cfg);
             if mine_args.stats {
                 print_recovery(&store);
             }
-            if use_mmap {
-                // Recovery already deleted a mirror whose fingerprint does
-                // not match the snapshot; what remains to check is appends
-                // replayed from the WAL *after* the last compaction.
-                let live_fp = store.fingerprint();
-                let flat_path = store.flat_file_path();
-                store.close().unwrap_or_else(|e| fail_store("close failed", &e));
-                let mirror_fp = match disc_miner::core::peek_flat_file_fingerprint(&flat_path) {
-                    Ok(fp) => fp,
-                    Err(e) => {
-                        eprintln!(
-                            "no usable flat mirror at {}: {e}\nrun `disc-mine store compact --dir {dir}` first",
-                            flat_path.display()
-                        );
-                        exit(1);
-                    }
-                };
-                if mirror_fp != live_fp {
-                    eprintln!(
-                        "flat mirror {} is stale (fingerprint {mirror_fp:#018x}, store {live_fp:#018x}); \
-                         run `disc-mine store compact --dir {dir}` first",
-                        flat_path.display()
-                    );
-                    exit(1);
-                }
-                run_mining(&open_flat(&flat_path, &mine_args), &mine_args);
-            } else {
-                let view = store.view();
-                store.close().unwrap_or_else(|e| fail_store("close failed", &e));
-                run_mining(&load_nested(&view, &mine_args), &mine_args);
-            }
+            let view = store.view();
+            store.close().unwrap_or_else(|e| fail_store("close failed", &e));
+            run_mining(&load_nested(&view, &mine_args), &mine_args);
             exit(0);
         }
         _ => store_usage(),

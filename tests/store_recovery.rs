@@ -1,7 +1,8 @@
 //! The store crash-recovery gate: every injected fault at every WAL append
-//! point, and every snapshot fault at compaction, must leave a store that
-//! reopens to **exactly** the acknowledged prefix — and mining the
-//! recovered database must be bit-identical to mining a never-crashed
+//! point, and every fault at a compaction's one publish (including the
+//! compaction that converts a store an earlier build wrote), must leave a
+//! store that reopens to **exactly** the acknowledged prefix — and mining
+//! the recovered database must be bit-identical to mining a never-crashed
 //! ingest of the same records.
 //!
 //! CI runs this suite once per thread count (1, 2, 4) in release mode via
@@ -167,14 +168,15 @@ fn interrupted_appends_are_retried_and_lose_nothing() {
     }
 }
 
-/// Every snapshot-write fault mode at compaction: acknowledged records are
-/// never lost, the previous state is never destroyed, and the recovered
-/// store mines identically to the never-crashed database.
+/// Every fault mode at the compaction's one publish, on a store of this
+/// build and on one an earlier build wrote (`store.dscsn` plus a mirror
+/// without the store slot, converted by its first compaction): acknowledged
+/// records are never lost, the previous state is never destroyed, and the
+/// recovered store mines identically to the never-crashed database.
 #[test]
 fn compaction_fault_matrix_preserves_every_acked_record() {
     let db = workload();
     let rows = db.rows();
-    let reference = DiscAll::default().mine(&db, MINSUP);
     // Small segments so a compaction genuinely folds several of them.
     let small = StoreConfig { segment_max_bytes: 256, ..StoreConfig::default() };
     let faults = [
@@ -193,45 +195,91 @@ fn compaction_fault_matrix_preserves_every_acked_record() {
         for row in rows {
             store.append(row.cid, row.sequence.clone()).expect("append");
         }
-        store.arm_fault(FaultPlan::io_fault_at(IoWriter::StoreSnapshot, 0, fault));
-        let res = store.compact();
-        if fault == IoFault::Interrupted {
-            // Transient: the retry clears it and the compaction completes.
-            let report = res.unwrap_or_else(|e| panic!("{label}: must succeed: {e}"));
-            assert!(report.folded_segments > 1, "{label}: should fold several segments");
-        } else {
-            res.expect_err("a crash-class snapshot fault must fail the compaction");
-        }
-        drop(store); // the "process dies" here
-
-        // Whatever the crash left — a torn temp file, a published snapshot
-        // with stale segments, an unpublished one — fsck must call it
-        // recoverable with every acknowledged record intact.
-        let report = fsck(&dir).expect("fsck");
-        assert!(report.is_recoverable(), "{label}\n{report}");
-        assert_eq!(report.acked_records, rows.len() as u64, "{label}\n{report}");
-
-        let store = SequenceStore::open(&dir, small).expect("reopen");
-        assert_eq!(*store.view(), db, "{label}: recovered database");
-        if fault == IoFault::CrashAfterRename {
-            // The snapshot was published; recovery finishes the interrupted
-            // cleanup by deleting the superseded segments.
-            assert!(
-                store.recovery_report().stale_segments_removed > 0,
-                "{label}: recovery must remove the stale segments"
-            );
-        }
-        let got = DiscAll::default().mine(&store.view(), MINSUP);
-        assert_identical(&label, &got, &reference);
-
-        // The next compaction, on the recovered store, must succeed and
-        // leave a clean store.
-        let mut store = store;
-        store.compact().unwrap_or_else(|e| panic!("{label}: recovered compaction: {e}"));
-        store.close().expect("close");
-        assert!(fsck(&dir).expect("fsck").is_clean(), "{label}");
-        let _ = fs::remove_dir_all(&dir);
+        compact_with_fault(&label, store, fault, 2);
+        assert_recovers(&label, &dir, small, &db, fault);
     }
+
+    let legacy = legacy_store_copy("legacy-reference");
+    let legacy_db = (*SequenceStore::open(&legacy, small).expect("open legacy").view()).clone();
+    let _ = fs::remove_dir_all(&legacy);
+    for fault in faults {
+        let label = format!("legacy-compact-{fault:?}");
+        let dir = legacy_store_copy(&label);
+        let store = SequenceStore::open(&dir, small).expect("open legacy");
+        compact_with_fault(&label, store, fault, 1);
+        assert_recovers(&label, &dir, small, &legacy_db, fault);
+    }
+}
+
+/// A copy of the store the earlier two-file format wrote (the
+/// `legacy-store` fixture of `disc-core`).
+fn legacy_store_copy(tag: &str) -> PathBuf {
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/tests/fixtures/legacy-store");
+    let dir = fresh_dir(tag);
+    fs::create_dir_all(&dir).expect("mkdir");
+    for entry in fs::read_dir(&fixture).expect("fixture") {
+        let entry = entry.expect("fixture entry");
+        fs::copy(entry.path(), dir.join(entry.file_name())).expect("copy fixture");
+    }
+    dir
+}
+
+/// Runs one compaction with `fault` staged at its publish, then drops the
+/// store without a clean close: the "process dies" there. A compaction the
+/// fault does not stop must fold at least `min_folded` segments.
+fn compact_with_fault(label: &str, mut store: SequenceStore, fault: IoFault, min_folded: usize) {
+    store.arm_fault(FaultPlan::io_fault_at(IoWriter::StoreSnapshot, 0, fault));
+    let res = store.compact();
+    if fault == IoFault::Interrupted {
+        // Transient: the retry clears it and the compaction completes.
+        let report = res.unwrap_or_else(|e| panic!("{label}: must succeed: {e}"));
+        assert!(report.folded_segments >= min_folded, "{label}: should fold the segments");
+    } else {
+        res.expect_err("a crash-class fault at the publish must fail the compaction");
+    }
+}
+
+/// Whatever the crash left — a torn temp file, a published data file with
+/// stale segments (and a legacy snapshot), an unpublished one — fsck must
+/// call it recoverable with every acknowledged record intact, recovery must
+/// restore exactly `db`, and the next compaction must leave one data file.
+fn assert_recovers(
+    label: &str,
+    dir: &Path,
+    cfg: StoreConfig,
+    db: &SequenceDatabase,
+    fault: IoFault,
+) {
+    let report = fsck(dir).expect("fsck");
+    assert!(report.is_recoverable(), "{label}\n{report}");
+    assert_eq!(report.acked_records, db.len() as u64, "{label}\n{report}");
+
+    let mut store = SequenceStore::open(dir, cfg).expect("reopen");
+    assert_eq!(*store.view(), *db, "{label}: recovered database");
+    if fault == IoFault::CrashAfterRename {
+        // The data file was published; recovery finishes the interrupted
+        // cleanup by deleting what it supersedes.
+        assert!(
+            store.recovery_report().stale_segments_removed > 0,
+            "{label}: recovery must remove the stale segments"
+        );
+        assert!(!dir.join("store.dscsn").exists(), "{label}: recovery must remove store.dscsn");
+    }
+    let got = DiscAll::default().mine(&store.view(), MINSUP);
+    assert_identical(label, &got, &DiscAll::default().mine(db, MINSUP));
+
+    // The next compaction, on the recovered store, must succeed and leave a
+    // clean store of one data file.
+    store.compact().unwrap_or_else(|e| panic!("{label}: recovered compaction: {e}"));
+    store.close().expect("close");
+    assert!(fsck(dir).expect("fsck").is_clean(), "{label}");
+    let names: Vec<String> = fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8 name"))
+        .collect();
+    assert_eq!(names, ["store.dscfd"], "{label}: one data file and nothing else");
+    let _ = fs::remove_dir_all(dir);
 }
 
 /// The parallel miner, at every thread count under test, mines a recovered
