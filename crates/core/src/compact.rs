@@ -28,9 +28,15 @@ impl ItemMapping {
     /// [`is_identity`](ItemMapping::is_identity) or decide the mapping is
     /// not [worthwhile](ItemMapping::is_worthwhile) can mine the original
     /// database directly and skip the copy entirely.
+    ///
+    /// A small direct-mapped "last seen" table in front of the sort drops
+    /// the repeats of recently seen ids, so the sort sees about one entry
+    /// per distinct id instead of one per occurrence.
     pub fn analyze(db: &SequenceDatabase) -> ItemMapping {
-        let mut originals: Vec<Item> =
-            db.sequences().flat_map(|s| s.itemsets().iter().flat_map(|set| set.iter())).collect();
+        let mut seen = LastSeen::new();
+        let occurrences =
+            db.sequences().flat_map(|s| s.itemsets().iter().flat_map(|set| set.iter()));
+        let mut originals: Vec<Item> = occurrences.filter(|&x| seen.insert(x, 0)).collect();
         originals.sort_unstable();
         originals.dedup();
         ItemMapping { originals }
@@ -89,6 +95,23 @@ impl ItemMapping {
         self.originals.binary_search(&item).ok().map(|i| Item(i as u32))
     }
 
+    /// Rewrites every item of `items` (all seen by this mapping) onto its
+    /// compact id: a [`LastSeen`] table answers repeated ids, and only its
+    /// misses binary-search the dictionary.
+    pub(crate) fn compact_items(&self, items: &mut [Item]) {
+        let mut cache = LastSeen::new();
+        for item in items {
+            *item = match cache.get(*item) {
+                Some(compact) => Item(compact),
+                None => {
+                    let compact = self.to_compact(*item).expect("item seen by the mapping");
+                    cache.insert(*item, compact.id());
+                    compact
+                }
+            };
+        }
+    }
+
     /// Compact id → original id.
     pub fn to_original(&self, item: Item) -> Option<Item> {
         self.originals.get(item.id() as usize).copied()
@@ -116,6 +139,42 @@ impl ItemMapping {
     /// Translates a whole mining result back to original ids.
     pub fn restore_result(&self, result: &MiningResult) -> MiningResult {
         result.iter().map(|(p, s)| (self.restore_sequence(p), s)).collect()
+    }
+}
+
+/// A direct-mapped "last seen" table over item ids: slot `id mod SLOTS`
+/// remembers the last id stored there, with a value. Item occurrences
+/// repeat a few distinct ids, so nearly every lookup hits; a miss only
+/// costs the caller its slow path. Dense ids below `SLOTS` never collide,
+/// and sparse ids share slots without any separate code path.
+struct LastSeen {
+    slots: Vec<Option<(Item, u32)>>,
+}
+
+impl LastSeen {
+    const SLOTS: usize = 4096;
+
+    fn new() -> LastSeen {
+        LastSeen { slots: vec![None; LastSeen::SLOTS] }
+    }
+
+    #[inline]
+    fn slot(item: Item) -> usize {
+        item.id() as usize % LastSeen::SLOTS
+    }
+
+    /// The value stored with `item`, if its slot still holds it.
+    #[inline]
+    fn get(&self, item: Item) -> Option<u32> {
+        self.slots[LastSeen::slot(item)].filter(|&(id, _)| id == item).map(|(_, value)| value)
+    }
+
+    /// Stores `item` with `value`, evicting its slot's previous id. Returns
+    /// whether the slot held some other id (or nothing) before.
+    #[inline]
+    fn insert(&mut self, item: Item, value: u32) -> bool {
+        let previous = self.slots[LastSeen::slot(item)].replace((item, value));
+        previous.is_none_or(|(id, _)| id != item)
     }
 }
 
@@ -186,6 +245,34 @@ mod tests {
         // A gapless id space analyzes to the identity without any copy.
         let dense = SequenceDatabase::from_parsed(&["(a)(b, c)", "(c)"]).unwrap();
         assert!(ItemMapping::analyze(&dense).is_identity());
+    }
+
+    #[test]
+    fn colliding_ids_analyze_and_remap_like_a_plain_sort() {
+        // Ids that share one table slot, interleaved so every lookup
+        // evicts the previous id, plus the largest id and dense ones.
+        let slots = LastSeen::SLOTS as u32;
+        let ids = [0, slots, 2 * slots, u32::MAX, 1, slots + 1, u32::MAX - slots, 7];
+        let rows = (0..6).map(|r| {
+            Sequence::new((0..ids.len()).map(|t| {
+                let a = Item(ids[(r + t) % ids.len()]);
+                let b = Item(ids[(r + 3 * t + 1) % ids.len()]);
+                Itemset::new([a, b]).unwrap()
+            }))
+        });
+        let db = SequenceDatabase::from_sequences(rows);
+        let mapping = ItemMapping::analyze(&db);
+        let mut expected: Vec<Item> = ids.iter().map(|&id| Item(id)).collect();
+        expected.sort_unstable();
+        assert_eq!(mapping.originals(), expected.as_slice());
+
+        let mut items: Vec<Item> =
+            db.sequences().flat_map(|s| s.itemsets().iter().flat_map(|set| set.iter())).collect();
+        let originals = items.clone();
+        mapping.compact_items(&mut items);
+        for (compact, original) in items.iter().zip(&originals) {
+            assert_eq!(Some(*compact), mapping.to_compact(*original), "{original:?}");
+        }
     }
 
     #[test]

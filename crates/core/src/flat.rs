@@ -319,9 +319,7 @@ impl FlatDb {
     pub fn from_database_compacted(db: &SequenceDatabase, mapping: &ItemMapping) -> FlatDb {
         let mut arena = FlatDb::arena_of(db);
         if !mapping.is_identity() {
-            for item in &mut arena.items {
-                *item = mapping.to_compact(*item).expect("item seen by the mapping");
-            }
+            mapping.compact_items(&mut arena.items);
         }
         let max_item = mapping.len().checked_sub(1).map(|m| Item(m as u32));
         FlatDb::from_arena(arena, max_item)

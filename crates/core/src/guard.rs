@@ -450,32 +450,42 @@ impl GuardedResult {
 pub struct FaultPlan {
     panic_at_checkpoint: Option<u64>,
     stall_at_checkpoint: Option<(u64, Duration)>,
+    cancel_at_checkpoint: Option<u64>,
     io_fault: Option<(IoWriter, u64, IoFault)>,
     armed: Cell<bool>,
 }
 
 #[cfg(any(test, feature = "fault-injection"))]
 impl FaultPlan {
-    /// Panics when the `n`-th full checkpoint (1-based) runs.
-    pub fn panic_at(n: u64) -> FaultPlan {
+    /// An armed plan with no fault yet.
+    fn empty() -> FaultPlan {
         FaultPlan {
-            panic_at_checkpoint: Some(n),
+            panic_at_checkpoint: None,
             stall_at_checkpoint: None,
+            cancel_at_checkpoint: None,
             io_fault: None,
             armed: Cell::new(true),
         }
+    }
+
+    /// Panics when the `n`-th full checkpoint (1-based) runs.
+    pub fn panic_at(n: u64) -> FaultPlan {
+        FaultPlan { panic_at_checkpoint: Some(n), ..FaultPlan::empty() }
     }
 
     /// Sleeps for `stall` when the `n`-th full checkpoint (1-based) runs —
     /// before the deadline check, so a stall past the deadline makes the
     /// same checkpoint return [`AbortReason::DeadlineExceeded`].
     pub fn stall_at(n: u64, stall: Duration) -> FaultPlan {
-        FaultPlan {
-            panic_at_checkpoint: None,
-            stall_at_checkpoint: Some((n, stall)),
-            io_fault: None,
-            armed: Cell::new(true),
-        }
+        FaultPlan { stall_at_checkpoint: Some((n, stall)), ..FaultPlan::empty() }
+    }
+
+    /// Cancels the guard's token when the `n`-th full checkpoint (1-based)
+    /// runs — before the cancellation check, so that checkpoint returns
+    /// [`AbortReason::Cancelled`]: a cancel landing at a chosen point of
+    /// a run.
+    pub fn cancel_at(n: u64) -> FaultPlan {
+        FaultPlan { cancel_at_checkpoint: Some(n), ..FaultPlan::empty() }
     }
 
     /// Injects `fault` at write number `n` of `writer` — the one injection
@@ -483,12 +493,7 @@ impl FaultPlan {
     /// 1; the store's and the job server's from 0). Fires once, then
     /// disarms, like every fault.
     pub fn io_fault_at(writer: IoWriter, n: u64, fault: IoFault) -> FaultPlan {
-        FaultPlan {
-            panic_at_checkpoint: None,
-            stall_at_checkpoint: None,
-            io_fault: Some((writer, n, fault)),
-            armed: Cell::new(true),
-        }
+        FaultPlan { io_fault: Some((writer, n, fault)), ..FaultPlan::empty() }
     }
 
     /// Consulted by a writer before its write number `n`. Returns the
@@ -507,9 +512,15 @@ impl FaultPlan {
         }
     }
 
-    fn fire(&self, checkpoint: u64) {
+    /// Runs the fault due at full checkpoint `checkpoint`, if any;
+    /// returns whether it asks for the guard's token to be cancelled.
+    fn fire(&self, checkpoint: u64) -> bool {
         if !self.armed.get() {
-            return;
+            return false;
+        }
+        if self.cancel_at_checkpoint == Some(checkpoint) {
+            self.armed.set(false);
+            return true;
         }
         if let Some((at, stall)) = self.stall_at_checkpoint {
             if checkpoint == at {
@@ -523,6 +534,7 @@ impl FaultPlan {
                 panic!("injected fault at checkpoint {checkpoint}");
             }
         }
+        false
     }
 }
 
@@ -789,7 +801,9 @@ impl MineGuard {
         self.checkpoints.set(n);
         #[cfg(any(test, feature = "fault-injection"))]
         if let Some(fault) = &self.fault {
-            fault.fire(n);
+            if fault.fire(n) {
+                self.token.cancel();
+            }
         }
         if self.token.is_cancelled() {
             return Err(AbortReason::Cancelled);

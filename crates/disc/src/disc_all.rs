@@ -2,8 +2,10 @@
 //! DISC miner runs.
 //!
 //! The engine is Figure 2's walk, written once: the frequent 1-sequences,
-//! first-level partitions, counting-array scans, reduction into a reused
-//! arena, next-level partitions keyed by (conditional) minimum extensions,
+//! the projection onto the frequent items (when it drops at least half of
+//! the item column), first-level partitions, counting-array scans,
+//! reduction into a reused arena, next-level partitions keyed by
+//! (conditional) minimum extensions,
 //! and the DISC strategy below the last split. Each level's partitions get
 //! their members from transposed member lists
 //! (`partition::MemberLists`): every member the paper's
@@ -28,7 +30,10 @@
 use crate::counting::{count_extensions_into, CountingArray, FrequencyMasks};
 use crate::discovery::discover_frequent_k_into;
 use crate::dynamic::SplitPolicy;
-use crate::partition::{extension_lists, first_level_members, reduce_into, Member, RowExtensions};
+use crate::partition::{
+    extension_lists, first_level_members, frequent_projection, reduce_into, Member, MemberLists,
+    RowExtensions,
+};
 use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use disc_core::{
     checkpoint, AbortReason, FlatArena, FlatDb, GuardedResult, Item, MinSupport, MineGuard,
@@ -160,23 +165,71 @@ impl DiscAll {
 pub(crate) fn mine_partitioned(
     engine: &Engine<'_>,
     result: &mut MiningResult,
-    mut sink: Option<&mut CheckpointSink<'_>>,
+    sink: Option<&mut CheckpointSink<'_>>,
+) -> Result<(), AbortReason> {
+    // Step 2: walk first-level partitions in ascending key order. The
+    // reassignment chains (Step 2.2) hand the <(λ)>-partition every row
+    // containing λ by its turn; the transposition lists exactly those rows
+    // up front. Partitions a resumed snapshot marks done are skipped.
+    mine_root(engine, result, sink, |engine, first_level, result, mut sink| {
+        // One counting array, reduction arena and extension table for the
+        // whole walk: partitions reset them instead of re-allocating (the
+        // arena and table stabilize at the largest partition's footprint).
+        let mut scratch = Scratch::new(engine.n_items());
+        for (lambda, members) in first_level.iter() {
+            engine.guard.checkpoint()?;
+            if sink.as_deref().is_some_and(|s| s.is_done(lambda)) {
+                continue;
+            }
+            engine.process_first_level(lambda, members, result, &mut scratch)?;
+            if let Some(s) = sink.as_deref_mut() {
+                s.partition_done(lambda, result);
+            }
+        }
+        Ok(())
+    })
+}
+
+/// The first-level step every engine run shares — the sequential walk
+/// above and [`crate::ParallelDiscAll`]'s coordinator: Step 1 (the frequent
+/// 1-sequences, then the level-1 snapshot), the frequent-item projection
+/// ([`frequent_projection`]), the root's split test, and the first-level
+/// member lists, which `walk` gets with an engine over the database it
+/// should mine — the projection when one was built, else the input. A
+/// root the policy does not split is mined here instead, by DISC from
+/// k = 2 over every row.
+pub(crate) fn mine_root<'s>(
+    engine: &Engine<'_>,
+    result: &mut MiningResult,
+    mut sink: Option<&mut CheckpointSink<'s>>,
+    walk: impl FnOnce(
+        &Engine<'_>,
+        MemberLists<Item, Member>,
+        &mut MiningResult,
+        Option<&mut CheckpointSink<'s>>,
+    ) -> Result<(), AbortReason>,
 ) -> Result<(), AbortReason> {
     let Engine { flat, weights, policy, guard, .. } = *engine;
-    let Some(max_item) = flat.max_item() else {
+    let n_items = engine.n_items();
+    if n_items == 0 {
         return Ok(());
-    };
-    let n_items = max_item.id() as usize + 1;
-    // One counting array, reduction arena and extension table for the whole
-    // run: partitions reset them instead of re-allocating (the arena and
-    // table stabilize at the largest partition's footprint).
-    let mut scratch = Scratch::new(n_items);
+    }
 
     // Step 1: frequent 1-sequences.
     let (freq1, supports1) = frequent_one_sequences(engine, n_items, result)?;
     if let Some(s) = sink.as_deref_mut() {
         s.level_one(result);
     }
+    if supports1.is_empty() {
+        return Ok(());
+    }
+
+    // Every longer pattern consists of frequent items: mine the projection
+    // onto them when it drops enough of the item column to pay for itself.
+    // Rows stay aligned, so weights, member ids and partition keys keep
+    // their meaning.
+    let projection = frequent_projection(flat, &freq1, guard)?;
+    let engine = &Engine { flat: projection.as_ref().unwrap_or(flat), ..*engine };
 
     let total = weights.map_or(flat.len() as u64, |w| w.iter().sum());
     if !policy.split(0, supports1.iter().copied(), total) {
@@ -185,29 +238,16 @@ pub(crate) fn mine_partitioned(
         // in `result` (the level-1 snapshot holds them); moving them in
         // again re-inserts them unchanged.
         let members: Vec<_> =
-            flat.rows().enumerate().map(|(i, row)| (row, engine.weight(i))).collect();
+            engine.flat.rows().enumerate().map(|(i, row)| (row, engine.weight(i))).collect();
         let patterns = (0..n_items as u32).filter(|&id| freq1[id as usize]);
         let patterns = patterns.map(|id| Sequence::single(Item(id))).collect();
         let seeds = Seeds { patterns, supports: supports1 };
-        return engine.run_disc(&members, seeds, result, &mut scratch.carray);
+        let mut carray = CountingArray::new(engine.n_items());
+        return engine.run_disc(&members, seeds, result, &mut carray);
     }
 
-    // Step 2: walk first-level partitions in ascending key order. The
-    // reassignment chains (Step 2.2) hand the <(λ)>-partition every row
-    // containing λ by its turn; the transposition lists exactly those rows
-    // up front. Partitions a resumed snapshot marks done are skipped.
-    let first_level = first_level_members(flat, &freq1, guard)?;
-    for (lambda, members) in first_level.iter() {
-        guard.checkpoint()?;
-        if sink.as_deref().is_some_and(|s| s.is_done(lambda)) {
-            continue;
-        }
-        engine.process_first_level(lambda, members, result, &mut scratch)?;
-        if let Some(s) = sink.as_deref_mut() {
-            s.partition_done(lambda, result);
-        }
-    }
-    Ok(())
+    let first_level = first_level_members(engine.flat, &freq1, guard)?;
+    walk(engine, first_level, result, sink)
 }
 
 /// One engine run: the database, its row weights, the threshold and the
@@ -310,6 +350,12 @@ fn weight_of<S>(members: &[(S, u64)]) -> u64 {
 }
 
 impl Engine<'_> {
+    /// The size of the item-id space of the engine's database: one more
+    /// than its largest item, 0 for an item-free database.
+    pub(crate) fn n_items(&self) -> usize {
+        self.flat.max_item().map_or(0, |m| m.id() as usize + 1)
+    }
+
     /// The weight of database row `row`.
     fn weight(&self, row: usize) -> u64 {
         self.weights.map_or(1, |w| w[row])
@@ -645,5 +691,48 @@ mod tests {
         let by_count = DiscAll::default().mine(&db, MinSupport::Count(3));
         let by_fraction = DiscAll::default().mine(&db, MinSupport::Fraction(3.0 / 11.0));
         assert!(by_count.diff(&by_fraction).is_empty());
+    }
+
+    /// Every DISC miner over `db` at `delta`, each against `BruteForce`.
+    fn assert_every_disc_miner_matches(db: &SequenceDatabase, delta: u64) -> MiningResult {
+        let expected = BruteForce::default().mine(db, MinSupport::Count(delta));
+        let miners: Vec<Box<dyn SequentialMiner>> = vec![
+            Box::new(DiscAll::default()),
+            Box::new(DiscAll::without_bi_level()),
+            Box::new(crate::DynamicDiscAll::default()),
+            Box::new(crate::DynamicDiscAll::with_gamma(0.0)),
+            Box::new(crate::ParallelDiscAll::with_threads(2)),
+        ];
+        for miner in miners {
+            let diff = miner.mine(db, MinSupport::Count(delta)).diff(&expected);
+            assert!(diff.is_empty(), "{} δ={delta}:\n{}", miner.name(), diff.join("\n"));
+        }
+        let weighted = crate::weighted::WeightedDatabase::uniform(db.clone());
+        let diff = crate::WeightedDisc::default().mine(&weighted, delta).diff(&expected);
+        assert!(diff.is_empty(), "weighted δ={delta}:\n{}", diff.join("\n"));
+        expected
+    }
+
+    #[test]
+    fn an_all_infrequent_database_mines_to_nothing() {
+        let db = SequenceDatabase::from_parsed(&["(a,b)(c)", "(d)(e,f)", "(g)"]).unwrap();
+        assert!(assert_every_disc_miner_matches(&db, 2).is_empty());
+    }
+
+    #[test]
+    fn projected_rows_mine_from_their_shifted_minimum_points() {
+        // Most occurrences are non-frequent, so the engine mines the
+        // projection; the leading transactions of rows 0 and 1 empty in
+        // it, and row 3 empties entirely.
+        let db = SequenceDatabase::from_parsed(&[
+            "(p,q,r,s)(a,b)(t)(c)",
+            "(u,v)(a)(b,c)(w)",
+            "(a,b)(x)(c)",
+            "(y,z)",
+        ])
+        .unwrap();
+        let result = assert_every_disc_miner_matches(&db, 2);
+        assert_eq!(result.support_of(&parse_sequence("(a,b)(c)").unwrap()), Some(2));
+        assert_eq!(result.support_of(&parse_sequence("(a)(c)").unwrap()), Some(3));
     }
 }

@@ -30,8 +30,8 @@
 //! union; [`MiningResult::insert`] still cross-checks supports, so a shard
 //! disagreeing on a support is caught loudly rather than silently resolved.
 
-use crate::disc_all::{frequent_one_sequences, Engine, Scratch, DISC_ALL_POLICY};
-use crate::partition::{first_level_members, Member};
+use crate::disc_all::{mine_root, Engine, Scratch, DISC_ALL_POLICY};
+use crate::partition::{Member, MemberLists};
 use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
 use crate::DiscConfig;
 use disc_core::{
@@ -147,14 +147,8 @@ impl Checkpointable for ParallelDiscAll {
         delta: u64,
         guard: &MineGuard,
         result: &mut MiningResult,
-        mut sink: Option<&mut CheckpointSink<'_>>,
+        sink: Option<&mut CheckpointSink<'_>>,
     ) -> Result<(), AbortReason> {
-        let Some(max_item) = flat.max_item() else {
-            return Ok(());
-        };
-        let n_items = max_item.id() as usize + 1;
-
-        // Step 1 (sequential, one scan): frequent 1-sequences.
         let engine = Engine {
             flat,
             weights: None,
@@ -163,16 +157,29 @@ impl Checkpointable for ParallelDiscAll {
             config: self.config,
             guard,
         };
-        let (freq1, _) = frequent_one_sequences(&engine, n_items, result)?;
-        if let Some(s) = sink.as_deref_mut() {
-            s.level_one(result);
-        }
+        // Steps 1–2 (sequential): frequent 1-sequences, the projection and
+        // shard membership, in the engine's shared first-level step.
+        mine_root(&engine, result, sink, |engine, first_level, result, sink| {
+            self.mine_shards(engine, first_level, result, sink)
+        })
+    }
+}
 
-        // Step 2 (sequential, one scan): shard membership — for each
-        // frequent λ, every row containing λ, in ascending row order.
+impl ParallelDiscAll {
+    /// Steps 3–4: the shards, one per first-level partition — for each
+    /// frequent λ, every row of `engine`'s database containing λ, which
+    /// every worker borrows read-only — then the merge.
+    fn mine_shards(
+        &self,
+        engine: &Engine<'_>,
+        first_level: MemberLists<Item, Member>,
+        result: &mut MiningResult,
+        sink: Option<&mut CheckpointSink<'_>>,
+    ) -> Result<(), AbortReason> {
+        // A copy, so the shard body captures only its `Sync` fields.
+        let (engine, guard, n_items) = (*engine, engine.guard, engine.n_items());
         // Shards a resumed snapshot marks done are dropped up front; their
         // patterns were seeded from the snapshot.
-        let first_level = first_level_members(flat, &freq1, guard)?;
         let shards: Vec<(Item, &[Member])> = first_level
             .iter()
             .filter(|&(lambda, _)| sink.as_deref().is_none_or(|s| !s.is_done(lambda)))
@@ -249,6 +256,7 @@ impl Checkpointable for ParallelDiscAll {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::first_level_members;
     use crate::DiscAll;
     use disc_core::BruteForce;
 

@@ -21,7 +21,9 @@
 //! [`reduce_into`] also drops the items below the partition item there: no
 //! pattern starting with that item can embed left of it
 //! (`docs/ALGORITHM.md` §6). Deeper levels list rows by their masked
-//! extension sets (`extension_lists`).
+//! extension sets (`extension_lists`). Every level reads the rows of the
+//! projection onto the frequent items (`frequent_projection`) when the
+//! engine built one.
 
 use crate::counting::FrequencyMasks;
 use crate::kms::{all_extensions, decode_elem, encode_elem, min_extension_where};
@@ -156,6 +158,46 @@ pub(crate) fn first_level_members(
         }
         Ok(())
     })
+}
+
+/// The frequent-item projection is built only when it keeps at most
+/// `1 / PROJECTION_MIN_SHRINK` of the item column — half. Every dropped
+/// occurrence saves at least the two passes of the first-level
+/// transposition, so a projection that halves the column pays for its
+/// one copy; and over a mapped `DSCFD1` file the heap it adds stays below
+/// half of the file's item column.
+const PROJECTION_MIN_SHRINK: usize = 2;
+
+/// The projection of `flat` onto its frequent items, when it pays
+/// ([`PROJECTION_MIN_SHRINK`]); `None` otherwise. Row `r` of the
+/// projection is row `r` of `flat` without the items `freq1` does not
+/// flag and the transactions that leaves empty, so rows stay aligned —
+/// row weights, member row ids and partition keys keep their meaning, and
+/// item ids are not remapped.
+///
+/// Exact for every pattern of frequent items, which every frequent pattern
+/// is: deleting other items and empty transactions keeps each of its
+/// embeddings and creates none. One checkpoint per row.
+pub(crate) fn frequent_projection(
+    flat: &FlatDb,
+    freq1: &[bool],
+    guard: &MineGuard,
+) -> Result<Option<FlatDb>, AbortReason> {
+    let (items, set_starts, _) = flat.columns();
+    let frequent = |x: Item| freq1[x.id() as usize];
+    let cap = items.len() / PROJECTION_MIN_SHRINK;
+    let kept = items.iter().filter(|&&x| frequent(x)).take(cap + 1).count();
+    if kept > cap {
+        return Ok(None);
+    }
+    let n_sets = kept.min(set_starts.len() - 1);
+    let mut arena = FlatArena::with_capacity(kept, n_sets + 1, flat.len() + 1);
+    for row in flat.rows() {
+        guard.checkpoint()?;
+        arena.push_filtered(row, |_, x| frequent(x));
+    }
+    let max_item = freq1.iter().rposition(|&f| f).map(|id| Item(id as u32));
+    Ok(Some(FlatDb::from_arena(arena, max_item)))
 }
 
 /// The next-level partitions of a partition whose rows' extension sets
@@ -790,5 +832,61 @@ mod tests {
             bound = Some(e);
         }
         assert_eq!(chain, vec!["(a)(b)", "(a, c)", "(a)(c)"]);
+    }
+
+    /// The flags of the items spelled by `letters`, `n` ids long.
+    fn flags(letters: &str, n: usize) -> Vec<bool> {
+        let mut freq1 = vec![false; n];
+        for c in letters.chars() {
+            freq1[item(c).id() as usize] = true;
+        }
+        freq1
+    }
+
+    #[test]
+    fn projection_is_built_when_it_keeps_at_most_half_the_items() {
+        // Four occurrences: keeping two is half, keeping three is more.
+        let flat = FlatDb::from_database(&SequenceDatabase::from_parsed(&["(a,x)(b,y)"]).unwrap());
+        let guard = MineGuard::unlimited();
+        let n = flat.max_item().unwrap().id() as usize + 1;
+        let half = frequent_projection(&flat, &flags("ab", n), &guard).unwrap();
+        let half = half.expect("keeping half the items projects");
+        assert_eq!(half.row(0).to_sequence(), seq("(a)(b)"));
+        assert_eq!(half.max_item(), Some(item('b')));
+        assert!(frequent_projection(&flat, &flags("abx", n), &guard).unwrap().is_none());
+    }
+
+    #[test]
+    fn projection_keeps_rows_aligned_and_moves_minimum_points() {
+        // Row 0's leading transaction holds only non-frequent items, so
+        // its <(a)> minimum point moves from transaction 1 to 0; row 1
+        // empties and stays, as an empty row.
+        let db = SequenceDatabase::from_parsed(&["(p,q,r)(a,b)(s)(c)", "(t,u)", "(a)(c)"]).unwrap();
+        let flat = FlatDb::from_database(&db);
+        let guard = MineGuard::unlimited();
+        let freq1 = flags("abc", flat.max_item().unwrap().id() as usize + 1);
+        let projection = frequent_projection(&flat, &freq1, &guard).unwrap().unwrap();
+        assert_eq!(projection.len(), 3);
+        assert_eq!(projection.row(0).to_sequence(), seq("(a,b)(c)"));
+        assert_eq!(projection.row(1).n_transactions(), 0);
+        assert_eq!(projection.row(2).to_sequence(), seq("(a)(c)"));
+        let a_members = |flat: &FlatDb| {
+            let lists = first_level_members(flat, &freq1, &guard).unwrap();
+            let a = lists.iter().next().map(|(key, members)| (key, members.to_vec()));
+            a
+        };
+        assert_eq!(a_members(&flat), Some((item('a'), vec![(0, 1), (2, 0)])));
+        assert_eq!(a_members(&projection), Some((item('a'), vec![(0, 0), (2, 0)])));
+    }
+
+    #[test]
+    fn a_cancel_stops_the_projection_pass() {
+        let flat = FlatDb::from_database(&SequenceDatabase::from_parsed(&["(a,x)(b,y)"]).unwrap());
+        let guard =
+            MineGuard::new(disc_core::CancelToken::new(), disc_core::ResourceBudget::unlimited())
+                .with_checkpoint_interval(1);
+        guard.token().cancel();
+        let freq1 = flags("ab", flat.max_item().unwrap().id() as usize + 1);
+        assert_eq!(frequent_projection(&flat, &freq1, &guard).err(), Some(AbortReason::Cancelled));
     }
 }

@@ -25,7 +25,7 @@
 use crate::disc_all::{mine_partitioned, DiscConfig, Engine, DISC_ALL_POLICY};
 use crate::resume::mine_on_flat;
 use disc_core::{
-    contains, run_guarded, CustomerId, GuardedResult, MineGuard, MiningResult, Sequence,
+    contains, run_guarded, CustomerId, FlatDb, GuardedResult, MineGuard, MiningResult, Sequence,
     SequenceDatabase,
 };
 
@@ -122,17 +122,29 @@ impl WeightedDisc {
         delta_w: u64,
         guard: &MineGuard,
     ) -> GuardedResult {
-        mine_on_flat(&wdb.db, |flat| {
-            let engine = Engine {
-                flat,
-                weights: Some(&wdb.weights),
-                delta: delta_w.max(1),
-                policy: DISC_ALL_POLICY,
-                config: DiscConfig { bi_level: self.bi_level },
-                guard,
-            };
-            run_guarded(guard, |result| mine_partitioned(&engine, result, None))
-        })
+        mine_on_flat(&wdb.db, |flat| self.mine_flat_guarded(flat, &wdb.weights, delta_w, guard))
+    }
+
+    /// [`WeightedDisc::mine_guarded`] over flat columns — built on the
+    /// heap, or mapped zero-copy from a `DSCFD1` file — with `weights[r]`
+    /// the weight of row `r`, in the item ids the columns store.
+    pub fn mine_flat_guarded(
+        &self,
+        flat: &FlatDb,
+        weights: &[u64],
+        delta_w: u64,
+        guard: &MineGuard,
+    ) -> GuardedResult {
+        assert_eq!(weights.len(), flat.len(), "one weight per row");
+        let engine = Engine {
+            flat,
+            weights: Some(weights),
+            delta: delta_w.max(1),
+            policy: DISC_ALL_POLICY,
+            config: DiscConfig { bi_level: self.bi_level },
+            guard,
+        };
+        run_guarded(guard, |result| mine_partitioned(&engine, result, None))
     }
 }
 

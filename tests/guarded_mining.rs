@@ -160,6 +160,53 @@ fn injected_panic_is_isolated_for_every_miner() {
 }
 
 #[test]
+fn a_cancel_during_the_projection_pass_keeps_exactly_the_level_one_patterns() {
+    // Most occurrences are non-frequent at δ = 2, so every DISC engine
+    // projects the database after Step 1. With a full check per charge,
+    // check 1 is the pre-flight, check 2 closes Step 1's scan and check 3
+    // is the projection pass's first row: the cancel lands there.
+    let db = SequenceDatabase::from_parsed(&[
+        "(p,q,r,s)(a,b)(t)(c)",
+        "(u,v)(a)(b,c)(w)",
+        "(a,b)(x)(c)",
+        "(y,z)",
+    ])
+    .unwrap();
+    let level_one: MiningResult = BruteForce::default()
+        .mine(&db, MinSupport::Count(2))
+        .iter()
+        .filter(|(pattern, _)| pattern.length() == 1)
+        .map(|(pattern, support)| (pattern.clone(), support))
+        .collect();
+    assert_eq!(level_one.len(), 3);
+    let guard = || {
+        MineGuard::new(CancelToken::new(), ResourceBudget::unlimited())
+            .with_checkpoint_interval(1)
+            .with_fault(FaultPlan::cancel_at(3))
+    };
+    let disc_miners: Vec<Box<dyn SequentialMiner>> = vec![
+        Box::new(DiscAll::default()),
+        Box::new(DynamicDiscAll::with_gamma(0.0)),
+        Box::new(ParallelDiscAll::with_threads(2)),
+    ];
+    let weighted = WeightedDatabase::uniform(db.clone());
+    let runs = disc_miners
+        .iter()
+        .map(|m| (m.name().to_string(), m.mine_guarded(&db, MinSupport::Count(2), &guard())))
+        .chain([(
+            "weighted".to_string(),
+            WeightedDisc::default().mine_guarded(&weighted, 2, &guard()),
+        )]);
+    for (name, run) in runs {
+        assert_eq!(run.outcome, MineOutcome::Partial { reason: AbortReason::Cancelled }, "{name}");
+        assert!(run.result.diff(&level_one).is_empty(), "{name}: {:?}", run.result);
+        // Step 1 charges one operation per row; the cancel took the
+        // projection's first.
+        assert_eq!((run.stats.checkpoints, run.stats.ops), (3, db.len() as u64 + 1), "{name}");
+    }
+}
+
+#[test]
 fn injected_stall_becomes_a_deadline_abort() {
     let db = padded_table1();
     let guard = MineGuard::new(
