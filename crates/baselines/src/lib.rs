@@ -31,14 +31,3 @@ pub use prefixspan::PrefixSpan;
 pub use pseudo::PseudoPrefixSpan;
 pub use spade::Spade;
 pub use spam::Spam;
-
-/// All baseline miners, boxed, for harness iteration.
-pub fn all_baselines() -> Vec<Box<dyn disc_core::SequentialMiner>> {
-    vec![
-        Box::new(PrefixSpan::default()),
-        Box::new(PseudoPrefixSpan::default()),
-        Box::new(Gsp::default()),
-        Box::new(Spade::default()),
-        Box::new(Spam::default()),
-    ]
-}

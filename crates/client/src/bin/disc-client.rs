@@ -25,14 +25,16 @@ fn usage() -> ! {
          options:\n\
            --file PATH         database file to upload as NAME (.dscdb bytes)\n\
            --tenant NAME       tenant to submit as            [default]\n\
-           --algo ALGO         disc-all|dynamic|parallel|auto [disc-all]\n\
-           --mode MODE         all|closed|maximal             [all]\n\
+           --algo ALGO         one of {algos} [disc-all]\n\
+           --mode MODE         one of {modes} [all]\n\
            --max-ops N         per-job operations cap\n\
            --attempts N        retry attempts per request     [8]\n\
            --job-timeout-secs N  wait bound per submission    [120]\n\
            --chaos-seed SEED   wrap every connection in the seeded fault\n\
                                harness (testing only)\n\
-           --quiet             suppress progress on stderr"
+           --quiet             suppress progress on stderr",
+        algos = disc_server::served_names(),
+        modes = disc_server::Mode::names(),
     );
     std::process::exit(2);
 }

@@ -395,9 +395,9 @@ pub struct JobRequest {
     pub db: String,
     /// Absolute support threshold δ.
     pub delta: u64,
-    /// Algorithm (`disc-all`, `dynamic`, `parallel`, `auto`).
+    /// Algorithm: a name [`disc_server::served_names`] lists.
     pub algo: String,
-    /// Result projection (`all`, `closed`, `maximal`).
+    /// Result projection: a name [`disc_server::Mode::names`] lists.
     pub mode: String,
     /// Optional per-job operations cap.
     pub max_ops: Option<u64>,

@@ -914,9 +914,9 @@ impl FallbackMiner {
     /// [`MineGuard::stage`], and the chain advances by
     /// [`MineOutcome::advances_fallback`]; the deciding (or last) stage's
     /// result is returned. Callers whose stages are not
-    /// [`SequentialMiner`]s over a nested database — the server's `auto`
-    /// jobs mine a loaded database — chain through this directly. Panics
-    /// when `n_stages` is 0.
+    /// [`SequentialMiner`]s over a nested database — the algorithm
+    /// registry's chains mining loaded columns — chain through this
+    /// directly. Panics when `n_stages` is 0.
     pub fn run_stages<F>(guard: &MineGuard, n_stages: usize, mut stage: F) -> GuardedResult
     where
         F: FnMut(usize, &MineGuard) -> GuardedResult,

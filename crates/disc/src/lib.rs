@@ -32,6 +32,7 @@
 //! | [`parallel`] | DISC-all with the engine's first-level step sharded across a thread pool |
 //! | [`dynamic`] | Dynamic DISC-all (Appendix): the engine with the NRR split policy |
 //! | [`resume`] | durable checkpoint/resume at first-level partition boundaries |
+//! | [`registry`] | every algorithm name the workspace accepts, with its miner and capabilities |
 //! | [`stats`] | the NRR metric of §4.2 (Tables 12 and 14) |
 //! | [`weighted`] | the §5 future-work extension: weighted sequence mining on the partition engine |
 //!
@@ -64,6 +65,7 @@ pub mod dynamic;
 pub mod kms;
 pub mod parallel;
 pub mod partition;
+pub mod registry;
 pub mod resume;
 pub mod sorted_db;
 pub mod stats;
@@ -72,6 +74,7 @@ pub mod weighted;
 pub use disc_all::{DiscAll, DiscConfig};
 pub use dynamic::{DynamicDiscAll, SplitPolicy};
 pub use parallel::ParallelDiscAll;
+pub use registry::{Algorithm, Checkpoints, ALGORITHMS};
 pub use resume::{CheckpointSink, CheckpointStats, Checkpointable, Resumable, CHECKPOINT_FILE};
 pub use stats::nrr_by_level;
 pub use weighted::{WeightedDatabase, WeightedDisc};

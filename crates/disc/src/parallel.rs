@@ -73,11 +73,6 @@ impl Default for ParallelDiscAll {
 }
 
 impl ParallelDiscAll {
-    /// A parallel miner sized by [`std::thread::available_parallelism`].
-    pub fn new() -> ParallelDiscAll {
-        ParallelDiscAll::default()
-    }
-
     /// A parallel miner with an explicit worker count (clamped to ≥ 1).
     pub fn with_threads(threads: usize) -> ParallelDiscAll {
         let threads = threads.max(1);

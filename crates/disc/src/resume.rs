@@ -254,6 +254,23 @@ pub trait Checkpointable: SequentialMiner {
     }
 }
 
+impl<M: Checkpointable + ?Sized> Checkpointable for Box<M> {
+    fn provenance(&self) -> (u8, bool, u32) {
+        (**self).provenance()
+    }
+
+    fn mine_flat_into(
+        &self,
+        flat: &FlatDb,
+        delta: u64,
+        guard: &MineGuard,
+        result: &mut MiningResult,
+        sink: Option<&mut CheckpointSink<'_>>,
+    ) -> Result<(), AbortReason> {
+        (**self).mine_flat_into(flat, delta, guard, result, sink)
+    }
+}
+
 /// Flattens `db` once and mines it through the flat core: the whole of
 /// [`SequentialMiner::mine`] (under an unlimited guard) and
 /// [`SequentialMiner::mine_guarded`] for every DISC miner.

@@ -4,18 +4,17 @@
 //! restore) must agree bit-for-bit on the acked prefix, for every miner,
 //! across thread counts and support thresholds — including after further
 //! appends make the file stale (it then still represents exactly the
-//! compacted prefix, and [`open_fresh`] refuses it). The store cell of the
-//! contract matrix checks the mapped path against `BruteForce` on random
-//! databases, and a file packed by the earlier format still mines
-//! identically.
+//! compacted prefix, and [`open_fresh`] refuses it) — and a file packed by
+//! the earlier format still mines identically. The contract matrix
+//! (`tests/contract.rs` at the workspace root) checks the mapped and store
+//! paths against `BruteForce` on random databases.
 
 use disc_algo::{Checkpointable, DiscAll, DynamicDiscAll, ParallelDiscAll};
 use disc_core::{
-    encode_database_flat_file, open_flat_file, open_fresh, BruteForce, CustomerId,
-    FlatFileContents, Item, Itemset, MinSupport, MineGuard, MiningResult, Sequence,
-    SequenceDatabase, SequenceStore, SequentialMiner, StoreConfig, StoreError, SyncPolicy, Verify,
+    encode_database_flat_file, open_flat_file, open_fresh, CustomerId, FlatFileContents,
+    MinSupport, MineGuard, MiningResult, SequenceDatabase, SequenceStore, SequentialMiner,
+    StoreConfig, StoreError, Verify,
 };
-use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,98 +182,5 @@ fn a_file_packed_by_the_earlier_format_mines_identically() {
     }
     for minsup in [MinSupport::Count(2), MinSupport::Count(3)] {
         assert_paths_agree(&path, &db, minsup);
-    }
-}
-
-fn arb_itemset() -> impl Strategy<Value = Itemset> {
-    prop::collection::btree_set(prop_oneof![0u32..4, Just(1_000), Just(70_000)], 1..=3)
-        .prop_map(|s| Itemset::new(s.into_iter().map(Item)).expect("non-empty"))
-}
-
-/// Up to eight rows with gapped customer ids and a sparse alphabet, so the
-/// data file's dictionary and id section both do work.
-fn arb_db() -> impl Strategy<Value = SequenceDatabase> {
-    let seq = prop::collection::vec(arb_itemset(), 1..=4).prop_map(Sequence::new);
-    prop::collection::vec(seq, 1..=8).prop_map(|seqs| {
-        SequenceDatabase::from_rows(
-            seqs.into_iter().enumerate().map(|(i, s)| (CustomerId(i as u64 * 3 + 1), s)),
-        )
-    })
-}
-
-fn append(store: &mut SequenceStore, db: &SequenceDatabase) {
-    for row in db.rows() {
-        store.append(row.cid, row.sequence.clone()).expect("append");
-    }
-}
-
-/// Mines the store's fresh data file with each DISC miner and checks each
-/// against `BruteForce` on `db`.
-fn fresh_store_mines(
-    dir: &Path,
-    db: &SequenceDatabase,
-    minsup: MinSupport,
-) -> Result<(), TestCaseError> {
-    let expected = BruteForce::default().mine(db, minsup);
-    let fresh = open_fresh(dir).map_err(|e| TestCaseError::fail(format!("open_fresh: {e}")))?;
-    let runs = [
-        ("disc-all", fresh.restore(DiscAll::default().mine_flat(&fresh.flat, minsup))),
-        ("dynamic", mine_mapped(DynamicDiscAll::default(), &fresh, minsup)),
-        ("parallel x2", mine_mapped(ParallelDiscAll::with_threads(2), &fresh, minsup)),
-    ];
-    for (name, got) in runs {
-        let diff = got.diff(&expected);
-        prop_assert!(
-            diff.is_empty(),
-            "{} @ {:?}:\n{}\ndb:\n{}",
-            name,
-            minsup,
-            diff.join("\n"),
-            db.to_text()
-        );
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The store cell of the contract: append a prefix, compact, reopen and
-    /// append the rest. While the data file is fresh, every DISC miner on
-    /// its mapping equals `BruteForce`; after the later appends it is
-    /// refused, naming them; after a recompaction it mines the whole
-    /// database.
-    #[test]
-    fn a_fresh_store_mines_what_brute_force_finds(
-        db in arb_db(),
-        split in 0usize..=8,
-        delta in 1u64..=4,
-    ) {
-        let k = split.min(db.len());
-        let prefix = SequenceDatabase::from_rows(db.rows()[..k].iter().map(|r| (r.cid, r.sequence.clone())));
-        let rest = SequenceDatabase::from_rows(db.rows()[k..].iter().map(|r| (r.cid, r.sequence.clone())));
-        let minsup = MinSupport::Count(delta);
-        let dir = fresh_dir("contract");
-        let cfg = StoreConfig { sync: SyncPolicy::Never, ..StoreConfig::default() };
-
-        let mut store = SequenceStore::open(&dir, cfg).expect("open");
-        append(&mut store, &prefix);
-        store.compact().expect("compact");
-        store.close().expect("close");
-        let mut store = SequenceStore::open(&dir, cfg).expect("reopen");
-        fresh_store_mines(&dir, &prefix, minsup)?;
-
-        append(&mut store, &rest);
-        if !rest.is_empty() {
-            let refused = open_fresh(&dir);
-            prop_assert!(
-                matches!(refused, Err(StoreError::Stale { live_records, .. }) if live_records == rest.len() as u64),
-                "after {} more appends: {:?}", rest.len(), refused.map(|f| f.fingerprint)
-            );
-        }
-        store.compact().expect("recompact");
-        fresh_store_mines(&dir, &db, minsup)?;
-        drop(store);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -63,14 +63,15 @@
 use crate::cache::{CacheKey, RenderedResult};
 use crate::chaos::{ChaosConfig, ChaosLedger, ChaosStream};
 use crate::http::{json_escape, read_request, HttpError, Request, RequestLimits, Response};
-use crate::job::{Job, JobError, JobSpec, JobState};
+use crate::job::{served_algorithm, served_names, Job, JobError, JobSpec, JobState, Mode};
 use crate::limits::{
     is_transient_accept_error, retry_after_secs, AdmissionStats, ConnQueue, LimitsConfig,
 };
 use crate::registry::{valid_name, DbRegistry, DbSource, RegisterError};
-use crate::scheduler::{valid_algo, valid_mode, Scheduler, SchedulerConfig};
+use crate::scheduler::{Scheduler, SchedulerConfig};
 use crate::signal;
 use crate::status::{error_response, plain_error, quota_response, shed_response};
+use disc_algo::registry;
 use disc_core::{DiscError, IoWriter, MinSupport, RetryPolicy};
 use std::collections::HashMap;
 use std::io::Read;
@@ -473,14 +474,13 @@ impl Server {
                 return quota_response(&denial);
             }
         };
-        let algo = req.param("algo").unwrap_or("disc-all");
-        if !valid_algo(algo) {
-            return bad_param("algo", "one of disc-all, dynamic, parallel, auto");
-        }
-        let mode = req.param("mode").unwrap_or("all");
-        if !valid_mode(mode) {
-            return bad_param("mode", "one of all, closed, maximal");
-        }
+        let Some(algo) = served_algorithm(req.param("algo").unwrap_or(registry::DEFAULT.name))
+        else {
+            return bad_param("algo", &format!("one of {}", served_names()));
+        };
+        let Some(mode) = Mode::parse(req.param("mode").unwrap_or(Mode::All.name())) else {
+            return bad_param("mode", &format!("one of {}", Mode::names()));
+        };
         // Threshold: `delta=COUNT` or `minsup=FRACTION` (CLI default 0.01),
         // resolved to δ immediately — the cache key and checkpoint both
         // speak resolved counts.
@@ -521,8 +521,8 @@ impl Server {
             tenant: tenant.to_string(),
             db: db_name.to_string(),
             delta,
-            algo: algo.to_string(),
-            mode: mode.to_string(),
+            algo,
+            mode,
             max_ops,
             max_patterns,
             deadline,
@@ -589,8 +589,8 @@ impl Server {
             json_escape(&job.spec.tenant),
             json_escape(&job.spec.db),
             job.spec.delta,
-            job.spec.algo,
-            job.spec.mode,
+            job.spec.algo.name,
+            job.spec.mode.name(),
             inner.state.name(),
             inner.from_cache,
             inner.slices,
@@ -788,8 +788,8 @@ impl Server {
                 s.tenant,
                 s.db,
                 s.delta,
-                s.algo,
-                s.mode,
+                s.algo.name,
+                s.mode.name(),
                 s.max_ops.map_or("-".into(), |v| v.to_string()),
                 s.max_patterns.map_or("-".into(), |v| v.to_string()),
                 u8::from(s.no_cache),
@@ -867,13 +867,14 @@ impl Server {
                     let (Ok(id), Ok(delta)) = (id.parse::<u64>(), delta.parse::<u64>()) else {
                         continue;
                     };
+                    let (served, projection) = (served_algorithm(algo), Mode::parse(mode));
                     let spec = JobSpec {
                         id,
                         tenant: tenant.to_string(),
                         db: db.to_string(),
                         delta,
-                        algo: algo.to_string(),
-                        mode: mode.to_string(),
+                        algo: served.unwrap_or(registry::DEFAULT),
+                        mode: projection.unwrap_or(Mode::All),
                         max_ops: max_ops.parse().ok(),
                         max_patterns: max_patterns.parse().ok(),
                         // Wall-clock deadlines do not survive a restart;
@@ -881,6 +882,18 @@ impl Server {
                         deadline: None,
                         no_cache: *no_cache == "1",
                     };
+                    // A value no entry or mode parses is never mined under
+                    // a stand-in: the job reloads failed, naming it.
+                    let unknown = match (served, projection) {
+                        (None, _) => Some(format!("the manifest names unknown algorithm {algo:?}")),
+                        (_, None) => Some(format!("the manifest names unknown mode {mode:?}")),
+                        _ => None,
+                    };
+                    if let Some(message) = unknown {
+                        let job = Job::ended(spec, Some(&message));
+                        self.shared.sched.submit_terminal(Arc::new(job));
+                        continue;
+                    }
                     let fingerprint =
                         answered.first().and_then(|fp| u64::from_str_radix(fp, 16).ok());
                     self.reload_job(spec, state, fingerprint, &mut results);

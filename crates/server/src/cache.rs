@@ -21,7 +21,7 @@
 //! hit is a clone of an `Arc`, no re-rendering. Eviction is LRU by entry
 //! count; hits refresh recency.
 
-use crate::job::JobSpec;
+use crate::job::{JobSpec, Mode};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -32,17 +32,16 @@ pub struct CacheKey {
     pub fingerprint: u64,
     /// Resolved minimum-support count δ.
     pub delta: u64,
-    /// Algorithm name as submitted (`disc-all`, `dynamic`, `parallel`, `auto`).
-    pub algo: String,
-    /// Result projection: `all`, `closed`, or `maximal`.
-    pub mode: String,
+    /// The registry name of the algorithm submitted.
+    pub algo: &'static str,
+    /// Result projection.
+    pub mode: Mode,
 }
 
 impl CacheKey {
     /// The key of `spec`'s query against the database with `fingerprint`.
     pub fn of(fingerprint: u64, spec: &JobSpec) -> CacheKey {
-        let (delta, algo, mode) = (spec.delta, spec.algo.clone(), spec.mode.clone());
-        CacheKey { fingerprint, delta, algo, mode }
+        CacheKey { fingerprint, delta: spec.delta, algo: spec.algo.name, mode: spec.mode }
     }
 }
 
@@ -155,7 +154,7 @@ mod tests {
     use super::*;
 
     fn key(delta: u64) -> CacheKey {
-        CacheKey { fingerprint: 7, delta, algo: "disc-all".into(), mode: "all".into() }
+        CacheKey { fingerprint: 7, delta, algo: "disc-all", mode: Mode::All }
     }
 
     fn value() -> Arc<RenderedResult> {

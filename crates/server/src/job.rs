@@ -18,6 +18,7 @@
 //! totals budgets are enforced against.
 
 use crate::cache::RenderedResult;
+use disc_algo::registry::{self, Algorithm};
 use disc_core::{BudgetSnapshot, CancelToken, ResourceBudget, SharedCounters, SnapshotProgress};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -55,6 +56,52 @@ impl JobState {
     }
 }
 
+/// The registry entry a job named `name` runs: the server mines loaded
+/// columns, so it serves exactly the entries that mine flat columns.
+pub fn served_algorithm(name: &str) -> Option<&'static Algorithm> {
+    registry::lookup(name).filter(|a| a.flat)
+}
+
+/// The served names, in registry order, comma-separated.
+pub fn served_names() -> String {
+    registry::names(|a| a.flat)
+}
+
+/// The projection of the frequent set a job renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Mode {
+    /// Every frequent sequence.
+    All,
+    /// The closed ones ([`disc_core::MiningResult::closed_patterns`]).
+    Closed,
+    /// The maximal ones ([`disc_core::MiningResult::maximal_patterns`]).
+    Maximal,
+}
+
+impl Mode {
+    /// Every mode, in the order error messages list them.
+    pub const EVERY: [Mode; 3] = [Mode::All, Mode::Closed, Mode::Maximal];
+
+    /// The wire name, as `mode=`, manifests and `/jobs` carry it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::All => "all",
+            Mode::Closed => "closed",
+            Mode::Maximal => "maximal",
+        }
+    }
+
+    /// Every wire name, comma-separated.
+    pub fn names() -> String {
+        Mode::EVERY.map(Mode::name).join(", ")
+    }
+
+    /// The mode whose wire name is `name`.
+    pub fn parse(name: &str) -> Option<Mode> {
+        Mode::EVERY.into_iter().find(|m| m.name() == name)
+    }
+}
+
 /// The immutable submission parameters of a job.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
@@ -66,11 +113,11 @@ pub struct JobSpec {
     pub db: String,
     /// Resolved minimum-support count δ.
     pub delta: u64,
-    /// Algorithm: `disc-all`, `dynamic`, `parallel`, or `auto` (a
-    /// `FallbackMiner` chain ending in the sequential baseline).
-    pub algo: String,
-    /// Result projection: `all`, `closed`, `maximal`.
-    pub mode: String,
+    /// The registry entry mined: one of [`served_algorithm`]'s, e.g.
+    /// `auto`, the chain of Dynamic DISC-all and then DISC-all.
+    pub algo: &'static Algorithm,
+    /// Result projection.
+    pub mode: Mode,
     /// Hard cap on guard operations for the whole job (tenant budget).
     pub max_ops: Option<u64>,
     /// Hard cap on patterns for the whole job (tenant budget).
@@ -265,8 +312,8 @@ mod tests {
             tenant: "t".into(),
             db: "d".into(),
             delta: 2,
-            algo: "disc-all".into(),
-            mode: "all".into(),
+            algo: registry::DEFAULT,
+            mode: Mode::All,
             max_ops: Some(100),
             max_patterns: None,
             deadline: None,

@@ -47,7 +47,7 @@ pub mod status;
 pub use api::{Server, ServerConfig};
 pub use cache::{CacheKey, RenderedResult, ResultCache};
 pub use chaos::{ChaosConfig, ChaosLedger, ChaosStream};
-pub use job::{Job, JobSpec, JobState};
+pub use job::{served_algorithm, served_names, Job, JobSpec, JobState, Mode};
 pub use limits::{LimitsConfig, QuotaConfig, QuotaDenial, RateLimit};
 pub use registry::{DbRegistry, RegisterError};
 pub use scheduler::{AdmissionPermit, Scheduler, SchedulerConfig, TenantSpend};

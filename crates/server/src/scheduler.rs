@@ -33,14 +33,14 @@
 //! picks the snapshots up.
 
 use crate::cache::{CacheKey, RenderedResult, ResultCache};
-use crate::job::{Job, JobError, JobState};
+use crate::job::{Job, JobError, JobState, Mode};
 use crate::limits::{QuotaConfig, QuotaDenial, TokenBucket};
 use crate::registry::DbEntry;
-use disc_algo::{Checkpointable, DiscAll, DynamicDiscAll, ParallelDiscAll, Resumable};
+use disc_algo::Checkpoints;
 use disc_core::durable::{self, PublishError};
 use disc_core::{
-    AbortReason, CancelToken, FallbackMiner, FlatFileContents, GuardedResult, IoWriter, MinSupport,
-    MineGuard, MineOutcome, ParallelExecutor, ResourceBudget, SharedCounters,
+    AbortReason, CancelToken, GuardedResult, IoWriter, MinSupport, MineGuard, MineOutcome,
+    ParallelExecutor, ResourceBudget, SharedCounters,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -561,8 +561,9 @@ impl Scheduler {
         self.mine_invocations.fetch_add(1, Ordering::Relaxed);
         let dir = self.job_dir(job.spec.id);
         let minsup = MinSupport::Count(job.spec.delta);
-        let run =
-            mine_slice(&job.spec.algo, &dir, self.cfg.checkpoint_every, &db.loaded, minsup, &guard);
+        let checkpoints = Checkpoints::Dir(&dir, self.cfg.checkpoint_every);
+        let run = job.spec.algo.mine_loaded(&db.loaded, minsup, &guard, None, checkpoints);
+        let run = run.expect("only an explicit resume rejects a snapshot");
 
         self.settle(job, &db, run);
     }
@@ -650,12 +651,14 @@ impl Scheduler {
     /// Completes a job: translate items back, render, cache, mark Done.
     fn finish(&self, job: &Arc<Job>, db: &Arc<DbEntry>, run: GuardedResult) {
         let result = db.loaded.restore(run.result);
-        let lines: Vec<(u64, String)> = match job.spec.mode.as_str() {
-            "closed" => result.closed_patterns().iter().map(|(p, s)| (*s, p.to_string())).collect(),
-            "maximal" => {
+        let lines: Vec<(u64, String)> = match job.spec.mode {
+            Mode::All => result.iter().map(|(p, s)| (s, p.to_string())).collect(),
+            Mode::Closed => {
+                result.closed_patterns().iter().map(|(p, s)| (*s, p.to_string())).collect()
+            }
+            Mode::Maximal => {
                 result.maximal_patterns().iter().map(|(p, s)| (*s, p.to_string())).collect()
             }
-            _ => result.iter().map(|(p, s)| (s, p.to_string())).collect(),
         };
         let rendered = Arc::new(RenderedResult { lines, total_patterns: result.len() });
         self.persist_result(job.spec.id, &rendered);
@@ -700,64 +703,6 @@ impl Scheduler {
             eprintln!("disc-server: cannot persist result for job {id}: {e}");
         }
     }
-}
-
-/// Builds and runs the guarded resumable miner for one slice.
-///
-/// Every algorithm checkpoints into the same `dir/mine.dscck`, and any
-/// checkpoint-aware miner can resume any snapshot, so a preempted `auto`
-/// job whose first stage wrote the snapshot resumes cleanly in a later
-/// slice regardless of which stage runs.
-fn mine_slice(
-    algo: &str,
-    dir: &std::path::Path,
-    every: u64,
-    db: &FlatFileContents,
-    minsup: MinSupport,
-    guard: &MineGuard,
-) -> GuardedResult {
-    fn run<M: Checkpointable>(
-        miner: M,
-        dir: &std::path::Path,
-        every: u64,
-        db: &FlatFileContents,
-        minsup: MinSupport,
-        guard: &MineGuard,
-    ) -> GuardedResult {
-        Resumable::new(miner, dir).with_every(every).mine_loaded(db, minsup, guard)
-    }
-    match algo {
-        "dynamic" => run(DynamicDiscAll::default(), dir, every, db, minsup, guard),
-        "parallel" => run(ParallelDiscAll::default(), dir, every, db, minsup, guard),
-        "auto" => {
-            // Dynamic first, then plain DISC-all by the `FallbackMiner`
-            // stage rule: only after a panic or budget exhaustion. Both run
-            // one partition engine and differ only in the split policy; on
-            // the medium row (table11, 5 000 customers, minsup 0.0025,
-            // 54 169 patterns, 2-vCPU Xeon) five alternating `disc-mine`
-            // pairs timed Dynamic at 475–609 ms (median 511) and DISC-all
-            // at 480–569 ms (median 537), Dynamic faster in 3 of 5: neither
-            // order is faster. The second stage's preflight check aborts
-            // immediately on the already-spent shared counters, so a
-            // preempted auto job costs one cheap extra stage probe at most.
-            FallbackMiner::run_stages(guard, 2, |i, stage| match i {
-                0 => run(DynamicDiscAll::default(), dir, every, db, minsup, stage),
-                _ => run(DiscAll::default(), dir, every, db, minsup, stage),
-            })
-        }
-        // "disc-all" plus anything the API validation let through.
-        _ => run(DiscAll::default(), dir, every, db, minsup, guard),
-    }
-}
-
-/// The algorithms the server accepts.
-pub fn valid_algo(algo: &str) -> bool {
-    matches!(algo, "disc-all" | "dynamic" | "parallel" | "auto")
-}
-
-/// The result projections the server accepts.
-pub fn valid_mode(mode: &str) -> bool {
-    matches!(mode, "all" | "closed" | "maximal")
 }
 
 #[cfg(test)]

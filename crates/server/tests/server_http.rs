@@ -18,7 +18,7 @@
 //! * two tenants make interleaved progress (fair round-robin);
 //! * malformed requests get typed 4xx responses, never a hang or a panic.
 
-use disc_algo::DiscAll;
+use disc_algo::{DiscAll, ALGORITHMS};
 use disc_baselines::PseudoPrefixSpan;
 use disc_core::{
     CustomerId, MinSupport, Sequence, SequenceDatabase, SequenceStore, SequentialMiner, StoreConfig,
@@ -371,7 +371,25 @@ fn malformed_requests_get_typed_rejections() {
     let (status, _) = post(addr, "/dbs?name=ok", b"1: (a)(b)\n2: (a)\n");
     assert_eq!(status, 201);
     assert_eq!(post(addr, "/dbs?name=ok", b"1: (a)\n").0, 409, "duplicate name");
-    assert_eq!(post(addr, "/jobs?db=ok&algo=quantum", b"").0, 400);
+    // Every registry entry that mines flat columns is served, and the
+    // refusal of any other name lists exactly those, in registry order.
+    let served: Vec<&str> = ALGORITHMS.iter().filter(|a| a.flat).map(|a| a.name).collect();
+    for name in ["quantum", "prefixspan", "brute"] {
+        let (status, body) = post(addr, &format!("/jobs?db=ok&algo={name}"), b"");
+        assert_eq!(status, 400, "{body}");
+        let listed = body.split("one of ").nth(1).and_then(|rest| rest.split('"').next());
+        assert_eq!(
+            listed.map(|l| l.split(", ").collect::<Vec<_>>()),
+            Some(served.clone()),
+            "{body}"
+        );
+    }
+    for name in &served {
+        let (status, body) = post(addr, &format!("/jobs?db=ok&algo={name}&delta=1"), b"");
+        assert_eq!(status, 202, "{name}: {body}");
+        assert_eq!(field(&body, "algo"), *name);
+        assert_eq!(wait_terminal(addr, field(&body, "id").parse().unwrap()), "done", "{name}");
+    }
     assert_eq!(post(addr, "/jobs?db=ok&mode=sideways", b"").0, 400);
     assert_eq!(post(addr, "/jobs?db=ok&delta=nope", b"").0, 400);
     assert_eq!(post(addr, "/jobs?db=ok&minsup=7", b"").0, 400, "minsup over 1");
@@ -684,6 +702,37 @@ fn a_version_1_manifest_reloads_its_jobs_and_warms_nothing() {
     assert_eq!(status, 202, "{body}");
     assert_eq!(field(&body, "id"), "2");
     assert_eq!(wait_terminal(addr, 2), "done");
+
+    drain(addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_manifest_line_naming_an_unknown_algorithm_or_mode_reloads_failed_unmined() {
+    let dir = temp_dir("manifestunknown");
+    let db = quest_db(2);
+    std::fs::create_dir_all(dir.join("dbs")).unwrap();
+    std::fs::write(dir.join("dbs/q.dscdb"), disc_core::encode_database(&db)).unwrap();
+    let manifest = "v2\nnextjob 4\ndb q upload\n\
+                    job 1 default q 8 quantum all - - 0 queued -\n\
+                    job 2 default q 8 disc-all sideways - - 0 queued -\n\
+                    job 3 default q 8 disc-all all - - 0 queued -\n";
+    std::fs::write(dir.join("manifest"), manifest).unwrap();
+
+    let (_server, addr, handle) = start(&dir, 1_000_000);
+    assert_eq!(wait_terminal(addr, 3), "done");
+    assert_eq!(get(addr, "/jobs/3/result").1, expected(&db, 8));
+    for (id, named) in
+        [(1, "unknown algorithm \\\"quantum\\\""), (2, "unknown mode \\\"sideways\\\"")]
+    {
+        let (status, body) = get(addr, &format!("/jobs/{id}"));
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(field(&body, "state"), "failed", "{body}");
+        assert!(body.contains(named), "job {id} must name its bad value: {body}");
+        assert_eq!(get(addr, &format!("/jobs/{id}/result")).0, 422, "job {id} has no result");
+    }
+    // Only job 3 ever reached a miner.
+    assert_eq!(field(&get(addr, "/stats").1, "mine_invocations"), "1");
 
     drain(addr, handle);
     let _ = std::fs::remove_dir_all(&dir);

@@ -27,17 +27,14 @@ fn main() {
     );
 
     let thresholds = [0.04, 0.02, 0.01];
-    let miners: Vec<Box<dyn SequentialMiner>> = vec![
-        Box::new(DiscAll::default()),
-        Box::new(DynamicDiscAll::default()),
-        Box::new(PrefixSpan::default()),
-        Box::new(PseudoPrefixSpan::default()),
-        Box::new(Spade::default()),
-        Box::new(Spam::default()),
-        // GSP is omitted by default: at these sizes its containment scans
-        // dominate the example's runtime. Uncomment to include it.
-        // Box::new(Gsp::default()),
-    ];
+    // Every registry entry but GSP, whose containment scans dominate the
+    // example's runtime at these sizes, and the brute-force oracle, which
+    // enumerates every subsequence of every customer.
+    let miners: Vec<Box<dyn SequentialMiner>> = disc_miner::algo::ALGORITHMS
+        .iter()
+        .filter(|a| !matches!(a.name, "gsp" | "brute"))
+        .map(|a| a.miner(None))
+        .collect();
 
     print!("{:<18}", "minsup");
     for t in thresholds {

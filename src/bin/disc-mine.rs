@@ -1,7 +1,7 @@
 //! `disc-mine` — command-line frequent-sequence mining.
 //!
 //! ```text
-//! disc-mine <database.txt> --minsup 0.01 [--algo disc-all|dynamic|parallel|prefixspan|pseudo|gsp|spade|spam]
+//! disc-mine <database.txt> --minsup 0.01 [--algo NAME] [--threads N]
 //!           [--min-length N] [--max-patterns N] [--stats]
 //!           [--checkpoint-dir DIR] [--resume FILE.dscck]
 //! disc-mine pack <database.txt|.dscdb> <out.dscfd>
@@ -13,6 +13,12 @@
 //! disc-mine serve --data-dir DIR [--addr HOST:PORT] [--threads N]
 //!           [--slice-ops N] [--cache-entries N]
 //! ```
+//!
+//! `NAME` is an entry of the algorithm registry
+//! ([`registry::ALGORITHMS`]): `disc-all` (the default), `dynamic`,
+//! `parallel` (the only one taking `--threads`), `auto`, the baselines
+//! `prefixspan`, `pseudo`, `gsp`, `spade`, `spam`, and the brute-force
+//! oracle `brute`. Checkpointing supports the first four.
 //!
 //! The database format is one customer per line: `cid: (a, b)(c)(a, d)` —
 //! items are lowercase letters or decimal numbers; `#` starts a comment.
@@ -34,18 +40,20 @@
 //! failure was transient (interrupted IO that retries did not clear) and
 //! re-running the same command may succeed.
 
+use disc_miner::algo::registry::{self, Algorithm, Checkpoints};
 use disc_miner::core::FlatFileContents;
 use disc_miner::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
 
 /// `EX_TEMPFAIL`: the sysexits.h convention for "try again later".
 const EXIT_TRANSIENT: i32 = 75;
 
-struct Args {
-    path: String,
+/// The flags of every mining command.
+struct MineArgs {
     minsup: MinSupport,
-    algo: String,
+    algo: &'static Algorithm,
     min_length: usize,
     max_patterns: usize,
     stats: bool,
@@ -54,148 +62,125 @@ struct Args {
     resume: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: disc-mine <database.txt> [--minsup FRACTION | --delta COUNT]\n\
-         \t[--algo disc-all|dynamic|parallel|prefixspan|pseudo|gsp|spade|spam|brute]\n\
-         \t[--min-length N] [--max-patterns N] [--stats] [--threads N]\n\
-         \t[--checkpoint-dir DIR] [--resume FILE.dscck]\n\
-         or:    disc-mine pack <database.txt|.dscdb> <out.dscfd>\n\
-         or:    disc-mine store <ingest|compact|fsck|mine> ... (see `disc-mine store --help`)\n\
-         or:    disc-mine serve --data-dir DIR ... (see `disc-mine serve --help`)\n\
-         A .dscfd input is memory-mapped and mined zero-copy; other inputs\n\
-         are loaded to the heap.\n\
-         --checkpoint-dir writes durable snapshots at partition boundaries (and\n\
-         auto-resumes a valid one); --resume continues from an explicit snapshot\n\
-         file, rejecting corrupted or mismatched files. Both support the\n\
-         disc-all, dynamic, and parallel algorithms only."
-    );
-    exit(2);
-}
+impl MineArgs {
+    fn new() -> MineArgs {
+        MineArgs {
+            minsup: MinSupport::Fraction(0.01),
+            algo: registry::DEFAULT,
+            min_length: 1,
+            max_patterns: usize::MAX,
+            stats: false,
+            threads: None,
+            checkpoint_dir: None,
+            resume: None,
+        }
+    }
 
-fn parse_args(argv: Vec<String>) -> Args {
-    let mut args = argv.into_iter();
-    let mut out = Args {
-        path: String::new(),
-        minsup: MinSupport::Fraction(0.01),
-        algo: "disc-all".into(),
-        min_length: 1,
-        max_patterns: usize::MAX,
-        stats: false,
-        threads: None,
-        checkpoint_dir: None,
-        resume: None,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--minsup" => {
-                let v: f64 = args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-                out.minsup = MinSupport::Fraction(v);
+    /// Takes `flag`, and its value from `rest`, when it is one of the
+    /// mining flags every mining command shares; `usage` exits on a bad
+    /// value.
+    fn take(
+        &mut self,
+        flag: &str,
+        rest: &mut impl Iterator<Item = String>,
+        usage: fn() -> !,
+    ) -> bool {
+        match flag {
+            "--minsup" => self.minsup = MinSupport::Fraction(value(rest, usage)),
+            "--delta" => self.minsup = MinSupport::Count(value(rest, usage)),
+            "--algo" => {
+                let name: String = value(rest, usage);
+                self.algo = registry::lookup(&name).unwrap_or_else(|| {
+                    eprintln!("unknown algorithm {name:?}");
+                    usage()
+                });
             }
-            "--delta" => {
-                let v: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-                out.minsup = MinSupport::Count(v);
-            }
-            "--algo" => out.algo = args.next().unwrap_or_else(|| usage()),
-            "--min-length" => {
-                out.min_length =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--max-patterns" => {
-                out.max_patterns =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--stats" => out.stats = true,
+            "--min-length" => self.min_length = value(rest, usage),
+            "--max-patterns" => self.max_patterns = value(rest, usage),
+            "--stats" => self.stats = true,
             "--threads" => {
-                let v: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-                if v == 0 {
+                let n: usize = value(rest, usage);
+                if n == 0 {
                     eprintln!("--threads must be at least 1");
                     usage();
                 }
-                out.threads = Some(v);
+                self.threads = Some(n);
             }
-            "--checkpoint-dir" => {
-                out.checkpoint_dir = Some(args.next().unwrap_or_else(|| usage()));
-            }
-            "--resume" => out.resume = Some(args.next().unwrap_or_else(|| usage())),
-            "--help" | "-h" => usage(),
-            path if !path.starts_with('-') && out.path.is_empty() => out.path = path.to_string(),
-            _ => usage(),
+            _ => return false,
         }
+        true
     }
-    if out.path.is_empty() {
-        usage();
-    }
-    if out.threads.is_some() && out.algo != "parallel" {
-        eprintln!("--threads requires --algo parallel");
-        usage();
-    }
-    if out.checkpoint_dir.is_some() && out.resume.is_some() {
-        eprintln!("--checkpoint-dir and --resume are mutually exclusive; --resume already writes further snapshots next to the resumed file");
-        usage();
-    }
-    out
-}
 
-/// A parallel miner honoring `--threads` (pool sized by
-/// `available_parallelism` when the flag is absent).
-fn parallel_miner(threads: Option<usize>) -> ParallelDiscAll {
-    match threads {
-        Some(n) => ParallelDiscAll::with_threads(n),
-        None => ParallelDiscAll::default(),
-    }
-}
-
-/// The baselines and the brute-force oracle: miners of nested databases.
-fn baseline_by_name(name: &str) -> Box<dyn SequentialMiner> {
-    match name {
-        "prefixspan" => Box::new(PrefixSpan::default()),
-        "pseudo" => Box::new(PseudoPrefixSpan::default()),
-        "gsp" => Box::new(Gsp::default()),
-        "spade" => Box::new(Spade::default()),
-        "spam" => Box::new(Spam::default()),
-        "brute" => Box::new(BruteForce::default()),
-        other => {
-            eprintln!("unknown algorithm {other:?}");
+    /// Refuses the flags the chosen algorithm does not support.
+    fn check(&self, usage: fn() -> !) {
+        if self.threads.is_some() && !self.algo.threads {
+            eprintln!("--threads requires --algo {}", registry::names(|a| a.threads));
+            usage();
+        }
+        if (self.checkpoint_dir.is_some() || self.resume.is_some()) && !self.algo.checkpoints {
+            eprintln!(
+                "--checkpoint-dir/--resume support {}; got {:?}",
+                registry::names(|a| a.checkpoints),
+                self.algo.name
+            );
             usage();
         }
     }
 }
 
-/// Mines the loaded columns with a DISC miner. With `--checkpoint-dir` the
-/// miner is wrapped in `Resumable` (durable snapshots at partition
-/// boundaries, auto-resuming a valid one); `--resume` continues from an
-/// explicit snapshot file, and a typed rejection (corrupted, truncated,
-/// stale-version, wrong database, wrong δ) exits with code 1. Further
-/// snapshots are written next to the file being resumed.
-fn mine_disc<M: Checkpointable>(
-    miner: M,
-    loaded: &FlatFileContents,
-    args: &Args,
-) -> (String, MiningResult) {
-    let guard = MineGuard::unlimited();
-    if let Some(file) = &args.resume {
-        let path = Path::new(file);
-        let dir = match path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d,
-            _ => Path::new("."),
-        };
-        let wrapped = Resumable::new(miner, dir);
-        match wrapped.resume_loaded_from(path, loaded, args.minsup, &guard) {
-            Ok(run) => (wrapped.name().to_string(), run.result),
-            Err(e) => {
-                eprintln!("cannot resume from {file}: {e}");
-                exit(1);
-            }
+/// The next argument parsed as a flag's value; `usage` exits when it is
+/// missing or malformed.
+fn value<T: FromStr>(rest: &mut impl Iterator<Item = String>, usage: fn() -> !) -> T {
+    rest.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| usage())
+}
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: disc-mine <database.txt> [--minsup FRACTION | --delta COUNT]\n\
+         \t[--algo NAME] [--min-length N] [--max-patterns N] [--stats] [--threads N]\n\
+         \t[--checkpoint-dir DIR] [--resume FILE.dscck]\n\
+         or:    disc-mine pack <database.txt|.dscdb> <out.dscfd>\n\
+         or:    disc-mine store <ingest|compact|fsck|mine> ... (see `disc-mine store --help`)\n\
+         or:    disc-mine serve --data-dir DIR ... (see `disc-mine serve --help`)\n\
+         NAME is one of {} (default {}); --threads applies to {}.\n\
+         A .dscfd input is memory-mapped and mined zero-copy; other inputs\n\
+         are loaded to the heap.\n\
+         --checkpoint-dir writes durable snapshots at partition boundaries (and\n\
+         auto-resumes a valid one); --resume continues from an explicit snapshot\n\
+         file, rejecting corrupted or mismatched files. Both support {} only.",
+        registry::names(|_| true),
+        registry::DEFAULT.name,
+        registry::names(|a| a.threads),
+        registry::names(|a| a.checkpoints),
+    );
+    exit(2);
+}
+
+fn parse_args(argv: Vec<String>) -> (String, MineArgs) {
+    let mut args = argv.into_iter();
+    let mut path = String::new();
+    let mut out = MineArgs::new();
+    while let Some(arg) = args.next() {
+        if out.take(&arg, &mut args, usage) {
+            continue;
         }
-    } else if let Some(dir) = &args.checkpoint_dir {
-        let wrapped = Resumable::new(miner, dir);
-        let run = wrapped.mine_loaded(loaded, args.minsup, &guard);
-        (wrapped.name().to_string(), run.result)
-    } else {
-        let result = miner.mine_flat_guarded(&loaded.flat, args.minsup, &guard).into_complete();
-        (miner.name().to_string(), result)
+        match arg.as_str() {
+            "--checkpoint-dir" => out.checkpoint_dir = Some(value(&mut args, usage)),
+            "--resume" => out.resume = Some(value(&mut args, usage)),
+            "--help" | "-h" => usage(),
+            p if !p.starts_with('-') && path.is_empty() => path = p.to_string(),
+            _ => usage(),
+        }
     }
+    if path.is_empty() {
+        usage();
+    }
+    out.check(usage);
+    if out.checkpoint_dir.is_some() && out.resume.is_some() {
+        eprintln!("--checkpoint-dir and --resume are mutually exclusive; --resume already writes further snapshots next to the resumed file");
+        usage();
+    }
+    (path, out)
 }
 
 /// Loads a database file, accepting both formats disc-gen writes: the text
@@ -235,8 +220,13 @@ fn load_database(path: &str) -> SequenceDatabase {
 }
 
 /// Mines a loaded database per `args` and prints the patterns — the back
-/// half of every mining command, whatever the input format.
-fn run_mining(loaded: &FlatFileContents, args: &Args) {
+/// half of every mining command, whatever the input format. With
+/// `--checkpoint-dir` the run writes durable snapshots at partition
+/// boundaries (auto-resuming a valid one); `--resume` continues from an
+/// explicit snapshot file, and a typed rejection (corrupted, truncated,
+/// stale-version, wrong database, wrong δ) exits with code 1. Further
+/// snapshots are written next to the file being resumed.
+fn run_mining(loaded: &FlatFileContents, args: &MineArgs) {
     let rows = loaded.flat.len();
     let resolved = args.minsup.resolve(rows);
     if resolved <= 2 && rows > 100 {
@@ -249,28 +239,28 @@ fn run_mining(loaded: &FlatFileContents, args: &Args) {
     // The columns hold compact item ids; patterns are translated back
     // through the dictionary. Checkpoints are keyed on the source
     // fingerprint, in original ids.
-    let (miner_name, mined) = match args.algo.as_str() {
-        "disc-all" => mine_disc(DiscAll::default(), loaded, args),
-        "dynamic" => mine_disc(DynamicDiscAll::default(), loaded, args),
-        "parallel" => mine_disc(parallel_miner(args.threads), loaded, args),
-        other => {
-            let miner = baseline_by_name(other);
-            if args.checkpoint_dir.is_some() || args.resume.is_some() {
-                eprintln!(
-                    "--checkpoint-dir/--resume support disc-all, dynamic, parallel; got {other:?}"
-                );
-                usage();
-            }
-            // The baselines are oracles and stay naive: they mine a nested
-            // copy of the rows.
-            (miner.name().to_string(), miner.mine(&loaded.flat.to_database(), args.minsup))
-        }
+    let checkpoints = match (&args.resume, &args.checkpoint_dir) {
+        (Some(file), _) => Checkpoints::ResumeFrom(Path::new(file)),
+        (None, Some(dir)) => Checkpoints::Dir(Path::new(dir), 1),
+        (None, None) => Checkpoints::Off,
     };
-    let result = loaded.restore(mined);
+    let guard = MineGuard::unlimited();
+    let run = args
+        .algo
+        .mine_loaded(loaded, args.minsup, &guard, args.threads, checkpoints)
+        .unwrap_or_else(|e| {
+            eprintln!("cannot resume from {}: {e}", args.resume.as_deref().unwrap_or_default());
+            exit(1);
+        });
+    let result = loaded.restore(run.into_complete());
     if args.stats {
+        let mut name = args.algo.miner(args.threads).name().to_string();
+        if !matches!(checkpoints, Checkpoints::Off) {
+            name.push_str(" +checkpoint");
+        }
         eprintln!(
             "# {}: {} frequent sequences (max length {}) in {:.3?}",
-            miner_name,
+            name,
             result.len(),
             result.max_length(),
             start.elapsed()
@@ -280,7 +270,7 @@ fn run_mining(loaded: &FlatFileContents, args: &Args) {
     print_patterns(&result, args);
 }
 
-fn print_patterns(result: &MiningResult, args: &Args) {
+fn print_patterns(result: &MiningResult, args: &MineArgs) {
     use std::io::Write;
     let stdout = std::io::stdout();
     let mut lock = stdout.lock();
@@ -304,7 +294,7 @@ fn is_flat_file(path: &str) -> bool {
 
 /// Maps a `.dscfd` file zero-copy, exiting 1 when it cannot be opened or
 /// fails verification.
-fn open_flat(path: &Path, args: &Args) -> FlatFileContents {
+fn open_flat(path: &Path, args: &MineArgs) -> FlatFileContents {
     let loaded = disc_miner::core::open_flat_file(path, disc_miner::core::Verify::Full)
         .unwrap_or_else(|e| {
             eprintln!("cannot open {}: {e}", path.display());
@@ -314,7 +304,7 @@ fn open_flat(path: &Path, args: &Args) -> FlatFileContents {
     loaded
 }
 
-fn print_flat_stats(loaded: &FlatFileContents, args: &Args) {
+fn print_flat_stats(loaded: &FlatFileContents, args: &MineArgs) {
     if args.stats {
         eprintln!(
             "# flat file: {} rows, {} item ids, columns {}",
@@ -327,7 +317,7 @@ fn print_flat_stats(loaded: &FlatFileContents, args: &Args) {
 
 /// Flattens a parsed database in memory, printing its shape under
 /// `--stats`.
-fn load_nested(db: &SequenceDatabase, args: &Args) -> FlatFileContents {
+fn load_nested(db: &SequenceDatabase, args: &MineArgs) -> FlatFileContents {
     if args.stats {
         let s = db.stats();
         eprintln!(
@@ -374,7 +364,8 @@ fn store_usage() -> ! {
          \tcompact --dir DIR\n\
          \tfsck --dir DIR\n\
          \tmine --dir DIR [--mmap] [--minsup FRACTION | --delta COUNT] [--algo NAME]\n\
-         \t\t[--min-length N] [--max-patterns N] [--stats]\n\
+         \t\t[--min-length N] [--max-patterns N] [--stats] [--threads N]\n\
+         NAME is as for `disc-mine --help`.\n\
          ingest appends each customer sequence to a crash-safe write-ahead log;\n\
          every acknowledged append survives a crash (`--sync always`, the\n\
          default). compact folds sealed segments into the store's one\n\
@@ -434,22 +425,15 @@ fn store_main(argv: Vec<String>) -> ! {
     let mut cfg = StoreConfig::default();
     let mut do_compact = false;
     let mut use_mmap = false;
-    let mut mine_args = Args {
-        path: String::new(),
-        minsup: MinSupport::Fraction(0.01),
-        algo: "disc-all".into(),
-        min_length: 1,
-        max_patterns: usize::MAX,
-        stats: false,
-        threads: None,
-        checkpoint_dir: None,
-        resume: None,
-    };
+    let mut mine_args = MineArgs::new();
     while let Some(arg) = args.next() {
+        if mine_args.take(&arg, &mut args, store_usage) {
+            continue;
+        }
         match arg.as_str() {
-            "--dir" => dir = Some(args.next().unwrap_or_else(|| store_usage())),
+            "--dir" => dir = Some(value(&mut args, store_usage)),
             "--sync" => {
-                let v = args.next().unwrap_or_else(|| store_usage());
+                let v: String = value(&mut args, store_usage);
                 cfg.sync = match v.as_str() {
                     "always" => SyncPolicy::Always,
                     "never" => SyncPolicy::Never,
@@ -459,51 +443,16 @@ fn store_main(argv: Vec<String>) -> ! {
                     },
                 };
             }
-            "--segment-bytes" => {
-                cfg.segment_max_bytes =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-            }
+            "--segment-bytes" => cfg.segment_max_bytes = value(&mut args, store_usage),
             "--compact" => do_compact = true,
             "--mmap" => use_mmap = true,
-            "--minsup" => {
-                let v: f64 =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-                mine_args.minsup = MinSupport::Fraction(v);
-            }
-            "--delta" => {
-                let v: u64 =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-                mine_args.minsup = MinSupport::Count(v);
-            }
-            "--algo" => mine_args.algo = args.next().unwrap_or_else(|| store_usage()),
-            "--min-length" => {
-                mine_args.min_length =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-            }
-            "--max-patterns" => {
-                mine_args.max_patterns =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-            }
-            "--stats" => mine_args.stats = true,
-            "--threads" => {
-                let v: usize =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| store_usage());
-                if v == 0 {
-                    eprintln!("--threads must be at least 1");
-                    store_usage();
-                }
-                mine_args.threads = Some(v);
-            }
             "--help" | "-h" => store_usage(),
             path if !path.starts_with('-') && input.is_none() => input = Some(path.to_string()),
             _ => store_usage(),
         }
     }
     let dir = dir.unwrap_or_else(|| store_usage());
-    if mine_args.threads.is_some() && mine_args.algo != "parallel" {
-        eprintln!("--threads requires --algo parallel");
-        store_usage();
-    }
+    mine_args.check(store_usage);
 
     match sub.as_str() {
         "ingest" => {
@@ -601,6 +550,11 @@ fn serve_usage() -> ! {
     exit(2);
 }
 
+/// The next argument as a count of milliseconds, at least one.
+fn millis(rest: &mut impl Iterator<Item = String>) -> std::time::Duration {
+    std::time::Duration::from_millis(value::<u64>(rest, serve_usage).max(1))
+}
+
 fn serve_main(argv: Vec<String>) -> ! {
     let mut cfg =
         disc_miner::server::ServerConfig { addr: "127.0.0.1:7031".into(), ..Default::default() };
@@ -608,62 +562,23 @@ fn serve_main(argv: Vec<String>) -> ! {
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--data-dir" => data_dir = Some(args.next().unwrap_or_else(|| serve_usage())),
-            "--addr" => cfg.addr = args.next().unwrap_or_else(|| serve_usage()),
-            "--threads" => {
-                cfg.scheduler.threads =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-            }
-            "--slice-ops" => {
-                cfg.scheduler.slice_ops =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-            }
-            "--checkpoint-every" => {
-                cfg.scheduler.checkpoint_every =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-            }
-            "--cache-entries" => {
-                cfg.cache_entries =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-            }
-            "--default-max-ops" => {
-                cfg.default_max_ops =
-                    Some(args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage()));
-            }
-            "--max-connections" => {
-                cfg.limits.max_connections =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-            }
-            "--queue-depth" => {
-                cfg.limits.queue_depth =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-            }
-            "--max-body-bytes" => {
-                cfg.limits.max_body_bytes =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-            }
-            "--max-head-bytes" => {
-                cfg.limits.max_head_bytes =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-                cfg.limits.read_timeout = std::time::Duration::from_millis(ms.max(1));
-            }
-            "--write-timeout-ms" => {
-                let ms: u64 =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-                cfg.limits.write_timeout = std::time::Duration::from_millis(ms.max(1));
-            }
-            "--request-deadline-ms" => {
-                let ms: u64 =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
-                cfg.limits.request_deadline = std::time::Duration::from_millis(ms.max(1));
-            }
+            "--data-dir" => data_dir = Some(value(&mut args, serve_usage)),
+            "--addr" => cfg.addr = value(&mut args, serve_usage),
+            "--threads" => cfg.scheduler.threads = value(&mut args, serve_usage),
+            "--slice-ops" => cfg.scheduler.slice_ops = value(&mut args, serve_usage),
+            "--checkpoint-every" => cfg.scheduler.checkpoint_every = value(&mut args, serve_usage),
+            "--cache-entries" => cfg.cache_entries = value(&mut args, serve_usage),
+            "--default-max-ops" => cfg.default_max_ops = Some(value(&mut args, serve_usage)),
+            "--max-connections" => cfg.limits.max_connections = value(&mut args, serve_usage),
+            "--queue-depth" => cfg.limits.queue_depth = value(&mut args, serve_usage),
+            "--max-body-bytes" => cfg.limits.max_body_bytes = value(&mut args, serve_usage),
+            "--max-head-bytes" => cfg.limits.max_head_bytes = value(&mut args, serve_usage),
+            "--read-timeout-ms" => cfg.limits.read_timeout = millis(&mut args),
+            "--write-timeout-ms" => cfg.limits.write_timeout = millis(&mut args),
+            "--request-deadline-ms" => cfg.limits.request_deadline = millis(&mut args),
             // BURST/PER_SEC, e.g. `5/2.5` = bursts of 5, 2.5 requests/s.
             "--rate-limit" => {
-                let spec = args.next().unwrap_or_else(|| serve_usage());
+                let spec: String = value(&mut args, serve_usage);
                 let (burst, per_sec) = spec.split_once('/').unwrap_or_else(|| serve_usage());
                 cfg.scheduler.quotas.rate = Some(disc_miner::server::RateLimit {
                     burst: burst.parse().ok().unwrap_or_else(|| serve_usage()),
@@ -671,16 +586,13 @@ fn serve_main(argv: Vec<String>) -> ! {
                 });
             }
             "--max-concurrent-jobs" => {
-                cfg.scheduler.quotas.max_concurrent_jobs =
-                    Some(args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage()));
+                cfg.scheduler.quotas.max_concurrent_jobs = Some(value(&mut args, serve_usage));
             }
             "--max-cumulative-ops" => {
-                cfg.scheduler.quotas.max_cumulative_ops =
-                    Some(args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage()));
+                cfg.scheduler.quotas.max_cumulative_ops = Some(value(&mut args, serve_usage));
             }
             "--chaos-seed" => {
-                let seed =
-                    args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| serve_usage());
+                let seed = value(&mut args, serve_usage);
                 cfg.chaos = Some(disc_miner::server::ChaosConfig::light(seed));
                 eprintln!("disc-server: CHAOS HARNESS ACTIVE (seed {seed}) — testing only");
             }
@@ -729,11 +641,11 @@ fn main() {
     if argv.first().map(String::as_str) == Some("serve") {
         serve_main(argv.split_off(1));
     }
-    let args = parse_args(argv);
-    let loaded = if is_flat_file(&args.path) {
-        open_flat(Path::new(&args.path), &args)
+    let (path, args) = parse_args(argv);
+    let loaded = if is_flat_file(&path) {
+        open_flat(Path::new(&path), &args)
     } else {
-        load_nested(&load_database(&args.path), &args)
+        load_nested(&load_database(&path), &args)
     };
     run_mining(&loaded, &args);
 }

@@ -64,13 +64,8 @@ pub mod prelude {
     pub use disc_datagen::QuestConfig;
 }
 
-/// Every miner in the workspace, boxed, in the order used by reports.
+/// Every miner of the algorithm registry ([`disc_algo::registry`]), boxed,
+/// in registry order.
 pub fn all_miners() -> Vec<Box<dyn disc_core::SequentialMiner>> {
-    let mut miners: Vec<Box<dyn disc_core::SequentialMiner>> = vec![
-        Box::new(disc_algo::DiscAll::default()),
-        Box::new(disc_algo::DynamicDiscAll::default()),
-        Box::new(disc_algo::ParallelDiscAll::new()),
-    ];
-    miners.extend(disc_baselines::all_baselines());
-    miners
+    disc_algo::ALGORITHMS.iter().map(|a| a.miner(None)).collect()
 }

@@ -1,8 +1,10 @@
-//! Workspace integration: every miner — DISC-all (both bi-level settings),
-//! Dynamic DISC-all (several γ), weighted DISC under uniform weights, and
-//! all five baselines — must produce the identical frequent set with
-//! identical supports on Quest-generated workloads at several thresholds.
+//! Workspace integration: every miner — the registry's entries, DISC-all
+//! with bi-level off, Dynamic DISC-all at several γ and depths, weighted
+//! DISC under uniform weights — must produce the identical frequent set
+//! with identical supports on Quest-generated workloads at several
+//! thresholds.
 
+use disc_miner::algo::ALGORITHMS;
 use disc_miner::prelude::*;
 
 /// Debug builds are ~30× slower; scale the workloads so `cargo test` stays
@@ -25,23 +27,28 @@ fn quest(seed: u64, ncust: usize, slen: f64) -> SequenceDatabase {
         .generate()
 }
 
+/// The entries whose cost these workloads outgrow: GSP's containment
+/// scans and the brute-force oracle. GSP gets smaller workloads of its
+/// own below; `tests/contract.rs` runs both on random databases.
+fn too_slow(name: &str) -> bool {
+    matches!(name, "gsp" | "brute")
+}
+
+/// Every other registry entry, plus the configurations it does not name.
 fn miners_under_test() -> Vec<Box<dyn SequentialMiner>> {
-    vec![
-        Box::new(DiscAll::default()),
-        Box::new(disc_miner::algo::DiscAll::without_bi_level()),
+    let entries = ALGORITHMS.iter().filter(|a| !too_slow(a.name));
+    let mut miners: Vec<Box<dyn SequentialMiner>> = entries.map(|a| a.miner(None)).collect();
+    miners.extend([
+        Box::new(disc_miner::algo::DiscAll::without_bi_level()) as Box<dyn SequentialMiner>,
         Box::new(ParallelDiscAll::with_threads(1)),
         Box::new(ParallelDiscAll::with_threads(4)),
         Box::new(DynamicDiscAll::with_gamma(0.0)),
-        Box::new(DynamicDiscAll::with_gamma(0.6)),
         Box::new(DynamicDiscAll::with_gamma(2.0)),
         Box::new(DynamicDiscAll::with_fixed_depth(1)),
         Box::new(DynamicDiscAll::with_fixed_depth(2)),
         Box::new(DynamicDiscAll::with_fixed_depth(3)),
-        Box::new(PrefixSpan::default()),
-        Box::new(PseudoPrefixSpan::default()),
-        Box::new(Spade::default()),
-        Box::new(Spam::default()),
-    ]
+    ]);
+    miners
 }
 
 fn assert_agreement(db: &SequenceDatabase, min_support: MinSupport) {
@@ -140,6 +147,24 @@ fn gsp_agrees_on_a_small_workload() {
 }
 
 #[test]
+fn baselines_agree_on_quest_workload() {
+    let db = QuestConfig::paper_table11()
+        .with_ncust(80)
+        .with_nitems(60)
+        .with_pools(60, 120)
+        .with_seed(7)
+        .generate();
+    let reference = PseudoPrefixSpan::default().mine(&db, MinSupport::Fraction(0.08));
+    assert!(!reference.is_empty(), "workload should have frequent patterns");
+    // The baselines: the entries that mine nested databases, but the oracle.
+    for entry in ALGORITHMS.iter().filter(|a| !a.flat && a.name != "brute") {
+        let got = entry.miner(None).mine(&db, MinSupport::Fraction(0.08));
+        let diff = got.diff(&reference);
+        assert!(diff.is_empty(), "{}:\n{}", entry.name, diff.join("\n"));
+    }
+}
+
+#[test]
 fn unlimited_guard_is_equivalent_to_plain_mining() {
     // mine_guarded with no budget must complete and agree exactly with mine
     // for every miner — the guarded path is the same algorithm, only
@@ -147,8 +172,7 @@ fn unlimited_guard_is_equivalent_to_plain_mining() {
     let db = quest(7, 80, 4.0);
     let threshold = MinSupport::Fraction(0.12);
     let mut miners = miners_under_test();
-    miners.push(Box::new(Gsp::default()));
-    miners.push(Box::new(BruteForce::default()));
+    miners.extend(ALGORITHMS.iter().filter(|a| too_slow(a.name)).map(|a| a.miner(None)));
     for miner in miners {
         let plain = miner.mine(&db, threshold);
         let guard = MineGuard::unlimited();

@@ -35,19 +35,15 @@ fn padded_table1() -> SequenceDatabase {
     SequenceDatabase::from_parsed(&texts).unwrap()
 }
 
+/// Every registry entry but the fallback chain (a chain survives a stage's
+/// panic by design; `FallbackMiner` has its own tests below), plus
+/// bi-level off and four parallel workers.
 fn every_miner() -> Vec<Box<dyn SequentialMiner>> {
-    vec![
-        Box::new(DiscAll::default()),
-        Box::new(disc_miner::algo::DiscAll::without_bi_level()),
-        Box::new(ParallelDiscAll::with_threads(4)),
-        Box::new(DynamicDiscAll::default()),
-        Box::new(PrefixSpan::default()),
-        Box::new(PseudoPrefixSpan::default()),
-        Box::new(Gsp::default()),
-        Box::new(Spade::default()),
-        Box::new(Spam::default()),
-        Box::new(BruteForce::default()),
-    ]
+    let single = disc_miner::algo::ALGORITHMS.iter().filter(|a| a.stages.is_empty());
+    let mut miners: Vec<Box<dyn SequentialMiner>> = single.map(|a| a.miner(None)).collect();
+    miners.push(Box::new(disc_miner::algo::DiscAll::without_bi_level()));
+    miners.push(Box::new(ParallelDiscAll::with_threads(4)));
+    miners
 }
 
 /// Every pattern in `result` must be genuinely frequent with its exact
