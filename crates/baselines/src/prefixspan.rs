@@ -45,13 +45,6 @@ impl SequentialMiner for PrefixSpan {
         "PrefixSpan"
     }
 
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        let mut result = MiningResult::new();
-        mine_into(db, min_support, &guard, &mut result).expect("unlimited guard never aborts");
-        result
-    }
-
     fn mine_guarded(
         &self,
         db: &SequenceDatabase,

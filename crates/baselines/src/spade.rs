@@ -102,13 +102,6 @@ impl SequentialMiner for Spade {
         "SPADE"
     }
 
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        let mut result = MiningResult::new();
-        mine_into(db, min_support, &guard, &mut result).expect("unlimited guard never aborts");
-        result
-    }
-
     fn mine_guarded(
         &self,
         db: &SequenceDatabase,

@@ -254,10 +254,6 @@ impl<M: SequentialMiner> SequentialMiner for Labeled<M> {
         &self.label
     }
 
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        self.miner.mine(db, min_support)
-    }
-
     fn mine_guarded(
         &self,
         db: &SequenceDatabase,
@@ -281,10 +277,6 @@ struct UniformWeighted(WeightedDatabase);
 impl SequentialMiner for UniformWeighted {
     fn name(&self) -> &str {
         "WeightedDisc (uniform)"
-    }
-
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        self.mine_guarded(db, min_support, &MineGuard::unlimited()).into_complete()
     }
 
     fn mine_guarded(

@@ -122,12 +122,20 @@ impl ItemMapping {
         self.originals.iter().enumerate().all(|(i, item)| item.id() as usize == i)
     }
 
+    /// The least largest id at which compaction can be
+    /// [worthwhile](ItemMapping::is_worthwhile): a database whose ids all
+    /// lie below it need not be analyzed to know it is not.
+    pub const WORTHWHILE_MIN_MAX_ID: u32 = 1024;
+
     /// Would compaction save meaningful allocation? True when the max id is
     /// much larger than the number of distinct items.
     pub fn is_worthwhile(&self) -> bool {
         match self.originals.last() {
             None => false,
-            Some(max) => (max.id() as usize) >= self.originals.len().saturating_mul(4).max(1024),
+            Some(max) => {
+                let floor = Self::WORTHWHILE_MIN_MAX_ID as usize;
+                (max.id() as usize) >= self.originals.len().saturating_mul(4).max(floor)
+            }
         }
     }
 

@@ -325,7 +325,9 @@ impl FlatDb {
         FlatDb::from_arena(arena, max_item)
     }
 
-    fn arena_of(db: &SequenceDatabase) -> FlatArena {
+    /// The columns of `db` in its own ids, not yet wrapped: callers that
+    /// already know the largest id pass both to [`FlatDb::from_arena`].
+    pub fn arena_of(db: &SequenceDatabase) -> FlatArena {
         let total_items: usize = db.sequences().map(Sequence::length).sum();
         let total_sets: usize = db.sequences().map(Sequence::n_transactions).sum();
         let mut arena = FlatArena::with_capacity(total_items, total_sets + 1, db.len() + 1);

@@ -938,11 +938,6 @@ impl SequentialMiner for FallbackMiner {
         &self.name
     }
 
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        let guard = MineGuard::unlimited();
-        self.run(db, min_support, &guard).0.result
-    }
-
     fn mine_guarded(
         &self,
         db: &SequenceDatabase,
@@ -1101,7 +1096,7 @@ mod tests {
     }
 
     #[test]
-    fn default_mine_guarded_is_equivalent_when_unlimited() {
+    fn mine_is_mine_guarded_under_an_unlimited_guard() {
         let db = table1();
         let guard = MineGuard::unlimited();
         let run = BruteForce::default().mine_guarded(&db, MinSupport::Count(2), &guard);
@@ -1118,9 +1113,20 @@ mod tests {
         fn name(&self) -> &str {
             "AlwaysPanics"
         }
-        fn mine(&self, _: &SequenceDatabase, _: MinSupport) -> MiningResult {
-            panic!("this miner always panics");
+        fn mine_guarded(
+            &self,
+            _: &SequenceDatabase,
+            _: MinSupport,
+            guard: &MineGuard,
+        ) -> GuardedResult {
+            run_guarded(guard, |_| panic!("this miner always panics"))
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "unlimited mining run ended")]
+    fn unguarded_chain_reraises_a_panicking_last_stage() {
+        FallbackMiner::new(vec![Box::new(AlwaysPanics)]).mine(&table1(), MinSupport::Count(2));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::partition::{
     extension_lists, first_level_members, frequent_projection, reduce_into, Member, MemberLists,
     RowExtensions,
 };
-use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
+use crate::resume::{mine_on_flat, CheckpointSink, Checkpointable};
 use disc_core::{
     checkpoint, AbortReason, FlatArena, FlatDb, GuardedResult, Item, MinSupport, MineGuard,
     MiningResult, SeqView, Sequence, SequenceDatabase, SequentialMiner,
@@ -101,17 +101,13 @@ impl SequentialMiner for DiscAll {
         }
     }
 
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        mine_flattened(self, db, min_support, &MineGuard::unlimited()).into_complete()
-    }
-
     fn mine_guarded(
         &self,
         db: &SequenceDatabase,
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        mine_flattened(self, db, min_support, guard)
+        mine_on_flat(db, |flat| self.mine_flat_guarded(flat, min_support, guard))
     }
 }
 

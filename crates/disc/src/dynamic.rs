@@ -18,7 +18,7 @@
 //! `|π| = j ≥ 2`.
 
 use crate::disc_all::{mine_partitioned, DiscConfig, Engine};
-use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
+use crate::resume::{mine_on_flat, CheckpointSink, Checkpointable};
 use disc_core::{
     checkpoint, AbortReason, FlatDb, GuardedResult, MinSupport, MineGuard, MiningResult,
     SequenceDatabase, SequentialMiner,
@@ -102,17 +102,13 @@ impl SequentialMiner for DynamicDiscAll {
         "Dynamic DISC-all"
     }
 
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        mine_flattened(self, db, min_support, &MineGuard::unlimited()).into_complete()
-    }
-
     fn mine_guarded(
         &self,
         db: &SequenceDatabase,
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        mine_flattened(self, db, min_support, guard)
+        mine_on_flat(db, |flat| self.mine_flat_guarded(flat, min_support, guard))
     }
 }
 

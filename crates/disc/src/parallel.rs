@@ -32,7 +32,7 @@
 
 use crate::disc_all::{mine_root, Engine, Scratch, DISC_ALL_POLICY};
 use crate::partition::{Member, MemberLists};
-use crate::resume::{mine_flattened, CheckpointSink, Checkpointable};
+use crate::resume::{mine_on_flat, CheckpointSink, Checkpointable};
 use crate::DiscConfig;
 use disc_core::{
     checkpoint, AbortReason, FlatDb, GuardedResult, Item, MinSupport, MineGuard, MineOutcome,
@@ -45,8 +45,8 @@ use disc_core::FaultPlan;
 /// The parallel DISC-all miner: [`DiscAll`](crate::DiscAll) semantics,
 /// executed one first-level partition per pool task.
 ///
-/// Implements [`SequentialMiner`] like every other miner — `mine` and
-/// `mine_guarded` fan out internally — so it drops into fallback chains,
+/// Implements [`SequentialMiner`] like every other miner — its one mining
+/// method, `mine_guarded`, fans out internally — so it drops into fallback chains,
 /// the bench harness, and cross-algorithm tests unchanged. Cancellation,
 /// deadlines, and budgets are honored **globally** across workers: the
 /// guard's token and deadline clock are shared, and operation/pattern
@@ -112,17 +112,13 @@ impl SequentialMiner for ParallelDiscAll {
         &self.name
     }
 
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        mine_flattened(self, db, min_support, &MineGuard::unlimited()).into_complete()
-    }
-
     fn mine_guarded(
         &self,
         db: &SequenceDatabase,
         min_support: MinSupport,
         guard: &MineGuard,
     ) -> GuardedResult {
-        mine_flattened(self, db, min_support, guard)
+        mine_on_flat(db, |flat| self.mine_flat_guarded(flat, min_support, guard))
     }
 }
 

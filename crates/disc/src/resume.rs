@@ -271,33 +271,31 @@ impl<M: Checkpointable + ?Sized> Checkpointable for Box<M> {
     }
 }
 
-/// Flattens `db` once and mines it through the flat core: the whole of
-/// [`SequentialMiner::mine`] (under an unlimited guard) and
-/// [`SequentialMiner::mine_guarded`] for every DISC miner.
-pub(crate) fn mine_flattened<M: Checkpointable>(
-    miner: &M,
-    db: &SequenceDatabase,
-    min_support: MinSupport,
-    guard: &MineGuard,
-) -> GuardedResult {
-    mine_on_flat(db, |flat| miner.mine_flat_guarded(flat, min_support, guard))
-}
-
 /// Runs `mine` on `db` flattened, rows in database order. The cores size
 /// their counting arrays by the largest item id, so a sparse id space is
 /// flattened onto compact ids first (when [`ItemMapping::is_worthwhile`])
-/// and the result, complete or partial, is translated back.
+/// and the result, complete or partial, is translated back. Ids all below
+/// [`ItemMapping::WORTHWHILE_MIN_MAX_ID`] skip the analysis.
 pub(crate) fn mine_on_flat(
     db: &SequenceDatabase,
     mine: impl FnOnce(&FlatDb) -> GuardedResult,
 ) -> GuardedResult {
-    let mapping = ItemMapping::analyze(db);
-    if !mapping.is_worthwhile() {
-        return mine(&FlatDb::from_database(db));
+    let max_item = db.max_item();
+    if might_compact(max_item) {
+        let mapping = ItemMapping::analyze(db);
+        if mapping.is_worthwhile() {
+            let flat = FlatDb::from_database_compacted(db, &mapping);
+            let run = mine(&flat);
+            return GuardedResult { result: mapping.restore_result(&run.result), ..run };
+        }
     }
-    let flat = FlatDb::from_database_compacted(db, &mapping);
-    let run = mine(&flat);
-    GuardedResult { result: mapping.restore_result(&run.result), ..run }
+    mine(&FlatDb::from_arena(FlatDb::arena_of(db), max_item))
+}
+
+/// Whether a database whose largest id is `max_item` can be worth
+/// compacting; false means [`ItemMapping::is_worthwhile`] is false too.
+fn might_compact(max_item: Option<Item>) -> bool {
+    max_item.is_some_and(|max| max.id() >= ItemMapping::WORTHWHILE_MIN_MAX_ID)
 }
 
 /// A checkpointing wrapper around a [`Checkpointable`] miner.
@@ -466,10 +464,6 @@ impl<M: Checkpointable> SequentialMiner for Resumable<M> {
         &self.name
     }
 
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        self.mine_guarded(db, min_support, &MineGuard::unlimited()).result
-    }
-
     /// [`Resumable::mine_loaded`] on a nested database, loaded once;
     /// patterns come back in its own ids.
     fn mine_guarded(
@@ -513,6 +507,27 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("disc-resume-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn compaction_shortcut_agrees_with_the_analysis_at_its_boundary() {
+        use disc_core::{BruteForce, Itemset, Sequence};
+        let set = |ids: &[u32]| Itemset::new(ids.iter().map(|&i| Item(i))).unwrap();
+        for (hi, worthwhile) in [(1023, false), (1024, true)] {
+            let db = SequenceDatabase::from_sequences([
+                Sequence::new([set(&[0]), set(&[hi])]),
+                Sequence::new([set(&[0, hi])]),
+                Sequence::new([set(&[hi]), set(&[0]), set(&[hi])]),
+            ]);
+            assert_eq!(ItemMapping::analyze(&db).is_worthwhile(), worthwhile, "ids {{0, {hi}}}");
+            assert_eq!(might_compact(db.max_item()), worthwhile, "ids {{0, {hi}}}");
+            let mined = DiscAll::default().mine(&db, MinSupport::Count(2));
+            assert_eq!(
+                mined,
+                BruteForce::default().mine(&db, MinSupport::Count(2)),
+                "ids {{0, {hi}}}"
+            );
+        }
     }
 
     #[test]

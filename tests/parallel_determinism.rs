@@ -7,7 +7,7 @@
 //! selecting the count with the `DISC_DETERMINISM_THREADS` environment
 //! variable; without the variable every count is exercised in-process.
 
-use disc_miner::core::support_count;
+use disc_miner::core::{run_guarded, support_count};
 use disc_miner::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -302,18 +302,24 @@ impl SequentialMiner for OneSequences {
     fn name(&self) -> &str {
         "OneSequences"
     }
-    fn mine(&self, db: &SequenceDatabase, min_support: MinSupport) -> MiningResult {
-        let delta = min_support.resolve(db.len());
-        let mut result = MiningResult::new();
-        let Some(max_item) = db.max_item() else { return result };
-        for id in 0..=max_item.id() {
-            let pattern = Sequence::single(Item(id));
-            let support = support_count(db, &pattern);
-            if support >= delta {
-                result.insert(pattern, support);
+    fn mine_guarded(
+        &self,
+        db: &SequenceDatabase,
+        min_support: MinSupport,
+        guard: &MineGuard,
+    ) -> GuardedResult {
+        run_guarded(guard, |result| {
+            let delta = min_support.resolve(db.len());
+            let Some(max_item) = db.max_item() else { return Ok(()) };
+            for id in 0..=max_item.id() {
+                let pattern = Sequence::single(Item(id));
+                let support = support_count(db, &pattern);
+                if support >= delta {
+                    result.insert(pattern, support);
+                }
             }
-        }
-        result
+            Ok(())
+        })
     }
 }
 
