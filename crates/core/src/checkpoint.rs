@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! magic "DSCCK1\n"
-//! varint  format version (currently 1)
+//! varint  format version (currently 2, [`CHECKPOINT_VERSION`])
 //! sections, each:
 //!   u8      section tag
 //!   varint  payload length
@@ -31,10 +31,12 @@
 //! Sections: HEADER (database fingerprint, resolved δ, miner provenance),
 //! PROGRESS (completed first-level partition keys), PATTERNS (the
 //! boundary-consistent frequent set with exact supports), COUNTERS (guard
-//! spend). Every section is independently CRC-checked and the decoder is
-//! strict: unknown tags, missing sections, trailing bytes, truncation, or a
-//! CRC mismatch reject the whole file with a typed [`CheckpointError`] —
-//! a snapshot is never partially loaded.
+//! spend). Every section is independently CRC-checked and both readers,
+//! [`read_snapshot`] and [`peek_progress`], are strict through one section
+//! reader and one header parser: unknown tags, duplicate or missing
+//! sections, a non-empty end marker, trailing bytes, truncation, or a CRC
+//! mismatch reject the whole file with a typed [`CheckpointError`] — a
+//! snapshot is never partially loaded.
 //!
 //! ## Atomic write protocol
 //!
@@ -47,7 +49,6 @@
 use crate::codec::{self, CodecError};
 use crate::database::SequenceDatabase;
 use crate::durable::{self, IoFault};
-use crate::result::MiningResult;
 use crate::sequence::Sequence;
 use std::fmt;
 use std::fs;
@@ -269,9 +270,9 @@ pub fn database_fingerprint(db: &SequenceDatabase) -> u64 {
 // -------------------------------------------------------------------------
 // The snapshot model.
 
-/// The durable state of a mining run at a level boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MiningSnapshot {
+/// What a snapshot records about the run that wrote it: the HEADER section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotHeader {
     /// Fingerprint of the input database ([`database_fingerprint`]).
     pub fingerprint: u64,
     /// Customer count of the input database (sanity alongside the hash).
@@ -287,11 +288,19 @@ pub struct MiningSnapshot {
     pub bi_level: bool,
     /// Provenance: worker threads of the writing run (1 = sequential).
     pub threads: u32,
+}
+
+/// The durable state of a mining run at a level boundary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MiningSnapshot {
+    /// The database, δ and provenance of the run.
+    pub header: SnapshotHeader,
     /// Completed first-level partition keys (item ids), ascending.
     pub done: Vec<u32>,
     /// The boundary-consistent frequent set: every pattern found by the
     /// completed partitions (plus the frequent 1-sequences), with exact
-    /// supports, in comparative order.
+    /// supports, in the order they were written (comparative order for a
+    /// mining run's snapshots).
     pub patterns: Vec<(Sequence, u64)>,
     /// Guard operations charged up to the boundary.
     pub ops: u64,
@@ -309,31 +318,36 @@ impl MiningSnapshot {
         rows: usize,
         delta: u64,
     ) -> Result<(), CheckpointError> {
-        if fingerprint != self.fingerprint {
+        let header = &self.header;
+        if fingerprint != header.fingerprint {
             return Err(CheckpointError::FingerprintMismatch {
-                expected: self.fingerprint,
+                expected: header.fingerprint,
                 found: fingerprint,
             });
         }
-        if self.rows != rows as u64 {
+        if header.rows != rows as u64 {
             return Err(CheckpointError::Invalid("row count disagrees with fingerprint"));
         }
-        if self.delta != delta {
-            return Err(CheckpointError::DeltaMismatch { expected: self.delta, found: delta });
+        if header.delta != delta {
+            return Err(CheckpointError::DeltaMismatch { expected: header.delta, found: delta });
         }
         Ok(())
     }
+}
 
-    /// The saved patterns as a [`MiningResult`].
-    pub fn restore_result(&self) -> MiningResult {
-        MiningResult::from_pairs(self.patterns.iter().map(|(p, s)| (p.clone(), *s)))
-    }
-
-    /// Whether the first-level partition keyed on `item` completed before
-    /// the snapshot was taken.
-    pub fn is_done(&self, item: u32) -> bool {
-        self.done.binary_search(&item).is_ok()
-    }
+/// A cheap summary of a snapshot's progress: everything a status endpoint
+/// wants to report, without decoding a single pattern. Produced by
+/// [`peek_progress`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotProgress {
+    /// The database, δ and provenance of the run.
+    pub header: SnapshotHeader,
+    /// Number of completed first-level partitions.
+    pub done_partitions: u64,
+    /// Number of patterns in the boundary-consistent frequent set.
+    pub patterns: u64,
+    /// See [`MiningSnapshot::ops`].
+    pub ops: u64,
 }
 
 // -------------------------------------------------------------------------
@@ -346,126 +360,53 @@ fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
-/// A borrowed view of a run's current state: the same fields as
-/// [`MiningSnapshot`], but with the pattern set streamed straight out of the
-/// live [`MiningResult`]. The write path uses it so that persisting a
-/// snapshot never deep-clones every pattern — [`encode_snapshot_view`]
-/// produces byte-identical output to encoding the equivalent owned snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotView<'a> {
-    /// See [`MiningSnapshot::fingerprint`].
-    pub fingerprint: u64,
-    /// See [`MiningSnapshot::rows`].
-    pub rows: u64,
-    /// See [`MiningSnapshot::delta`].
-    pub delta: u64,
-    /// See [`MiningSnapshot::miner`].
-    pub miner: u8,
-    /// See [`MiningSnapshot::bi_level`].
-    pub bi_level: bool,
-    /// See [`MiningSnapshot::threads`].
-    pub threads: u32,
-    /// Completed first-level partition keys (item ids), ascending.
-    pub done: &'a [u32],
-    /// The live pattern set (comparative order, exact supports).
-    pub patterns: &'a MiningResult,
-    /// See [`MiningSnapshot::ops`].
-    pub ops: u64,
-    /// See [`MiningSnapshot::noted_patterns`].
-    pub noted_patterns: u64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn encode_parts<'a>(
-    fingerprint: u64,
-    rows: u64,
-    delta: u64,
-    miner: u8,
-    bi_level: bool,
-    threads: u32,
+/// Encodes one snapshot at format `version`; `patterns` are written in the
+/// order they come.
+fn encode<'a>(
+    header: &SnapshotHeader,
     done: &[u32],
-    n_patterns: usize,
-    pattern_iter: impl Iterator<Item = (&'a Sequence, u64)>,
+    patterns: impl ExactSizeIterator<Item = (&'a Sequence, u64)>,
     ops: u64,
     noted_patterns: u64,
     version: u64,
 ) -> Vec<u8> {
+    let n_patterns = patterns.len();
     let mut out = Vec::with_capacity(64 + n_patterns * 16);
     out.extend_from_slice(CHECKPOINT_MAGIC);
     codec::put_varint(&mut out, version);
 
-    let mut header = Vec::with_capacity(32);
-    header.extend_from_slice(&fingerprint.to_le_bytes());
-    codec::put_varint(&mut header, rows);
-    codec::put_varint(&mut header, delta);
-    header.push(miner);
-    header.push(u8::from(bi_level));
-    codec::put_varint(&mut header, u64::from(threads));
-    put_section(&mut out, SEC_HEADER, &header);
+    let mut payload = Vec::with_capacity(32);
+    payload.extend_from_slice(&header.fingerprint.to_le_bytes());
+    codec::put_varint(&mut payload, header.rows);
+    codec::put_varint(&mut payload, header.delta);
+    payload.push(header.miner);
+    payload.push(u8::from(header.bi_level));
+    codec::put_varint(&mut payload, u64::from(header.threads));
+    put_section(&mut out, SEC_HEADER, &payload);
 
-    let mut progress = Vec::with_capacity(1 + done.len() * 2);
-    codec::put_varint(&mut progress, done.len() as u64);
+    payload.clear();
+    codec::put_varint(&mut payload, done.len() as u64);
     for &id in done {
-        codec::put_varint(&mut progress, u64::from(id));
+        codec::put_varint(&mut payload, u64::from(id));
     }
-    put_section(&mut out, SEC_PROGRESS, &progress);
+    put_section(&mut out, SEC_PROGRESS, &payload);
 
-    let mut patterns = Vec::with_capacity(n_patterns * 12);
-    codec::put_varint(&mut patterns, n_patterns as u64);
-    for (pattern, support) in pattern_iter {
-        codec::put_sequence(&mut patterns, pattern);
-        codec::put_varint(&mut patterns, support);
+    payload.clear();
+    payload.reserve(n_patterns * 12);
+    codec::put_varint(&mut payload, n_patterns as u64);
+    for (pattern, support) in patterns {
+        codec::put_sequence(&mut payload, pattern);
+        codec::put_varint(&mut payload, support);
     }
-    put_section(&mut out, SEC_PATTERNS, &patterns);
+    put_section(&mut out, SEC_PATTERNS, &payload);
 
-    let mut counters = Vec::with_capacity(16);
-    codec::put_varint(&mut counters, ops);
-    codec::put_varint(&mut counters, noted_patterns);
-    put_section(&mut out, SEC_COUNTERS, &counters);
+    payload.clear();
+    codec::put_varint(&mut payload, ops);
+    codec::put_varint(&mut payload, noted_patterns);
+    put_section(&mut out, SEC_COUNTERS, &payload);
 
     put_section(&mut out, SEC_END, &[]);
     out
-}
-
-/// Encodes a snapshot to the binary checkpoint format.
-pub fn encode_snapshot(snap: &MiningSnapshot) -> Vec<u8> {
-    encode_parts(
-        snap.fingerprint,
-        snap.rows,
-        snap.delta,
-        snap.miner,
-        snap.bi_level,
-        snap.threads,
-        &snap.done,
-        snap.patterns.len(),
-        snap.patterns.iter().map(|(p, s)| (p, *s)),
-        snap.ops,
-        snap.noted_patterns,
-        CHECKPOINT_VERSION,
-    )
-}
-
-/// Encodes a [`SnapshotView`] — byte-identical to [`encode_snapshot`] of
-/// the equivalent owned snapshot, without cloning the pattern set.
-pub fn encode_snapshot_view(view: &SnapshotView<'_>) -> Vec<u8> {
-    encode_view_version(view, CHECKPOINT_VERSION)
-}
-
-fn encode_view_version(view: &SnapshotView<'_>, version: u64) -> Vec<u8> {
-    encode_parts(
-        view.fingerprint,
-        view.rows,
-        view.delta,
-        view.miner,
-        view.bi_level,
-        view.threads,
-        view.done,
-        view.patterns.len(),
-        view.patterns.iter(),
-        view.ops,
-        view.noted_patterns,
-        version,
-    )
 }
 
 // -------------------------------------------------------------------------
@@ -489,23 +430,18 @@ fn get_section<'a>(input: &'a [u8], pos: &mut usize) -> Result<(u8, &'a [u8]), C
     Ok((tag, payload))
 }
 
-fn get_u64_le(input: &[u8], pos: &mut usize) -> Result<u64, CheckpointError> {
-    let end = pos.checked_add(8).ok_or(CheckpointError::Truncated)?;
-    if end > input.len() {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut bytes = [0u8; 8];
-    bytes.copy_from_slice(&input[*pos..end]);
-    *pos = end;
-    Ok(u64::from_le_bytes(bytes))
-}
-
-/// Decodes a snapshot from checkpoint bytes. Strict: every section must be
-/// present exactly once, every CRC must match, and nothing may follow the
-/// end marker — a damaged file is rejected whole, never partially loaded.
-pub fn decode_snapshot(input: &[u8]) -> Result<MiningSnapshot, CheckpointError> {
-    if input.len() < CHECKPOINT_MAGIC.len() || &input[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
-    {
+/// The file's HEADER, PROGRESS, PATTERNS and COUNTERS payloads, in that
+/// order. Strict: the magic and version must match, every CRC must hold,
+/// every section must be present exactly once, the end marker must be
+/// empty, and nothing may follow it.
+fn read_sections(input: &[u8]) -> Result<[&[u8]; 4], CheckpointError> {
+    const MISSING: [&str; 4] = [
+        "missing header section",
+        "missing progress section",
+        "missing patterns section",
+        "missing counters section",
+    ];
+    if !input.starts_with(CHECKPOINT_MAGIC) {
         return Err(CheckpointError::BadMagic);
     }
     let mut pos = CHECKPOINT_MAGIC.len();
@@ -514,71 +450,88 @@ pub fn decode_snapshot(input: &[u8]) -> Result<MiningSnapshot, CheckpointError> 
         return Err(CheckpointError::UnsupportedVersion(version));
     }
 
-    let mut header: Option<&[u8]> = None;
-    let mut progress: Option<&[u8]> = None;
-    let mut patterns: Option<&[u8]> = None;
-    let mut counters: Option<&[u8]> = None;
+    let mut found: [Option<&[u8]>; 4] = [None; 4];
     loop {
         let (tag, payload) = get_section(input, &mut pos)?;
         let slot = match tag {
-            SEC_HEADER => &mut header,
-            SEC_PROGRESS => &mut progress,
-            SEC_PATTERNS => &mut patterns,
-            SEC_COUNTERS => &mut counters,
-            SEC_END => {
-                if !payload.is_empty() {
-                    return Err(CheckpointError::Invalid("end marker carries payload"));
-                }
-                break;
-            }
+            SEC_HEADER..=SEC_COUNTERS => &mut found[usize::from(tag - SEC_HEADER)],
+            SEC_END if payload.is_empty() => break,
+            SEC_END => return Err(CheckpointError::Invalid("end marker carries payload")),
             other => return Err(CheckpointError::UnknownSection(other)),
         };
-        if slot.is_some() {
+        if slot.replace(payload).is_some() {
             return Err(CheckpointError::Invalid("duplicate section"));
         }
-        *slot = Some(payload);
     }
     if pos != input.len() {
         return Err(CheckpointError::Invalid("trailing bytes after end marker"));
     }
-    let header = header.ok_or(CheckpointError::Invalid("missing header section"))?;
-    let progress = progress.ok_or(CheckpointError::Invalid("missing progress section"))?;
-    let patterns = patterns.ok_or(CheckpointError::Invalid("missing patterns section"))?;
-    let counters = counters.ok_or(CheckpointError::Invalid("missing counters section"))?;
+    let mut sections: [&[u8]; 4] = [&[]; 4];
+    for (i, payload) in found.into_iter().enumerate() {
+        sections[i] = payload.ok_or(CheckpointError::Invalid(MISSING[i]))?;
+    }
+    Ok(sections)
+}
 
+fn get_u64_le(input: &[u8], pos: &mut usize) -> Result<u64, CheckpointError> {
+    let end = pos.checked_add(8).ok_or(CheckpointError::Truncated)?;
+    let bytes = input.get(*pos..end).ok_or(CheckpointError::Truncated)?;
+    *pos = end;
+    Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+}
+
+fn get_byte(input: &[u8], pos: &mut usize) -> Result<u8, CheckpointError> {
+    let &b = input.get(*pos).ok_or(CheckpointError::Truncated)?;
+    *pos += 1;
+    Ok(b)
+}
+
+/// An entry count. Every entry takes at least one byte, so a count above
+/// the bytes left is a damaged file, not an allocation to attempt.
+fn get_count(payload: &[u8], pos: &mut usize) -> Result<usize, CheckpointError> {
+    let n = codec::get_varint(payload, pos)?;
+    if n > (payload.len() - *pos) as u64 {
+        return Err(CheckpointError::Truncated);
+    }
+    Ok(n as usize)
+}
+
+fn parse_header(payload: &[u8]) -> Result<SnapshotHeader, CheckpointError> {
     let mut p = 0usize;
-    let fingerprint = get_u64_le(header, &mut p)?;
-    let rows = codec::get_varint(header, &mut p)?;
-    let delta = codec::get_varint(header, &mut p)?;
-    let &miner = header.get(p).ok_or(CheckpointError::Truncated)?;
-    p += 1;
-    let &bi_level = header.get(p).ok_or(CheckpointError::Truncated)?;
-    p += 1;
-    if bi_level > 1 {
-        return Err(CheckpointError::Invalid("bi_level flag out of range"));
-    }
-    let threads = codec::get_varint(header, &mut p)?;
-    if threads > u64::from(u32::MAX) {
-        return Err(CheckpointError::Invalid("thread count out of range"));
-    }
-    if p != header.len() {
+    let fingerprint = get_u64_le(payload, &mut p)?;
+    let rows = codec::get_varint(payload, &mut p)?;
+    let delta = codec::get_varint(payload, &mut p)?;
+    let miner = get_byte(payload, &mut p)?;
+    let bi_level = match get_byte(payload, &mut p)? {
+        0 => false,
+        1 => true,
+        _ => return Err(CheckpointError::Invalid("bi_level flag out of range")),
+    };
+    let threads = u32::try_from(codec::get_varint(payload, &mut p)?)
+        .map_err(|_| CheckpointError::Invalid("thread count out of range"))?;
+    if p != payload.len() {
         return Err(CheckpointError::Invalid("trailing bytes in header section"));
     }
+    Ok(SnapshotHeader { fingerprint, rows, delta, miner, bi_level, threads })
+}
+
+/// Parses every section but the patterns: the returned snapshot's pattern
+/// vector is empty, and the patterns section comes back as its count and
+/// the encoded patterns that follow it. The only checks left to
+/// [`decode_snapshot`] are those of that encoding, which its CRC covers.
+fn parse_all_but_patterns(input: &[u8]) -> Result<(MiningSnapshot, usize, &[u8]), CheckpointError> {
+    let [header, progress, patterns, counters] = read_sections(input)?;
+    let header = parse_header(header)?;
 
     let mut p = 0usize;
-    let n_done = codec::get_varint(progress, &mut p)?;
-    let mut done = Vec::with_capacity(n_done as usize);
-    let mut prev: Option<u32> = None;
+    let n_done = get_count(progress, &mut p)?;
+    let mut done = Vec::with_capacity(n_done);
     for _ in 0..n_done {
-        let id = codec::get_varint(progress, &mut p)?;
-        if id > u64::from(u32::MAX) {
-            return Err(CheckpointError::Invalid("partition key out of range"));
-        }
-        let id = id as u32;
-        if prev.is_some_and(|q| q >= id) {
+        let id = u32::try_from(codec::get_varint(progress, &mut p)?)
+            .map_err(|_| CheckpointError::Invalid("partition key out of range"))?;
+        if done.last().is_some_and(|&q| q >= id) {
             return Err(CheckpointError::Invalid("partition keys not strictly ascending"));
         }
-        prev = Some(id);
         done.push(id);
     }
     if p != progress.len() {
@@ -586,80 +539,65 @@ pub fn decode_snapshot(input: &[u8]) -> Result<MiningSnapshot, CheckpointError> 
     }
 
     let mut p = 0usize;
-    let n_patterns = codec::get_varint(patterns, &mut p)?;
-    let mut pats = Vec::with_capacity(n_patterns as usize);
+    let n_patterns = get_count(patterns, &mut p)?;
+
+    let mut c = 0usize;
+    let ops = codec::get_varint(counters, &mut c)?;
+    let noted_patterns = codec::get_varint(counters, &mut c)?;
+    if c != counters.len() {
+        return Err(CheckpointError::Invalid("trailing bytes in counters section"));
+    }
+
+    let snap = MiningSnapshot { header, done, patterns: Vec::new(), ops, noted_patterns };
+    Ok((snap, n_patterns, &patterns[p..]))
+}
+
+/// Decodes a snapshot from checkpoint bytes. Strict: a damaged file is
+/// rejected whole, never partially loaded.
+fn decode_snapshot(input: &[u8]) -> Result<MiningSnapshot, CheckpointError> {
+    let (mut snap, n_patterns, patterns) = parse_all_but_patterns(input)?;
+    snap.patterns.reserve(n_patterns);
+    let mut p = 0usize;
     for _ in 0..n_patterns {
         let seq = codec::get_sequence(patterns, &mut p)?;
         if seq.is_empty() {
             return Err(CheckpointError::Invalid("empty pattern"));
         }
         let support = codec::get_varint(patterns, &mut p)?;
-        pats.push((seq, support));
+        snap.patterns.push((seq, support));
     }
     if p != patterns.len() {
         return Err(CheckpointError::Invalid("trailing bytes in patterns section"));
     }
-
-    let mut p = 0usize;
-    let ops = codec::get_varint(counters, &mut p)?;
-    let noted_patterns = codec::get_varint(counters, &mut p)?;
-    if p != counters.len() {
-        return Err(CheckpointError::Invalid("trailing bytes in counters section"));
-    }
-
-    Ok(MiningSnapshot {
-        fingerprint,
-        rows,
-        delta,
-        miner,
-        bi_level: bi_level == 1,
-        threads: threads as u32,
-        done,
-        patterns: pats,
-        ops,
-        noted_patterns,
-    })
+    Ok(snap)
 }
 
 // -------------------------------------------------------------------------
 // Durable IO.
 
-/// Durably writes a snapshot through [`durable::publish`]. A crash at any
-/// point leaves either the previous snapshot intact or a stray `.tmp` that
-/// the loader never reads. Returns the bytes written, for overhead
-/// accounting.
-pub fn write_snapshot(path: &Path, snap: &MiningSnapshot) -> Result<usize, CheckpointError> {
-    publish_snapshot(path, &encode_snapshot(snap), None)
-}
-
-/// [`write_snapshot`] for a borrowed [`SnapshotView`] — the per-boundary
-/// write path, which must not deep-clone the pattern set it persists.
-pub fn write_snapshot_view(path: &Path, view: &SnapshotView<'_>) -> Result<usize, CheckpointError> {
-    write_snapshot_view_faulted(path, view, None)
-}
-
-/// [`write_snapshot_view`] staging an injected `fault`, which is `None`
-/// outside the crash matrices: [`durable::publish`] stages the IO faults,
-/// and [`IoFault::StaleVersion`] writes the encoding one format version
-/// ahead, which the loader refuses.
-pub fn write_snapshot_view_faulted(
+/// Durably writes one snapshot through [`durable::publish`]; `patterns`
+/// are written in the order they come. A crash at any point leaves either
+/// the previous snapshot intact or a stray `.tmp` that the loader never
+/// reads. Returns the bytes written, for overhead accounting.
+///
+/// `fault` is `None` outside the crash matrices: [`durable::publish`]
+/// stages the IO faults, and [`IoFault::StaleVersion`] writes the encoding
+/// one format version ahead, which the loader refuses.
+pub fn write_snapshot<'a>(
     path: &Path,
-    view: &SnapshotView<'_>,
+    header: &SnapshotHeader,
+    done: &[u32],
+    patterns: impl ExactSizeIterator<Item = (&'a Sequence, u64)>,
+    ops: u64,
+    noted_patterns: u64,
     fault: Option<IoFault>,
 ) -> Result<usize, CheckpointError> {
     let version = match fault {
         Some(IoFault::StaleVersion) => CHECKPOINT_VERSION + 1,
         _ => CHECKPOINT_VERSION,
     };
-    publish_snapshot(path, &encode_view_version(view, version), fault)
-}
-
-fn publish_snapshot(
-    path: &Path,
-    bytes: &[u8],
-    fault: Option<IoFault>,
-) -> Result<usize, CheckpointError> {
-    durable::publish(path, bytes, None, fault).map_err(|e| CheckpointError::Io {
+    let bytes = encode(header, done, patterns, ops, noted_patterns, version);
+    durable::publish(path, &bytes, None, fault).map_err(|e| CheckpointError::Io {
         path: e.path().to_path_buf(),
         message: e.to_string(),
         transient: e.is_transient(),
@@ -675,88 +613,25 @@ pub fn read_snapshot(path: &Path) -> Result<MiningSnapshot, CheckpointError> {
     decode_snapshot(&bytes)
 }
 
-/// A cheap summary of a snapshot's progress: everything a status endpoint
-/// wants to report, without decoding a single pattern.
-///
-/// Produced by [`peek_progress`], which validates the magic, version, and
-/// the CRCs of the sections it touches, but reads only the header, the
-/// completed-partition list, the leading pattern *count*, and the guard
-/// counters — never the pattern payload itself, which dominates snapshot
-/// size on real runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotProgress {
-    /// See [`MiningSnapshot::fingerprint`].
-    pub fingerprint: u64,
-    /// See [`MiningSnapshot::rows`].
-    pub rows: u64,
-    /// See [`MiningSnapshot::delta`].
-    pub delta: u64,
-    /// Number of completed first-level partitions.
-    pub done_partitions: u64,
-    /// Number of patterns in the boundary-consistent frequent set.
-    pub patterns: u64,
-    /// See [`MiningSnapshot::ops`].
-    pub ops: u64,
-}
-
-/// Reads just the progress summary from a snapshot file — section CRCs for
-/// the header/progress/counters sections are still verified, but the
-/// pattern payload is only counted, not decoded. A missing file returns
-/// [`CheckpointError::Missing`].
+/// Reads just the progress summary from a snapshot file. Every check
+/// [`read_snapshot`] makes is made here too, except the parse of the
+/// pattern payload: its CRC is verified and its count read, but no
+/// sequence is decoded. A missing file returns [`CheckpointError::Missing`].
 ///
 /// Intended for supervisors (a job server's status endpoint, a scheduler
 /// deciding whether a preempted slice advanced) that poll a checkpoint
-/// between runs: decoding cost is `O(done_partitions)` — the pattern bytes
-/// are CRC-summed but never parsed into sequences.
+/// between runs: decoding cost is `O(done_partitions)`. Safe to poll while
+/// a run is in flight — snapshot writes are atomic renames, so a peek sees
+/// either the previous boundary or the new one, never a torn file.
 pub fn peek_progress(path: &Path) -> Result<SnapshotProgress, CheckpointError> {
     let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
-    let input = bytes.as_slice();
-    if input.len() < CHECKPOINT_MAGIC.len() || &input[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
-    {
-        return Err(CheckpointError::BadMagic);
-    }
-    let mut pos = CHECKPOINT_MAGIC.len();
-    let version = codec::get_varint(input, &mut pos)?;
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-
-    let mut header: Option<&[u8]> = None;
-    let mut done_partitions: Option<u64> = None;
-    let mut patterns: Option<u64> = None;
-    let mut counters: Option<&[u8]> = None;
-    loop {
-        let (tag, payload) = get_section(input, &mut pos)?;
-        match tag {
-            SEC_HEADER => header = Some(payload),
-            SEC_PROGRESS => {
-                let mut p = 0usize;
-                done_partitions = Some(codec::get_varint(payload, &mut p)?);
-            }
-            SEC_PATTERNS => {
-                let mut p = 0usize;
-                patterns = Some(codec::get_varint(payload, &mut p)?);
-            }
-            SEC_COUNTERS => counters = Some(payload),
-            SEC_END => break,
-            other => return Err(CheckpointError::UnknownSection(other)),
-        }
-    }
-    let header = header.ok_or(CheckpointError::Invalid("missing header section"))?;
-    let done_partitions =
-        done_partitions.ok_or(CheckpointError::Invalid("missing progress section"))?;
-    let patterns = patterns.ok_or(CheckpointError::Invalid("missing patterns section"))?;
-    let counters = counters.ok_or(CheckpointError::Invalid("missing counters section"))?;
-
-    let mut p = 0usize;
-    let fingerprint = get_u64_le(header, &mut p)?;
-    let rows = codec::get_varint(header, &mut p)?;
-    let delta = codec::get_varint(header, &mut p)?;
-
-    let mut p = 0usize;
-    let ops = codec::get_varint(counters, &mut p)?;
-
-    Ok(SnapshotProgress { fingerprint, rows, delta, done_partitions, patterns, ops })
+    let (snap, patterns, _) = parse_all_but_patterns(&bytes)?;
+    Ok(SnapshotProgress {
+        header: snap.header,
+        done_partitions: snap.done.len() as u64,
+        patterns: patterns as u64,
+        ops: snap.ops,
+    })
 }
 
 #[cfg(test)]
@@ -777,12 +652,14 @@ mod tests {
     fn sample_snapshot() -> MiningSnapshot {
         let db = table1();
         MiningSnapshot {
-            fingerprint: database_fingerprint(&db),
-            rows: db.len() as u64,
-            delta: 2,
-            miner: MINER_DISC_ALL,
-            bi_level: true,
-            threads: 1,
+            header: SnapshotHeader {
+                fingerprint: database_fingerprint(&db),
+                rows: db.len() as u64,
+                delta: 2,
+                miner: MINER_DISC_ALL,
+                bi_level: true,
+                threads: 1,
+            },
             done: vec![0, 1, 5],
             patterns: vec![
                 (parse_sequence("(a)").unwrap(), 2),
@@ -792,6 +669,34 @@ mod tests {
             ops: 12345,
             noted_patterns: 3,
         }
+    }
+
+    /// `snap` encoded at format `version`, its patterns in their own order.
+    fn encode_at(snap: &MiningSnapshot, version: u64) -> Vec<u8> {
+        let patterns = snap.patterns.iter().map(|(p, s)| (p, *s));
+        encode(&snap.header, &snap.done, patterns, snap.ops, snap.noted_patterns, version)
+    }
+
+    fn encode_snapshot(snap: &MiningSnapshot) -> Vec<u8> {
+        encode_at(snap, CHECKPOINT_VERSION)
+    }
+
+    /// Writes `snap` through [`write_snapshot`], staging `fault`.
+    fn write_faulted(
+        path: &Path,
+        snap: &MiningSnapshot,
+        fault: Option<IoFault>,
+    ) -> Result<usize, CheckpointError> {
+        let patterns = snap.patterns.iter().map(|(p, s)| (p, *s));
+        write_snapshot(
+            path,
+            &snap.header,
+            &snap.done,
+            patterns,
+            snap.ops,
+            snap.noted_patterns,
+            fault,
+        )
     }
 
     /// The byte-at-a-time CRC the sliced kernel must agree with.
@@ -853,37 +758,6 @@ mod tests {
         let snap = sample_snapshot();
         let back = decode_snapshot(&encode_snapshot(&snap)).unwrap();
         assert_eq!(snap, back);
-    }
-
-    /// `snap` as a view over `live`, its restored pattern set.
-    fn view_of<'a>(snap: &'a MiningSnapshot, live: &'a MiningResult) -> SnapshotView<'a> {
-        SnapshotView {
-            fingerprint: snap.fingerprint,
-            rows: snap.rows,
-            delta: snap.delta,
-            miner: snap.miner,
-            bi_level: snap.bi_level,
-            threads: snap.threads,
-            done: &snap.done,
-            patterns: live,
-            ops: snap.ops,
-            noted_patterns: snap.noted_patterns,
-        }
-    }
-
-    #[test]
-    fn view_encoding_is_byte_identical_to_owned() {
-        let snap = sample_snapshot();
-        let live = snap.restore_result();
-        let view = view_of(&snap, &live);
-        // The live result iterates in comparative order — the same order the
-        // owned snapshot's pattern vector was collected in.
-        let owned = MiningSnapshot {
-            patterns: live.iter().map(|(p, s)| (p.clone(), s)).collect(),
-            ..snap.clone()
-        };
-        assert_eq!(encode_snapshot_view(&view), encode_snapshot(&owned));
-        assert_eq!(decode_snapshot(&encode_snapshot_view(&view)).unwrap(), owned);
     }
 
     #[test]
@@ -950,9 +824,7 @@ mod tests {
 
     #[test]
     fn stale_version_is_rejected() {
-        let snap = sample_snapshot();
-        let live = snap.restore_result();
-        let bytes = encode_view_version(&view_of(&snap, &live), CHECKPOINT_VERSION + 1);
+        let bytes = encode_at(&sample_snapshot(), CHECKPOINT_VERSION + 1);
         assert_eq!(
             decode_snapshot(&bytes),
             Err(CheckpointError::UnsupportedVersion(CHECKPOINT_VERSION + 1))
@@ -975,12 +847,12 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.dscck");
         let snap = sample_snapshot();
-        write_snapshot(&path, &snap).unwrap();
+        write_faulted(&path, &snap, None).unwrap();
         assert_eq!(read_snapshot(&path).unwrap(), snap);
         // Overwrites are atomic replacements.
         let mut snap2 = snap.clone();
         snap2.done.push(7);
-        write_snapshot(&path, &snap2).unwrap();
+        write_faulted(&path, &snap2, None).unwrap();
         assert_eq!(read_snapshot(&path).unwrap(), snap2);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -998,14 +870,12 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.dscck");
         let snap = sample_snapshot();
-        write_snapshot(&path, &snap).unwrap();
+        write_faulted(&path, &snap, None).unwrap();
         let progress = peek_progress(&path).unwrap();
         assert_eq!(
             progress,
             SnapshotProgress {
-                fingerprint: snap.fingerprint,
-                rows: snap.rows,
-                delta: snap.delta,
+                header: snap.header,
                 done_partitions: snap.done.len() as u64,
                 patterns: snap.patterns.len() as u64,
                 ops: snap.ops,
@@ -1038,15 +908,107 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `bytes`' sections as `(tag, payload)`, the end marker included.
+    fn sections_of(bytes: &[u8]) -> Vec<(u8, Vec<u8>)> {
+        let mut pos = CHECKPOINT_MAGIC.len();
+        codec::get_varint(bytes, &mut pos).unwrap();
+        let mut sections = Vec::new();
+        while pos < bytes.len() {
+            let (tag, payload) = get_section(bytes, &mut pos).unwrap();
+            sections.push((tag, payload.to_vec()));
+        }
+        sections
+    }
+
+    /// A checkpoint file made of `sections`, each with a valid CRC.
+    fn assemble(sections: &[(u8, Vec<u8>)]) -> Vec<u8> {
+        let mut out = CHECKPOINT_MAGIC.to_vec();
+        codec::put_varint(&mut out, CHECKPOINT_VERSION);
+        for (tag, payload) in sections {
+            put_section(&mut out, *tag, payload);
+        }
+        out
+    }
+
+    #[test]
+    fn peek_progress_errs_exactly_when_read_snapshot_errs() {
+        let valid = encode_snapshot(&sample_snapshot());
+        let sections = sections_of(&valid);
+        assert_eq!(
+            sections.iter().map(|(tag, _)| *tag).collect::<Vec<_>>(),
+            [SEC_HEADER, SEC_PROGRESS, SEC_PATTERNS, SEC_COUNTERS, SEC_END]
+        );
+        let (body, end) = sections.split_at(4);
+        let with = |extra: (u8, Vec<u8>)| assemble(&[body, &[extra], end].concat());
+        let edit = |section: usize, edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut edited = sections.clone();
+            edit(&mut edited[section].1);
+            assemble(&edited)
+        };
+        let huge_count = |payload: &mut Vec<u8>| {
+            payload.clear();
+            codec::put_varint(payload, 1 << 40);
+        };
+
+        let mut damaged: Vec<(String, Vec<u8>)> = vec![
+            ("trailing bytes after the end marker".into(), [&valid[..], &[0; 4]].concat()),
+            ("a duplicated section".into(), {
+                let mut counters = Vec::new();
+                codec::put_varint(&mut counters, 999_999);
+                codec::put_varint(&mut counters, 3);
+                with((SEC_COUNTERS, counters))
+            }),
+            ("an unknown tag".into(), with((7, vec![1, 2, 3]))),
+            ("a non-empty end marker".into(), assemble(&[body, &[(SEC_END, vec![0])]].concat())),
+            ("trailing bytes in the header".into(), edit(0, &|h| h.push(0))),
+            ("bi_level = 2".into(), {
+                // The header ends `bi_level · threads`, threads one varint byte.
+                edit(0, &|h| {
+                    let at = h.len() - 2;
+                    assert_eq!(h[at], 1, "bi_level byte");
+                    h[at] = 2;
+                })
+            }),
+            ("a partition count no payload could hold".into(), edit(1, &huge_count)),
+            ("a pattern count no payload could hold".into(), edit(2, &huge_count)),
+        ];
+        for (name, bytes) in &damaged {
+            assert!(decode_snapshot(bytes).is_err(), "{name} must not load");
+        }
+        damaged.extend(
+            (0..valid.len()).map(|len| (format!("prefix of {len}"), valid[..len].to_vec())),
+        );
+        for i in 0..valid.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut flipped = valid.clone();
+                flipped[i] ^= mask;
+                damaged.push((format!("byte {i} ^ {mask:#04x}"), flipped));
+            }
+        }
+
+        let dir = std::env::temp_dir().join(format!("dscck-agree-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.dscck");
+        for (name, bytes) in &damaged {
+            fs::write(&path, bytes).unwrap();
+            let full = read_snapshot(&path);
+            let peek = peek_progress(&path);
+            assert_eq!(
+                peek.is_err(),
+                full.is_err(),
+                "{name}: read_snapshot {full:?}, peek_progress {peek:?}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn injected_crashes_leave_detectable_or_recoverable_state() {
         let dir = std::env::temp_dir().join(format!("dscck-crash-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let snap = sample_snapshot();
-        let live = snap.restore_result();
-        let view = view_of(&snap, &live);
         let crash = |path: &Path, fault| {
-            write_snapshot_view_faulted(path, &view, Some(fault)).err();
+            write_faulted(path, &snap, Some(fault)).err();
         };
 
         // Torn temp write: final path untouched, loader sees a clean miss.
@@ -1058,7 +1020,7 @@ mod tests {
         let path = dir.join("unrenamed.dscck");
         let mut older = snap.clone();
         older.done.pop();
-        write_snapshot(&path, &older).unwrap();
+        write_faulted(&path, &older, None).unwrap();
         crash(&path, IoFault::CrashBeforeRename);
         assert_eq!(read_snapshot(&path).unwrap(), older);
 

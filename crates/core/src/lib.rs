@@ -78,8 +78,8 @@ pub mod topk;
 
 pub use bruteforce::BruteForce;
 pub use checkpoint::{
-    database_fingerprint, peek_progress, read_snapshot, write_snapshot, write_snapshot_view,
-    CheckpointError, MiningSnapshot, SnapshotProgress, SnapshotView,
+    database_fingerprint, peek_progress, read_snapshot, write_snapshot, CheckpointError,
+    MiningSnapshot, SnapshotHeader, SnapshotProgress,
 };
 pub use codec::{decode_database, encode_database, CodecError};
 pub use compact::ItemMapping;

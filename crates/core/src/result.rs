@@ -74,7 +74,7 @@ impl MiningResult {
     }
 
     /// Iterates `(pattern, support)` in comparative order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Sequence, u64)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Sequence, u64)> {
         self.by_pattern.iter().map(|(p, &s)| (p, s))
     }
 

@@ -219,11 +219,6 @@ impl Sequence {
         Sequence(v)
     }
 
-    /// Appends an itemset as a new transaction, in place.
-    pub fn push_itemset(&mut self, set: Itemset) {
-        self.0.push(set);
-    }
-
     /// All distinct items of the sequence, ascending.
     pub fn distinct_items(&self) -> Vec<Item> {
         let mut v: Vec<Item> = self.0.iter().flat_map(Itemset::iter).collect();

@@ -372,18 +372,31 @@ fn written_file_digests() -> Vec<(String, u64, u64)> {
     store.close().unwrap();
 
     let snap = crate::checkpoint::MiningSnapshot {
-        fingerprint: crate::checkpoint::database_fingerprint(&db),
-        rows: db.len() as u64,
-        delta: 3,
-        miner: crate::checkpoint::MINER_DISC_ALL,
-        bi_level: true,
-        threads: 1,
+        header: crate::checkpoint::SnapshotHeader {
+            fingerprint: crate::checkpoint::database_fingerprint(&db),
+            rows: db.len() as u64,
+            delta: 3,
+            miner: crate::checkpoint::MINER_DISC_ALL,
+            bi_level: true,
+            threads: 1,
+        },
         done: vec![0, 2, 5],
         patterns: rows[..20].iter().map(|(_, s)| (s.clone(), 3)).collect(),
         ops: 987_654,
         noted_patterns: 20,
     };
-    crate::checkpoint::write_snapshot(&dir.join("mine.dscck"), &snap).unwrap();
+    // The patterns go to the file in the vector's order, not comparative order.
+    let patterns = snap.patterns.iter().map(|(p, s)| (p, *s));
+    crate::checkpoint::write_snapshot(
+        &dir.join("mine.dscck"),
+        &snap.header,
+        &snap.done,
+        patterns,
+        snap.ops,
+        snap.noted_patterns,
+        None,
+    )
+    .unwrap();
 
     let mut digests: Vec<(String, u64, u64)> = fs::read_dir(&dir)
         .unwrap()

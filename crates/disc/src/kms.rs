@@ -219,11 +219,6 @@ impl ExtensionCache {
         }
     }
 
-    /// Whether this cache degraded to the always-recompute mode.
-    pub fn is_disabled(&self) -> bool {
-        self.width == 0
-    }
-
     /// The extension set of prefix `p` in `member`, computing and memoizing
     /// it on first touch.
     fn ensure<'a, S: SeqView<'a>>(

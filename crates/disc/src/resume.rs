@@ -36,10 +36,7 @@
 //! recovery matrix in `tests/checkpoint_recovery.rs` asserts this for every
 //! miner at every injected crash point.
 
-use disc_core::checkpoint::{
-    self, peek_progress, read_snapshot, CheckpointError, MiningSnapshot, SnapshotProgress,
-    SnapshotView,
-};
+use disc_core::checkpoint::{self, read_snapshot, CheckpointError, MiningSnapshot, SnapshotHeader};
 use disc_core::{
     durable, run_guarded, AbortReason, FlatDb, FlatFileContents, GuardedResult, Item, ItemMapping,
     MinSupport, MineGuard, MiningResult, SequenceDatabase, SequentialMiner,
@@ -68,17 +65,6 @@ pub struct CheckpointStats {
     pub failed: bool,
 }
 
-/// Snapshot provenance a miner reports to its sink.
-#[derive(Debug, Clone, Copy)]
-struct SnapshotMeta {
-    fingerprint: u64,
-    rows: u64,
-    delta: u64,
-    miner: u8,
-    bi_level: bool,
-    threads: u32,
-}
-
 /// The per-run checkpoint writer. Miners call it at partition boundaries;
 /// it decides when to persist, performs the atomic write protocol, and
 /// consults the guard's `FaultPlan` (fault-injection builds) for injected
@@ -87,7 +73,7 @@ pub struct CheckpointSink<'g> {
     guard: &'g MineGuard,
     path: PathBuf,
     every: u64,
-    meta: SnapshotMeta,
+    header: SnapshotHeader,
     /// Completed first-level partition keys, ascending.
     done: Vec<u32>,
     /// Whether a boundary has been observed since the last persisted
@@ -101,7 +87,7 @@ impl<'g> CheckpointSink<'g> {
         path: PathBuf,
         every: u64,
         guard: &'g MineGuard,
-        meta: SnapshotMeta,
+        header: SnapshotHeader,
         resume: Option<&MiningSnapshot>,
     ) -> CheckpointSink<'g> {
         if let Some(dir) = path.parent() {
@@ -112,7 +98,7 @@ impl<'g> CheckpointSink<'g> {
             guard,
             path,
             every: every.max(1),
-            meta,
+            header,
             done: resume.map(|s| s.done.clone()).unwrap_or_default(),
             dirty: false,
             stats: CheckpointStats::default(),
@@ -170,23 +156,10 @@ impl<'g> CheckpointSink<'g> {
     }
 
     /// Persists the current state. Encoding streams straight out of the
-    /// live result via a borrowed [`SnapshotView`] — an actual write costs
-    /// one encode plus the durable IO, never a deep clone of the pattern
-    /// set, and a skipped boundary costs only a counter update.
+    /// live result — an actual write costs one encode plus the durable IO,
+    /// never a deep clone of the pattern set, and a skipped boundary costs
+    /// only a counter update.
     fn persist_now(&mut self, result: &MiningResult) {
-        let stats = self.guard.stats();
-        let view = SnapshotView {
-            fingerprint: self.meta.fingerprint,
-            rows: self.meta.rows,
-            delta: self.meta.delta,
-            miner: self.meta.miner,
-            bi_level: self.meta.bi_level,
-            threads: self.meta.threads,
-            done: &self.done,
-            patterns: result,
-            ops: stats.ops,
-            noted_patterns: stats.patterns as u64,
-        };
         self.dirty = false;
 
         if self.stats.failed {
@@ -194,8 +167,17 @@ impl<'g> CheckpointSink<'g> {
         }
         let write_n = self.stats.writes + 1;
         let fault = self.guard.io_write_fault(disc_core::IoWriter::Checkpoint, write_n);
+        let stats = self.guard.stats();
         let start = Instant::now();
-        let written = checkpoint::write_snapshot_view_faulted(&self.path, &view, fault);
+        let written = checkpoint::write_snapshot(
+            &self.path,
+            &self.header,
+            &self.done,
+            result.iter(),
+            stats.ops,
+            stats.patterns as u64,
+            fault,
+        );
         if let Some(crash) = fault.filter(|f| f.is_crash()) {
             // The write left on disk what a kill at this point would; now
             // the process "dies" (a panic the guard contains).
@@ -341,25 +323,9 @@ impl<M: Checkpointable> Resumable<M> {
         self.dir.join(CHECKPOINT_FILE)
     }
 
-    /// The wrapped miner.
-    pub fn inner(&self) -> &M {
-        &self.miner
-    }
-
     /// Write-side counters of the most recent run.
     pub fn last_stats(&self) -> CheckpointStats {
         self.last_stats.get()
-    }
-
-    /// Cheap progress summary from the snapshot on disk: completed
-    /// partitions, pattern count, and guard spend, without decoding the
-    /// pattern payload. Safe to poll from another thread while a run is in
-    /// flight — snapshot writes are atomic renames, so a concurrent peek
-    /// sees either the previous boundary or the new one, never a torn file.
-    /// A missing snapshot (no boundary reached yet) returns
-    /// [`CheckpointError::Missing`].
-    pub fn progress(&self) -> Result<SnapshotProgress, CheckpointError> {
-        peek_progress(&self.checkpoint_path())
     }
 
     /// Mines a loaded database, auto-resuming: a valid snapshot for this
@@ -427,10 +393,17 @@ impl<M: Checkpointable> Resumable<M> {
         resume: Option<MiningSnapshot>,
     ) -> GuardedResult {
         let (miner, bi_level, threads) = self.miner.provenance();
-        let meta =
-            SnapshotMeta { fingerprint, rows: flat.len() as u64, delta, miner, bi_level, threads };
+        let header = SnapshotHeader {
+            fingerprint,
+            rows: flat.len() as u64,
+            delta,
+            miner,
+            bi_level,
+            threads,
+        };
         let path = self.checkpoint_path();
-        let mut sink = CheckpointSink::new(path.clone(), self.every, guard, meta, resume.as_ref());
+        let mut sink =
+            CheckpointSink::new(path.clone(), self.every, guard, header, resume.as_ref());
         let sink_ref = &mut sink;
         let mut run = run_guarded(guard, |result| {
             if let Some(snap) = &resume {
@@ -482,7 +455,7 @@ impl<M: Checkpointable> SequentialMiner for Resumable<M> {
 mod tests {
     use super::*;
     use crate::{DiscAll, DynamicDiscAll, ParallelDiscAll};
-    use disc_core::database_fingerprint;
+    use disc_core::{database_fingerprint, peek_progress};
     use disc_core::{CancelToken, MineOutcome, ResourceBudget};
     use std::fs;
 
@@ -575,7 +548,10 @@ mod tests {
         let dir = fresh_dir("progress");
         let wrapped = Resumable::new(DiscAll::default(), &dir);
         assert!(
-            matches!(wrapped.progress(), Err(CheckpointError::Missing { .. })),
+            matches!(
+                peek_progress(&wrapped.checkpoint_path()),
+                Err(CheckpointError::Missing { .. })
+            ),
             "no boundary reached yet — progress must be a typed miss"
         );
 
@@ -584,10 +560,10 @@ mod tests {
         let guard = MineGuard::new(CancelToken::new(), budget).with_checkpoint_interval(1);
         let first = wrapped.mine_guarded(&db, MinSupport::Count(2), &guard);
         assert_eq!(first.outcome, MineOutcome::Partial { reason: AbortReason::BudgetExhausted });
-        let partial = wrapped.progress().unwrap();
+        let partial = peek_progress(&wrapped.checkpoint_path()).unwrap();
         let full = read_snapshot(&wrapped.checkpoint_path()).unwrap();
-        assert_eq!(partial.fingerprint, full.fingerprint);
-        assert_eq!(partial.delta, full.delta);
+        assert_eq!(partial.header.fingerprint, full.header.fingerprint);
+        assert_eq!(partial.header.delta, full.header.delta);
         assert_eq!(partial.done_partitions, full.done.len() as u64);
         assert_eq!(partial.patterns, full.patterns.len() as u64);
         assert_eq!(partial.ops, full.ops);
@@ -595,7 +571,7 @@ mod tests {
         // Finishing the run advances the peeked progress monotonically.
         let run = wrapped.mine_guarded(&db, MinSupport::Count(2), &MineGuard::unlimited());
         assert!(run.outcome.is_complete());
-        let done = wrapped.progress().unwrap();
+        let done = peek_progress(&wrapped.checkpoint_path()).unwrap();
         assert!(done.done_partitions >= partial.done_partitions);
         assert!(done.patterns >= partial.patterns);
         assert_eq!(done.patterns, run.result.len() as u64);

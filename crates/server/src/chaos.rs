@@ -150,12 +150,6 @@ impl<'a, S: Read + Write> ChaosStream<'a, S> {
         self
     }
 
-    /// The wrapped stream, for operations chaos does not intercept (e.g.
-    /// `set_read_timeout` on a `TcpStream`).
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     fn next(&mut self) -> u64 {
         self.rng = splitmix64(self.rng);
         self.rng

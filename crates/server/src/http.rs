@@ -428,16 +428,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// A `Duration` helper for socket deadlines: `None` disables (0 means
-/// "no deadline" on the CLI).
-pub fn deadline_from_ms(ms: u64) -> Option<Duration> {
-    if ms == 0 {
-        None
-    } else {
-        Some(Duration::from_millis(ms))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -69,8 +69,8 @@ impl Default for LimitsConfig {
         LimitsConfig {
             max_connections: 16,
             queue_depth: 64,
-            max_head_bytes: 64 << 10,
-            max_body_bytes: 64 << 20,
+            max_head_bytes: crate::http::MAX_HEAD_BYTES,
+            max_body_bytes: crate::http::MAX_BODY_BYTES,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             request_deadline: crate::http::REQUEST_DEADLINE,
